@@ -10,7 +10,8 @@ confidence in its own predictions. After each iteration it runs, in order:
     4. if first-order updates are enabled, pull the first-order belief
        toward the agent's own revealed label.
 
-All updates are pure: they return a new state and never mutate.
+`belief_step` runs the pipeline on plain floats; the ToMState functions
+are pure wrappers over it that return a new state and never mutate.
 """
 
 from __future__ import annotations
@@ -89,6 +90,39 @@ def make_tom_state(
     )
 
 
+def _blend(old: float, target: float, weight: float) -> float:
+    return _clamp01((1.0 - weight) * old + weight * target)
+
+
+def _predicts_c(first_order: float, matrix: PayoffMatrix) -> bool:
+    score_c, score_u = matrix.expected_payoffs(first_order)
+    return score_c >= score_u
+
+
+def belief_step(
+    zero_order: float,
+    first_order: float,
+    confidence: float,
+    learning_rate: float,
+    tom_enabled: bool,
+    observed_other: PolicyLabel,
+    observed_self: PolicyLabel,
+    matrix: PayoffMatrix,
+) -> tuple[float, float, float]:
+    """One iteration of the belief pipeline on plain floats.
+
+    Predict, then confidence, then integration, then the first-order pull;
+    returns the new (zero_order, first_order, confidence). Labels must be C
+    or U; the callers that take labels from outside check them.
+    """
+    predicts_c = _predicts_c(first_order, matrix)
+    confidence = _blend(confidence, float((observed_other is C) == predicts_c), learning_rate)
+    zero_order = _blend(zero_order, float(predicts_c), confidence)
+    if tom_enabled:
+        first_order = _blend(first_order, float(observed_self is C), confidence)
+    return zero_order, first_order, confidence
+
+
 def predict_other(state: ToMState, matrix: PayoffMatrix) -> PolicyLabel:
     """Label the other is predicted to pick if it greedily maximises material reward.
 
@@ -96,10 +130,7 @@ def predict_other(state: ToMState, matrix: PayoffMatrix) -> PolicyLabel:
     first-order belief about what the other thinks this agent will do.
     Ties break toward C (the Pareto-efficient label).
     """
-    b1 = state.first_order
-    score_c = b1.mass(C) * matrix.payoff(C, C) + b1.mass(U) * matrix.payoff(C, U)
-    score_u = b1.mass(C) * matrix.payoff(U, C) + b1.mass(U) * matrix.payoff(U, U)
-    return C if score_c >= score_u else U
+    return C if _predicts_c(state.first_order.p_cooperative, matrix) else U
 
 
 def update_confidence(
@@ -108,10 +139,8 @@ def update_confidence(
     """Exponential-average the prediction hit/miss into the confidence."""
     if observed_other not in KNOWN_LABELS:
         raise ValueError("confidence updates require an observed label in {C, U}")
-    hit = 1.0 if observed_other is predicted_other else 0.0
-    lam = state.learning_rate
-    new_conf = _clamp01((1.0 - lam) * state.confidence + lam * hit)
-    return replace(state, confidence=new_conf)
+    hit = float(observed_other is predicted_other)
+    return replace(state, confidence=_blend(state.confidence, hit, state.learning_rate))
 
 
 def integrate_belief(state: ToMState, predicted_other: PolicyLabel) -> Belief:
@@ -120,9 +149,7 @@ def integrate_belief(state: ToMState, predicted_other: PolicyLabel) -> Belief:
     Uses the confidence as it stands on `state`, i.e. callers must update
     confidence first (the pipeline order is confidence, then integration).
     """
-    c = state.confidence
-    blended = (1.0 - c) * state.zero_order.mass(C) + c * Belief.point(predicted_other).mass(C)
-    return Belief(_clamp01(blended))
+    return Belief(_blend(state.zero_order.p_cooperative, float(predicted_other is C), state.confidence))
 
 
 def update_beliefs(
@@ -134,16 +161,10 @@ def update_beliefs(
     """Run the full per-iteration belief pipeline and return the new state."""
     if observed_other not in KNOWN_LABELS or observed_self not in KNOWN_LABELS:
         raise ValueError("belief updates require both observed labels in {C, U}")
-
-    predicted = predict_other(state, matrix)
-    state = update_confidence(state, observed_other, predicted)
-    new_zero = integrate_belief(state, predicted)
-
-    if state.tom_enabled:
-        c = state.confidence
-        own = 1.0 if observed_self is C else 0.0
-        new_first = Belief(_clamp01((1.0 - c) * state.first_order.mass(C) + c * own))
-    else:
-        new_first = state.first_order
-
-    return replace(state, zero_order=new_zero, first_order=new_first)
+    zero_order, first_order, confidence = belief_step(
+        state.zero_order.p_cooperative, state.first_order.p_cooperative, state.confidence,
+        state.learning_rate, state.tom_enabled, observed_other, observed_self, matrix,
+    )
+    return replace(
+        state, zero_order=Belief(zero_order), first_order=Belief(first_order), confidence=confidence
+    )

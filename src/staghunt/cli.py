@@ -7,8 +7,9 @@ Subcommands mirror the experiment suite:
     staghunt tournament       group tournament -> tournament.csv
     staghunt gridworld        grid-world comparison -> gridworld.csv
 
-Every run writes a manifest.json recording the config hash, base seed and
-package version so results can be reproduced exactly.
+Every run writes a manifest.json recording the resolved spec (for analyze,
+the matrix and grids), its hash, the base seed and the package version, so
+results can be reproduced exactly.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import datetime
 import json
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .config import (
@@ -34,11 +33,10 @@ from .equilibrium import equilibrium_grid_rows
 from .experiments import (
     TRACE_COLUMNS,
     gridworld_threshold_summary,
-    make_matrix_agent,
     run_gridworld_comparison,
     run_gridworld_detail,
-    run_match,
     run_sweep,
+    run_sweep_unit,
     run_tournament,
     sweep_cell_means,
     tournament_means,
@@ -48,17 +46,17 @@ from .game import PayoffMatrix
 ANALYZE_COLUMNS = ("phi", "theta", "n_pure_ne", "unique_cc", "threshold_theta")
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, seed: int, extra: dict | None = None):
+def _write_manifest(out_dir: Path, command: str, seed: int, resolved: dict):
+    """resolved is what the run was built from, after config and flags; it is hashed."""
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": command,
-        "config_hash": config_hash(config),
+        "config_hash": config_hash(resolved),
         "base_seed": seed,
         "package_version": __version__,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        **resolved,
     }
-    if extra:
-        manifest.update(extra)
     with open(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, default=str)
 
@@ -82,6 +80,12 @@ def _frange(lo: float, hi: float, step: float) -> list[float]:
     return values
 
 
+def _grid_index(grid: tuple[float, ...], p: float) -> int:
+    if p not in grid:
+        raise ValueError(f"--trace-cell {p} is not on the sweep grid {list(grid)}")
+    return grid.index(p)
+
+
 def cmd_analyze(args, config: dict) -> int:
     matrix = PayoffMatrix(h=args.h, c=args.c, m=args.m, g=args.g)
     phi_lo = args.phi_min if args.phi_min is not None else matrix.m + args.phi_step
@@ -91,7 +95,7 @@ def cmd_analyze(args, config: dict) -> int:
     out_dir = Path(args.out)
     rows = list(equilibrium_grid_rows(matrix, phi_grid, theta_grid))
     _write_rows(out_dir / "analyze.csv", ANALYZE_COLUMNS, rows)
-    _write_manifest(out_dir, "analyze", config, args.seed, {
+    _write_manifest(out_dir, "analyze", args.seed, {
         "matrix": matrix.as_dict(),
         "phi_grid": [phi_lo, phi_hi, args.phi_step],
         "theta_grid": [args.theta_min, args.theta_max, args.theta_step],
@@ -113,6 +117,9 @@ def cmd_matrix_selfplay(args, config: dict) -> int:
     if args.theta is not None:
         spec = replace(spec, agent_params=replace(spec.agent_params, theta=args.theta))
 
+    if args.trace_cell is not None:
+        cell = [_grid_index(spec.probabilities, p) for p in args.trace_cell]
+
     out_dir = Path(args.out)
     result = run_sweep(spec, base_seed=args.seed, jobs=args.jobs)
     result.write_csv(out_dir / "sweep.csv")
@@ -124,16 +131,12 @@ def cmd_matrix_selfplay(args, config: dict) -> int:
     _write_rows(out_dir / "sweep_cells.csv", ("variant", "p_init_0", "p_init_1", "mean_final_coop"), cell_rows)
 
     if args.trace_cell is not None:
-        p0, p1 = args.trace_cell
+        # the sweep's own unit: first variant, repetition 0
         trace: list = []
-        agents = (
-            make_matrix_agent(spec.variants[0], spec.agent_params, p0),
-            make_matrix_agent(spec.variants[0], spec.agent_params, p1),
-        )
-        run_match(agents, spec.matrix, spec.iterations, np.random.default_rng(args.seed), trace=trace)
+        run_sweep_unit(spec, spec.variants[0], *cell, 0, args.seed, trace=trace)
         _write_rows(out_dir / "trace.csv", TRACE_COLUMNS, trace)
 
-    _write_manifest(out_dir, "matrix-selfplay", config, args.seed, {"spec": result.meta["spec"]})
+    _write_manifest(out_dir, "matrix-selfplay", args.seed, {"spec": result.meta["spec"]})
     print(f"wrote {len(result.rows)} rows to {out_dir / 'sweep.csv'}")
     return 0
 
@@ -157,7 +160,7 @@ def cmd_tournament(args, config: dict) -> int:
         ("composition", "group_size", "mean_common_reward"),
         [(comp, size, mean) for (comp, size), mean in sorted(means.items())],
     )
-    _write_manifest(out_dir, "tournament", config, args.seed, {"spec": result.meta["spec"]})
+    _write_manifest(out_dir, "tournament", args.seed, {"spec": result.meta["spec"]})
     print(f"wrote {len(result.rows)} rows to {out_dir / 'tournament.csv'}")
     return 0
 
@@ -199,7 +202,7 @@ def cmd_gridworld(args, config: dict) -> int:
             for (scenario, variant), s in sorted(summary.items())
         ],
     )
-    _write_manifest(out_dir, "gridworld", config, args.seed, {"spec": result.meta["spec"]})
+    _write_manifest(out_dir, "gridworld", args.seed, {"spec": result.meta["spec"]})
     print(f"wrote {len(result.rows)} rows to {out_dir / 'gridworld.csv'}")
     return 0
 
@@ -232,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--variants", nargs="+", default=None)
     p.add_argument("--trace-cell", nargs=2, type=float, default=None, metavar=("P0", "P1"),
-                   help="also write a per-iteration trace for one match at this cell")
+                   help="also write a per-iteration trace of this cell's first-variant, "
+                        "repetition-0 match from the sweep (both must be grid points)")
     p.set_defaults(func=cmd_matrix_selfplay)
 
     p = sub.add_parser("tournament", help="randomly matched group tournament")

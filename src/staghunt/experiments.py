@@ -18,18 +18,21 @@ from typing import Sequence
 import numpy as np
 
 from .game import C, PayoffMatrix, PolicyLabel
-from .gridworld import make_scenario
+from .gridworld import SCENARIOS, make_scenario
 from .matrix_agents import (
     Exploration,
     MatrixAgentState,
+    MatrixLearner,
     MatrixPlayer,
     PavlovState,
     cooperation_probability,
-    play_matrix_iteration,
+    learner_for,
+    play_learners,
     values_for_cooperation_probability,
 )
 from .beliefs import make_tom_state
 from .policy_learner import (
+    VARIANTS as GRID_VARIANTS,
     InequityParams,
     LearnerConfig,
     iterations_to_threshold,
@@ -104,6 +107,28 @@ class RunResult:
             writer.writerows(self.rows)
 
 
+def _require_positive(spec, *names: str) -> None:
+    for name in names:
+        value = getattr(spec, name)
+        if not value >= 1:
+            raise ValueError(f"{type(spec).__name__}.{name} must be >= 1, got {value!r}")
+
+
+def _require_known(spec, name: str, allowed: tuple[str, ...]) -> None:
+    unknown = [v for v in getattr(spec, name) if v not in allowed]
+    if unknown:
+        raise ValueError(
+            f"{type(spec).__name__}.{name}: unknown {unknown}; expected some of {allowed}"
+        )
+
+
+def _require_unit_interval(spec, *names: str) -> None:
+    for name in names:
+        value = getattr(spec, name)
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{type(spec).__name__}.{name} must lie in [0, 1], got {value!r}")
+
+
 def _rng_for(base_seed: int, *indices: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([base_seed, *indices]))
 
@@ -135,8 +160,8 @@ class SweepSpec:
     def __post_init__(self):
         if any(not 0.0 <= p <= 1.0 for p in self.probabilities):
             raise ValueError("initial probabilities must lie in [0, 1]")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        _require_positive(self, "iterations", "repetitions", "measure_window")
+        _require_known(self, "variants", MATRIX_VARIANTS)
 
 
 def run_match(
@@ -146,14 +171,21 @@ def run_match(
     rng: np.random.Generator,
     trace: list | None = None,
 ) -> tuple[tuple[MatrixPlayer, MatrixPlayer], list[tuple[PolicyLabel, PolicyLabel]]]:
-    """Run repeated one-shot play, returning final agents and the action history."""
+    """Run repeated one-shot play, returning final agents and the action history.
+
+    Pass a list as trace to also collect one TRACE_COLUMNS row per iteration.
+    """
+    learners = (learner_for(agents[0]), learner_for(agents[1]))
+    # one block of draws: the same doubles, in the same order, as one
+    # rng.random() per player per iteration
+    draws = rng.random((iterations, 2)).tolist()
     history: list[tuple[PolicyLabel, PolicyLabel]] = []
-    for it in range(iterations):
-        agents, outcome, rewards, records = play_matrix_iteration(agents, matrix, rng)
-        history.append((outcome.label_self, outcome.label_other))
+    for it, (u0, u1) in enumerate(draws):
+        a0, a1, rec0, rec1 = play_learners(*learners, matrix, u0, u1)
+        history.append((a0, a1))
         if trace is not None:
-            trace.append(_trace_row(it, agents, outcome, rewards, records))
-    return agents, history
+            trace.append(_trace_row(it, a0, a1, rec0, rec1, learners, matrix))
+    return (learners[0].state(), learners[1].state()), history
 
 
 TRACE_COLUMNS = (
@@ -164,27 +196,20 @@ TRACE_COLUMNS = (
 )
 
 
-def _trace_row(iteration, agents, outcome, rewards, records):
-    def agent_cols(agent: MatrixPlayer):
-        if isinstance(agent, MatrixAgentState):
-            from .game import C as coop, U as defe
-
-            return (
-                agent.tom.zero_order.p_cooperative,
-                agent.tom.first_order.p_cooperative,
-                agent.tom.confidence,
-                agent.values[coop],
-                agent.values[defe],
-            )
-        return (None, None, None, None, None)
-
-    b0_0, b1_0, conf_0, vc0, vu0 = agent_cols(agents[0])
-    b0_1, b1_1, conf_1, vc1, vu1 = agent_cols(agents[1])
+def _trace_row(iteration, a0, a1, rec0, rec1, learners, matrix) -> tuple:
+    beliefs: list = []
+    values: list = []
+    for learner in learners:
+        if isinstance(learner, MatrixLearner):
+            beliefs += (learner.b0, learner.b1, learner.conf)
+            values += (learner.v_c, learner.v_u)
+        else:
+            beliefs += (None, None, None)
+            values += (None, None)
     return (
-        iteration, str(outcome.label_self), str(outcome.label_other), rewards[0], rewards[1],
-        records[0].phi, records[0].psychological, records[1].phi, records[1].psychological,
-        b0_0, b1_0, conf_0, b0_1, b1_1, conf_1,
-        vc0, vu0, vc1, vu1,
+        iteration, str(a0), str(a1), matrix.payoff(a0, a1), matrix.payoff(a1, a0),
+        rec0[0], rec0[1], rec1[0], rec1[1],
+        *beliefs, *values,
     )
 
 
@@ -194,33 +219,33 @@ SWEEP_COLUMNS = (
 )
 
 
-def _sweep_unit(payload) -> tuple:
-    spec_dict, variant, p0, p1, rep, base_seed, i, j = payload
-    spec = _sweep_spec_from_dict(spec_dict)
-    rng = _rng_for(base_seed, i, j, rep)
+def run_sweep_unit(
+    spec: SweepSpec,
+    variant: str,
+    i: int,
+    j: int,
+    rep: int,
+    base_seed: int,
+    trace: list | None = None,
+) -> tuple:
+    """One sweep.csv row: the match at cell (i, j), repetition rep.
+
+    Pass a list as trace to replay that row's match per iteration.
+    """
+    p0, p1 = spec.probabilities[i], spec.probabilities[j]
     agents = (
         make_matrix_agent(variant, spec.agent_params, p0),
         make_matrix_agent(variant, spec.agent_params, p1),
     )
-    agents, history = run_match(agents, spec.matrix, spec.iterations, rng)
+    rng = _rng_for(base_seed, i, j, rep)
+    agents, history = run_match(agents, spec.matrix, spec.iterations, rng, trace)
     window = history[-spec.measure_window :]
     freq = sum(1 for pair in window if pair[0] is C) / len(window)
     return (variant, p0, p1, rep, cooperation_probability(agents[0]), freq)
 
 
-def _sweep_spec_to_dict(spec: SweepSpec) -> dict:
-    d = asdict(spec)
-    d["matrix"] = spec.matrix.as_dict()
-    return d
-
-
-def _sweep_spec_from_dict(d: dict) -> SweepSpec:
-    d = dict(d)
-    d["matrix"] = PayoffMatrix(**d["matrix"])
-    d["agent_params"] = AgentParams(**d["agent_params"])
-    d["probabilities"] = tuple(d["probabilities"])
-    d["variants"] = tuple(d["variants"])
-    return SweepSpec(**d)
+def _sweep_unit(payload) -> tuple:
+    return run_sweep_unit(*payload)
 
 
 def run_sweep(spec: SweepSpec, base_seed: int = 0, jobs: int = 1) -> RunResult:
@@ -229,18 +254,18 @@ def run_sweep(spec: SweepSpec, base_seed: int = 0, jobs: int = 1) -> RunResult:
     The random stream for a grid cell depends only on (base_seed, cell,
     repetition), never on the variant, so variants face identical luck.
     """
-    spec_dict = _sweep_spec_to_dict(spec)
-    payloads = []
-    for variant in spec.variants:
-        for i, p0 in enumerate(spec.probabilities):
-            for j, p1 in enumerate(spec.probabilities):
-                for rep in range(spec.repetitions):
-                    payloads.append((spec_dict, variant, p0, p1, rep, base_seed, i, j))
+    payloads = [
+        (spec, variant, i, j, rep, base_seed)
+        for variant in spec.variants
+        for i in range(len(spec.probabilities))
+        for j in range(len(spec.probabilities))
+        for rep in range(spec.repetitions)
+    ]
     rows = _pmap(_sweep_unit, payloads, jobs)
     return RunResult(
         columns=SWEEP_COLUMNS,
         rows=rows,
-        meta={"base_seed": base_seed, "spec": spec_dict},
+        meta={"base_seed": base_seed, "spec": asdict(spec)},
     )
 
 
@@ -278,9 +303,9 @@ class TournamentSpec:
     def __post_init__(self):
         if any(n < 2 for n in self.group_sizes):
             raise ValueError("group sizes must be >= 2")
-        for comp in self.compositions:
-            if comp not in COMPOSITIONS:
-                raise ValueError(f"unknown composition {comp!r}")
+        _require_known(self, "compositions", COMPOSITIONS)
+        _require_positive(self, "rounds", "report_window", "repetitions", "pavlov_n")
+        _require_unit_interval(self, "pavlov_p0")
 
 
 def _make_group(composition: str, size: int, spec: TournamentSpec) -> list[MatrixPlayer]:
@@ -299,38 +324,23 @@ TOURNAMENT_COLUMNS = ("composition", "group_size", "repetition", "mean_common_re
 
 
 def _tournament_unit(payload) -> tuple:
-    spec_dict, composition, size, rep, base_seed, size_idx, comp_idx = payload
-    spec = _tournament_spec_from_dict(spec_dict)
+    spec, composition, size, rep, base_seed, size_idx, comp_idx = payload
     rng = _rng_for(base_seed, comp_idx, size_idx, rep)
-    group = _make_group(composition, size, spec)
+    group = [learner_for(player) for player in _make_group(composition, size, spec)]
+    matrix = spec.matrix
     common: list[float] = []
     for _ in range(spec.rounds):
-        order = rng.permutation(size)
+        order = rng.permutation(size).tolist()
+        draws = rng.random(size - size % 2).tolist()  # actor, partner, actor, ...
         round_rewards: list[float] = []
         for k in range(0, size - 1, 2):
-            a, b = int(order[k]), int(order[k + 1])
-            pair = (group[a], group[b])
-            pair, _outcome, rewards, _recs = play_matrix_iteration(pair, spec.matrix, rng)
-            group[a], group[b] = pair
-            round_rewards.extend(rewards)
+            a, b, _rec_a, _rec_b = play_learners(
+                group[order[k]], group[order[k + 1]], matrix, draws[k], draws[k + 1]
+            )
+            round_rewards += (matrix.payoff(a, b), matrix.payoff(b, a))
         common.append(sum(round_rewards) / len(round_rewards))
     window = common[-spec.report_window :]
     return (composition, size, rep, sum(window) / len(window))
-
-
-def _tournament_spec_to_dict(spec: TournamentSpec) -> dict:
-    d = asdict(spec)
-    d["matrix"] = spec.matrix.as_dict()
-    return d
-
-
-def _tournament_spec_from_dict(d: dict) -> TournamentSpec:
-    d = dict(d)
-    d["matrix"] = PayoffMatrix(**d["matrix"])
-    d["agent_params"] = AgentParams(**d["agent_params"])
-    d["group_sizes"] = tuple(d["group_sizes"])
-    d["compositions"] = tuple(d["compositions"])
-    return TournamentSpec(**d)
 
 
 def run_tournament(spec: TournamentSpec, base_seed: int = 0, jobs: int = 1) -> RunResult:
@@ -340,17 +350,17 @@ def run_tournament(spec: TournamentSpec, base_seed: int = 0, jobs: int = 1) -> R
     the agents that actually played; with an odd group size one uniformly
     chosen agent sits out.
     """
-    spec_dict = _tournament_spec_to_dict(spec)
-    payloads = []
-    for comp_idx, composition in enumerate(spec.compositions):
-        for size_idx, size in enumerate(spec.group_sizes):
-            for rep in range(spec.repetitions):
-                payloads.append((spec_dict, composition, size, rep, base_seed, size_idx, comp_idx))
+    payloads = [
+        (spec, composition, size, rep, base_seed, size_idx, comp_idx)
+        for comp_idx, composition in enumerate(spec.compositions)
+        for size_idx, size in enumerate(spec.group_sizes)
+        for rep in range(spec.repetitions)
+    ]
     rows = _pmap(_tournament_unit, payloads, jobs)
     return RunResult(
         columns=TOURNAMENT_COLUMNS,
         rows=rows,
-        meta={"base_seed": base_seed, "spec": spec_dict},
+        meta={"base_seed": base_seed, "spec": asdict(spec)},
     )
 
 
@@ -394,6 +404,20 @@ class GridworldSpec:
     # which keeps the joint capture learnable at desk-scale iteration counts
     stag_motion: str | None = "static"
 
+    def __post_init__(self):
+        _require_known(self, "scenarios", SCENARIOS)
+        _require_known(self, "variants", GRID_VARIANTS)
+        _require_positive(self, "seeds", "iterations", "window", "epochs", "time_bucket_width")
+        _require_unit_interval(
+            self, "threshold", "zero_order", "first_order", "confidence", "learning_rate"
+        )
+        if not self.theta > 0:
+            raise ValueError(f"GridworldSpec.theta must be > 0, got {self.theta!r}")
+        if self.inequity_advantageous < 0 or self.inequity_disadvantageous < 0:
+            raise ValueError("GridworldSpec inequity sensitivities must be >= 0")
+        if self.stag_motion not in (None, "random_walk", "static"):
+            raise ValueError(f"GridworldSpec.stag_motion: unknown {self.stag_motion!r}")
+
 
 GRIDWORLD_COLUMNS = (
     "scenario", "variant", "seed", "iterations_to_threshold",
@@ -402,8 +426,7 @@ GRIDWORLD_COLUMNS = (
 
 
 def _gridworld_unit(payload) -> tuple:
-    spec_dict, scenario, variant, seed_idx, base_seed, scen_idx, var_idx = payload
-    spec = GridworldSpec(**{**spec_dict, "scenarios": tuple(spec_dict["scenarios"]), "variants": tuple(spec_dict["variants"])})
+    spec, scenario, variant, seed_idx, base_seed, scen_idx, var_idx = payload
     config = make_scenario(scenario)
     if spec.stag_motion is not None:
         config = dataclasses.replace(config, stag_motion=spec.stag_motion)
@@ -450,19 +473,17 @@ def _gridworld_unit(payload) -> tuple:
 
 
 def run_gridworld_comparison(spec: GridworldSpec, base_seed: int = 0, jobs: int = 1) -> RunResult:
-    spec_dict = asdict(spec)
-    payloads = []
-    for scen_idx, scenario in enumerate(spec.scenarios):
-        for var_idx, variant in enumerate(spec.variants):
-            for seed_idx in range(spec.seeds):
-                payloads.append(
-                    (spec_dict, scenario, variant, seed_idx, base_seed, scen_idx, var_idx)
-                )
+    payloads = [
+        (spec, scenario, variant, seed_idx, base_seed, scen_idx, var_idx)
+        for scen_idx, scenario in enumerate(spec.scenarios)
+        for var_idx, variant in enumerate(spec.variants)
+        for seed_idx in range(spec.seeds)
+    ]
     rows = _pmap(_gridworld_unit, payloads, jobs)
     return RunResult(
         columns=GRIDWORLD_COLUMNS,
         rows=rows,
-        meta={"base_seed": base_seed, "spec": spec_dict},
+        meta={"base_seed": base_seed, "spec": asdict(spec)},
     )
 
 

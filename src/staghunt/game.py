@@ -68,6 +68,14 @@ class PayoffMatrix:
             return self.h if other is C else self.g
         return self.c if other is C else self.m
 
+    def expected_payoffs(self, p_other_c: float) -> tuple[float, float]:
+        """Expected reward of playing C and of playing U against P(other plays C)."""
+        p_other_u = 1.0 - p_other_c
+        return (
+            p_other_c * self.h + p_other_u * self.g,
+            p_other_c * self.c + p_other_u * self.m,
+        )
+
     def payoff_pair(self, row: PolicyLabel, col: PolicyLabel) -> tuple[float, float]:
         """(row player's reward, column player's reward) for a joint outcome."""
         return self.payoff(row, col), self.payoff(col, row)

@@ -8,8 +8,10 @@ Three families live here:
       bootstrap term is the belief-weighted best material payoff;
     * the Pavlov baseline (generalised Win-Stay-Lose-Shift) that cooperates
       with probability i/n and nudges i on behaviour matches/mismatches;
-    * the single-iteration driver that plays two agents against each other
-      and routes every per-iteration update in the right order.
+    * the engine: each frozen state becomes a mutable learner on plain
+      floats for the length of a match (`learner_for`), `play_learners`
+      plays one round between two learners and routes every update in the
+      right order, and `state()` turns a learner back into a frozen state.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from typing import Union
 
 import numpy as np
 
-from .beliefs import ToMState, update_beliefs
+from .beliefs import Belief, ToMState, belief_step
 from .game import C, U, JointOutcome, PayoffMatrix, PolicyLabel
-from .shaping import GuiltParams, expected_other_value, guilt_reward, shape_reward
+from .shaping import GuiltParams, guilt_reward, phi_from_beliefs, shape_reward
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,10 +86,6 @@ class PavlovState:
         if not 0 <= self.i_count <= self.n:
             raise ValueError(f"i_count must lie in [0, {self.n}], got {self.i_count}")
 
-    @property
-    def p_cooperate(self) -> float:
-        return self.i_count / self.n
-
 
 MatrixPlayer = Union[MatrixAgentState, PavlovState]
 
@@ -112,25 +110,161 @@ def _logistic(x: float) -> float:
     return e / (1.0 + e)
 
 
+_NO_RECORD = (None, None, None)
+
+
+class MatrixLearner:
+    """A value learner on plain floats, updated in place.
+
+    Built once per match from a frozen MatrixAgentState and turned back into
+    one by `state()`, so the frozen dataclasses stay the API boundary while
+    every iteration runs without allocating agent objects. Its methods hold
+    the action-selection, TD(1) and temperature-decay rules; the functions
+    on MatrixAgentState below are thin wrappers over them.
+    """
+
+    __slots__ = (
+        "v_c", "v_u", "b0", "b1", "conf", "temp",
+        "learning_rate", "tom_enabled", "guilt", "alpha", "gamma",
+        "softmax", "epsilon", "decay", "_agent",
+    )
+
+    def __init__(self, agent: MatrixAgentState):
+        tom, explore = agent.tom, agent.explore
+        self.v_c = agent.values[C]
+        self.v_u = agent.values[U]
+        self.b0 = tom.zero_order.p_cooperative
+        self.b1 = tom.first_order.p_cooperative
+        self.conf = tom.confidence
+        self.temp = explore.temperature
+        self.learning_rate = tom.learning_rate
+        self.tom_enabled = tom.tom_enabled
+        self.guilt = agent.guilt
+        self.alpha = agent.alpha
+        self.gamma = agent.gamma
+        self.softmax = explore.kind == "softmax"
+        self.epsilon = explore.epsilon
+        # only the softmax temperature decays; x * 1.0 == x exactly
+        self.decay = explore.temperature_decay if self.softmax else 1.0
+        self._agent = agent
+
+    def p_cooperate(self) -> float:
+        """P(C) under the exploration rule (see Exploration)."""
+        gap = self.v_c - self.v_u
+        if self.softmax:
+            return _logistic(gap / self.temp)
+        greedy_c = 1.0 if gap >= 0 else 0.0
+        return (1.0 - self.epsilon) * greedy_c + self.epsilon / 2.0
+
+    def act(self, u: float) -> PolicyLabel:
+        """The action for a uniform draw u in [0, 1)."""
+        return C if u < self.p_cooperate() else U
+
+    def td1(self, taken: PolicyLabel, shaped_reward: float, matrix: PayoffMatrix) -> None:
+        """V(taken) += alpha * (shaped + gamma * lookahead - V(taken)).
+
+        The lookahead is the best material payoff under the zero-order
+        belief about the opponent's action; beliefs must already reflect
+        this iteration's observations when this runs.
+        """
+        target = shaped_reward + self.gamma * max(matrix.expected_payoffs(self.b0))
+        if taken is C:
+            self.v_c += self.alpha * (target - self.v_c)
+        else:
+            self.v_u += self.alpha * (target - self.v_u)
+
+    def decay_temperature(self) -> None:
+        self.temp *= self.decay
+
+    def learn(
+        self, own: PolicyLabel, other: PolicyLabel, matrix: PayoffMatrix
+    ) -> tuple[float, float, float]:
+        """Beliefs, then shaping, then TD(1), then decay; returns (phi, psychological, shaped)."""
+        self.b0, self.b1, self.conf = belief_step(
+            self.b0, self.b1, self.conf, self.learning_rate, self.tom_enabled, other, own, matrix
+        )
+        phi = phi_from_beliefs(self.b0, self.b1, matrix)
+        guilt = self.guilt
+        psychological = guilt_reward(guilt, phi, matrix.payoff(other, own)) if guilt else 0.0
+        shaped = shape_reward(matrix.payoff(own, other), psychological)
+        self.td1(own, shaped, matrix)
+        self.decay_temperature()
+        return phi, psychological, shaped
+
+    def state(self) -> MatrixAgentState:
+        agent = self._agent
+        return replace(
+            agent,
+            values={C: self.v_c, U: self.v_u},
+            tom=replace(
+                agent.tom,
+                zero_order=Belief(self.b0),
+                first_order=Belief(self.b1),
+                confidence=self.conf,
+            ),
+            explore=replace(agent.explore, temperature=self.temp),
+        )
+
+
+class PavlovLearner:
+    """PavlovState on plain ints, updated in place."""
+
+    __slots__ = ("i_count", "n")
+
+    def __init__(self, state: PavlovState):
+        self.i_count = state.i_count
+        self.n = state.n
+
+    def act(self, u: float) -> PolicyLabel:
+        return C if u < self.i_count / self.n else U
+
+    def learn(self, own: PolicyLabel, other: PolicyLabel, matrix: PayoffMatrix | None = None):
+        """Unit step up on matched behaviours, unit step down otherwise, clamped."""
+        if own is other:
+            self.i_count = min(self.i_count + 1, self.n)
+        else:
+            self.i_count = max(self.i_count - 1, 0)
+        return _NO_RECORD
+
+    def state(self) -> PavlovState:
+        return PavlovState(self.i_count, self.n)
+
+
+Learner = Union[MatrixLearner, PavlovLearner]
+
+
+def learner_for(player: MatrixPlayer) -> Learner:
+    if isinstance(player, PavlovState):
+        return PavlovLearner(player)
+    return MatrixLearner(player)
+
+
+def play_learners(first: Learner, second: Learner, matrix: PayoffMatrix, u0: float, u1: float):
+    """One simultaneous round, updating both learners in place.
+
+    u0 and u1 are the two players' uniform draws, first player's first;
+    each learner sees only the revealed labels. Returns (first's action,
+    second's action, first's (phi, psychological, shaped), second's), with
+    None entries for Pavlov.
+    """
+    a0 = first.act(u0)
+    a1 = second.act(u1)
+    return a0, a1, first.learn(a0, a1, matrix), second.learn(a1, a0, matrix)
+
+
 def cooperation_probability(agent: MatrixAgentState) -> float:
     """The agent's current probability of playing C under its exploration rule."""
-    gap = agent.values[C] - agent.values[U]
-    if agent.explore.kind == "softmax":
-        return _logistic(gap / agent.explore.temperature)
-    eps = agent.explore.epsilon
-    greedy_c = 1.0 if gap >= 0 else 0.0
-    return (1.0 - eps) * greedy_c + eps / 2.0
+    return MatrixLearner(agent).p_cooperate()
 
 
 def select_action(agent: MatrixAgentState, rng: np.random.Generator) -> PolicyLabel:
-    return C if rng.random() < cooperation_probability(agent) else U
+    return MatrixLearner(agent).act(rng.random())
 
 
 def decay_exploration(agent: MatrixAgentState) -> MatrixAgentState:
-    if agent.explore.kind != "softmax" or agent.explore.temperature_decay == 1.0:
-        return agent
-    new_temp = agent.explore.temperature * agent.explore.temperature_decay
-    return replace(agent, explore=replace(agent.explore, temperature=new_temp))
+    learner = MatrixLearner(agent)
+    learner.decay_temperature()
+    return learner.state()
 
 
 def td1_update(
@@ -139,32 +273,21 @@ def td1_update(
     shaped_reward: float,
     matrix: PayoffMatrix,
 ) -> MatrixAgentState:
-    """V(taken) += alpha * (shaped + gamma * lookahead - V(taken)).
-
-    The lookahead is the best material payoff under the zero-order belief
-    about the opponent's action; beliefs must already reflect this
-    iteration's observations when this runs.
-    """
-    b0 = agent.tom.zero_order
-    lookahead = max(
-        b0.mass(C) * matrix.payoff(C, C) + b0.mass(U) * matrix.payoff(C, U),
-        b0.mass(C) * matrix.payoff(U, C) + b0.mass(U) * matrix.payoff(U, U),
-    )
-    delta = shaped_reward + agent.gamma * lookahead - agent.values[taken]
-    new_values = dict(agent.values)
-    new_values[taken] = agent.values[taken] + agent.alpha * delta
-    return replace(agent, values=new_values)
+    """MatrixLearner.td1 on a frozen agent."""
+    learner = MatrixLearner(agent)
+    learner.td1(taken, shaped_reward, matrix)
+    return learner.state()
 
 
 def pavlov_act(state: PavlovState, rng: np.random.Generator) -> PolicyLabel:
-    return C if rng.random() < state.p_cooperate else U
+    return PavlovLearner(state).act(rng.random())
 
 
 def pavlov_update(state: PavlovState, own: PolicyLabel, other: PolicyLabel) -> PavlovState:
-    """Unit step up on matched behaviours, unit step down otherwise, clamped."""
-    if own is other:
-        return replace(state, i_count=min(state.i_count + 1, state.n))
-    return replace(state, i_count=max(state.i_count - 1, 0))
+    """PavlovLearner.learn on a frozen state."""
+    learner = PavlovLearner(state)
+    learner.learn(own, other)
+    return learner.state()
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,47 +299,21 @@ class IterationRecord:
     shaped: float | None
 
 
-def _act(player: MatrixPlayer, rng: np.random.Generator) -> PolicyLabel:
-    if isinstance(player, PavlovState):
-        return pavlov_act(player, rng)
-    return select_action(player, rng)
-
-
-def _learn(
-    player: MatrixPlayer,
-    own: PolicyLabel,
-    other: PolicyLabel,
-    matrix: PayoffMatrix,
-) -> tuple[MatrixPlayer, IterationRecord]:
-    if isinstance(player, PavlovState):
-        return pavlov_update(player, own, other), IterationRecord(None, None, None)
-
-    material = matrix.payoff(own, other)
-    other_material = matrix.payoff(other, own)
-    new_tom = update_beliefs(player.tom, other, own, matrix)
-    player = replace(player, tom=new_tom)
-    phi = expected_other_value(new_tom, matrix)
-    psychological = guilt_reward(player.guilt, phi, other_material) if player.guilt else 0.0
-    shaped = shape_reward(material, psychological)
-    player = td1_update(player, own, shaped, matrix)
-    player = decay_exploration(player)
-    return player, IterationRecord(phi=phi, psychological=psychological, shaped=shaped)
-
-
 def play_matrix_iteration(
     agents: tuple[MatrixPlayer, MatrixPlayer],
     matrix: PayoffMatrix,
     rng: np.random.Generator,
 ) -> tuple[tuple[MatrixPlayer, MatrixPlayer], JointOutcome, tuple[float, float], tuple[IterationRecord, IterationRecord]]:
-    """Play one simultaneous round and run every agent's update pipeline.
+    """play_learners on frozen players.
 
-    Agents never see each other's internals, only the revealed labels.
     Returns (updated agents, outcome from agent 0's perspective, material
     rewards, per-agent diagnostics).
     """
-    a0 = _act(agents[0], rng)
-    a1 = _act(agents[1], rng)
-    rewards = (matrix.payoff(a0, a1), matrix.payoff(a1, a0))
-    new0, rec0 = _learn(agents[0], a0, a1, matrix)
-    new1, rec1 = _learn(agents[1], a1, a0, matrix)
-    return (new0, new1), JointOutcome(label_self=a0, label_other=a1), rewards, (rec0, rec1)
+    learners = (learner_for(agents[0]), learner_for(agents[1]))
+    a0, a1, rec0, rec1 = play_learners(*learners, matrix, rng.random(), rng.random())
+    return (
+        (learners[0].state(), learners[1].state()),
+        JointOutcome(label_self=a0, label_other=a1),
+        (matrix.payoff(a0, a1), matrix.payoff(a1, a0)),
+        (IterationRecord(*rec0), IterationRecord(*rec1)),
+    )

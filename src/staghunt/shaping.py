@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .beliefs import ToMState
-from .game import C, U, PayoffMatrix
+from .game import PayoffMatrix
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,20 +46,26 @@ class InequityParams:
             raise ValueError("inequity shaping needs at least 2 agents")
 
 
-def expected_other_value(state: ToMState, matrix: PayoffMatrix) -> float:
-    """Expected material value the other agent experiences (phi).
+def phi_from_beliefs(zero_order: float, first_order: float, matrix: PayoffMatrix) -> float:
+    """Expected material value the other agent experiences (phi), on plain floats.
 
     Bilinear in the two beliefs: sums the other's payoff over joint labels,
     weighting the other's label by the zero-order belief and this agent's
     own label by the first-order belief. Always lands in [g, h].
     """
-    b0 = state.zero_order  # over the other's label
-    b1 = state.first_order  # over this agent's label, as seen by the other
-    total = 0.0
-    for own in (C, U):
-        for other in (C, U):
-            total += b0.mass(other) * b1.mass(own) * matrix.payoff(other, own)
-    return total
+    zero_u = 1.0 - zero_order  # the other plays U
+    first_u = 1.0 - first_order  # this agent plays U, as the other sees it
+    return (
+        zero_order * first_order * matrix.h
+        + zero_u * first_order * matrix.c
+        + zero_order * first_u * matrix.g
+        + zero_u * first_u * matrix.m
+    )
+
+
+def expected_other_value(state: ToMState, matrix: PayoffMatrix) -> float:
+    """phi for a belief state; see phi_from_beliefs."""
+    return phi_from_beliefs(state.zero_order.p_cooperative, state.first_order.p_cooperative, matrix)
 
 
 def guilt_reward(params: GuiltParams, phi_j: float, actual_other_reward: float) -> float:

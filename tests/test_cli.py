@@ -110,3 +110,66 @@ def test_gridworld_detail_flag_writes_iteration_and_episode_logs(tmp_path):
     episodes = read_csv(out / "gridworld_episodes.csv")
     assert episodes[0][:3] == ["iteration", "step", "agent0_x"]
     assert len(episodes) > 1
+
+
+def _sweep_args(out, *extra):
+    return ["--out", str(out), "--seed", "3", "matrix-selfplay", "--grid-step", "0.5",
+            "--repetitions", "2", *extra]
+
+
+def test_config_hash_follows_the_resolved_spec(tmp_path):
+    hashes = []
+    for iterations in ("20", "30", "20"):
+        out = tmp_path / iterations
+        assert main(_sweep_args(out, "--iterations", iterations)) == 0
+        hashes.append(json.loads((out / "manifest.json").read_text())["config_hash"])
+    assert hashes[0] != hashes[1]
+    assert hashes[0] == hashes[2]
+
+
+def test_analyze_config_hash_follows_its_grids(tmp_path):
+    hashes = []
+    for theta_max in ("3", "4"):
+        out = tmp_path / theta_max
+        assert main(["--out", str(out), "analyze", "--phi-step", "5", "--theta-min", "1",
+                     "--theta-max", theta_max, "--theta-step", "1"]) == 0
+        hashes.append(json.loads((out / "manifest.json").read_text())["config_hash"])
+    assert hashes[0] != hashes[1]
+
+
+def test_trace_cell_replays_the_sweep_row(tmp_path):
+    import dataclasses
+
+    from staghunt import C, U
+    from staghunt.experiments import AgentParams, SweepSpec, make_matrix_agent
+    from staghunt.matrix_agents import cooperation_probability
+
+    out = tmp_path / "tr"
+    iterations = 60
+    assert main(_sweep_args(out, "--iterations", str(iterations), "--trace-cell", "0.5", "0.5")) == 0
+    rows = read_csv(out / "sweep.csv")
+    # at seed 3 this cell's repetition 0 ends near P(C) = 0, which a match
+    # drawn from any other stream (e.g. default_rng(3)) does not
+    row = next(r for r in rows[1:] if r[:4] == ["tomaga", "0.5", "0.5", "0"])
+    trace = read_csv(out / "trace.csv")[1:]
+    assert len(trace) == iterations
+
+    window = trace[-SweepSpec().measure_window :]
+    assert float(row[5]) == sum(1 for r in window if r[1] == "C") / len(window)
+
+    params = AgentParams()
+    temperature = params.temperature
+    for _ in range(iterations):
+        temperature *= params.temperature_decay
+    agent = make_matrix_agent("tomaga", params)
+    agent = dataclasses.replace(
+        agent,
+        values={C: float(trace[-1][15]), U: float(trace[-1][16])},
+        explore=dataclasses.replace(agent.explore, temperature=temperature),
+    )
+    assert float(row[4]) == cooperation_probability(agent)
+
+
+def test_trace_cell_off_the_grid_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match="not on the sweep grid"):
+        main(_sweep_args(tmp_path / "o", "--iterations", "10", "--trace-cell", "0.25", "0.5"))
