@@ -9,7 +9,9 @@ Subcommands mirror the experiment suite:
 
 Every run writes a manifest.json recording the resolved spec (for analyze,
 the matrix and grids), its hash, the base seed and the package version, so
-results can be reproduced exactly.
+results can be reproduced exactly. Its "telemetry" entry, which is not
+hashed, records how the run went: worker count, Python and numpy versions,
+the experiment's wall seconds, its units and units per second.
 """
 
 from __future__ import annotations
@@ -18,8 +20,12 @@ import argparse
 import csv
 import datetime
 import json
+import platform
+import time
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .config import (
@@ -46,8 +52,11 @@ from .game import PayoffMatrix
 ANALYZE_COLUMNS = ("phi", "theta", "n_pure_ne", "unique_cc", "threshold_theta")
 
 
-def _write_manifest(out_dir: Path, command: str, seed: int, resolved: dict):
-    """resolved is what the run was built from, after config and flags; it is hashed."""
+def _write_manifest(out_dir: Path, command: str, seed: int, resolved: dict, telemetry: dict):
+    """resolved is what the run was built from, after config and flags; it is hashed.
+
+    telemetry describes how this run went and stays out of the hash.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": command,
@@ -56,9 +65,28 @@ def _write_manifest(out_dir: Path, command: str, seed: int, resolved: dict):
         "package_version": __version__,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         **resolved,
+        "telemetry": telemetry,
     }
     with open(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, default=str)
+
+
+def _timed(run, *args, **kwargs):
+    """Call run; return its result and the wall seconds it took."""
+    start = time.perf_counter()
+    result = run(*args, **kwargs)
+    return result, time.perf_counter() - start
+
+
+def _telemetry(jobs: int, seconds: float, units: int) -> dict:
+    return {
+        "jobs": jobs,
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
+        "experiment_wall_s": seconds,
+        "units": units,
+        "units_per_s": units / seconds,
+    }
 
 
 def _write_rows(path: Path, columns, rows):
@@ -93,13 +121,13 @@ def cmd_analyze(args, config: dict) -> int:
     phi_grid = _frange(phi_lo, phi_hi, args.phi_step)
     theta_grid = _frange(args.theta_min, args.theta_max, args.theta_step)
     out_dir = Path(args.out)
-    rows = list(equilibrium_grid_rows(matrix, phi_grid, theta_grid))
+    rows, seconds = _timed(lambda: list(equilibrium_grid_rows(matrix, phi_grid, theta_grid)))
     _write_rows(out_dir / "analyze.csv", ANALYZE_COLUMNS, rows)
     _write_manifest(out_dir, "analyze", args.seed, {
         "matrix": matrix.as_dict(),
         "phi_grid": [phi_lo, phi_hi, args.phi_step],
         "theta_grid": [args.theta_min, args.theta_max, args.theta_step],
-    })
+    }, _telemetry(args.jobs, seconds, len(rows)))
     print(f"wrote {len(rows)} rows to {out_dir / 'analyze.csv'}")
     return 0
 
@@ -121,7 +149,7 @@ def cmd_matrix_selfplay(args, config: dict) -> int:
         cell = [_grid_index(spec.probabilities, p) for p in args.trace_cell]
 
     out_dir = Path(args.out)
-    result = run_sweep(spec, base_seed=args.seed, jobs=args.jobs)
+    result, seconds = _timed(run_sweep, spec, base_seed=args.seed, jobs=args.jobs)
     result.write_csv(out_dir / "sweep.csv")
     cells = sweep_cell_means(result)
     cell_rows = [
@@ -136,7 +164,8 @@ def cmd_matrix_selfplay(args, config: dict) -> int:
         run_sweep_unit(spec, spec.variants[0], *cell, 0, args.seed, trace=trace)
         _write_rows(out_dir / "trace.csv", TRACE_COLUMNS, trace)
 
-    _write_manifest(out_dir, "matrix-selfplay", args.seed, {"spec": result.meta["spec"]})
+    _write_manifest(out_dir, "matrix-selfplay", args.seed, {"spec": result.meta["spec"]},
+                    _telemetry(args.jobs, seconds, len(result.rows)))
     print(f"wrote {len(result.rows)} rows to {out_dir / 'sweep.csv'}")
     return 0
 
@@ -152,7 +181,7 @@ def cmd_tournament(args, config: dict) -> int:
     if args.theta is not None:
         spec = replace(spec, agent_params=replace(spec.agent_params, theta=args.theta))
     out_dir = Path(args.out)
-    result = run_tournament(spec, base_seed=args.seed, jobs=args.jobs)
+    result, seconds = _timed(run_tournament, spec, base_seed=args.seed, jobs=args.jobs)
     result.write_csv(out_dir / "tournament.csv")
     means = tournament_means(result)
     _write_rows(
@@ -160,7 +189,8 @@ def cmd_tournament(args, config: dict) -> int:
         ("composition", "group_size", "mean_common_reward"),
         [(comp, size, mean) for (comp, size), mean in sorted(means.items())],
     )
-    _write_manifest(out_dir, "tournament", args.seed, {"spec": result.meta["spec"]})
+    _write_manifest(out_dir, "tournament", args.seed, {"spec": result.meta["spec"]},
+                    _telemetry(args.jobs, seconds, len(result.rows)))
     print(f"wrote {len(result.rows)} rows to {out_dir / 'tournament.csv'}")
     return 0
 
@@ -175,7 +205,7 @@ def cmd_gridworld(args, config: dict) -> int:
     }
     spec = build_gridworld_spec(config, **overrides)
     out_dir = Path(args.out)
-    result = run_gridworld_comparison(spec, base_seed=args.seed, jobs=args.jobs)
+    result, seconds = _timed(run_gridworld_comparison, spec, base_seed=args.seed, jobs=args.jobs)
     result.write_csv(out_dir / "gridworld.csv")
 
     if args.detail is not None:
@@ -202,7 +232,8 @@ def cmd_gridworld(args, config: dict) -> int:
             for (scenario, variant), s in sorted(summary.items())
         ],
     )
-    _write_manifest(out_dir, "gridworld", args.seed, {"spec": result.meta["spec"]})
+    _write_manifest(out_dir, "gridworld", args.seed, {"spec": result.meta["spec"]},
+                    _telemetry(args.jobs, seconds, len(result.rows)))
     print(f"wrote {len(result.rows)} rows to {out_dir / 'gridworld.csv'}")
     return 0
 

@@ -425,26 +425,27 @@ GRIDWORLD_COLUMNS = (
 )
 
 
-def _gridworld_unit(payload) -> tuple:
-    spec, scenario, variant, seed_idx, base_seed, scen_idx, var_idx = payload
-    config = make_scenario(scenario)
+def _gridworld_run(
+    spec: GridworldSpec, scen_idx: int, var_idx: int, seed_index: int, base_seed: int
+):
+    """Play one comparison run, yielding (learners, record, details) per iteration.
+
+    The run's stream depends only on (base_seed, scenario, variant, seed
+    index), so the aggregate row and its detail replay see the same run.
+    """
+    config = make_scenario(spec.scenarios[scen_idx])
     if spec.stag_motion is not None:
         config = dataclasses.replace(config, stag_motion=spec.stag_motion)
-    rng = _rng_for(base_seed, scen_idx, var_idx, seed_idx)
+    rng = _rng_for(base_seed, scen_idx, var_idx, seed_index)
     learner_cfg = LearnerConfig(
-        step_size=spec.step_size,
-        gamma=spec.gamma,
-        clip_ratio=spec.clip_ratio,
-        epochs=spec.epochs,
-        entropy_weight=spec.entropy_weight,
-        time_bucket_width=spec.time_bucket_width,
+        **{f.name: getattr(spec, f.name) for f in dataclasses.fields(LearnerConfig)}
     )
     inequity = InequityParams(
         spec.inequity_advantageous, spec.inequity_disadvantageous, n_agents=2
     )
     learners = tuple(
         make_grid_learner(
-            variant,
+            spec.variants[var_idx],
             learner_config=learner_cfg,
             theta=spec.theta,
             inequity_params=inequity,
@@ -455,10 +456,17 @@ def _gridworld_unit(payload) -> tuple:
         )
         for _ in range(2)
     )
-    history = []
     for _ in range(spec.iterations):
-        learners, record, _details = run_iteration(learners, config, rng)
-        history.append(record.labels)
+        learners, record, details = run_iteration(learners, config, rng)
+        yield learners, record, details
+
+
+def _gridworld_unit(payload) -> tuple:
+    spec, scenario, variant, seed_idx, base_seed, scen_idx, var_idx = payload
+    history = [
+        record.labels
+        for _, record, _ in _gridworld_run(spec, scen_idx, var_idx, seed_idx, base_seed)
+    ]
     reached = iterations_to_threshold(history, spec.window, spec.threshold)
     tail = history[-spec.window :]
     labels = [label for pair in tail for label in pair]
@@ -513,38 +521,10 @@ def run_gridworld_detail(
 
     scen_idx = spec.scenarios.index(scenario)
     var_idx = spec.variants.index(variant)
-    config = make_scenario(scenario)
-    if spec.stag_motion is not None:
-        config = dataclasses.replace(config, stag_motion=spec.stag_motion)
-    rng = _rng_for(base_seed, scen_idx, var_idx, seed_index)
-    learner_cfg = LearnerConfig(
-        step_size=spec.step_size,
-        gamma=spec.gamma,
-        clip_ratio=spec.clip_ratio,
-        epochs=spec.epochs,
-        entropy_weight=spec.entropy_weight,
-        time_bucket_width=spec.time_bucket_width,
-    )
-    inequity = InequityParams(
-        spec.inequity_advantageous, spec.inequity_disadvantageous, n_agents=2
-    )
-    learners = tuple(
-        make_grid_learner(
-            variant,
-            learner_config=learner_cfg,
-            theta=spec.theta,
-            inequity_params=inequity,
-            zero_order=spec.zero_order,
-            first_order=spec.first_order,
-            confidence=spec.confidence,
-            learning_rate=spec.learning_rate,
-        )
-        for _ in range(2)
-    )
     history: list = []
     rows: list[tuple] = []
-    for it in range(spec.iterations):
-        learners, record, details = run_iteration(learners, config, rng)
+    run = _gridworld_run(spec, scen_idx, var_idx, seed_index, base_seed)
+    for it, (learners, record, details) in enumerate(run):
         history.append(record.labels)
         chunk = history[-spec.window :]
         c_props = tuple(

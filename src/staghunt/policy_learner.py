@@ -77,9 +77,10 @@ def observation_key(state: GridState, agent_index: int, config: LearnerConfig) -
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max()
+    """Softmax along the last axis: one row of preferences, or a stack of rows."""
+    shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def action_probs(policy: PolicyParams, key: ObsKey) -> np.ndarray:
@@ -105,6 +106,96 @@ def discounted_returns(rewards: Sequence[float], gamma: float) -> list[float]:
 BatchItem = tuple[ObsKey, int, float, float]
 
 
+@dataclass(frozen=True, slots=True)
+class _Items:
+    """A batch as arrays over a (rows, N_ACTIONS) table, with what every epoch reuses.
+
+    Rows are numbered in order of first appearance, so the first items of
+    all rows, taken in item order, are rows 0, 1, 2, ... exactly once.
+    """
+
+    item_rows: np.ndarray | slice  # row of each item; a full slice when no row repeats
+    taken: np.ndarray  # one-hot mask of each item's action
+    adv: np.ndarray
+    old_p: np.ndarray
+    positive: np.ndarray
+    negative: np.ndarray
+    # (items, their rows) for the first item of every row, then for each
+    # further round of repeats: rows differ within a round, and a repeated
+    # row meets its items in item order
+    rounds: tuple[tuple[np.ndarray | slice, np.ndarray | slice], ...]
+
+    @classmethod
+    def build(cls, rows: list[int], actions: list[int], old_p, adv) -> "_Items":
+        by_round: list[list[int]] = []
+        seen: dict[int, int] = {}
+        for item, row in enumerate(rows):
+            k = seen[row] = seen.get(row, -1) + 1
+            if k == len(by_round):
+                by_round.append([])
+            by_round[k].append(item)
+        distinct = len(by_round) == 1
+        first = slice(None) if distinct else np.array(by_round[0])
+        rounds = ((first, slice(None)),) + tuple(
+            (np.array(items), np.array([rows[i] for i in items])) for items in by_round[1:]
+        )
+        taken = np.zeros((len(rows), N_ACTIONS), dtype=bool)
+        taken[np.arange(len(rows)), actions] = True
+        adv = np.array(adv)
+        return cls(
+            slice(None) if distinct else np.array(rows),
+            taken, adv, np.array(old_p), adv > 0, adv < 0, rounds,
+        )
+
+    def probs_and_ratios(self, prefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        probs = _softmax(prefs[self.item_rows])
+        return probs, probs[self.taken] / self.old_p
+
+
+def _gather(preferences: dict[ObsKey, np.ndarray], batch: Sequence[BatchItem]):
+    """The batch's distinct keys (first appearance first), their rows, and its items."""
+    slots: dict[ObsKey, int] = {}
+    rows = [slots.setdefault(key, len(slots)) for key, _, _, _ in batch]
+    _, actions, old_p, adv = zip(*batch)
+    prefs = np.array([preferences[key] for key in slots])
+    return list(slots), prefs, _Items.build(rows, list(actions), old_p, adv)
+
+
+def _entropy_terms(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row sum of p log p (the negated entropy) and log-probabilities."""
+    logp = np.log(probs + 1e-12)
+    return np.add.reduce(probs * logp, axis=1, keepdims=True), logp
+
+
+def _gradient(
+    prefs: np.ndarray, items: _Items, clip_ratio: float, entropy_weight: float
+) -> np.ndarray:
+    """Gradient of the clipped surrogate plus entropy bonus w.r.t. every row of prefs.
+
+    One array pass over all items. Each item adds its clipped term and then
+    its entropy term to its row, in item order, so a row that repeats sums
+    its terms in the same order as an item-by-item loop would.
+    """
+    probs, ratio = items.probs_and_ratios(prefs)
+    # The clipped branch has zero gradient once the ratio leaves the
+    # trust region in the advantage's favoured direction.
+    active = (items.positive & (ratio < 1.0 + clip_ratio)) | (
+        items.negative & (ratio > 1.0 - clip_ratio)
+    )
+    # an inactive item adds zeros, which leave its row's sum as it is
+    scale = np.where(active, items.adv * ratio, 0.0)[:, None]
+    clipped = scale * (items.taken - probs)
+    if entropy_weight:
+        neg_entropy, logp = _entropy_terms(probs)
+        bonus = entropy_weight * (-probs * (logp - neg_entropy))  # logp + entropy
+    grads = np.zeros(prefs.shape)
+    for take, rows in items.rounds:
+        grads[rows] += clipped[take]
+        if entropy_weight:
+            grads[rows] += bonus[take]
+    return grads
+
+
 def surrogate_objective(
     preferences: dict[ObsKey, np.ndarray],
     batch: Sequence[BatchItem],
@@ -112,15 +203,12 @@ def surrogate_objective(
     entropy_weight: float,
 ) -> float:
     """Clipped surrogate plus entropy bonus, as a pure function of preferences."""
-    total = 0.0
-    for key, action, old_p, adv in batch:
-        probs = _softmax(preferences[key])
-        ratio = probs[action] / old_p
-        clipped = min(max(ratio, 1.0 - clip_ratio), 1.0 + clip_ratio)
-        total += min(ratio * adv, clipped * adv)
-        entropy = -float(np.sum(probs * np.log(probs + 1e-12)))
-        total += entropy_weight * entropy
-    return total
+    _, prefs, items = _gather(preferences, batch)
+    probs, ratio = items.probs_and_ratios(prefs)
+    clipped = np.clip(ratio, 1.0 - clip_ratio, 1.0 + clip_ratio)
+    surrogate = np.minimum(ratio * items.adv, clipped * items.adv)
+    neg_entropy, _ = _entropy_terms(probs)
+    return float(np.sum(surrogate) - entropy_weight * np.sum(neg_entropy))
 
 
 def surrogate_gradient(
@@ -130,54 +218,53 @@ def surrogate_gradient(
     entropy_weight: float,
 ) -> dict[ObsKey, np.ndarray]:
     """Analytic gradient of surrogate_objective w.r.t. every preference entry."""
-    grads: dict[ObsKey, np.ndarray] = {}
-    for key, action, old_p, adv in batch:
-        probs = _softmax(preferences[key])
-        ratio = probs[action] / old_p
-        grad = grads.setdefault(key, np.zeros(N_ACTIONS))
-        # The clipped branch has zero gradient once the ratio leaves the
-        # trust region in the advantage's favoured direction.
-        active = (adv > 0 and ratio < 1.0 + clip_ratio) or (
-            adv < 0 and ratio > 1.0 - clip_ratio
-        )
-        if active:
-            one_hot = np.zeros(N_ACTIONS)
-            one_hot[action] = 1.0
-            grad += adv * ratio * (one_hot - probs)
-        if entropy_weight:
-            logp = np.log(probs + 1e-12)
-            entropy = -float(np.sum(probs * logp))
-            grad += entropy_weight * (-probs * (logp + entropy))
-    return grads
+    keys, prefs, items = _gather(preferences, batch)
+    return dict(zip(keys, _gradient(prefs, items, clip_ratio, entropy_weight)))
+
+
+def update_policies(policies: Sequence[PolicyParams], episodes: Sequence["ShapedEpisode"]) -> None:
+    """Run the clipped-surrogate epochs for several policies, each on its own episode.
+
+    The policies' tables are independent but share one LearnerConfig, so
+    every epoch is one array pass over all of their episode rows stacked
+    together. A zero clip ratio pins every ratio at 1, so the surrogate is
+    constant and the update is skipped outright.
+    """
+    cfg = policies[0].hyper
+    if any(policy.hyper != cfg for policy in policies):
+        raise ValueError("update_policies needs policies that share one LearnerConfig")
+    if not all(episode.keys for episode in episodes):
+        raise ValueError("policy_update needs a non-empty episode")
+    if cfg.clip_ratio == 0.0:
+        return
+
+    # one table of rows over both policies: a key seen by two policies is two rows
+    tables: dict[tuple[int, ObsKey], np.ndarray] = {}
+    batch: list[BatchItem] = []
+    all_returns = []
+    for p, (policy, episode) in enumerate(zip(policies, episodes)):
+        returns = discounted_returns(episode.rewards, cfg.gamma)
+        all_returns.append(returns)
+        steps = zip(episode.keys, episode.actions, episode.behaviour_probs, returns)
+        for key, action, old_p, ret in steps:
+            tables[p, key] = policy.prefs(key)  # materialise rows before differentiating
+            batch.append(((p, key), ACTION_INDEX[action], old_p, ret - policy.value(key)))
+    slots, prefs, items = _gather(tables, batch)
+
+    for _ in range(cfg.epochs):
+        prefs = prefs + cfg.step_size * _gradient(prefs, items, cfg.clip_ratio, cfg.entropy_weight)
+    for (p, key), row in zip(slots, prefs):
+        policies[p].preferences[key] = row
+    # single squared-error step toward the returns, after the policy epochs,
+    # so the baseline tracks a running mean instead of swallowing the batch
+    for policy, episode, returns in zip(policies, episodes, all_returns):
+        for key, ret in zip(episode.keys, returns):
+            policy.values[key] = policy.value(key) + cfg.step_size * (ret - policy.value(key))
 
 
 def policy_update(policy: PolicyParams, episode: "ShapedEpisode") -> PolicyParams:
-    """Run the configured number of clipped-surrogate epochs over one episode.
-
-    A zero clip ratio pins every ratio at 1, so the surrogate is constant
-    and the update is skipped outright.
-    """
-    cfg = policy.hyper
-    if not episode.keys:
-        raise ValueError("policy_update needs a non-empty episode")
-    if cfg.clip_ratio == 0.0:
-        return policy
-
-    returns = discounted_returns(episode.rewards, cfg.gamma)
-    batch: list[BatchItem] = []
-    for key, action, old_p, ret in zip(episode.keys, episode.actions, episode.behaviour_probs, returns):
-        adv = ret - policy.value(key)
-        policy.prefs(key)  # materialise rows before differentiating
-        batch.append((key, ACTION_INDEX[action], old_p, adv))
-
-    for _ in range(cfg.epochs):
-        grads = surrogate_gradient(policy.preferences, batch, cfg.clip_ratio, cfg.entropy_weight)
-        for key, grad in grads.items():
-            policy.preferences[key] = policy.prefs(key) + cfg.step_size * grad
-    # single squared-error step toward the returns, after the policy epochs,
-    # so the baseline tracks a running mean instead of swallowing the batch
-    for (key, _, _, _), ret in zip(batch, returns):
-        policy.values[key] = policy.value(key) + cfg.step_size * (ret - policy.value(key))
+    """Run the configured number of clipped-surrogate epochs over one episode."""
+    update_policies((policy,), (episode,))
     return policy
 
 
@@ -283,6 +370,7 @@ def run_iteration(
 ) -> tuple[tuple[GridLearner, GridLearner], EpisodeRecord, tuple[ShapingDetail, ShapingDetail]]:
     """Play one episode, reveal labels, shape terminal rewards, update policies."""
     cfgs = tuple(learner.policy.hyper for learner in learners)
+    keys: list[list[ObsKey]] = [[], []]
     behaviour: list[list[float]] = [[], []]
 
     def joint_policy(state: GridState, agent_index: int, step_rng: np.random.Generator) -> GridAction:
@@ -290,6 +378,7 @@ def run_iteration(
         key = observation_key(state, agent_index, cfgs[agent_index])
         probs = action_probs(policy, key)
         idx = step_rng.choice(N_ACTIONS, p=probs)
+        keys[agent_index].append(key)
         behaviour[agent_index].append(float(probs[idx]))
         return ACTIONS[idx]
 
@@ -297,20 +386,16 @@ def run_iteration(
     label_matrix = config.label_payoffs()
 
     details = []
+    episodes = []
     for i, learner in enumerate(learners):
         detail = _shaped_terminal_reward(
             learner, record.labels, record.terminal_rewards, i, label_matrix
         )
         details.append(detail)
-        keys = [
-            observation_key(state, i, cfgs[i]) for state, _, _, _ in record.transitions
-        ]
         actions = [acts[i] for _, acts, _, _ in record.transitions]
         rewards = [0.0] * (len(record.transitions) - 1) + [detail.shaped]
-        episode = ShapedEpisode(
-            keys=keys, actions=actions, behaviour_probs=behaviour[i], rewards=rewards
-        )
-        learner.policy = policy_update(learner.policy, episode)
+        episodes.append(ShapedEpisode(keys[i], actions, behaviour[i], rewards))
+    update_policies([learner.policy for learner in learners], episodes)
     return learners, record, (details[0], details[1])
 
 

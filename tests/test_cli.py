@@ -173,3 +173,47 @@ def test_trace_cell_replays_the_sweep_row(tmp_path):
 def test_trace_cell_off_the_grid_is_rejected(tmp_path):
     with pytest.raises(ValueError, match="not on the sweep grid"):
         main(_sweep_args(tmp_path / "o", "--iterations", "10", "--trace-cell", "0.25", "0.5"))
+
+
+COMMANDS = {
+    "analyze": ["analyze", "--phi-step", "5", "--theta-min", "1", "--theta-max", "6",
+                "--theta-step", "1"],
+    "matrix-selfplay": ["matrix-selfplay", "--grid-step", "0.5", "--iterations", "10",
+                        "--repetitions", "1"],
+    "tournament": ["tournament", "--sizes", "2", "--rounds", "10", "--repetitions", "1",
+                   "--compositions", "pavlov"],
+    "gridworld": ["gridworld", "--scenario", "near-stag", "--agent", "individual",
+                  "--seeds", "2", "--iterations", "3"],
+}
+UNITS = {"analyze": 4 * 6, "matrix-selfplay": 2 * 9, "tournament": 1, "gridworld": 2}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_manifest_records_run_telemetry_outside_the_hash(tmp_path, command):
+    import platform
+
+    import numpy as np
+
+    from staghunt.config import config_hash
+
+    manifests = []
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        assert main(["--out", str(out), "--jobs", jobs, *COMMANDS[command]]) == 0
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    for jobs, manifest in zip((1, 2), manifests):
+        telemetry = manifest["telemetry"]
+        assert telemetry["jobs"] == jobs
+        assert telemetry["python_version"] == platform.python_version()
+        assert telemetry["numpy_version"] == np.__version__
+        assert telemetry["units"] == UNITS[command]
+        assert telemetry["experiment_wall_s"] > 0
+        assert telemetry["units_per_s"] == pytest.approx(
+            telemetry["units"] / telemetry["experiment_wall_s"]
+        )
+        # the hash covers the resolved spec only
+        fixed = ("command", "config_hash", "base_seed", "package_version", "created_utc",
+                 "telemetry")
+        resolved = {k: v for k, v in manifest.items() if k not in fixed}
+        assert manifest["config_hash"] == config_hash(resolved)
+    assert manifests[0]["config_hash"] == manifests[1]["config_hash"]

@@ -4,7 +4,9 @@ import pytest
 from staghunt.game import C, U, UNKNOWN, PayoffMatrix
 from staghunt.gridworld import GridAction, make_scenario
 from staghunt.policy_learner import (
+    ACTION_INDEX,
     ACTIONS,
+    N_ACTIONS,
     LearnerConfig,
     PolicyParams,
     ShapedEpisode,
@@ -18,6 +20,7 @@ from staghunt.policy_learner import (
     run_iteration,
     surrogate_gradient,
     surrogate_objective,
+    update_policies,
 )
 
 
@@ -130,6 +133,173 @@ def test_policy_stays_a_distribution_after_updates():
 def test_policy_update_rejects_empty_episode():
     with pytest.raises(ValueError):
         policy_update(PolicyParams(), ShapedEpisode([], [], [], []))
+
+
+# --- differential check against the per-item reference ------------------------------
+#
+# The per-item gradient and epoch loop that the array kernel replaced, kept
+# verbatim: the kernel must reproduce them bit for bit, since every
+# grid-world CSV follows from these preferences.
+
+
+def _ref_softmax(z: np.ndarray) -> np.ndarray:
+    shifted = z - z.max()
+    e = np.exp(shifted)
+    return e / e.sum()
+
+
+def _ref_surrogate_gradient(preferences, batch, clip_ratio, entropy_weight):
+    grads = {}
+    for key, action, old_p, adv in batch:
+        probs = _ref_softmax(preferences[key])
+        ratio = probs[action] / old_p
+        grad = grads.setdefault(key, np.zeros(N_ACTIONS))
+        # The clipped branch has zero gradient once the ratio leaves the
+        # trust region in the advantage's favoured direction.
+        active = (adv > 0 and ratio < 1.0 + clip_ratio) or (
+            adv < 0 and ratio > 1.0 - clip_ratio
+        )
+        if active:
+            one_hot = np.zeros(N_ACTIONS)
+            one_hot[action] = 1.0
+            grad += adv * ratio * (one_hot - probs)
+        if entropy_weight:
+            logp = np.log(probs + 1e-12)
+            entropy = -float(np.sum(probs * logp))
+            grad += entropy_weight * (-probs * (logp + entropy))
+    return grads
+
+
+def _ref_policy_update(policy, episode):
+    cfg = policy.hyper
+    if not episode.keys:
+        raise ValueError("policy_update needs a non-empty episode")
+    if cfg.clip_ratio == 0.0:
+        return policy
+
+    returns = discounted_returns(episode.rewards, cfg.gamma)
+    batch = []
+    for key, action, old_p, ret in zip(episode.keys, episode.actions, episode.behaviour_probs, returns):
+        adv = ret - policy.value(key)
+        policy.prefs(key)  # materialise rows before differentiating
+        batch.append((key, ACTION_INDEX[action], old_p, adv))
+
+    for _ in range(cfg.epochs):
+        grads = _ref_surrogate_gradient(policy.preferences, batch, cfg.clip_ratio, cfg.entropy_weight)
+        for key, grad in grads.items():
+            policy.preferences[key] = policy.prefs(key) + cfg.step_size * grad
+    # single squared-error step toward the returns, after the policy epochs,
+    # so the baseline tracks a running mean instead of swallowing the batch
+    for (key, _, _, _), ret in zip(batch, returns):
+        policy.values[key] = policy.value(key) + cfg.step_size * (ret - policy.value(key))
+    return policy
+
+
+def random_case(seed, hyper, pool=4, table=3):
+    """A policy with random rows for part of a small key pool, and an episode
+    over that pool: keys repeat, some keys are new, and the behaviour
+    probabilities sit both inside and far outside the clip range."""
+    rng = np.random.default_rng(seed)
+    keys = [("cell", k) for k in range(pool)]
+    policy = PolicyParams(hyper=hyper)
+    for key in keys[:table]:
+        policy.preferences[key] = rng.normal(0, 1.0, N_ACTIONS)
+        policy.values[key] = float(rng.normal(0, 2.0))
+    length = int(rng.integers(1, 13))
+    episode_keys = [keys[i] for i in rng.integers(pool, size=length)]
+    actions = [ACTIONS[i] for i in rng.integers(N_ACTIONS, size=length)]
+    behaviour = []
+    for key, action in zip(episode_keys, actions):
+        p = _ref_softmax(policy.preferences.get(key, np.zeros(N_ACTIONS)))[ACTION_INDEX[action]]
+        behaviour.append(float(np.clip(p * rng.choice([1.0, 0.95, 0.4, 2.5]), 0.01, 0.99)))
+    rewards = [float(r) for r in rng.normal(0, 3.0, length)]
+    return policy, ShapedEpisode(episode_keys, actions, behaviour, rewards)
+
+
+def assert_same_tables(a: PolicyParams, b: PolicyParams):
+    assert list(a.preferences) == list(b.preferences)
+    for key in a.preferences:
+        assert np.array_equal(a.preferences[key], b.preferences[key]), key
+    assert a.values == b.values
+
+
+HYPERS = [
+    LearnerConfig(step_size=0.5, epochs=6, entropy_weight=0.03),
+    LearnerConfig(step_size=0.5, epochs=6, entropy_weight=0.0),
+    LearnerConfig(step_size=0.05, epochs=4, entropy_weight=0.01, clip_ratio=0.05),
+    LearnerConfig(clip_ratio=0.0),
+]
+
+
+SEEDS = range(40)
+
+
+@pytest.mark.parametrize("hyper", HYPERS)
+def test_policy_update_matches_per_item_reference(hyper):
+    for seed in SEEDS:
+        policy, episode = random_case(seed, hyper)
+        reference, _ = random_case(seed, hyper)
+        # several updates in a row, so the rows drift away from the seed's
+        for _ in range(3):
+            policy_update(policy, episode)
+            _ref_policy_update(reference, episode)
+        assert_same_tables(policy, reference)
+
+
+@pytest.mark.parametrize("clip_ratio", [0.2, 0.0])
+@pytest.mark.parametrize("entropy_weight", [0.0, 0.03])
+def test_surrogate_gradient_matches_per_item_reference(clip_ratio, entropy_weight):
+    for seed in SEEDS:
+        policy, episode = random_case(seed, LearnerConfig(), table=4)
+        rng = np.random.default_rng(1000 + seed)
+        batch = [
+            (key, ACTION_INDEX[action], p, float(adv))
+            for key, action, p, adv in zip(
+                episode.keys, episode.actions, episode.behaviour_probs,
+                rng.normal(0, 2.0, len(episode.keys)),
+            )
+        ]
+        grads = surrogate_gradient(policy.preferences, batch, clip_ratio, entropy_weight)
+        reference = _ref_surrogate_gradient(policy.preferences, batch, clip_ratio, entropy_weight)
+        assert list(grads) == list(reference)
+        for key in reference:
+            assert np.array_equal(grads[key], reference[key]), (seed, key)
+
+
+@pytest.mark.parametrize("hyper", HYPERS)
+def test_two_learners_updated_together_match_per_item_reference(hyper):
+    """Both learners' rows in one pass: the same key in both tables stays two rows."""
+    for seed in SEEDS:
+        together = [random_case(seed, hyper)[0], random_case(seed + 500, hyper)[0]]
+        apart = [random_case(seed, hyper)[0], random_case(seed + 500, hyper)[0]]
+        episodes = [random_case(seed + 1000, hyper)[1], random_case(seed + 2000, hyper)[1]]
+        update_policies(together, episodes)
+        for policy, episode in zip(apart, episodes):
+            _ref_policy_update(policy, episode)
+        for a, b in zip(together, apart):
+            assert_same_tables(a, b)
+
+
+def test_update_policies_needs_one_shared_config():
+    policies = [PolicyParams(LearnerConfig()), PolicyParams(LearnerConfig(epochs=2))]
+    episode = ShapedEpisode([("s", 0)], [ACTIONS[0]], [0.2], [1.0])
+    with pytest.raises(ValueError, match="LearnerConfig"):
+        update_policies(policies, [episode, episode])
+
+
+def test_random_cases_cover_repeats_and_both_clip_branches():
+    """The differential cases above exercise what they claim to."""
+    repeats = clipped = unclipped = 0
+    for seed in SEEDS:
+        policy, episode = random_case(seed, LearnerConfig())
+        repeats += len(set(episode.keys)) < len(episode.keys)
+        for key, action, p in zip(episode.keys, episode.actions, episode.behaviour_probs):
+            ratio = _ref_softmax(policy.prefs(key))[ACTION_INDEX[action]] / p
+            if 0.8 < ratio < 1.2:
+                unclipped += 1
+            else:
+                clipped += 1
+    assert repeats >= 10 and clipped >= 20 and unclipped >= 20
 
 
 # --- iteration wiring -------------------------------------------------------------

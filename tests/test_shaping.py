@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from staghunt import (
@@ -75,10 +75,12 @@ def test_guilt_params_require_positive_theta():
     phi=st.floats(-100, 100),
     actual=st.floats(-100, 100),
 )
+# a subnormal shortfall: theta * (phi - actual) underflows, so guilt reads -0.0
+@example(theta=0.5, phi=5e-324, actual=0.0)
 def test_guilt_sign_and_zero_condition(theta, phi, actual):
     value = guilt_reward(GuiltParams(theta), phi, actual)
     assert value <= 0.0
-    assert (value == 0.0) == (actual >= phi)
+    assert (value == 0.0) == (actual >= phi or theta * (phi - actual) == 0.0)
 
 
 @given(
