@@ -4,7 +4,7 @@ for matrix-form self-play, group tournaments, and a grid-world variant."""
 
 __version__ = "0.1.0"
 
-from .game import C, U, UNKNOWN, JointOutcome, PayoffMatrix, PolicyLabel, payoff, validate_payoffs
+from .game import C, U, UNKNOWN, PayoffMatrix, PolicyLabel
 from .beliefs import Belief, ToMState, make_tom_state, update_beliefs
 from .shaping import (
     GuiltParams,
@@ -26,8 +26,7 @@ from .equilibrium import (
 __all__ = [
     "__version__",
     "C", "U", "UNKNOWN",
-    "PolicyLabel", "PayoffMatrix", "JointOutcome",
-    "payoff", "validate_payoffs",
+    "PolicyLabel", "PayoffMatrix",
     "Belief", "ToMState", "make_tom_state", "update_beliefs",
     "GuiltParams", "InequityParams",
     "expected_other_value", "guilt_reward", "shape_reward", "inequity_reward",

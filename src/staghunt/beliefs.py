@@ -10,15 +10,15 @@ confidence in its own predictions. After each iteration it runs, in order:
     4. if first-order updates are enabled, pull the first-order belief
        toward the agent's own revealed label.
 
-`belief_step` runs the pipeline on plain floats; the ToMState functions
-are pure wrappers over it that return a new state and never mutate.
+`belief_step` runs the pipeline on plain floats; `update_beliefs` runs it
+on a ToMState and returns a new state, never mutating the old one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .game import C, KNOWN_LABELS, U, PayoffMatrix, PolicyLabel
+from .game import C, KNOWN_LABELS, PayoffMatrix, PolicyLabel
 
 
 def _clamp01(x: float) -> float:
@@ -35,21 +35,6 @@ class Belief:
     def __post_init__(self):
         if not 0.0 <= self.p_cooperative <= 1.0:
             raise ValueError(f"belief probability outside [0, 1]: {self.p_cooperative}")
-
-    def mass(self, label: PolicyLabel) -> float:
-        if label is C:
-            return self.p_cooperative
-        if label is U:
-            return 1.0 - self.p_cooperative
-        raise ValueError("beliefs are defined over C/U only")
-
-    @classmethod
-    def point(cls, label: PolicyLabel) -> "Belief":
-        return cls(1.0 if label is C else 0.0)
-
-    @classmethod
-    def uniform(cls) -> "Belief":
-        return cls(0.5)
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,6 +80,7 @@ def _blend(old: float, target: float, weight: float) -> float:
 
 
 def _predicts_c(first_order: float, matrix: PayoffMatrix) -> bool:
+    # the other's greedy label under the first-order belief; ties go to C
     score_c, score_u = matrix.expected_payoffs(first_order)
     return score_c >= score_u
 
@@ -121,35 +107,6 @@ def belief_step(
     if tom_enabled:
         first_order = _blend(first_order, float(observed_self is C), confidence)
     return zero_order, first_order, confidence
-
-
-def predict_other(state: ToMState, matrix: PayoffMatrix) -> PolicyLabel:
-    """Label the other is predicted to pick if it greedily maximises material reward.
-
-    Scores each candidate label by the other's expected payoff under the
-    first-order belief about what the other thinks this agent will do.
-    Ties break toward C (the Pareto-efficient label).
-    """
-    return C if _predicts_c(state.first_order.p_cooperative, matrix) else U
-
-
-def update_confidence(
-    state: ToMState, observed_other: PolicyLabel, predicted_other: PolicyLabel
-) -> ToMState:
-    """Exponential-average the prediction hit/miss into the confidence."""
-    if observed_other not in KNOWN_LABELS:
-        raise ValueError("confidence updates require an observed label in {C, U}")
-    hit = float(observed_other is predicted_other)
-    return replace(state, confidence=_blend(state.confidence, hit, state.learning_rate))
-
-
-def integrate_belief(state: ToMState, predicted_other: PolicyLabel) -> Belief:
-    """Convex blend of the zero-order belief and the prediction's point mass.
-
-    Uses the confidence as it stands on `state`, i.e. callers must update
-    confidence first (the pipeline order is confidence, then integration).
-    """
-    return Belief(_blend(state.zero_order.p_cooperative, float(predicted_other is C), state.confidence))
 
 
 def update_beliefs(

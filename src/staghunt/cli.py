@@ -17,27 +17,23 @@ the experiment's wall seconds, its units and units per second.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import json
 import platform
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import (
-    build_gridworld_spec,
-    build_sweep_spec,
-    build_tournament_spec,
-    config_hash,
-    load_config,
-)
+from .config import build_spec, config_hash, load_config
 from .equilibrium import equilibrium_grid_rows
 from .experiments import (
     TRACE_COLUMNS,
+    GridworldSpec,
+    RunResult,
+    SweepSpec,
+    TournamentSpec,
     gridworld_threshold_summary,
     run_gridworld_comparison,
     run_gridworld_detail,
@@ -89,12 +85,9 @@ def _telemetry(jobs: int, seconds: float, units: int) -> dict:
     }
 
 
-def _write_rows(path: Path, columns, rows):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
+def _require_positive_step(flag: str, step: float) -> None:
+    if not step > 0:
+        raise ValueError(f"{flag} must be > 0, got {step!r}")
 
 
 def _frange(lo: float, hi: float, step: float) -> list[float]:
@@ -108,6 +101,17 @@ def _frange(lo: float, hi: float, step: float) -> list[float]:
     return values
 
 
+def _detail_run(spec, scenario: str, variant: str, seed: str) -> tuple[str, str, int]:
+    """The (scenario, variant, seed index) of one run of the comparison, or ValueError."""
+    if scenario in spec.scenarios and variant in spec.variants and seed.isdecimal():
+        if int(seed) < spec.seeds:
+            return scenario, variant, int(seed)
+    raise ValueError(
+        f"--detail {scenario} {variant} {seed} is not a run of this comparison: scenarios "
+        f"{list(spec.scenarios)}, variants {list(spec.variants)}, seeds 0 to {spec.seeds - 1}"
+    )
+
+
 def _grid_index(grid: tuple[float, ...], p: float) -> int:
     if p not in grid:
         raise ValueError(f"--trace-cell {p} is not on the sweep grid {list(grid)}")
@@ -116,13 +120,15 @@ def _grid_index(grid: tuple[float, ...], p: float) -> int:
 
 def cmd_analyze(args, config: dict) -> int:
     matrix = PayoffMatrix(h=args.h, c=args.c, m=args.m, g=args.g)
+    _require_positive_step("--phi-step", args.phi_step)
+    _require_positive_step("--theta-step", args.theta_step)
     phi_lo = args.phi_min if args.phi_min is not None else matrix.m + args.phi_step
     phi_hi = args.phi_max if args.phi_max is not None else matrix.h
     phi_grid = _frange(phi_lo, phi_hi, args.phi_step)
     theta_grid = _frange(args.theta_min, args.theta_max, args.theta_step)
     out_dir = Path(args.out)
     rows, seconds = _timed(lambda: list(equilibrium_grid_rows(matrix, phi_grid, theta_grid)))
-    _write_rows(out_dir / "analyze.csv", ANALYZE_COLUMNS, rows)
+    RunResult(ANALYZE_COLUMNS, rows).write_csv(out_dir / "analyze.csv")
     _write_manifest(out_dir, "analyze", args.seed, {
         "matrix": matrix.as_dict(),
         "phi_grid": [phi_lo, phi_hi, args.phi_step],
@@ -136,14 +142,14 @@ def cmd_matrix_selfplay(args, config: dict) -> int:
     overrides = {
         "iterations": args.iterations,
         "repetitions": args.repetitions,
-        "variants": tuple(args.variants) if args.variants else None,
+        "variants": args.variants,
+        "agent_overrides": {"theta": args.theta},
     }
     if args.grid_step is not None:
+        _require_positive_step("--grid-step", args.grid_step)
         n = round(1.0 / args.grid_step)
         overrides["probabilities"] = tuple(round(i * args.grid_step, 10) for i in range(n + 1))
-    spec = build_sweep_spec(config, **overrides)
-    if args.theta is not None:
-        spec = replace(spec, agent_params=replace(spec.agent_params, theta=args.theta))
+    spec = build_spec(SweepSpec, "sweep", config, **overrides)
 
     if args.trace_cell is not None:
         cell = [_grid_index(spec.probabilities, p) for p in args.trace_cell]
@@ -156,13 +162,15 @@ def cmd_matrix_selfplay(args, config: dict) -> int:
         (variant, p0, p1, mean)
         for (variant, p0, p1), mean in sorted(cells.items())
     ]
-    _write_rows(out_dir / "sweep_cells.csv", ("variant", "p_init_0", "p_init_1", "mean_final_coop"), cell_rows)
+    RunResult(("variant", "p_init_0", "p_init_1", "mean_final_coop"), cell_rows).write_csv(
+        out_dir / "sweep_cells.csv"
+    )
 
     if args.trace_cell is not None:
         # the sweep's own unit: first variant, repetition 0
         trace: list = []
         run_sweep_unit(spec, spec.variants[0], *cell, 0, args.seed, trace=trace)
-        _write_rows(out_dir / "trace.csv", TRACE_COLUMNS, trace)
+        RunResult(TRACE_COLUMNS, trace).write_csv(out_dir / "trace.csv")
 
     _write_manifest(out_dir, "matrix-selfplay", args.seed, {"spec": result.meta["spec"]},
                     _telemetry(args.jobs, seconds, len(result.rows)))
@@ -174,21 +182,19 @@ def cmd_tournament(args, config: dict) -> int:
     overrides = {
         "rounds": args.rounds,
         "repetitions": args.repetitions,
-        "group_sizes": tuple(args.sizes) if args.sizes else None,
-        "compositions": tuple(args.compositions) if args.compositions else None,
+        "group_sizes": args.sizes,
+        "compositions": args.compositions,
+        "agent_overrides": {"theta": args.theta},
     }
-    spec = build_tournament_spec(config, **overrides)
-    if args.theta is not None:
-        spec = replace(spec, agent_params=replace(spec.agent_params, theta=args.theta))
+    spec = build_spec(TournamentSpec, "tournament", config, **overrides)
     out_dir = Path(args.out)
     result, seconds = _timed(run_tournament, spec, base_seed=args.seed, jobs=args.jobs)
     result.write_csv(out_dir / "tournament.csv")
     means = tournament_means(result)
-    _write_rows(
-        out_dir / "tournament_means.csv",
+    RunResult(
         ("composition", "group_size", "mean_common_reward"),
         [(comp, size, mean) for (comp, size), mean in sorted(means.items())],
-    )
+    ).write_csv(out_dir / "tournament_means.csv")
     _write_manifest(out_dir, "tournament", args.seed, {"spec": result.meta["spec"]},
                     _telemetry(args.jobs, seconds, len(result.rows)))
     print(f"wrote {len(result.rows)} rows to {out_dir / 'tournament.csv'}")
@@ -197,41 +203,35 @@ def cmd_tournament(args, config: dict) -> int:
 
 def cmd_gridworld(args, config: dict) -> int:
     overrides = {
-        "scenarios": tuple(args.scenario) if args.scenario else None,
-        "variants": tuple(args.agent) if args.agent else None,
+        "scenarios": args.scenario,
+        "variants": args.agent,
         "seeds": args.seeds,
         "iterations": args.iterations,
         "theta": args.theta,
     }
-    spec = build_gridworld_spec(config, **overrides)
+    spec = build_spec(GridworldSpec, "gridworld", config, **overrides)
+    detail_run = _detail_run(spec, *args.detail) if args.detail else None
     out_dir = Path(args.out)
     result, seconds = _timed(run_gridworld_comparison, spec, base_seed=args.seed, jobs=args.jobs)
     result.write_csv(out_dir / "gridworld.csv")
 
-    if args.detail is not None:
+    if detail_run is not None:
         from .gridworld import EPISODE_LOG_COLUMNS
 
-        scenario, variant, seed_index = args.detail
         episode_log: list = []
-        detail = run_gridworld_detail(
-            spec, scenario, variant, int(seed_index),
-            base_seed=args.seed, episode_log=episode_log,
-        )
+        detail = run_gridworld_detail(spec, *detail_run, base_seed=args.seed, episode_log=episode_log)
         detail.write_csv(out_dir / "gridworld_detail.csv")
-        _write_rows(
-            out_dir / "gridworld_episodes.csv",
-            ("iteration", *EPISODE_LOG_COLUMNS),
-            episode_log,
+        RunResult(("iteration", *EPISODE_LOG_COLUMNS), episode_log).write_csv(
+            out_dir / "gridworld_episodes.csv"
         )
     summary = gridworld_threshold_summary(result)
-    _write_rows(
-        out_dir / "gridworld_summary.csv",
+    RunResult(
         ("scenario", "variant", "median_iterations_to_threshold", "n_reached", "n_runs"),
         [
             (scenario, variant, s["median_iterations"], s["n_reached"], s["n_runs"])
             for (scenario, variant), s in sorted(summary.items())
         ],
-    )
+    ).write_csv(out_dir / "gridworld_summary.csv")
     _write_manifest(out_dir, "gridworld", args.seed, {"spec": result.meta["spec"]},
                     _telemetry(args.jobs, seconds, len(result.rows)))
     print(f"wrote {len(result.rows)} rows to {out_dir / 'gridworld.csv'}")

@@ -19,7 +19,7 @@ import json
 from dataclasses import fields
 from pathlib import Path
 
-from .experiments import AgentParams, GridworldSpec, SweepSpec, TournamentSpec
+from .experiments import AgentParams
 from .game import PayoffMatrix
 
 
@@ -56,45 +56,28 @@ def build_agent_params(config: dict, **overrides) -> AgentParams:
     return AgentParams(**_only_known(AgentParams, raw))
 
 
-def build_sweep_spec(config: dict, **overrides) -> SweepSpec:
-    raw = dict(config.get("sweep", {}))
+def build_spec(cls, section: str, config: dict, **overrides):
+    """Build the spec cls from config[section], with the non-None overrides on top.
+
+    Fields whose default is a tuple become tuples. A spec with a matrix
+    takes it from the section (as a dict), else from the "payoff" section,
+    else from its default; a spec with agent_params builds them from the
+    "agent" section, then the section's agent_overrides, then the caller's.
+    """
+    defaults = {f.name: f.default for f in fields(cls)}
+    agent_overrides = overrides.pop("agent_overrides", {})
+    raw = dict(config.get(section, {}))
     raw.update({k: v for k, v in overrides.items() if v is not None})
-    raw.setdefault("matrix", None)
-    matrix = raw.pop("matrix")
-    if isinstance(matrix, dict):
-        matrix = PayoffMatrix(**matrix)
-    if "probabilities" in raw:
-        raw["probabilities"] = tuple(raw["probabilities"])
-    if "variants" in raw:
-        raw["variants"] = tuple(raw["variants"])
-    raw["agent_params"] = build_agent_params(config, **raw.pop("agent_overrides", {}))
-    if matrix is None:
-        matrix = build_payoff(config, SweepSpec().matrix)
-    return SweepSpec(matrix=matrix, **_only_known(SweepSpec, raw))
-
-
-def build_tournament_spec(config: dict, **overrides) -> TournamentSpec:
-    raw = dict(config.get("tournament", {}))
-    raw.update({k: v for k, v in overrides.items() if v is not None})
-    raw.setdefault("matrix", None)
-    matrix = raw.pop("matrix")
-    if isinstance(matrix, dict):
-        matrix = PayoffMatrix(**matrix)
-    if "group_sizes" in raw:
-        raw["group_sizes"] = tuple(raw["group_sizes"])
-    if "compositions" in raw:
-        raw["compositions"] = tuple(raw["compositions"])
-    raw["agent_params"] = build_agent_params(config, **raw.pop("agent_overrides", {}))
-    if matrix is None:
-        matrix = build_payoff(config, TournamentSpec().matrix)
-    return TournamentSpec(matrix=matrix, **_only_known(TournamentSpec, raw))
-
-
-def build_gridworld_spec(config: dict, **overrides) -> GridworldSpec:
-    raw = dict(config.get("gridworld", {}))
-    raw.update({k: v for k, v in overrides.items() if v is not None})
-    if "scenarios" in raw:
-        raw["scenarios"] = tuple(raw["scenarios"])
-    if "variants" in raw:
-        raw["variants"] = tuple(raw["variants"])
-    return GridworldSpec(**_only_known(GridworldSpec, raw))
+    for name, default in defaults.items():
+        if isinstance(default, tuple) and name in raw:
+            raw[name] = tuple(raw[name])
+    if "agent_params" in defaults:
+        agent = dict(raw.pop("agent_overrides", {}))
+        agent.update((k, v) for k, v in agent_overrides.items() if v is not None)
+        raw["agent_params"] = build_agent_params(config, **agent)
+    if "matrix" in defaults:
+        matrix = raw.pop("matrix", None)
+        if isinstance(matrix, dict):
+            matrix = PayoffMatrix(**matrix)
+        raw["matrix"] = matrix or build_payoff(config, defaults["matrix"])
+    return cls(**_only_known(cls, raw))

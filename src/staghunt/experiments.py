@@ -114,6 +114,12 @@ def _require_positive(spec, *names: str) -> None:
             raise ValueError(f"{type(spec).__name__}.{name} must be >= 1, got {value!r}")
 
 
+def _require_nonempty(spec, *names: str) -> None:
+    for name in names:
+        if not getattr(spec, name):
+            raise ValueError(f"{type(spec).__name__}.{name} must not be empty")
+
+
 def _require_known(spec, name: str, allowed: tuple[str, ...]) -> None:
     unknown = [v for v in getattr(spec, name) if v not in allowed]
     if unknown:
@@ -158,6 +164,7 @@ class SweepSpec:
     measure_window: int = 50
 
     def __post_init__(self):
+        _require_nonempty(self, "probabilities", "variants")
         if any(not 0.0 <= p <= 1.0 for p in self.probabilities):
             raise ValueError("initial probabilities must lie in [0, 1]")
         _require_positive(self, "iterations", "repetitions", "measure_window")
@@ -301,6 +308,7 @@ class TournamentSpec:
     pavlov_p0: float = 0.9
 
     def __post_init__(self):
+        _require_nonempty(self, "group_sizes", "compositions")
         if any(n < 2 for n in self.group_sizes):
             raise ValueError("group sizes must be >= 2")
         _require_known(self, "compositions", COMPOSITIONS)
@@ -405,6 +413,7 @@ class GridworldSpec:
     stag_motion: str | None = "static"
 
     def __post_init__(self):
+        _require_nonempty(self, "scenarios", "variants")
         _require_known(self, "scenarios", SCENARIOS)
         _require_known(self, "variants", GRID_VARIANTS)
         _require_positive(self, "seeds", "iterations", "window", "epochs", "time_bucket_width")

@@ -83,23 +83,3 @@ class PayoffMatrix:
     def as_dict(self) -> dict[str, float]:
         return {"h": self.h, "c": self.c, "m": self.m, "g": self.g}
 
-
-def validate_payoffs(h: float, c: float, m: float, g: float) -> PayoffMatrix:
-    """Build a PayoffMatrix, rejecting any violation of h > c > m > g."""
-    return PayoffMatrix(h=h, c=c, m=m, g=g)
-
-
-def payoff(matrix: PayoffMatrix, own: PolicyLabel, other: PolicyLabel) -> float:
-    return matrix.payoff(own, other)
-
-
-@dataclass(frozen=True, slots=True)
-class JointOutcome:
-    """A resolved matrix-game outcome from one player's perspective."""
-
-    label_self: PolicyLabel
-    label_other: PolicyLabel
-
-    def __post_init__(self):
-        if self.label_self not in KNOWN_LABELS or self.label_other not in KNOWN_LABELS:
-            raise ValueError("JointOutcome labels must be C or U")

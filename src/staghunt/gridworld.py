@@ -18,7 +18,6 @@ import enum
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -247,10 +246,6 @@ def run_episode(
     return record
 
 
-def chebyshev(a: Cell, b: Cell) -> int:
-    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-
-
 EPISODE_LOG_COLUMNS = (
     "step", "agent0_x", "agent0_y", "agent1_x", "agent1_y", "stag_x", "stag_y",
     "action_0", "action_1", "reward_0", "reward_1", "terminated",
@@ -289,11 +284,6 @@ def config_from_dict(raw: dict) -> GridConfig:
         reward_left_out=rewards.get("left_out", 0.0),
         stag_motion=raw.get("stag_motion", "random_walk"),
     )
-
-
-def load_grid_config(path: str | Path) -> GridConfig:
-    with open(path) as fh:
-        return config_from_dict(json.load(fh))
 
 
 SCENARIOS = ("near-stag", "near-hares")

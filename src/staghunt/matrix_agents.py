@@ -20,10 +20,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Union
 
-import numpy as np
-
 from .beliefs import Belief, ToMState, belief_step
-from .game import C, U, JointOutcome, PayoffMatrix, PolicyLabel
+from .game import C, U, PayoffMatrix, PolicyLabel
 from .shaping import GuiltParams, guilt_reward, phi_from_beliefs, shape_reward
 
 
@@ -119,8 +117,9 @@ class MatrixLearner:
     Built once per match from a frozen MatrixAgentState and turned back into
     one by `state()`, so the frozen dataclasses stay the API boundary while
     every iteration runs without allocating agent objects. Its methods hold
-    the action-selection, TD(1) and temperature-decay rules; the functions
-    on MatrixAgentState below are thin wrappers over them.
+    the action-selection, TD(1) and temperature-decay rules;
+    `cooperation_probability` and `td1_update` below apply them to a
+    MatrixAgentState.
     """
 
     __slots__ = (
@@ -218,7 +217,7 @@ class PavlovLearner:
     def act(self, u: float) -> PolicyLabel:
         return C if u < self.i_count / self.n else U
 
-    def learn(self, own: PolicyLabel, other: PolicyLabel, matrix: PayoffMatrix | None = None):
+    def learn(self, own: PolicyLabel, other: PolicyLabel, matrix: PayoffMatrix):
         """Unit step up on matched behaviours, unit step down otherwise, clamped."""
         if own is other:
             self.i_count = min(self.i_count + 1, self.n)
@@ -257,16 +256,6 @@ def cooperation_probability(agent: MatrixAgentState) -> float:
     return MatrixLearner(agent).p_cooperate()
 
 
-def select_action(agent: MatrixAgentState, rng: np.random.Generator) -> PolicyLabel:
-    return MatrixLearner(agent).act(rng.random())
-
-
-def decay_exploration(agent: MatrixAgentState) -> MatrixAgentState:
-    learner = MatrixLearner(agent)
-    learner.decay_temperature()
-    return learner.state()
-
-
 def td1_update(
     agent: MatrixAgentState,
     taken: PolicyLabel,
@@ -277,43 +266,3 @@ def td1_update(
     learner = MatrixLearner(agent)
     learner.td1(taken, shaped_reward, matrix)
     return learner.state()
-
-
-def pavlov_act(state: PavlovState, rng: np.random.Generator) -> PolicyLabel:
-    return PavlovLearner(state).act(rng.random())
-
-
-def pavlov_update(state: PavlovState, own: PolicyLabel, other: PolicyLabel) -> PavlovState:
-    """PavlovLearner.learn on a frozen state."""
-    learner = PavlovLearner(state)
-    learner.learn(own, other)
-    return learner.state()
-
-
-@dataclass(frozen=True, slots=True)
-class IterationRecord:
-    """Per-agent diagnostics from one matrix iteration (None for Pavlov)."""
-
-    phi: float | None
-    psychological: float | None
-    shaped: float | None
-
-
-def play_matrix_iteration(
-    agents: tuple[MatrixPlayer, MatrixPlayer],
-    matrix: PayoffMatrix,
-    rng: np.random.Generator,
-) -> tuple[tuple[MatrixPlayer, MatrixPlayer], JointOutcome, tuple[float, float], tuple[IterationRecord, IterationRecord]]:
-    """play_learners on frozen players.
-
-    Returns (updated agents, outcome from agent 0's perspective, material
-    rewards, per-agent diagnostics).
-    """
-    learners = (learner_for(agents[0]), learner_for(agents[1]))
-    a0, a1, rec0, rec1 = play_learners(*learners, matrix, rng.random(), rng.random())
-    return (
-        (learners[0].state(), learners[1].state()),
-        JointOutcome(label_self=a0, label_other=a1),
-        (matrix.payoff(a0, a1), matrix.payoff(a1, a0)),
-        (IterationRecord(*rec0), IterationRecord(*rec1)),
-    )

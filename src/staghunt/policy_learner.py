@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .beliefs import ToMState, make_tom_state, update_beliefs
-from .game import C, KNOWN_LABELS, U, UNKNOWN, PolicyLabel
+from .game import C, KNOWN_LABELS, PolicyLabel
 from .gridworld import (
     EpisodeRecord,
     GridAction,
@@ -234,7 +234,7 @@ def update_policies(policies: Sequence[PolicyParams], episodes: Sequence["Shaped
     if any(policy.hyper != cfg for policy in policies):
         raise ValueError("update_policies needs policies that share one LearnerConfig")
     if not all(episode.keys for episode in episodes):
-        raise ValueError("policy_update needs a non-empty episode")
+        raise ValueError("update_policies needs a non-empty episode")
     if cfg.clip_ratio == 0.0:
         return
 
@@ -260,12 +260,6 @@ def update_policies(policies: Sequence[PolicyParams], episodes: Sequence["Shaped
     for policy, episode, returns in zip(policies, episodes, all_returns):
         for key, ret in zip(episode.keys, returns):
             policy.values[key] = policy.value(key) + cfg.step_size * (ret - policy.value(key))
-
-
-def policy_update(policy: PolicyParams, episode: "ShapedEpisode") -> PolicyParams:
-    """Run the configured number of clipped-surrogate epochs over one episode."""
-    update_policies((policy,), (episode,))
-    return policy
 
 
 @dataclass(slots=True)
@@ -397,34 +391,6 @@ def run_iteration(
         episodes.append(ShapedEpisode(keys[i], actions, behaviour[i], rewards))
     update_policies([learner.policy for learner in learners], episodes)
     return learners, record, (details[0], details[1])
-
-
-def classify_run(
-    history: Sequence[tuple[PolicyLabel, PolicyLabel]], window: int
-) -> list[list[tuple[float, float, float]]]:
-    """Per-agent moving proportions of (C, U, Unknown) labels.
-
-    Entry [agent][t] covers the trailing min(t+1, window) iterations.
-    """
-    if window <= 0:
-        raise ValueError("window must be positive")
-    if window > len(history):
-        raise ValueError("window cannot exceed the history length")
-    out: list[list[tuple[float, float, float]]] = [[], []]
-    for agent in range(2):
-        labels = [pair[agent] for pair in history]
-        for t in range(len(labels)):
-            lo = max(0, t + 1 - window)
-            chunk = labels[lo : t + 1]
-            n = len(chunk)
-            out[agent].append(
-                (
-                    sum(1 for l in chunk if l is C) / n,
-                    sum(1 for l in chunk if l is U) / n,
-                    sum(1 for l in chunk if l is UNKNOWN) / n,
-                )
-            )
-    return out
 
 
 def iterations_to_threshold(

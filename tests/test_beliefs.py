@@ -5,84 +5,100 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from staghunt import C, U, Belief, PayoffMatrix, make_tom_state, update_beliefs
-from staghunt.beliefs import integrate_belief, predict_other, update_confidence
+from staghunt.beliefs import belief_step
 
 
 Q1 = PayoffMatrix(40, 30, 20, 0)
+# belief_step predicts the other's label from the first-order belief; on Q1
+# these first-order beliefs make it predict C and U
+PREDICTS = {C: 1.0, U: 0.0}
+
+
+def predicted(first_order, matrix=Q1):
+    """The label belief_step predicts: at a fixed full confidence the
+    zero-order belief moves all the way to it."""
+    zero_order, _, _ = belief_step(0.5, first_order, 1.0, 0.0, True, U, U, matrix)
+    return C if zero_order == 1.0 else U
+
+
+def confidence_after(confidence, learning_rate, observed, predicted_label):
+    return belief_step(
+        0.5, PREDICTS[predicted_label], confidence, learning_rate, True, observed, U, Q1
+    )[2]
+
+
+def integrated(zero_order, confidence, predicted_label):
+    """The zero-order belief after integration; a zero learning rate keeps the confidence."""
+    return belief_step(
+        zero_order, PREDICTS[predicted_label], confidence, 0.0, True, U, U, Q1
+    )[0]
 
 
 # --- prediction -------------------------------------------------------------
 
 
 def test_predict_point_mass_on_c_predicts_c():
-    state = make_tom_state(first_order=1.0)
     # other's candidate values: C scores h=40, U scores c=30
-    assert predict_other(state, Q1) is C
+    assert predicted(first_order=1.0) is C
 
 
 def test_predict_point_mass_on_u_predicts_u():
-    state = make_tom_state(first_order=0.0)
     # other's candidate values: C scores g=0, U scores m=20
-    assert predict_other(state, Q1) is U
+    assert predicted(first_order=0.0) is U
 
 
 def test_predict_uniform_first_order_prefers_u_on_q1_payoffs():
-    state = make_tom_state(first_order=0.5)
     # 0.5*40 + 0.5*0 = 20 against 0.5*30 + 0.5*20 = 25
-    assert predict_other(state, Q1) is U
+    assert predicted(first_order=0.5) is U
 
 
 def test_predict_tie_breaks_toward_c():
     # (5,4,2,1) with uniform first order: both candidates score 3
-    state = make_tom_state(first_order=0.5)
-    assert predict_other(state, PayoffMatrix(5, 4, 2, 1)) is C
+    assert predicted(first_order=0.5, matrix=PayoffMatrix(5, 4, 2, 1)) is C
 
 
 # --- confidence -------------------------------------------------------------
 
 
 def test_confidence_moves_up_on_correct_prediction():
-    state = make_tom_state(confidence=0.5, learning_rate=0.1)
-    assert update_confidence(state, U, U).confidence == pytest.approx(0.55)
+    assert confidence_after(0.5, 0.1, observed=U, predicted_label=U) == pytest.approx(0.55)
 
 
 def test_confidence_moves_down_on_wrong_prediction():
-    state = make_tom_state(confidence=0.5, learning_rate=0.1)
-    assert update_confidence(state, C, U).confidence == pytest.approx(0.45)
+    assert confidence_after(0.5, 0.1, observed=C, predicted_label=U) == pytest.approx(0.45)
 
 
 def test_zero_learning_rate_freezes_confidence():
-    state = make_tom_state(confidence=0.37, learning_rate=0.0)
-    assert update_confidence(state, C, C).confidence == 0.37
-    assert update_confidence(state, C, U).confidence == 0.37
+    assert confidence_after(0.37, 0.0, observed=C, predicted_label=C) == 0.37
+    assert confidence_after(0.37, 0.0, observed=C, predicted_label=U) == 0.37
 
 
 def test_confidence_closed_form_after_k_correct_predictions():
     """k correct predictions from c0: confidence = 1 - (1-lam)^k (1-c0)."""
     lam, c0, k = 0.2, 0.3, 17
-    state = make_tom_state(confidence=c0, learning_rate=lam)
+    zero_order, first_order, confidence = 0.5, PREDICTS[U], c0
     for _ in range(k):
-        state = update_confidence(state, U, U)
-    assert state.confidence == pytest.approx(1 - (1 - lam) ** k * (1 - c0))
+        # observing U, as predicted; the own U keeps the prediction at U
+        zero_order, first_order, confidence = belief_step(
+            zero_order, first_order, confidence, lam, True, U, U, Q1
+        )
+    assert confidence == pytest.approx(1 - (1 - lam) ** k * (1 - c0))
 
 
 # --- belief integration -----------------------------------------------------
 
 
 def test_full_confidence_collapses_to_prediction():
-    state = make_tom_state(zero_order=0.2, confidence=1.0)
-    assert integrate_belief(state, C).p_cooperative == 1.0
-    assert integrate_belief(state, U).p_cooperative == 0.0
+    assert integrated(0.2, confidence=1.0, predicted_label=C) == 1.0
+    assert integrated(0.2, confidence=1.0, predicted_label=U) == 0.0
 
 
 def test_zero_confidence_keeps_prior():
-    state = make_tom_state(zero_order=0.3, confidence=0.0)
-    assert integrate_belief(state, C).p_cooperative == pytest.approx(0.3)
+    assert integrated(0.3, confidence=0.0, predicted_label=C) == pytest.approx(0.3)
 
 
 def test_integration_blends_prior_and_prediction():
-    state = make_tom_state(zero_order=0.3, confidence=0.5)
-    assert integrate_belief(state, C).p_cooperative == pytest.approx(0.65)
+    assert integrated(0.3, confidence=0.5, predicted_label=C) == pytest.approx(0.65)
 
 
 # --- full update pipeline ---------------------------------------------------

@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -217,3 +219,160 @@ def test_manifest_records_run_telemetry_outside_the_hash(tmp_path, command):
         resolved = {k: v for k, v in manifest.items() if k not in fixed}
         assert manifest["config_hash"] == config_hash(resolved)
     assert manifests[0]["config_hash"] == manifests[1]["config_hash"]
+
+
+
+# --- the spec builder, pinned by the config_hash of each resolved spec ---------------
+
+# a config with a section-level matrix and agent_overrides on top of "payoff"/"agent"
+PIN_CONFIG = {
+    "payoff": {"h": 6, "c": 5, "m": 3, "g": 1},
+    "agent": {"alpha": 0.2, "theta": 50.0},
+    "sweep": {
+        "matrix": {"h": 50, "c": 35, "m": 20, "g": 5},
+        "agent_overrides": {"gamma": 0.8, "theta": 70.0},
+        "probabilities": [0.0, 1.0], "iterations": 4, "repetitions": 1,
+    },
+    "tournament": {
+        "matrix": {"h": 7, "c": 6, "m": 2, "g": 0},
+        "agent_overrides": {"confidence": 0.3},
+        "group_sizes": [2], "rounds": 4, "repetitions": 1, "compositions": ["tomaga"],
+    },
+}
+PAYOFF_ONLY = {"payoff": {"h": 6, "c": 5, "m": 3, "g": 1}, "agent": {"theta": 12.0}}
+SWEEP = ("matrix-selfplay", "--iterations", "3", "--repetitions", "1")
+TOURNAMENT = ("tournament", "--rounds", "3", "--repetitions", "1")
+GRIDWORLD = ("gridworld", "--seeds", "1", "--iterations", "1")
+# (a file under configs/, a config dict or None; the command and its flags) and the
+# manifest's config_hash, recorded before the three spec builders became one
+PINNED_HASHES = {
+    "matrix_q1": ("matrix_q1.json", SWEEP,
+        "825ef2bd14df9651913284e20aad831f6649d12aeca0e841f2951d1b5c181e49"),
+    "tournament_q2": ("tournament_q2.json", TOURNAMENT,
+        "6afb2efd062ea40ad287acfe178f167945c3f05073c89b1b76c93c9fcd9b3b1f"),
+    "gridworld": ("gridworld.json", GRIDWORLD,
+        "2c7b62ac6ea549e0c118f6109ed6aae0b0da165f0c380f82d50b26488a88c3c6"),
+    "sweep_defaults": (None, ("matrix-selfplay", "--grid-step", "0.5", "--iterations", "3",
+                              "--repetitions", "1"),
+        "c3457ba4d6783486de4477679720fb314de587f0baba9fb4046bebf99ff9f01d"),
+    "sweep_flags": (None, ("matrix-selfplay", "--theta", "7", "--grid-step", "0.25",
+                           "--variants", "individual", "tom-no-guilt",
+                           "--iterations", "2", "--repetitions", "1"),
+        "9b906ed2c5754c195305545cbfc08dfc30bb84934be923a4f9a899f2bf49af3e"),
+    "sweep_payoff_section": (PAYOFF_ONLY, ("matrix-selfplay", "--grid-step", "1",
+                                           "--iterations", "2", "--repetitions", "1"),
+        "ad668ccac3cb4b4d6afd7af15af9059edee97aac5785b08b982911e65f5a516e"),
+    "sweep_matrix_dict": (PIN_CONFIG, ("matrix-selfplay",),
+        "037f0929b2a501e12fcb49724cafc2a414a3a26eac633621458abd076a9722e7"),
+    "sweep_matrix_dict_theta": (PIN_CONFIG, ("matrix-selfplay", "--theta", "7"),
+        "14540f1119d6e26d2b51faed99a01805d4f453a2fe3fd00d36117c0dfd88a664"),
+    "tournament_defaults": (None, ("tournament", "--sizes", "2", "--rounds", "3",
+                                   "--repetitions", "1", "--compositions", "pavlov"),
+        "967fcd8fba56d0cf87228cc63eee6e15a1ada84924842873736a3328de7824a2"),
+    "tournament_flags": (None, ("tournament", "--theta", "9", "--sizes", "2", "3",
+                                "--compositions", "tom-no-guilt", "heterogeneous",
+                                "--rounds", "3", "--repetitions", "1"),
+        "0529fd9a1282d82c63defb011fb178e0b0ec409e7d9f16b4663d12bd567f392b"),
+    "tournament_payoff_section": (PAYOFF_ONLY, ("tournament", "--sizes", "2", "--rounds", "3",
+                                                "--repetitions", "1"),
+        "a4ed157d503b8e0e47f71fcfc765124a64d17a331b0f67b8db8a424d084f3e5f"),
+    "tournament_matrix_dict": (PIN_CONFIG, ("tournament",),
+        "f2e791b05f82da485735fb65b9d267fc487a965128cb5bb6d843e6264c130dce"),
+    "tournament_matrix_dict_theta": (PIN_CONFIG, ("tournament", "--theta", "9"),
+        "70233806660c5d5baee9eaf72116525da6dca2236a471695f3a63d07d383ccd2"),
+    "gridworld_flags": (None, ("gridworld", "--scenario", "near-hares", "--agent", "inequity",
+                               "ga-no-tom", "--seeds", "1", "--iterations", "2",
+                               "--theta", "3"),
+        "b36989cca2bdef0a7b09e9087afd15774edbbcafc573178ff5788088d323a3ac"),
+    "gridworld_config_and_flags": ("gridworld.json", ("gridworld", "--scenario", "near-stag",
+                                                      "--seeds", "1", "--iterations", "1"),
+        "1ad0fd26e9fe41855ce1c02d36235a0f6298978bcd9fbca38c2a885c441d2f31"),
+}
+
+
+def _manifest_hash(tmp_path, config, argv) -> str:
+    out = tmp_path / "out"
+    args = ["--out", str(out)]
+    if isinstance(config, str):
+        args += ["--config", str(Path(__file__).parent.parent / "configs" / config)]
+    elif config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        args += ["--config", str(path)]
+    assert main([*args, *argv]) == 0
+    return json.loads((out / "manifest.json").read_text())["config_hash"]
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_HASHES))
+def test_resolved_spec_hashes_are_pinned(tmp_path, case):
+    config, argv, expected = PINNED_HASHES[case]
+    assert _manifest_hash(tmp_path, config, argv) == expected
+
+
+UNKNOWN_KEYS = {
+    "sweep": ({"sweep": {"bogus": 1}}, SWEEP, "unknown SweepSpec config keys: ['bogus']"),
+    "sweep_agent": ({"agent": {"bogus": 1}}, SWEEP, "unknown AgentParams config keys: ['bogus']"),
+    "sweep_agent_overrides": ({"sweep": {"agent_overrides": {"bogus": 1}}}, SWEEP,
+                              "unknown AgentParams config keys: ['bogus']"),
+    "tournament": ({"tournament": {"bogus": 1}}, TOURNAMENT,
+                   "unknown TournamentSpec config keys: ['bogus']"),
+    "tournament_agent": ({"agent": {"bogus": 1}}, TOURNAMENT,
+                         "unknown AgentParams config keys: ['bogus']"),
+    "tournament_agent_overrides": ({"tournament": {"agent_overrides": {"bogus": 1}}}, TOURNAMENT,
+                                   "unknown AgentParams config keys: ['bogus']"),
+    "gridworld": ({"gridworld": {"bogus": 1}}, GRIDWORLD,
+                  "unknown GridworldSpec config keys: ['bogus']"),
+    "gridworld_agent_overrides": ({"gridworld": {"agent_overrides": {"theta": 1.0}}}, GRIDWORLD,
+                                  "unknown GridworldSpec config keys: ['agent_overrides']"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_KEYS))
+def test_unknown_keys_are_rejected_in_every_section(tmp_path, case):
+    config, argv, message = UNKNOWN_KEYS[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _manifest_hash(tmp_path, config, argv)
+    assert not (tmp_path / "out").exists()
+
+
+# --- flags that name no work are rejected before any work ---------------------------
+
+DETAIL_COMPARISON = ("gridworld", "--scenario", "near-stag", "--agent", "tomaga",
+                     "--seeds", "1", "--iterations", "2")
+
+
+@pytest.mark.parametrize("detail", [
+    ("near-stag", "individual", "0"),  # a variant the comparison does not run
+    ("near-hares", "tomaga", "0"),  # a scenario the comparison does not run
+    ("near-stag", "tomaga", "1"),  # past --seeds
+    ("near-stag", "tomaga", "-1"),
+    ("near-stag", "tomaga", "first"),
+])
+def test_detail_outside_the_comparison_is_rejected_before_any_work(tmp_path, detail):
+    out = tmp_path / "o"
+    with pytest.raises(ValueError, match="--detail"):
+        main(["--out", str(out), *DETAIL_COMPARISON, "--detail", *detail])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--phi-step", "--theta-step"])
+@pytest.mark.parametrize("step", ["0", "-1", "nan"])
+def test_analyze_rejects_non_positive_steps(tmp_path, monkeypatch, flag, step):
+    from staghunt import cli
+
+    def never(*_):  # a non-positive step would make the grid loop forever
+        raise AssertionError("_frange called with a non-positive step")
+
+    monkeypatch.setattr(cli, "_frange", never)
+    with pytest.raises(ValueError, match=flag):
+        main(["--out", str(tmp_path / "o"), "analyze", flag, step])
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("step", ["0", "-1", "-0.5"])
+def test_matrix_selfplay_rejects_non_positive_grid_step(tmp_path, step):
+    out = tmp_path / "o"
+    with pytest.raises(ValueError, match="--grid-step"):
+        main(["--out", str(out), "matrix-selfplay", "--grid-step", step,
+              "--iterations", "2", "--repetitions", "1"])
+    assert not out.exists()

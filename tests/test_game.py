@@ -2,34 +2,34 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from staghunt import C, U, UNKNOWN, JointOutcome, PayoffMatrix, payoff, validate_payoffs
+from staghunt import C, U, UNKNOWN, PayoffMatrix
 
 
 Q1_MATRIX = PayoffMatrix(40, 30, 20, 0)
 
 
 def test_payoff_table_q1_values():
-    assert payoff(Q1_MATRIX, C, C) == 40
-    assert payoff(Q1_MATRIX, U, C) == 30
-    assert payoff(Q1_MATRIX, U, U) == 20
-    assert payoff(Q1_MATRIX, C, U) == 0
+    assert Q1_MATRIX.payoff(C, C) == 40
+    assert Q1_MATRIX.payoff(U, C) == 30
+    assert Q1_MATRIX.payoff(U, U) == 20
+    assert Q1_MATRIX.payoff(C, U) == 0
 
 
 def test_payoff_cooperator_against_defector_gets_g():
     m = PayoffMatrix(10.0, 7.5, 3.0, -1.0)
-    assert payoff(m, C, U) == m.g
+    assert m.payoff(C, U) == m.g
 
 
 def test_payoff_rejects_unknown_labels():
     with pytest.raises(ValueError):
-        payoff(Q1_MATRIX, UNKNOWN, C)
+        Q1_MATRIX.payoff(UNKNOWN, C)
     with pytest.raises(ValueError):
-        payoff(Q1_MATRIX, C, UNKNOWN)
+        Q1_MATRIX.payoff(C, UNKNOWN)
 
 
 @pytest.mark.parametrize("values", [(5, 4, 2, 1), (40, 30, 20, 0), (4.0, 3.0, 2.0, 0.0)])
 def test_validate_payoffs_accepts_strict_orderings(values):
-    m = validate_payoffs(*values)
+    m = PayoffMatrix(*values)
     assert (m.h, m.c, m.m, m.g) == values
 
 
@@ -38,12 +38,12 @@ def test_validate_payoffs_accepts_strict_orderings(values):
 )
 def test_validate_payoffs_rejects_violations(values):
     with pytest.raises(ValueError):
-        validate_payoffs(*values)
+        PayoffMatrix(*values)
 
 
 def test_ordering_error_names_the_offending_pair():
     with pytest.raises(ValueError, match="c > m"):
-        validate_payoffs(5, 4, 4, 1)
+        PayoffMatrix(5, 4, 4, 1)
 
 
 @st.composite
@@ -67,8 +67,3 @@ def test_payoff_total_and_symmetric(matrix):
     assert matrix.payoff(C, C) == matrix.h
     assert matrix.payoff(U, U) == matrix.m
 
-
-def test_joint_outcome_rejects_unknown():
-    JointOutcome(C, U)
-    with pytest.raises(ValueError):
-        JointOutcome(UNKNOWN, C)

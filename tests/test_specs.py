@@ -98,3 +98,16 @@ def test_gridworld_stag_motion_must_be_known():
         assert GridworldSpec(stag_motion=motion).stag_motion == motion
     with pytest.raises(ValueError, match="stag_motion"):
         GridworldSpec(stag_motion="teleport")
+
+
+EMPTIES = [
+    (SweepSpec, "probabilities"), (SweepSpec, "variants"),
+    (TournamentSpec, "group_sizes"), (TournamentSpec, "compositions"),
+    (GridworldSpec, "scenarios"), (GridworldSpec, "variants"),
+]
+
+
+@pytest.mark.parametrize("cls, name", EMPTIES)
+def test_empty_grids_are_rejected(cls, name):
+    with pytest.raises(ValueError, match=name):
+        cls(**{name: ()})
