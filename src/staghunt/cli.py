@@ -21,6 +21,7 @@ import datetime
 import json
 import platform
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -44,27 +45,9 @@ from .experiments import (
     tournament_means,
 )
 from .game import PayoffMatrix
+from .gridworld import EPISODE_LOG_COLUMNS
 
 ANALYZE_COLUMNS = ("phi", "theta", "n_pure_ne", "unique_cc", "threshold_theta")
-
-
-def _write_manifest(out_dir: Path, command: str, seed: int, resolved: dict, telemetry: dict):
-    """resolved is what the run was built from, after config and flags; it is hashed.
-
-    telemetry describes how this run went and stays out of the hash.
-    """
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "command": command,
-        "config_hash": config_hash(resolved),
-        "base_seed": seed,
-        "package_version": __version__,
-        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        **resolved,
-        "telemetry": telemetry,
-    }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, default=str)
 
 
 def _timed(run, *args, **kwargs):
@@ -74,15 +57,38 @@ def _timed(run, *args, **kwargs):
     return result, time.perf_counter() - start
 
 
-def _telemetry(jobs: int, seconds: float, units: int) -> dict:
-    return {
-        "jobs": jobs,
-        "python_version": platform.python_version(),
-        "numpy_version": np.__version__,
-        "experiment_wall_s": seconds,
-        "units": units,
-        "units_per_s": units / seconds,
+def _finish(args, command: str, resolved: dict, seconds: float, tables: dict) -> int:
+    """Write each {file name: RunResult} table under args.out in order, then manifest.json.
+
+    resolved is what the run was built from, after config and flags; it is
+    hashed. The telemetry describes how this run went and stays out of the
+    hash; its units are the rows of the first table, the experiment's own.
+    """
+    out_dir = Path(args.out)
+    for name, table in tables.items():
+        table.write_csv(out_dir / name)
+    first = next(iter(tables))
+    units = len(tables[first].rows)
+    manifest = {
+        "command": command,
+        "config_hash": config_hash(resolved),
+        "base_seed": args.seed,
+        "package_version": __version__,
+        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        **resolved,
+        "telemetry": {
+            "jobs": args.jobs,
+            "python_version": platform.python_version(),
+            "numpy_version": np.__version__,
+            "experiment_wall_s": seconds,
+            "units": units,
+            "units_per_s": units / seconds,
+        },
     }
+    with open(out_dir / "manifest.json", "w") as fh:
+        json.dump(manifest, fh, indent=2, default=str)
+    print(f"wrote {units} rows to {out_dir / first}")
+    return 0
 
 
 def _require_positive_step(flag: str, step: float) -> None:
@@ -99,6 +105,14 @@ def _frange(lo: float, hi: float, step: float) -> list[float]:
         v = lo + k * step
         k += 1
     return values
+
+
+def _grid(name: str, lo: float, hi: float, step: float) -> list[float]:
+    """lo, lo + step, ... up to hi; ValueError naming the flags if that is no point."""
+    grid = _frange(lo, hi, step)
+    if not grid:
+        raise ValueError(f"--{name}-min {lo} is above --{name}-max {hi}: the {name} grid is empty")
+    return grid
 
 
 def _detail_run(spec, scenario: str, variant: str, seed: str) -> tuple[str, str, int]:
@@ -124,18 +138,14 @@ def cmd_analyze(args, config: dict) -> int:
     _require_positive_step("--theta-step", args.theta_step)
     phi_lo = args.phi_min if args.phi_min is not None else matrix.m + args.phi_step
     phi_hi = args.phi_max if args.phi_max is not None else matrix.h
-    phi_grid = _frange(phi_lo, phi_hi, args.phi_step)
-    theta_grid = _frange(args.theta_min, args.theta_max, args.theta_step)
-    out_dir = Path(args.out)
+    phi_grid = _grid("phi", phi_lo, phi_hi, args.phi_step)
+    theta_grid = _grid("theta", args.theta_min, args.theta_max, args.theta_step)
     rows, seconds = _timed(lambda: list(equilibrium_grid_rows(matrix, phi_grid, theta_grid)))
-    RunResult(ANALYZE_COLUMNS, rows).write_csv(out_dir / "analyze.csv")
-    _write_manifest(out_dir, "analyze", args.seed, {
+    return _finish(args, "analyze", {
         "matrix": matrix.as_dict(),
         "phi_grid": [phi_lo, phi_hi, args.phi_step],
         "theta_grid": [args.theta_min, args.theta_max, args.theta_step],
-    }, _telemetry(args.jobs, seconds, len(rows)))
-    print(f"wrote {len(rows)} rows to {out_dir / 'analyze.csv'}")
-    return 0
+    }, seconds, {"analyze.csv": RunResult(ANALYZE_COLUMNS, rows)})
 
 
 def cmd_matrix_selfplay(args, config: dict) -> int:
@@ -147,35 +157,25 @@ def cmd_matrix_selfplay(args, config: dict) -> int:
     }
     if args.grid_step is not None:
         _require_positive_step("--grid-step", args.grid_step)
-        n = round(1.0 / args.grid_step)
-        overrides["probabilities"] = tuple(round(i * args.grid_step, 10) for i in range(n + 1))
+        overrides["probabilities"] = _frange(0.0, 1.0, args.grid_step)
     spec = build_spec(SweepSpec, "sweep", config, **overrides)
-
     if args.trace_cell is not None:
         cell = [_grid_index(spec.probabilities, p) for p in args.trace_cell]
 
-    out_dir = Path(args.out)
     result, seconds = _timed(run_sweep, spec, base_seed=args.seed, jobs=args.jobs)
-    result.write_csv(out_dir / "sweep.csv")
-    cells = sweep_cell_means(result)
-    cell_rows = [
-        (variant, p0, p1, mean)
-        for (variant, p0, p1), mean in sorted(cells.items())
-    ]
-    RunResult(("variant", "p_init_0", "p_init_1", "mean_final_coop"), cell_rows).write_csv(
-        out_dir / "sweep_cells.csv"
-    )
-
+    tables = {
+        "sweep.csv": result,
+        "sweep_cells.csv": RunResult(
+            ("variant", "p_init_0", "p_init_1", "mean_final_coop"),
+            [(*key, mean) for key, mean in sorted(sweep_cell_means(result).items())],
+        ),
+    }
     if args.trace_cell is not None:
         # the sweep's own unit: first variant, repetition 0
         trace: list = []
         run_sweep_unit(spec, spec.variants[0], *cell, 0, args.seed, trace=trace)
-        RunResult(TRACE_COLUMNS, trace).write_csv(out_dir / "trace.csv")
-
-    _write_manifest(out_dir, "matrix-selfplay", args.seed, {"spec": result.meta["spec"]},
-                    _telemetry(args.jobs, seconds, len(result.rows)))
-    print(f"wrote {len(result.rows)} rows to {out_dir / 'sweep.csv'}")
-    return 0
+        tables["trace.csv"] = RunResult(TRACE_COLUMNS, trace)
+    return _finish(args, "matrix-selfplay", {"spec": asdict(spec)}, seconds, tables)
 
 
 def cmd_tournament(args, config: dict) -> int:
@@ -187,18 +187,14 @@ def cmd_tournament(args, config: dict) -> int:
         "agent_overrides": {"theta": args.theta},
     }
     spec = build_spec(TournamentSpec, "tournament", config, **overrides)
-    out_dir = Path(args.out)
     result, seconds = _timed(run_tournament, spec, base_seed=args.seed, jobs=args.jobs)
-    result.write_csv(out_dir / "tournament.csv")
-    means = tournament_means(result)
-    RunResult(
-        ("composition", "group_size", "mean_common_reward"),
-        [(comp, size, mean) for (comp, size), mean in sorted(means.items())],
-    ).write_csv(out_dir / "tournament_means.csv")
-    _write_manifest(out_dir, "tournament", args.seed, {"spec": result.meta["spec"]},
-                    _telemetry(args.jobs, seconds, len(result.rows)))
-    print(f"wrote {len(result.rows)} rows to {out_dir / 'tournament.csv'}")
-    return 0
+    return _finish(args, "tournament", {"spec": asdict(spec)}, seconds, {
+        "tournament.csv": result,
+        "tournament_means.csv": RunResult(
+            ("composition", "group_size", "mean_common_reward"),
+            [(*key, mean) for key, mean in sorted(tournament_means(result).items())],
+        ),
+    })
 
 
 def cmd_gridworld(args, config: dict) -> int:
@@ -211,31 +207,27 @@ def cmd_gridworld(args, config: dict) -> int:
     }
     spec = build_spec(GridworldSpec, "gridworld", config, **overrides)
     detail_run = _detail_run(spec, *args.detail) if args.detail else None
-    out_dir = Path(args.out)
     result, seconds = _timed(run_gridworld_comparison, spec, base_seed=args.seed, jobs=args.jobs)
-    result.write_csv(out_dir / "gridworld.csv")
-
-    if detail_run is not None:
-        from .gridworld import EPISODE_LOG_COLUMNS
-
-        episode_log: list = []
-        detail = run_gridworld_detail(spec, *detail_run, base_seed=args.seed, episode_log=episode_log)
-        detail.write_csv(out_dir / "gridworld_detail.csv")
-        RunResult(("iteration", *EPISODE_LOG_COLUMNS), episode_log).write_csv(
-            out_dir / "gridworld_episodes.csv"
-        )
     summary = gridworld_threshold_summary(result)
-    RunResult(
-        ("scenario", "variant", "median_iterations_to_threshold", "n_reached", "n_runs"),
-        [
-            (scenario, variant, s["median_iterations"], s["n_reached"], s["n_runs"])
-            for (scenario, variant), s in sorted(summary.items())
-        ],
-    ).write_csv(out_dir / "gridworld_summary.csv")
-    _write_manifest(out_dir, "gridworld", args.seed, {"spec": result.meta["spec"]},
-                    _telemetry(args.jobs, seconds, len(result.rows)))
-    print(f"wrote {len(result.rows)} rows to {out_dir / 'gridworld.csv'}")
-    return 0
+    tables = {
+        "gridworld.csv": result,
+        "gridworld_summary.csv": RunResult(
+            ("scenario", "variant", "median_iterations_to_threshold", "n_reached", "n_runs"),
+            [
+                (*key, s["median_iterations"], s["n_reached"], s["n_runs"])
+                for key, s in sorted(summary.items())
+            ],
+        ),
+    }
+    if detail_run is not None:
+        episode_log: list = []
+        tables["gridworld_detail.csv"] = run_gridworld_detail(
+            spec, *detail_run, base_seed=args.seed, episode_log=episode_log
+        )
+        tables["gridworld_episodes.csv"] = RunResult(
+            ("iteration", *EPISODE_LOG_COLUMNS), episode_log
+        )
+    return _finish(args, "gridworld", {"spec": asdict(spec)}, seconds, tables)
 
 
 def build_parser() -> argparse.ArgumentParser:

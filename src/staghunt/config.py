@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .experiments import AgentParams
@@ -36,33 +36,24 @@ def config_hash(config: dict) -> str:
 
 
 def _only_known(cls, raw: dict) -> dict:
-    known = {f.name for f in fields(cls)}
-    unknown = set(raw) - known
+    """raw, if it names every required field of cls and nothing else; else ValueError."""
+    unknown = set(raw) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown {cls.__name__} config keys: {sorted(unknown)}")
+    missing = {f.name for f in fields(cls) if f.default is MISSING} - set(raw)
+    if missing:
+        raise ValueError(f"missing {cls.__name__} config keys: {sorted(missing)}")
     return raw
-
-
-def build_payoff(config: dict, default: PayoffMatrix) -> PayoffMatrix:
-    raw = config.get("payoff")
-    if not raw:
-        return default
-    return PayoffMatrix(h=raw["h"], c=raw["c"], m=raw["m"], g=raw["g"])
-
-
-def build_agent_params(config: dict, **overrides) -> AgentParams:
-    raw = dict(config.get("agent", {}))
-    raw.update({k: v for k, v in overrides.items() if v is not None})
-    return AgentParams(**_only_known(AgentParams, raw))
 
 
 def build_spec(cls, section: str, config: dict, **overrides):
     """Build the spec cls from config[section], with the non-None overrides on top.
 
     Fields whose default is a tuple become tuples. A spec with a matrix
-    takes it from the section (as a dict), else from the "payoff" section,
-    else from its default; a spec with agent_params builds them from the
-    "agent" section, then the section's agent_overrides, then the caller's.
+    takes it from the section's "matrix" dict, else from the "payoff"
+    section, else from its default; a spec with agent_params builds them
+    from the "agent" section, then the section's agent_overrides, then the
+    caller's, dropping None values in the last two.
     """
     defaults = {f.name: f.default for f in fields(cls)}
     agent_overrides = overrides.pop("agent_overrides", {})
@@ -72,12 +63,13 @@ def build_spec(cls, section: str, config: dict, **overrides):
         if isinstance(default, tuple) and name in raw:
             raw[name] = tuple(raw[name])
     if "agent_params" in defaults:
-        agent = dict(raw.pop("agent_overrides", {}))
-        agent.update((k, v) for k, v in agent_overrides.items() if v is not None)
-        raw["agent_params"] = build_agent_params(config, **agent)
+        agent = dict(config.get("agent", {}))
+        for layer in (raw.pop("agent_overrides", {}), agent_overrides):
+            agent.update((k, v) for k, v in layer.items() if v is not None)
+        raw["agent_params"] = AgentParams(**_only_known(AgentParams, agent))
     if "matrix" in defaults:
-        matrix = raw.pop("matrix", None)
-        if isinstance(matrix, dict):
-            matrix = PayoffMatrix(**matrix)
-        raw["matrix"] = matrix or build_payoff(config, defaults["matrix"])
+        matrix = raw.pop("matrix", None) or config.get("payoff")
+        raw["matrix"] = (
+            PayoffMatrix(**_only_known(PayoffMatrix, matrix)) if matrix else defaults["matrix"]
+        )
     return cls(**_only_known(cls, raw))

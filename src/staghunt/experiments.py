@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -59,6 +59,14 @@ class AgentParams:
     temperature_decay: float = 0.995
     prob_clamp: float = 1e-3
 
+    def __post_init__(self):
+        _require(self, lambda v: v > 0, "be > 0", "theta", "temperature")
+        _require(self, lambda v: 0 < v <= 1, "lie in (0, 1]", "alpha", "temperature_decay")
+        _require_unit_interval(
+            self, "gamma", "learning_rate", "confidence", "zero_order", "first_order"
+        )
+        _require(self, lambda v: 0 < v < 0.5, "lie in (0, 0.5)", "prob_clamp")
+
 
 def make_matrix_agent(
     variant: str, params: AgentParams, initial_p_cooperate: float = 0.5
@@ -92,11 +100,11 @@ def make_matrix_agent(
 
 @dataclass(slots=True)
 class RunResult:
-    """A flat table of experiment rows plus reproducibility metadata."""
+    """A flat table of rows; an experiment's table also carries the spec it ran."""
 
     columns: tuple[str, ...]
     rows: list[tuple]
-    meta: dict = field(default_factory=dict)
+    spec: SweepSpec | TournamentSpec | GridworldSpec | None = None
 
     def write_csv(self, path: str | Path) -> None:
         path = Path(path)
@@ -107,11 +115,20 @@ class RunResult:
             writer.writerows(self.rows)
 
 
-def _require_positive(spec, *names: str) -> None:
+def _require(spec, ok, rule: str, *names: str) -> None:
+    """ValueError naming the first of names whose value fails ok ("must <rule>")."""
     for name in names:
         value = getattr(spec, name)
-        if not value >= 1:
-            raise ValueError(f"{type(spec).__name__}.{name} must be >= 1, got {value!r}")
+        try:
+            valid = ok(value)
+        except TypeError:  # None, or a string from a config file
+            valid = False
+        if not valid:
+            raise ValueError(f"{type(spec).__name__}.{name} must {rule}, got {value!r}")
+
+
+def _require_positive(spec, *names: str) -> None:
+    _require(spec, lambda v: v >= 1, "be >= 1", *names)
 
 
 def _require_nonempty(spec, *names: str) -> None:
@@ -129,10 +146,7 @@ def _require_known(spec, name: str, allowed: tuple[str, ...]) -> None:
 
 
 def _require_unit_interval(spec, *names: str) -> None:
-    for name in names:
-        value = getattr(spec, name)
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{type(spec).__name__}.{name} must lie in [0, 1], got {value!r}")
+    _require(spec, lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]", *names)
 
 
 def _rng_for(base_seed: int, *indices: int) -> np.random.Generator:
@@ -268,12 +282,7 @@ def run_sweep(spec: SweepSpec, base_seed: int = 0, jobs: int = 1) -> RunResult:
         for j in range(len(spec.probabilities))
         for rep in range(spec.repetitions)
     ]
-    rows = _pmap(_sweep_unit, payloads, jobs)
-    return RunResult(
-        columns=SWEEP_COLUMNS,
-        rows=rows,
-        meta={"base_seed": base_seed, "spec": asdict(spec)},
-    )
+    return RunResult(SWEEP_COLUMNS, _pmap(_sweep_unit, payloads, jobs), spec)
 
 
 def sweep_cell_means(result: RunResult) -> dict[tuple[str, float, float], float]:
@@ -332,7 +341,8 @@ TOURNAMENT_COLUMNS = ("composition", "group_size", "repetition", "mean_common_re
 
 
 def _tournament_unit(payload) -> tuple:
-    spec, composition, size, rep, base_seed, size_idx, comp_idx = payload
+    spec, comp_idx, size_idx, rep, base_seed = payload
+    composition, size = spec.compositions[comp_idx], spec.group_sizes[size_idx]
     rng = _rng_for(base_seed, comp_idx, size_idx, rep)
     group = [learner_for(player) for player in _make_group(composition, size, spec)]
     matrix = spec.matrix
@@ -359,17 +369,12 @@ def run_tournament(spec: TournamentSpec, base_seed: int = 0, jobs: int = 1) -> R
     chosen agent sits out.
     """
     payloads = [
-        (spec, composition, size, rep, base_seed, size_idx, comp_idx)
-        for comp_idx, composition in enumerate(spec.compositions)
-        for size_idx, size in enumerate(spec.group_sizes)
+        (spec, comp_idx, size_idx, rep, base_seed)
+        for comp_idx in range(len(spec.compositions))
+        for size_idx in range(len(spec.group_sizes))
         for rep in range(spec.repetitions)
     ]
-    rows = _pmap(_tournament_unit, payloads, jobs)
-    return RunResult(
-        columns=TOURNAMENT_COLUMNS,
-        rows=rows,
-        meta={"base_seed": base_seed, "spec": asdict(spec)},
-    )
+    return RunResult(TOURNAMENT_COLUMNS, _pmap(_tournament_unit, payloads, jobs), spec)
 
 
 def tournament_means(result: RunResult) -> dict[tuple[str, int], float]:
@@ -418,12 +423,11 @@ class GridworldSpec:
         _require_known(self, "variants", GRID_VARIANTS)
         _require_positive(self, "seeds", "iterations", "window", "epochs", "time_bucket_width")
         _require_unit_interval(
-            self, "threshold", "zero_order", "first_order", "confidence", "learning_rate"
+            self, "threshold", "zero_order", "first_order", "confidence", "learning_rate", "gamma"
         )
-        if not self.theta > 0:
-            raise ValueError(f"GridworldSpec.theta must be > 0, got {self.theta!r}")
-        if self.inequity_advantageous < 0 or self.inequity_disadvantageous < 0:
-            raise ValueError("GridworldSpec inequity sensitivities must be >= 0")
+        _require(self, lambda v: v > 0, "be > 0", "theta", "step_size")
+        _require(self, lambda v: v >= 0, "be >= 0", "inequity_advantageous",
+                 "inequity_disadvantageous", "clip_ratio", "entropy_weight")
         if self.stag_motion not in (None, "random_walk", "static"):
             raise ValueError(f"GridworldSpec.stag_motion: unknown {self.stag_motion!r}")
 
@@ -471,11 +475,8 @@ def _gridworld_run(
 
 
 def _gridworld_unit(payload) -> tuple:
-    spec, scenario, variant, seed_idx, base_seed, scen_idx, var_idx = payload
-    history = [
-        record.labels
-        for _, record, _ in _gridworld_run(spec, scen_idx, var_idx, seed_idx, base_seed)
-    ]
+    spec, scen_idx, var_idx, seed_idx, _base_seed = payload
+    history = [record.labels for _, record, _ in _gridworld_run(*payload)]
     reached = iterations_to_threshold(history, spec.window, spec.threshold)
     tail = history[-spec.window :]
     labels = [label for pair in tail for label in pair]
@@ -483,7 +484,7 @@ def _gridworld_unit(payload) -> tuple:
     c_prop = sum(1 for l in labels if l.value == "C") / n
     u_prop = sum(1 for l in labels if l.value == "U") / n
     return (
-        scenario, variant, seed_idx,
+        spec.scenarios[scen_idx], spec.variants[var_idx], seed_idx,
         -1 if reached is None else reached,
         c_prop, u_prop, 1.0 - c_prop - u_prop,
     )
@@ -491,17 +492,12 @@ def _gridworld_unit(payload) -> tuple:
 
 def run_gridworld_comparison(spec: GridworldSpec, base_seed: int = 0, jobs: int = 1) -> RunResult:
     payloads = [
-        (spec, scenario, variant, seed_idx, base_seed, scen_idx, var_idx)
-        for scen_idx, scenario in enumerate(spec.scenarios)
-        for var_idx, variant in enumerate(spec.variants)
+        (spec, scen_idx, var_idx, seed_idx, base_seed)
+        for scen_idx in range(len(spec.scenarios))
+        for var_idx in range(len(spec.variants))
         for seed_idx in range(spec.seeds)
     ]
-    rows = _pmap(_gridworld_unit, payloads, jobs)
-    return RunResult(
-        columns=GRIDWORLD_COLUMNS,
-        rows=rows,
-        meta={"base_seed": base_seed, "spec": asdict(spec)},
-    )
+    return RunResult(GRIDWORLD_COLUMNS, _pmap(_gridworld_unit, payloads, jobs), spec)
 
 
 GRIDWORLD_DETAIL_COLUMNS = (
@@ -556,17 +552,7 @@ def run_gridworld_detail(
         )
         if episode_log is not None:
             episode_log.extend((it, *row) for row in episode_transition_rows(record))
-    return RunResult(
-        columns=GRIDWORLD_DETAIL_COLUMNS,
-        rows=rows,
-        meta={
-            "base_seed": base_seed,
-            "scenario": scenario,
-            "variant": variant,
-            "seed_index": seed_index,
-            "spec": asdict(spec),
-        },
-    )
+    return RunResult(GRIDWORLD_DETAIL_COLUMNS, rows)
 
 
 def gridworld_threshold_summary(result: RunResult) -> dict[tuple[str, str], dict]:
@@ -576,7 +562,7 @@ def gridworld_threshold_summary(result: RunResult) -> dict[tuple[str, str], dict
     so that "never" compares worse than any finite crossing.
     """
     groups: dict[tuple[str, str], list[int]] = {}
-    budget = result.meta.get("spec", {}).get("iterations", 0)
+    budget = result.spec.iterations
     for scenario, variant, _seed, reached, *_rest in result.rows:
         groups.setdefault((scenario, variant), []).append(
             budget + 1 if reached < 0 else reached

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -324,6 +325,14 @@ UNKNOWN_KEYS = {
                   "unknown GridworldSpec config keys: ['bogus']"),
     "gridworld_agent_overrides": ({"gridworld": {"agent_overrides": {"theta": 1.0}}}, GRIDWORLD,
                                   "unknown GridworldSpec config keys: ['agent_overrides']"),
+    "payoff": ({"payoff": {"h": 6, "c": 5, "m": 3, "g": 1, "hh": 9}}, TOURNAMENT,
+               "unknown PayoffMatrix config keys: ['hh']"),
+    "payoff_missing": ({"payoff": {"h": 6, "c": 5, "m": 3}}, TOURNAMENT,
+                       "missing PayoffMatrix config keys: ['g']"),
+    "sweep_matrix": ({"sweep": {"matrix": {"h": 50, "c": 35, "m": 20, "g": 5, "hh": 2}}}, SWEEP,
+                     "unknown PayoffMatrix config keys: ['hh']"),
+    "tournament_matrix_missing": ({"tournament": {"matrix": {"h": 7, "c": 6}}}, TOURNAMENT,
+                                  "missing PayoffMatrix config keys: ['g', 'm']"),
 }
 
 
@@ -369,6 +378,30 @@ def test_analyze_rejects_non_positive_steps(tmp_path, monkeypatch, flag, step):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("bounds", [
+    ("--phi-min", "30", "--phi-max", "25"),
+    ("--phi-step", "25"),  # the default phi-min, m + phi-step, lies above the default phi-max h
+    ("--theta-min", "6", "--theta-max", "5"),
+])
+def test_analyze_rejects_an_empty_grid_before_any_work(tmp_path, bounds):
+    out = tmp_path / "o"
+    name = "theta" if "--theta-min" in bounds else "phi"
+    with pytest.raises(ValueError, match=f"--{name}-min .* --{name}-max .* grid is empty"):
+        main(["--out", str(out), "analyze", *bounds])
+    assert not out.exists()
+
+
+def test_grid_step_grid_stops_at_the_last_point_not_above_one(tmp_path):
+    out = tmp_path / "o"
+    assert main(["--out", str(out), "matrix-selfplay", "--grid-step", "0.15",
+                 "--iterations", "2", "--repetitions", "1", "--variants", "individual"]) == 0
+    rows = read_csv(out / "sweep.csv")[1:]
+    assert len(rows) == 7 * 7
+    assert sorted({float(r[1]) for r in rows}) == [0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9]
+    spec = json.loads((out / "manifest.json").read_text())["spec"]
+    assert spec["probabilities"] == [0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9]
+
+
 @pytest.mark.parametrize("step", ["0", "-1", "-0.5"])
 def test_matrix_selfplay_rejects_non_positive_grid_step(tmp_path, step):
     out = tmp_path / "o"
@@ -376,3 +409,114 @@ def test_matrix_selfplay_rejects_non_positive_grid_step(tmp_path, step):
         main(["--out", str(out), "matrix-selfplay", "--grid-step", step,
               "--iterations", "2", "--repetitions", "1"])
     assert not out.exists()
+
+
+# --- every file each command writes, pinned before the run pipeline was merged -------
+
+CONFIGS = Path(__file__).parent.parent / "configs"
+# case: (argv, the sha256 of each CSV the run writes); manifest.json is written too
+PINNED_OUTPUTS = {
+    "analyze": (
+        ("analyze", "--phi-step", "2.5", "--theta-min", "0.5", "--theta-max", "6",
+         "--theta-step", "0.5"),
+        {
+            "analyze.csv": "f25858edf6a32613c55b074c4cdc4359af6c42e4185266a96dcdc1a83d12ba0c",
+        },
+    ),
+    "matrix_selfplay_trace": (
+        ("--seed", "3", "matrix-selfplay", "--grid-step", "0.5", "--iterations", "20",
+         "--repetitions", "2", "--variants", "tomaga", "individual", "--trace-cell", "0.5", "1"),
+        {
+            "sweep.csv": "4d74b05963d18306c9ffb500f54b30bd0634556dc419407382ef8c9a3e8a5a58",
+            "sweep_cells.csv": "7c27cc6df2b13058b197bfb2efb7ea1d3991a811b0d8482de81e968b9cc95470",
+            "trace.csv": "29a9dbc988bf676462de36c817d7f3232f66e182a8fb9c4d562dd3f5779b8080",
+        },
+    ),
+    "matrix_selfplay_config": (
+        ("--config", str(CONFIGS / "matrix_q1.json"), "--seed", "5", "matrix-selfplay",
+         "--iterations", "12", "--repetitions", "1"),
+        {
+            "sweep.csv": "c4f7f96c4d829d16ff836d54031e8377df7646dc20dc640476089ec221a16693",
+            "sweep_cells.csv": "87908c0c2fe24b2308ad64343aaa205eb378505894a23377d9a0d62179157179",
+        },
+    ),
+    "tournament": (
+        ("--seed", "11", "tournament", "--sizes", "2", "3", "--rounds", "20",
+         "--repetitions", "2", "--compositions", "tomaga", "pavlov", "heterogeneous",
+         "tom-no-guilt"),
+        {
+            "tournament.csv": "f90804e2849f97c2eb5a77e1151f43327ae91bb47e26684220cc0ed4b3192fe6",
+            "tournament_means.csv": "8a394a8f45b7067df4638c21492770a31e62597b5cb2878521f4046e5678ab7d",
+        },
+    ),
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_OUTPUTS))
+def test_cli_outputs_are_pinned(tmp_path, case):
+    argv, digests = PINNED_OUTPUTS[case]
+    out = tmp_path / "out"
+    assert main(["--out", str(out), *argv]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted([*digests, "manifest.json"])
+    assert {name: _sha256(out / name) for name in digests} == digests
+
+
+GRIDWORLD_DETAIL = ("--seed", "4", "gridworld", "--scenario", "near-stag", "near-hares",
+                    "--agent", "individual", "tomaga", "--seeds", "2", "--iterations", "6",
+                    "--detail", "near-stag", "tomaga", "1")
+
+
+def test_gridworld_detail_outputs_match_the_experiment_functions(tmp_path):
+    # numpy's exp/log may differ in the last bit across CPUs, so this pins the
+    # shape of each file and checks its bytes against the same run made here
+    from staghunt.experiments import (
+        GridworldSpec,
+        RunResult,
+        gridworld_threshold_summary,
+        run_gridworld_comparison,
+        run_gridworld_detail,
+    )
+    from staghunt.gridworld import EPISODE_LOG_COLUMNS
+
+    out = tmp_path / "out"
+    assert main(["--out", str(out), *GRIDWORLD_DETAIL]) == 0
+    written = {p.name: read_csv(p) for p in out.iterdir() if p.suffix == ".csv"}
+    assert sorted(p.name for p in out.iterdir()) == [
+        "gridworld.csv", "gridworld_detail.csv", "gridworld_episodes.csv",
+        "gridworld_summary.csv", "manifest.json",
+    ]
+    assert written["gridworld.csv"][0][:4] == [
+        "scenario", "variant", "seed", "iterations_to_threshold"]
+    assert len(written["gridworld.csv"]) == 1 + 2 * 2 * 2
+    assert written["gridworld_detail.csv"][0][:3] == ["iteration", "episode_length", "label_0"]
+    assert len(written["gridworld_detail.csv"]) == 1 + 6
+    assert written["gridworld_episodes.csv"][0][:3] == ["iteration", "step", "agent0_x"]
+    assert len(written["gridworld_episodes.csv"]) == 1 + sum(
+        int(row[1]) for row in written["gridworld_detail.csv"][1:])
+    assert written["gridworld_summary.csv"][0] == [
+        "scenario", "variant", "median_iterations_to_threshold", "n_reached", "n_runs"]
+    assert len(written["gridworld_summary.csv"]) == 1 + 2 * 2
+    assert all(row[4] == "2" for row in written["gridworld_summary.csv"][1:])
+
+    spec = GridworldSpec(scenarios=("near-stag", "near-hares"), variants=("individual", "tomaga"),
+                         seeds=2, iterations=6)
+    here = tmp_path / "here"
+    result = run_gridworld_comparison(spec, base_seed=4)
+    result.write_csv(here / "gridworld.csv")
+    episode_log: list = []
+    run_gridworld_detail(spec, "near-stag", "tomaga", 1, base_seed=4,
+                         episode_log=episode_log).write_csv(here / "gridworld_detail.csv")
+    RunResult(("iteration", *EPISODE_LOG_COLUMNS), episode_log).write_csv(
+        here / "gridworld_episodes.csv")
+    summary = gridworld_threshold_summary(result)
+    RunResult(
+        ("scenario", "variant", "median_iterations_to_threshold", "n_reached", "n_runs"),
+        [(scenario, variant, s["median_iterations"], s["n_reached"], s["n_runs"])
+         for (scenario, variant), s in sorted(summary.items())],
+    ).write_csv(here / "gridworld_summary.csv")
+    for name in written:
+        assert (out / name).read_bytes() == (here / name).read_bytes(), name

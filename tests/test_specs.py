@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from staghunt.experiments import (
     COMPOSITIONS,
     MATRIX_VARIANTS,
+    AgentParams,
     GridworldSpec,
     SweepSpec,
     TournamentSpec,
@@ -34,8 +35,24 @@ NAMES = [
 PROBABILITIES = [
     (TournamentSpec, "pavlov_p0"),
     *((GridworldSpec, name) for name in
-      ("threshold", "zero_order", "first_order", "confidence", "learning_rate")),
+      ("threshold", "zero_order", "first_order", "confidence", "learning_rate", "gamma")),
+    *((AgentParams, name) for name in
+      ("gamma", "learning_rate", "confidence", "zero_order", "first_order")),
 ]
+NAN = float("nan")
+# (cls, name): values rejected, values accepted, for fields bounded other than by [0, 1]
+BOUNDS = {
+    (AgentParams, "theta"): ((0.0, -1.0, NAN, None, "200"), (1e-9, 200.0, 1e6)),
+    (AgentParams, "temperature"): ((0.0, -1.0, NAN), (1e-9, 1.0, 50.0)),
+    (AgentParams, "alpha"): ((0.0, -0.1, 1.0 + 1e-9, NAN), (1e-9, 0.5, 1.0)),
+    (AgentParams, "temperature_decay"): ((0.0, -0.5, 1.5, NAN), (1e-9, 0.995, 1.0)),
+    (AgentParams, "prob_clamp"): ((0.0, 0.5, 0.7, -1e-3, NAN), (1e-9, 1e-3, 0.49)),
+    (GridworldSpec, "step_size"): ((0.0, -1.0, NAN), (1e-9, 0.5, 5.0)),
+    (GridworldSpec, "clip_ratio"): ((-0.5, -1e-9, NAN, None, "0.2"), (0.0, 0.2, 2.0)),
+    (GridworldSpec, "entropy_weight"): ((-3.0, -1e-9, NAN), (0.0, 0.03, 1.0)),
+    (GridworldSpec, "inequity_advantageous"): ((-1.0, NAN), (0.0, 1.0)),
+    (GridworldSpec, "inequity_disadvantageous"): ((-1.0, NAN), (0.0, 1.0)),
+}
 
 
 @pytest.mark.parametrize("cls, name", COUNTS)
@@ -84,6 +101,16 @@ def test_probabilities_outside_the_unit_interval_are_rejected(cls, name, value):
 @given(value=st.floats(0.0, 1.0))
 def test_probabilities_in_the_unit_interval_are_accepted(cls, name, value):
     assert getattr(cls(**{name: value}), name) == value
+
+
+@pytest.mark.parametrize("cls, name", list(BOUNDS))
+def test_bounded_fields_reject_values_outside_their_interval(cls, name):
+    rejected, accepted = BOUNDS[cls, name]
+    for value in rejected:
+        with pytest.raises(ValueError, match=rf"{cls.__name__}\.{name} must"):
+            cls(**{name: value})
+    for value in accepted:
+        assert getattr(cls(**{name: value}), name) == value
 
 
 @few
