@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .game import C, PayoffMatrix, PolicyLabel
-from .gridworld import SCENARIOS, make_scenario
+from .game import C, U, PayoffMatrix, PolicyLabel
+from .gridworld import SCENARIOS, episode_transition_rows, make_scenario
 from .matrix_agents import (
     Exploration,
     MatrixAgentState,
@@ -37,7 +37,7 @@ from .policy_learner import (
     LearnerConfig,
     iterations_to_threshold,
     make_grid_learner,
-    run_iteration,
+    run_lanes,
 )
 from .shaping import GuiltParams
 
@@ -156,7 +156,8 @@ def _rng_for(base_seed: int, *indices: int) -> np.random.Generator:
 def _pmap(worker, payloads: Sequence, jobs: int) -> list:
     if jobs <= 1 or len(payloads) <= 1:
         return [worker(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # no more workers than payloads: under fork every worker starts at the first submit
+    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
         return list(pool.map(worker, payloads))
 
 
@@ -438,10 +439,10 @@ GRIDWORLD_COLUMNS = (
 )
 
 
-def _gridworld_run(
+def _gridworld_lane(
     spec: GridworldSpec, scen_idx: int, var_idx: int, seed_index: int, base_seed: int
 ):
-    """Play one comparison run, yielding (learners, record, details) per iteration.
+    """One comparison run's learners, grid and generator, for policy_learner.run_lanes.
 
     The run's stream depends only on (base_seed, scenario, variant, seed
     index), so the aggregate row and its detail replay see the same run.
@@ -469,35 +470,45 @@ def _gridworld_run(
         )
         for _ in range(2)
     )
-    for _ in range(spec.iterations):
-        learners, record, details = run_iteration(learners, config, rng)
-        yield learners, record, details
+    return learners, config, rng
 
 
-def _gridworld_unit(payload) -> tuple:
-    spec, scen_idx, var_idx, seed_idx, _base_seed = payload
-    history = [record.labels for _, record, _ in _gridworld_run(*payload)]
-    reached = iterations_to_threshold(history, spec.window, spec.threshold)
-    tail = history[-spec.window :]
-    labels = [label for pair in tail for label in pair]
-    n = len(labels)
-    c_prop = sum(1 for l in labels if l.value == "C") / n
-    u_prop = sum(1 for l in labels if l.value == "U") / n
-    return (
-        spec.scenarios[scen_idx], spec.variants[var_idx], seed_idx,
-        -1 if reached is None else reached,
-        c_prop, u_prop, 1.0 - c_prop - u_prop,
-    )
+def _gridworld_block(payloads) -> list[tuple]:
+    """The gridworld.csv rows of a block of runs played in lockstep, in payload order."""
+    spec = payloads[0][0]
+    lanes = [_gridworld_lane(*payload) for payload in payloads]
+    labels_by_iteration = [
+        [record.labels for record, _ in played] for played in run_lanes(lanes, spec.iterations)
+    ]
+    rows = []
+    for (_, scen_idx, var_idx, seed_idx, _), history in zip(payloads, zip(*labels_by_iteration)):
+        reached = iterations_to_threshold(history, spec.window, spec.threshold)
+        labels = [label for pair in history[-spec.window :] for label in pair]
+        c_prop, u_prop = (labels.count(label) / len(labels) for label in (C, U))
+        rows.append((
+            spec.scenarios[scen_idx], spec.variants[var_idx], seed_idx,
+            -1 if reached is None else reached,
+            c_prop, u_prop, 1.0 - c_prop - u_prop,
+        ))
+    return rows
 
 
 def run_gridworld_comparison(spec: GridworldSpec, base_seed: int = 0, jobs: int = 1) -> RunResult:
+    """Every (scenario, variant, seed) run, in min(jobs, runs) lockstep blocks.
+
+    Runs are dealt round-robin, so that each block mixes cheap and costly ones.
+    """
     payloads = [
         (spec, scen_idx, var_idx, seed_idx, base_seed)
         for scen_idx in range(len(spec.scenarios))
         for var_idx in range(len(spec.variants))
         for seed_idx in range(spec.seeds)
     ]
-    return RunResult(GRIDWORLD_COLUMNS, _pmap(_gridworld_unit, payloads, jobs), spec)
+    n = max(1, min(jobs, len(payloads)))
+    rows: list = [None] * len(payloads)
+    for b, block_rows in enumerate(_pmap(_gridworld_block, [payloads[b::n] for b in range(n)], jobs)):
+        rows[b::n] = block_rows
+    return RunResult(GRIDWORLD_COLUMNS, rows, spec)
 
 
 GRIDWORLD_DETAIL_COLUMNS = (
@@ -522,20 +533,18 @@ def run_gridworld_detail(
     logged run is the same one that produced the aggregate row. Pass a list
     as episode_log to also capture each episode's transition rows.
     """
-    from .gridworld import episode_transition_rows
-
     scen_idx = spec.scenarios.index(scenario)
     var_idx = spec.variants.index(variant)
     history: list = []
     rows: list[tuple] = []
-    run = _gridworld_run(spec, scen_idx, var_idx, seed_index, base_seed)
-    for it, (learners, record, details) in enumerate(run):
+    lane = _gridworld_lane(spec, scen_idx, var_idx, seed_index, base_seed)
+    for it, [(record, details)] in enumerate(run_lanes([lane], spec.iterations)):
         history.append(record.labels)
         chunk = history[-spec.window :]
         c_props = tuple(
             sum(1 for pair in chunk if pair[i] is C) / len(chunk) for i in range(2)
         )
-        toms = tuple(learner.tom for learner in learners)
+        toms = tuple(learner.tom for learner in lane[0])
         rows.append(
             (
                 it, len(record.transitions),

@@ -6,13 +6,14 @@ The grid is tiny, so preferences and value estimates are exact tables over
 observation encodings; no function approximation anywhere. One iteration =
 one episode, then (for guilt agents) a belief update from the revealed
 labels, a shaped terminal reward, and a few epochs of clipped updates over
-the episode's transitions.
+the episode's transitions. `run_lanes` steps several runs in lockstep, so
+one update per iteration covers all of their policies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -87,9 +88,18 @@ def action_probs(policy: PolicyParams, key: ObsKey) -> np.ndarray:
     return _softmax(policy.prefs(key))
 
 
+def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """An index drawn with probabilities probs: numpy's own algorithm for
+    rng.choice(len(probs), p=probs), draw for draw, without its checks of p."""
+    cdf = probs.cumsum()
+    if not np.isfinite(cdf[-1]):
+        raise ValueError(f"probabilities must be finite, got {probs}")
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def sample_action(policy: PolicyParams, key: ObsKey, rng: np.random.Generator) -> GridAction:
-    p = action_probs(policy, key)
-    return ACTIONS[rng.choice(N_ACTIONS, p=p)]
+    return ACTIONS[sample_index(action_probs(policy, key), rng)]
 
 
 def discounted_returns(rewards: Sequence[float], gamma: float) -> list[float]:
@@ -238,7 +248,7 @@ def update_policies(policies: Sequence[PolicyParams], episodes: Sequence["Shaped
     if cfg.clip_ratio == 0.0:
         return
 
-    # one table of rows over both policies: a key seen by two policies is two rows
+    # one table of rows over all the policies: a key seen by two policies is two rows
     tables: dict[tuple[int, ObsKey], np.ndarray] = {}
     batch: list[BatchItem] = []
     all_returns = []
@@ -357,21 +367,20 @@ def _shaped_terminal_reward(
     return ShapingDetail(None, 0.0, material)
 
 
-def run_iteration(
+def play_iteration(
     learners: tuple[GridLearner, GridLearner],
     config: GridConfig,
     rng: np.random.Generator,
-) -> tuple[tuple[GridLearner, GridLearner], EpisodeRecord, tuple[ShapingDetail, ShapingDetail]]:
-    """Play one episode, reveal labels, shape terminal rewards, update policies."""
+) -> tuple[EpisodeRecord, tuple[ShapingDetail, ShapingDetail], list[ShapedEpisode]]:
+    """Play one episode, reveal labels and shape terminal rewards; no policy update."""
     cfgs = tuple(learner.policy.hyper for learner in learners)
     keys: list[list[ObsKey]] = [[], []]
     behaviour: list[list[float]] = [[], []]
 
     def joint_policy(state: GridState, agent_index: int, step_rng: np.random.Generator) -> GridAction:
-        policy = learners[agent_index].policy
         key = observation_key(state, agent_index, cfgs[agent_index])
-        probs = action_probs(policy, key)
-        idx = step_rng.choice(N_ACTIONS, p=probs)
+        probs = action_probs(learners[agent_index].policy, key)
+        idx = sample_index(probs, step_rng)
         keys[agent_index].append(key)
         behaviour[agent_index].append(float(probs[idx]))
         return ACTIONS[idx]
@@ -389,8 +398,25 @@ def run_iteration(
         actions = [acts[i] for _, acts, _, _ in record.transitions]
         rewards = [0.0] * (len(record.transitions) - 1) + [detail.shaped]
         episodes.append(ShapedEpisode(keys[i], actions, behaviour[i], rewards))
-    update_policies([learner.policy for learner in learners], episodes)
-    return learners, record, (details[0], details[1])
+    return record, (details[0], details[1]), episodes
+
+
+# One run: its two learners, its grid and its own generator.
+Lane = tuple[tuple[GridLearner, GridLearner], GridConfig, np.random.Generator]
+
+
+def run_lanes(lanes: Sequence[Lane], iterations: int) -> Iterator[list[tuple]]:
+    """Play runs in lockstep, yielding every lane's (record, details) per iteration.
+
+    Each iteration plays every lane's episode from its own generator, in lane
+    order, then trains all their policies in one update_policies call. The
+    update works row by row, so no lane's results depend on its batch mates.
+    """
+    policies = [learner.policy for learners, _, _ in lanes for learner in learners]
+    for _ in range(iterations):
+        played = [play_iteration(*lane) for lane in lanes]
+        update_policies(policies, [episode for *_, episodes in played for episode in episodes])
+        yield [(record, details) for record, details, _ in played]
 
 
 def iterations_to_threshold(

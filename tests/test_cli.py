@@ -364,6 +364,16 @@ def test_detail_outside_the_comparison_is_rejected_before_any_work(tmp_path, det
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_non_positive_jobs_is_an_argument_error(tmp_path, capsys, jobs):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--out", str(out), "--jobs", jobs, "analyze"])
+    assert exit_info.value.code == 2
+    assert f"argument --jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--phi-step", "--theta-step"])
 @pytest.mark.parametrize("step", ["0", "-1", "nan"])
 def test_analyze_rejects_non_positive_steps(tmp_path, monkeypatch, flag, step):

@@ -1,9 +1,13 @@
-"""Differential test of the matrix engine against digests of the code it replaced.
+"""Differential tests of the engines against digests of the code they replaced.
 
-The digests below were recorded with the per-object frozen-dataclass
+The matrix digests were recorded with the per-object frozen-dataclass
 pipeline (one `dataclasses.replace` chain per agent per iteration). The
 plain-float learner must reproduce every byte: the same float operations in
 the same order and the same random draws in the same order.
+
+The grid-world digests were recorded with one run per pool task, each run
+updating its own two policies per iteration and drawing actions with
+`Generator.choice`. The lockstep engine must reproduce them too.
 """
 
 import csv
@@ -11,6 +15,7 @@ import hashlib
 import io
 
 import numpy as np
+import pytest
 
 from staghunt import C, U, GuiltParams, PayoffMatrix, make_tom_state
 from staghunt.experiments import (
@@ -18,13 +23,17 @@ from staghunt.experiments import (
     MATRIX_VARIANTS,
     TRACE_COLUMNS,
     AgentParams,
+    GridworldSpec,
     SweepSpec,
     TournamentSpec,
     make_matrix_agent,
+    run_gridworld_comparison,
+    run_gridworld_detail,
     run_match,
     run_sweep,
     run_tournament,
 )
+from staghunt.gridworld import EPISODE_LOG_COLUMNS
 from staghunt.matrix_agents import Exploration, MatrixAgentState, PavlovState
 
 Q1 = PayoffMatrix(40.0, 30.0, 20.0, 0.0)
@@ -33,6 +42,12 @@ Q2 = PayoffMatrix(5.0, 4.0, 2.0, 1.0)
 SWEEP_SHA256 = "0073600915380ad095a19446b0c98fc4af847826ccb45fe09d9e5048b652a295"
 TOURNAMENT_SHA256 = "db4ecce253c2fdb2f62ab13f06176e097bdd44577027df9dac1e0b98952ae0b8"
 TRACE_SHA256 = "786a7206f767403831fd814d640d5fd8c2e11e98ea0259dd174a4e40f6ef93bc"
+GRIDWORLD_SHA256 = {
+    "static": "e8bdb1341663d8d3cf83429b56053836045310efa60cad691958750c32b5cbce",
+    None: "fafe9e4c29a5f390145f24b3e1fcfdc3c7750ed405d77fa15626e56075ffd851",
+}
+GRIDWORLD_DETAIL_SHA256 = "16afbfc3158d513c4fd0c476aab43dfd4363f05b5171e6b95f9ac57fdf2e8f4a"
+GRIDWORLD_EPISODES_SHA256 = "e6259141705215c2949676aef255de1825aca60f6e144cf4cb7b14bae34b4127"
 
 
 def _csv_sha256(columns, rows) -> str:
@@ -96,3 +111,20 @@ def test_match_traces_match_recorded_digest():
         digests.append(_csv_sha256(TRACE_COLUMNS, trace))
     combined = hashlib.sha256("".join(digests).encode()).hexdigest()
     assert combined == TRACE_SHA256
+
+
+@pytest.mark.parametrize("stag_motion", ["static", None], ids=["static", "random_walk"])
+def test_gridworld_csv_matches_recorded_digest(stag_motion):
+    # both scenarios, all four variants; None keeps the scenario files' random walk
+    spec = GridworldSpec(seeds=3, iterations=150, stag_motion=stag_motion)
+    result = run_gridworld_comparison(spec, base_seed=2026)
+    assert _csv_sha256(result.columns, result.rows) == GRIDWORLD_SHA256[stag_motion]
+
+
+def test_gridworld_detail_matches_recorded_digest():
+    spec = GridworldSpec(seeds=3, iterations=150, stag_motion=None)
+    episode_log: list = []
+    detail = run_gridworld_detail(spec, "near-stag", "tomaga", 2, base_seed=2026,
+                                  episode_log=episode_log)
+    assert _csv_sha256(detail.columns, detail.rows) == GRIDWORLD_DETAIL_SHA256
+    assert _csv_sha256(("iteration", *EPISODE_LOG_COLUMNS), episode_log) == GRIDWORLD_EPISODES_SHA256

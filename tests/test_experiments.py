@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from staghunt import PayoffMatrix
+from staghunt import PayoffMatrix, experiments
 from staghunt.experiments import (
     AgentParams,
     GridworldSpec,
     SweepSpec,
     TournamentSpec,
+    _gridworld_block,
+    _gridworld_lane,
     gridworld_threshold_summary,
     make_matrix_agent,
     run_gridworld_comparison,
@@ -15,6 +17,7 @@ from staghunt.experiments import (
     sweep_cell_means,
     tournament_means,
 )
+from staghunt.policy_learner import run_lanes
 
 
 # --- self-play sweep -----------------------------------------------------------
@@ -145,6 +148,76 @@ def test_gridworld_comparison_rows_and_summary():
         assert c_prop + u_prop + unknown_prop == pytest.approx(1.0)
     summary = gridworld_threshold_summary(result)
     assert summary[("near-stag", "tomaga")]["n_runs"] == 2
+
+
+def test_gridworld_parallel_jobs_match_serial():
+    # 9 runs: at jobs 2 the round-robin blocks hold 5 and 4 of them
+    spec = GridworldSpec(scenarios=("near-stag",), variants=("individual", "inequity", "tomaga"),
+                         seeds=3, iterations=40, window=10)
+    serial = run_gridworld_comparison(spec, base_seed=17, jobs=1)
+    for jobs in (2, 3):
+        assert run_gridworld_comparison(spec, base_seed=17, jobs=jobs).rows == serial.rows
+
+
+def _lane_trace(lanes, iterations):
+    """Per lane: every iteration's outcome, then its final beliefs and tables."""
+    traces = [[] for _ in lanes]
+    for played in run_lanes(lanes, iterations):
+        for trace, (record, details) in zip(traces, played):
+            trace.append((record.labels, record.terminal_rewards, len(record.transitions), details))
+    for trace, (learners, _, _) in zip(traces, lanes):
+        for learner in learners:
+            trace.append(learner.tom)
+            trace.append(sorted((k, v.tobytes()) for k, v in learner.policy.preferences.items()))
+            trace.append(sorted(learner.policy.values.items()))
+    return traces
+
+
+@pytest.mark.parametrize("stag_motion", ["static", None])
+def test_lockstep_lanes_match_each_run_played_alone(stag_motion):
+    """Sharing an update with other runs changes no bit of a run's results."""
+    spec = GridworldSpec(seeds=2, iterations=60, stag_motion=stag_motion)
+    payloads = [
+        (spec, scen_idx, var_idx, seed_idx, 5)
+        for scen_idx in range(len(spec.scenarios))
+        for var_idx in range(len(spec.variants))
+        for seed_idx in range(spec.seeds)
+    ]
+    together = _lane_trace([_gridworld_lane(*p) for p in payloads], spec.iterations)
+    alone = [_lane_trace([_gridworld_lane(*p)], spec.iterations)[0] for p in payloads]
+    assert together == alone
+    assert _gridworld_block(payloads) == [_gridworld_block([p])[0] for p in payloads]
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_pool_has_no_more_workers_than_payloads(monkeypatch):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    assert experiments._pmap(abs, [-1, -2, -3], 64) == [1, 2, 3]
+    spec = GridworldSpec(scenarios=("near-stag",), variants=("tomaga",), seeds=2,
+                         iterations=5, window=5)
+    rows = run_gridworld_comparison(spec, base_seed=1, jobs=64).rows
+    assert rows == run_gridworld_comparison(spec, base_seed=1, jobs=1).rows
+    sweep = small_sweep(probabilities=(0.5,), iterations=5, repetitions=1, variants=("tomaga",))
+    run_sweep(sweep, base_seed=1, jobs=8)  # one payload: no pool at all
+    assert _RecordingPool.sizes == [3, 2]
 
 
 def test_gridworld_comparison_reproducible():

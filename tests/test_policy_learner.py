@@ -15,7 +15,8 @@ from staghunt.policy_learner import (
     iterations_to_threshold,
     make_grid_learner,
     observation_key,
-    run_iteration,
+    run_lanes,
+    sample_index,
     surrogate_gradient,
     surrogate_objective,
     update_policies,
@@ -304,13 +305,9 @@ def test_random_cases_cover_repeats_and_both_clip_branches():
 
 
 def run_n(variant, n, seed=3, scenario="near-stag", **kwargs):
-    config = make_scenario(scenario)
     learners = tuple(make_grid_learner(variant, **kwargs) for _ in range(2))
-    rng = np.random.default_rng(seed)
-    records = []
-    for _ in range(n):
-        learners, record, _ = run_iteration(learners, config, rng)
-        records.append(record)
+    lane = (learners, make_scenario(scenario), np.random.default_rng(seed))
+    records = [record for [(record, _)] in run_lanes([lane], n)]
     return learners, records
 
 
@@ -439,3 +436,31 @@ def test_individual_learner_keeps_material_terminal_reward():
         detail = _shaped_terminal_reward(learner, labels, rewards, 0, label_matrix)
         assert detail.psychological == 0.0
         assert detail.shaped == rewards[0]
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        np.full(N_ACTIONS, 1.0 / N_ACTIONS),
+        np.array([0.6, 0.25, 0.1, 0.04, 0.01]),
+        np.array([1.0 - 4e-9, 1e-9, 1e-9, 1e-9, 1e-9]),
+    ],
+    ids=["uniform", "skewed", "near-one-hot"],
+)
+def test_sample_index_matches_generator_choice_draw_for_draw(probs):
+    ours, theirs = np.random.default_rng(2024), np.random.default_rng(2024)
+    drawn = [sample_index(probs, ours) for _ in range(20_000)]
+    assert drawn == [int(theirs.choice(N_ACTIONS, p=probs)) for _ in range(20_000)]
+    # both consumed the same stream
+    assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sample_index_rejects_a_non_finite_preference_row(bad):
+    policy = PolicyParams()
+    key = ((0, 0), (1, 1), (2, 2), 0)
+    policy.preferences[key] = np.array([0.0, bad, 0.0, 0.0, 0.0])
+    with np.errstate(invalid="ignore"):  # inf - inf in the softmax shift
+        probs = action_probs(policy, key)
+    with pytest.raises(ValueError, match="finite"):
+        sample_index(probs, np.random.default_rng(0))
