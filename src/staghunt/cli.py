@@ -62,11 +62,14 @@ def _finish(args, command: str, resolved: dict, seconds: float, tables: dict) ->
 
     resolved is what the run was built from, after config and flags; it is
     hashed. The telemetry describes how this run went and stays out of the
-    hash; its units are the rows of the first table, the experiment's own.
+    hash; its units are the rows of the first table, the experiment's own,
+    and write_s is the wall time of writing the tables.
     """
     out_dir = Path(args.out)
+    start = time.perf_counter()
     for name, table in tables.items():
         table.write_csv(out_dir / name)
+    write_s = time.perf_counter() - start
     first = next(iter(tables))
     units = len(tables[first].rows)
     manifest = {
@@ -83,6 +86,7 @@ def _finish(args, command: str, resolved: dict, seconds: float, tables: dict) ->
             "experiment_wall_s": seconds,
             "units": units,
             "units_per_s": units / seconds,
+            "write_s": write_s,
         },
     }
     with open(out_dir / "manifest.json", "w") as fh:

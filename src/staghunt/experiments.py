@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -156,9 +157,11 @@ def _rng_for(base_seed: int, *indices: int) -> np.random.Generator:
 def _pmap(worker, payloads: Sequence, jobs: int) -> list:
     if jobs <= 1 or len(payloads) <= 1:
         return [worker(p) for p in payloads]
-    # no more workers than payloads: under fork every worker starts at the first submit
+    # no more workers than payloads: under fork every worker starts at the first submit;
+    # about four chunks a worker, so short units do not each make a round trip
+    chunksize = math.ceil(len(payloads) / (4 * jobs))
     with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-        return list(pool.map(worker, payloads))
+        return list(pool.map(worker, payloads, chunksize=chunksize))
 
 
 # ---------------------------------------------------------------------------

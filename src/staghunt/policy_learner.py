@@ -12,6 +12,7 @@ one update per iteration covers all of their policies.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -54,11 +55,18 @@ class LearnerConfig:
 
 @dataclass(slots=True)
 class PolicyParams:
-    """Tabular softmax policy and state-value table."""
+    """Tabular softmax policy and state-value table.
+
+    dists caches, per key, the row that update_policies last wrote with its
+    action probabilities and normalised cumulative sums as Python floats. An
+    entry is valid only while its row is the very object in preferences; the
+    rows update_policies writes are read-only, so such a row cannot change.
+    """
 
     hyper: LearnerConfig = field(default_factory=LearnerConfig)
     preferences: dict[ObsKey, np.ndarray] = field(default_factory=dict)
     values: dict[ObsKey, float] = field(default_factory=dict)
+    dists: dict[ObsKey, tuple[np.ndarray, list[float], list[float]]] = field(default_factory=dict)
 
     def prefs(self, key: ObsKey) -> np.ndarray:
         if key not in self.preferences:
@@ -263,8 +271,19 @@ def update_policies(policies: Sequence[PolicyParams], episodes: Sequence["Shaped
 
     for _ in range(cfg.epochs):
         prefs = prefs + cfg.step_size * _gradient(prefs, items, cfg.clip_ratio, cfg.entropy_weight)
-    for (p, key), row in zip(slots, prefs):
+    # the next episodes' action distributions, as sample_index would compute
+    # them row by row: softmax, cumsum and division all work within a row
+    prefs.flags.writeable = False  # a cached row is replaced, never edited in place
+    probs = _softmax(prefs)
+    cdf = probs.cumsum(axis=1)
+    finite = np.isfinite(cdf[:, -1]).tolist()
+    cdf /= cdf[:, -1:]
+    for (p, key), row, ok, row_probs, row_cdf in zip(
+        slots, prefs, finite, probs.tolist(), cdf.tolist()
+    ):
         policies[p].preferences[key] = row
+        if ok:  # a non-finite row is left to sample_index, which raises
+            policies[p].dists[key] = (row, row_probs, row_cdf)
     # single squared-error step toward the returns, after the policy epochs,
     # so the baseline tracks a running mean instead of swallowing the batch
     for policy, episode, returns in zip(policies, episodes, all_returns):
@@ -373,16 +392,25 @@ def play_iteration(
     rng: np.random.Generator,
 ) -> tuple[EpisodeRecord, tuple[ShapingDetail, ShapingDetail], list[ShapedEpisode]]:
     """Play one episode, reveal labels and shape terminal rewards; no policy update."""
-    cfgs = tuple(learner.policy.hyper for learner in learners)
+    policies = tuple(learner.policy for learner in learners)
     keys: list[list[ObsKey]] = [[], []]
     behaviour: list[list[float]] = [[], []]
 
     def joint_policy(state: GridState, agent_index: int, step_rng: np.random.Generator) -> GridAction:
-        key = observation_key(state, agent_index, cfgs[agent_index])
-        probs = action_probs(learners[agent_index].policy, key)
-        idx = sample_index(probs, step_rng)
+        policy = policies[agent_index]
+        key = observation_key(state, agent_index, policy.hyper)
+        entry = policy.dists.get(key)
+        if entry is not None and entry[0] is policy.preferences.get(key):
+            # sample_index's draw on the cached distribution
+            _, probs, cdf = entry
+            idx = bisect_right(cdf, step_rng.random())
+            p = probs[idx]
+        else:
+            probs = action_probs(policy, key)
+            idx = sample_index(probs, step_rng)
+            p = float(probs[idx])
         keys[agent_index].append(key)
-        behaviour[agent_index].append(float(probs[idx]))
+        behaviour[agent_index].append(p)
         return ACTIONS[idx]
 
     record = run_episode(config, joint_policy, rng)

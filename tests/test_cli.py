@@ -214,6 +214,7 @@ def test_manifest_records_run_telemetry_outside_the_hash(tmp_path, command):
         assert telemetry["units_per_s"] == pytest.approx(
             telemetry["units"] / telemetry["experiment_wall_s"]
         )
+        assert telemetry["write_s"] >= 0
         # the hash covers the resolved spec only
         fixed = ("command", "config_hash", "base_seed", "package_version", "created_utc",
                  "telemetry")

@@ -17,7 +17,7 @@ from staghunt.experiments import (
     sweep_cell_means,
     tournament_means,
 )
-from staghunt.policy_learner import run_lanes
+from staghunt.policy_learner import action_probs, run_lanes
 
 
 # --- self-play sweep -----------------------------------------------------------
@@ -159,12 +159,19 @@ def test_gridworld_parallel_jobs_match_serial():
         assert run_gridworld_comparison(spec, base_seed=17, jobs=jobs).rows == serial.rows
 
 
-def _lane_trace(lanes, iterations):
-    """Per lane: every iteration's outcome, then its final beliefs and tables."""
+def _lane_trace(lanes, iterations, cached=True):
+    """Per lane: every iteration's outcome, then its final beliefs and tables.
+
+    With cached=False every iteration plays with no cached distributions.
+    """
     traces = [[] for _ in lanes]
     for played in run_lanes(lanes, iterations):
         for trace, (record, details) in zip(traces, played):
             trace.append((record.labels, record.terminal_rewards, len(record.transitions), details))
+        if not cached:
+            for learners, _, _ in lanes:
+                for learner in learners:
+                    learner.policy.dists.clear()
     for trace, (learners, _, _) in zip(traces, lanes):
         for learner in learners:
             trace.append(learner.tom)
@@ -173,26 +180,57 @@ def _lane_trace(lanes, iterations):
     return traces
 
 
-@pytest.mark.parametrize("stag_motion", ["static", None])
-def test_lockstep_lanes_match_each_run_played_alone(stag_motion):
-    """Sharing an update with other runs changes no bit of a run's results."""
-    spec = GridworldSpec(seeds=2, iterations=60, stag_motion=stag_motion)
-    payloads = [
-        (spec, scen_idx, var_idx, seed_idx, 5)
+def _payloads(spec, base_seed):
+    return [
+        (spec, scen_idx, var_idx, seed_idx, base_seed)
         for scen_idx in range(len(spec.scenarios))
         for var_idx in range(len(spec.variants))
         for seed_idx in range(spec.seeds)
     ]
+
+
+@pytest.mark.parametrize("stag_motion", ["static", None])
+def test_lockstep_lanes_match_each_run_played_alone(stag_motion):
+    """Sharing an update with other runs changes no bit of a run's results."""
+    spec = GridworldSpec(seeds=2, iterations=60, stag_motion=stag_motion)
+    payloads = _payloads(spec, 5)
     together = _lane_trace([_gridworld_lane(*p) for p in payloads], spec.iterations)
     alone = [_lane_trace([_gridworld_lane(*p)], spec.iterations)[0] for p in payloads]
     assert together == alone
     assert _gridworld_block(payloads) == [_gridworld_block([p])[0] for p in payloads]
 
 
+@pytest.mark.parametrize("stag_motion", ["static", None])
+def test_cached_distributions_are_the_per_row_ones_after_every_update(stag_motion):
+    spec = GridworldSpec(seeds=1, iterations=40, stag_motion=stag_motion)
+    lanes = [_gridworld_lane(*p) for p in _payloads(spec, 9)]
+    policies = [learner.policy for learners, _, _ in lanes for learner in learners]
+    for _ in run_lanes(lanes, spec.iterations):
+        for policy in policies:
+            # every row an episode reached was updated, so every row has an entry
+            assert policy.dists.keys() == policy.preferences.keys()
+            for key, (row, probs, cdf) in policy.dists.items():
+                assert row is policy.preferences[key]
+                expected = action_probs(policy, key)
+                total = expected.cumsum()
+                assert probs == expected.tolist()
+                assert cdf == (total / total[-1]).tolist()
+
+
+@pytest.mark.parametrize("stag_motion", ["static", None])
+def test_play_from_cached_distributions_matches_play_without_them(stag_motion):
+    spec = GridworldSpec(seeds=1, iterations=60, stag_motion=stag_motion)
+    payloads = _payloads(spec, 13)
+    cached = _lane_trace([_gridworld_lane(*p) for p in payloads], spec.iterations)
+    uncached = _lane_trace([_gridworld_lane(*p) for p in payloads], spec.iterations, cached=False)
+    assert cached == uncached
+
+
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps in-process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and chunksize, maps in-process."""
 
     sizes: list = []
+    chunks: list = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -203,13 +241,15 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
+    def map(self, fn, items, chunksize=1):
+        self.chunks.append(chunksize)
         return map(fn, items)
 
 
 def test_pool_has_no_more_workers_than_payloads(monkeypatch):
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(_RecordingPool, "chunks", [])
     assert experiments._pmap(abs, [-1, -2, -3], 64) == [1, 2, 3]
     spec = GridworldSpec(scenarios=("near-stag",), variants=("tomaga",), seeds=2,
                          iterations=5, window=5)
@@ -218,6 +258,9 @@ def test_pool_has_no_more_workers_than_payloads(monkeypatch):
     sweep = small_sweep(probabilities=(0.5,), iterations=5, repetitions=1, variants=("tomaga",))
     run_sweep(sweep, base_seed=1, jobs=8)  # one payload: no pool at all
     assert _RecordingPool.sizes == [3, 2]
+    # about four chunks a worker: 72 payloads at 2 jobs go in 8 chunks of 9
+    assert experiments._pmap(abs, list(range(-72, 0)), 2) == list(range(72, 0, -1))
+    assert _RecordingPool.chunks == [1, 1, 9]
 
 
 def test_gridworld_comparison_reproducible():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from staghunt.game import C, U, UNKNOWN, PayoffMatrix
-from staghunt.gridworld import GridAction, make_scenario
+from staghunt.gridworld import GridAction, initial_state, make_scenario
 from staghunt.policy_learner import (
     ACTION_INDEX,
     ACTIONS,
@@ -10,11 +10,13 @@ from staghunt.policy_learner import (
     LearnerConfig,
     PolicyParams,
     ShapedEpisode,
+    _softmax,
     action_probs,
     discounted_returns,
     iterations_to_threshold,
     make_grid_learner,
     observation_key,
+    play_iteration,
     run_lanes,
     sample_index,
     surrogate_gradient,
@@ -464,3 +466,60 @@ def test_sample_index_rejects_a_non_finite_preference_row(bad):
         probs = action_probs(policy, key)
     with pytest.raises(ValueError, match="finite"):
         sample_index(probs, np.random.default_rng(0))
+
+
+# --- cached action distributions --------------------------------------------------
+
+
+def test_stacked_softmax_matches_row_by_row_bit_for_bit():
+    """Every step of _softmax works within a row, so stacking rows changes no bit."""
+    rng = np.random.default_rng(11)
+    scales = rng.choice([1e-3, 1.0, 30.0, 700.0], (20_000, 1))
+    rows = rng.normal(0.0, 1.0, (20_000, N_ACTIONS)) * scales
+    stacked = _softmax(rows)
+    assert all(np.array_equal(s, _softmax(row)) for s, row in zip(stacked, rows))
+    cdf = stacked.cumsum(axis=1)
+    assert all(np.array_equal(c, s.cumsum()) for c, s in zip(cdf, stacked))
+
+
+def _trained_pair(seed=3):
+    """Two individual learners after one iteration, and the key of agent 0's first step."""
+    learners = tuple(make_grid_learner("individual") for _ in range(2))
+    config = make_scenario("near-stag")
+    next(run_lanes([(learners, config, np.random.default_rng(seed))], 1))
+    key = observation_key(initial_state(config), 0, learners[0].policy.hyper)
+    return learners, config, key
+
+
+def test_a_row_assigned_after_an_update_is_sampled_not_its_stale_cache():
+    learners, config, key = _trained_pair()
+    policy = learners[0].policy
+    stale = policy.dists[key][1]
+    with pytest.raises(ValueError, match="read-only"):
+        policy.preferences[key][0] = 1.0  # a cached row cannot change under its entry
+    favoured = stale.index(min(stale))
+    row = np.full(N_ACTIONS, -50.0)
+    row[favoured] = 50.0
+    policy.preferences[key] = row
+    _, _, episodes = play_iteration(learners, config, np.random.default_rng(4))
+    assert episodes[0].actions[0] is ACTIONS[favoured]
+    assert episodes[0].behaviour_probs[0] == float(action_probs(policy, key)[favoured])
+    assert episodes[0].behaviour_probs[0] > 0.99 > max(stale)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_row_raises_through_play_iteration(bad):
+    learners, config, key = _trained_pair()
+    policy = learners[0].policy
+    row = np.zeros(N_ACTIONS)
+    row[1] = bad
+    policy.preferences[key] = row
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        play_iteration(learners, config, np.random.default_rng(4))
+    # a non-finite row that update_policies writes back gets no valid entry
+    with np.errstate(invalid="ignore"):
+        update_policies([policy], [ShapedEpisode([key], [ACTIONS[0]], [0.2], [1.0])])
+    assert not np.isfinite(policy.preferences[key]).all()
+    assert policy.dists[key][0] is not policy.preferences[key]
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        play_iteration(learners, config, np.random.default_rng(4))
