@@ -144,7 +144,7 @@ def cmd_analyze(args, config: dict) -> int:
     phi_hi = args.phi_max if args.phi_max is not None else matrix.h
     phi_grid = _grid("phi", phi_lo, phi_hi, args.phi_step)
     theta_grid = _grid("theta", args.theta_min, args.theta_max, args.theta_step)
-    rows, seconds = _timed(lambda: list(equilibrium_grid_rows(matrix, phi_grid, theta_grid)))
+    rows, seconds = _timed(equilibrium_grid_rows, matrix, phi_grid, theta_grid)
     return _finish(args, "analyze", {
         "matrix": matrix.as_dict(),
         "phi_grid": [phi_lo, phi_hi, args.phi_step],

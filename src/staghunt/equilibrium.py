@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -227,20 +227,26 @@ def unique_cc_fraction_by_theta(
 
 def equilibrium_grid_rows(
     matrix: PayoffMatrix, phi_grid: Sequence[float], theta_grid: Sequence[float]
-) -> Iterable[tuple[float, float, int, bool, float]]:
-    """Rows (phi, theta, n_pure_ne, unique_cc, threshold_theta) for CSV export."""
+) -> list[str]:
+    """CSV lines, one per (phi, theta) cell, each ending in "\\r\\n".
+
+    Cells run phi-major, theta-minor. Each line is byte-equal to what
+    csv.writer writes for the row (phi, theta, n_pure_ne, unique_cc,
+    threshold_theta): csv writes a float as str(), its shortest round-trip
+    repr, so each distinct phi, theta and threshold is rendered once and the
+    lines are joined from those pieces.
+    """
     phi = np.asarray(list(phi_grid), dtype=np.float64)
     theta = np.asarray(list(theta_grid), dtype=np.float64)
     flags = _ne_flags_grid(matrix, phi, theta)
-    for i, p in enumerate(phi):
-        threshold = (
-            (matrix.m - matrix.g) / (min(p, matrix.c) - matrix.m) if p > matrix.m else math.inf
-        )
-        for j, t in enumerate(theta):
-            yield (
-                float(p),
-                float(t),
-                int(flags["n_pure"][i, j]),
-                bool(flags["unique_cc"][i, j]),
-                threshold,
-            )
+    c, m, g = matrix.c, matrix.m, matrix.g
+    thetas = [f",{t!r}," for t in theta.tolist()]
+    middles = {(n, u): f"{n},{u}," for n in range(5) for u in (False, True)}
+    lines: list[str] = []
+    for p, n_row, u_row in zip(
+        phi.tolist(), flags["n_pure"].tolist(), flags["unique_cc"].tolist()
+    ):
+        threshold = (m - g) / (min(p, c) - m) if p > m else math.inf
+        head, tail = repr(p), f"{threshold!r}\r\n"
+        lines += [head + t + middles[n, u] + tail for t, n, u in zip(thetas, n_row, u_row)]
+    return lines

@@ -104,16 +104,25 @@ class RunResult:
     """A flat table of rows; an experiment's table also carries the spec it ran."""
 
     columns: tuple[str, ...]
-    rows: list[tuple]
+    rows: list[tuple] | list[str]
     spec: SweepSpec | TournamentSpec | GridworldSpec | None = None
 
     def write_csv(self, path: str | Path) -> None:
+        """Write the header through csv.writer, then the rows.
+
+        Rows that are str are finished CSV lines, each ending in "\\r\\n" as
+        csv.writer ends its own, and are written as they are; tuple rows go
+        through csv.writer.
+        """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.columns)
-            writer.writerows(self.rows)
+            if self.rows and isinstance(self.rows[0], str):
+                fh.writelines(self.rows)
+            else:
+                writer.writerows(self.rows)
 
 
 def _require(spec, ok, rule: str, *names: str) -> None:

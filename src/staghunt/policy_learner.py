@@ -106,10 +106,6 @@ def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def sample_action(policy: PolicyParams, key: ObsKey, rng: np.random.Generator) -> GridAction:
-    return ACTIONS[sample_index(action_probs(policy, key), rng)]
-
-
 def discounted_returns(rewards: Sequence[float], gamma: float) -> list[float]:
     out = [0.0] * len(rewards)
     running = 0.0
@@ -288,7 +284,8 @@ def update_policies(policies: Sequence[PolicyParams], episodes: Sequence["Shaped
     # so the baseline tracks a running mean instead of swallowing the batch
     for policy, episode, returns in zip(policies, episodes, all_returns):
         for key, ret in zip(episode.keys, returns):
-            policy.values[key] = policy.value(key) + cfg.step_size * (ret - policy.value(key))
+            value = policy.value(key)
+            policy.values[key] = value + cfg.step_size * (ret - value)
 
 
 @dataclass(slots=True)

@@ -434,6 +434,13 @@ PINNED_OUTPUTS = {
             "analyze.csv": "f25858edf6a32613c55b074c4cdc4359af6c42e4185266a96dcdc1a83d12ba0c",
         },
     ),
+    "analyze_inf_thresholds": (  # 108 rows, 36 of them with phi <= m and so threshold inf
+        ("analyze", "--phi-min", "15", "--phi-max", "35", "--phi-step", "2.5", "--theta-min",
+         "0.5", "--theta-max", "6", "--theta-step", "0.5"),
+        {
+            "analyze.csv": "437a4e88902e9f3c56ed88f2fa47fba549da6b0bdf04cfec34f03f17c3ab43fa",
+        },
+    ),
     "matrix_selfplay_trace": (
         ("--seed", "3", "matrix-selfplay", "--grid-step", "0.5", "--iterations", "20",
          "--repetitions", "2", "--variants", "tomaga", "individual", "--trace-cell", "0.5", "1"),

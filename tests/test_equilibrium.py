@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -167,8 +169,52 @@ def test_unique_cc_fraction_non_decreasing_in_theta():
 
 
 def test_grid_rows_schema_and_threshold_column():
-    rows = list(equilibrium_grid_rows(Q1, [25.0], [3.0, 5.0]))
-    assert rows[0][:2] == (25.0, 3.0)
-    assert rows[0][2] == 2 and rows[0][3] is False
-    assert rows[1][2] == 1 and rows[1][3] is True
-    assert rows[0][4] == pytest.approx(4.0)
+    # (phi, theta, n_pure_ne, unique_cc, threshold_theta); threshold (m-g)/(phi-m) = 4
+    assert equilibrium_grid_rows(Q1, [25.0], [3.0, 5.0]) == [
+        "25.0,3.0,2,False,4.0\r\n",
+        "25.0,5.0,1,True,4.0\r\n",
+    ]
+
+
+def _typed_grid_rows(matrix, phi_grid, theta_grid):
+    """The typed per-cell rows that equilibrium_grid_rows once yielded for csv.writer."""
+    phi = np.asarray(list(phi_grid), dtype=np.float64)
+    theta = np.asarray(list(theta_grid), dtype=np.float64)
+    flags = _ne_flags_grid(matrix, phi, theta)
+    for i, p in enumerate(phi):
+        threshold = (
+            (matrix.m - matrix.g) / (min(p, matrix.c) - matrix.m) if p > matrix.m else math.inf
+        )
+        for j, t in enumerate(theta):
+            yield (
+                float(p),
+                float(t),
+                int(flags["n_pure"][i, j]),
+                bool(flags["unique_cc"][i, j]),
+                threshold,
+            )
+
+
+def _csv_text(rows) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize(
+    "matrix, phi_grid, theta_grid",
+    [
+        # phi below m, at m (inf thresholds) and above c, on integer matrix fields
+        (Q1, [0.0, 12.5, 20.0, 20.05, 25.0, 30.0, 35.0, 40.0], [0.05, 1.0, 4.0, 4.5, 50.0]),
+        (Q2, frange(1, 5, 0.25), frange(0, 10, 0.5)),
+        # steps with no exact binary form: 0.1 * 3 = 0.30000000000000004
+        (Q1, [20 + k * 0.1 for k in range(-5, 120)], [k * 0.3 for k in range(1, 60)]),
+        (Q2, [k * 0.3 for k in range(3, 17)], [k * 0.1 for k in range(1, 80)]),
+        (Q1, [25.0], [3.0]),
+    ],
+    ids=["q1-inf-and-above-c", "q2", "q1-step-0.1-0.3", "q2-step-0.3-0.1", "single-cell"],
+)
+def test_grid_lines_match_csv_writer_on_the_typed_rows(matrix, phi_grid, theta_grid):
+    lines = equilibrium_grid_rows(matrix, phi_grid, theta_grid)
+    assert len(lines) == len(phi_grid) * len(theta_grid)
+    assert "".join(lines) == _csv_text(_typed_grid_rows(matrix, phi_grid, theta_grid))

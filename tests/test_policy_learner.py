@@ -417,13 +417,11 @@ def test_observation_key_injective_at_unit_bucket_width():
 
 
 def test_sample_action_tracks_policy_distribution():
-    from staghunt.policy_learner import sample_action
-
     policy = PolicyParams()
     key = ((1, 1), (2, 2), (0, 0), 0)
     policy.preferences[key] = np.array([2.0, 0.0, 0.0, 0.0, -2.0])
     rng = np.random.default_rng(8)
-    draws = [sample_action(policy, key, rng) for _ in range(4000)]
+    draws = [ACTIONS[sample_index(action_probs(policy, key), rng)] for _ in range(4000)]
     freq_first = draws.count(ACTIONS[0]) / len(draws)
     expected = action_probs(policy, key)[0]
     assert abs(freq_first - expected) < 0.03
