@@ -11,7 +11,8 @@ Every run writes a manifest.json recording the resolved spec (for analyze,
 the matrix and grids), its hash, the base seed and the package version, so
 results can be reproduced exactly. Its "telemetry" entry, which is not
 hashed, records how the run went: worker count, Python and numpy versions,
-the experiment's wall seconds, its units and units per second.
+the experiment's wall seconds, its units and units per second, and what the
+experiment counted (gridworld: episode ends by kind, mean episode length).
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ def _finish(args, command: str, resolved: dict, seconds: float, tables: dict) ->
     resolved is what the run was built from, after config and flags; it is
     hashed. The telemetry describes how this run went and stays out of the
     hash; its units are the rows of the first table, the experiment's own,
-    and write_s is the wall time of writing the tables.
+    and write_s is the wall time of writing the tables. The first table's
+    own telemetry joins it.
     """
     out_dir = Path(args.out)
     start = time.perf_counter()
@@ -87,6 +89,7 @@ def _finish(args, command: str, resolved: dict, seconds: float, tables: dict) ->
             "units": units,
             "units_per_s": units / seconds,
             "write_s": write_s,
+            **tables[first].telemetry,
         },
     }
     with open(out_dir / "manifest.json", "w") as fh:

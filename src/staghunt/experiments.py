@@ -11,8 +11,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -101,11 +102,13 @@ def make_matrix_agent(
 
 @dataclass(slots=True)
 class RunResult:
-    """A flat table of rows; an experiment's table also carries the spec it ran."""
+    """A flat table of rows; an experiment's table also carries the spec it ran,
+    and what it counted on the way for the manifest's telemetry."""
 
     columns: tuple[str, ...]
     rows: list[tuple] | list[str]
     spec: SweepSpec | TournamentSpec | GridworldSpec | None = None
+    telemetry: dict = field(default_factory=dict)
 
     def write_csv(self, path: str | Path) -> None:
         """Write the header through csv.writer, then the rows.
@@ -485,13 +488,18 @@ def _gridworld_lane(
     return learners, config, rng
 
 
-def _gridworld_block(payloads) -> list[tuple]:
-    """The gridworld.csv rows of a block of runs played in lockstep, in payload order."""
+def _gridworld_block(payloads) -> tuple[list[tuple], Counter]:
+    """The gridworld.csv rows of a block of runs played in lockstep, in payload order,
+    and the block's count of episodes by how they ended, and of their steps."""
     spec = payloads[0][0]
     lanes = [_gridworld_lane(*payload) for payload in payloads]
-    labels_by_iteration = [
-        [record.labels for record, _ in played] for played in run_lanes(lanes, spec.iterations)
-    ]
+    ends: Counter = Counter()
+    labels_by_iteration = []
+    for played in run_lanes(lanes, spec.iterations):
+        labels_by_iteration.append([record.labels for record, _ in played])
+        for record, _ in played:
+            ends[record.event.kind] += 1
+            ends["steps"] += len(record.transitions)
     rows = []
     for (_, scen_idx, var_idx, seed_idx, _), history in zip(payloads, zip(*labels_by_iteration)):
         reached = iterations_to_threshold(history, spec.window, spec.threshold)
@@ -502,13 +510,14 @@ def _gridworld_block(payloads) -> list[tuple]:
             -1 if reached is None else reached,
             c_prop, u_prop, 1.0 - c_prop - u_prop,
         ))
-    return rows
+    return rows, ends
 
 
 def run_gridworld_comparison(spec: GridworldSpec, base_seed: int = 0, jobs: int = 1) -> RunResult:
     """Every (scenario, variant, seed) run, in min(jobs, runs) lockstep blocks.
 
     Runs are dealt round-robin, so that each block mixes cheap and costly ones.
+    The telemetry gives how many episodes ended in each way and their mean length.
     """
     payloads = [
         (spec, scen_idx, var_idx, seed_idx, base_seed)
@@ -517,10 +526,15 @@ def run_gridworld_comparison(spec: GridworldSpec, base_seed: int = 0, jobs: int 
         for seed_idx in range(spec.seeds)
     ]
     n = max(1, min(jobs, len(payloads)))
+    blocks = _pmap(_gridworld_block, [payloads[b::n] for b in range(n)], jobs)
     rows: list = [None] * len(payloads)
-    for b, block_rows in enumerate(_pmap(_gridworld_block, [payloads[b::n] for b in range(n)], jobs)):
+    for b, (block_rows, _) in enumerate(blocks):
         rows[b::n] = block_rows
-    return RunResult(GRIDWORLD_COLUMNS, rows, spec)
+    ends = sum((block_ends for _, block_ends in blocks), Counter())
+    return RunResult(GRIDWORLD_COLUMNS, rows, spec, {
+        "episode_ends": {kind: ends[kind] for kind in ("stag_joint", "hare", "timeout")},
+        "episode_length_mean": ends["steps"] / (len(payloads) * spec.iterations),
+    })
 
 
 GRIDWORLD_DETAIL_COLUMNS = (

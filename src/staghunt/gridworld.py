@@ -10,6 +10,10 @@ same belief/guilt machinery as the matrix game.
 Step order within a timestep: agents move simultaneously (blocked moves
 resolve to Stay), the stag moves, then termination is checked:
 joint stag capture first, then hare captures, then timeout.
+
+Each GridConfig is compiled once, when it is built, into integer tables
+over cell numbers (`CompiledGrid`), and `run_episode` steps on those ints;
+cells become (x, y) again only in `episode_transition_rows`.
 """
 
 from __future__ import annotations
@@ -27,16 +31,35 @@ from .game import C, U, UNKNOWN, PayoffMatrix, PolicyLabel
 Cell = tuple[int, int]
 
 
-class GridAction(enum.Enum):
-    LEFT = (-1, 0)
-    UP = (0, -1)
-    DOWN = (0, 1)
-    RIGHT = (1, 0)
-    STAY = (0, 0)
+class GridAction(enum.IntEnum):
+    """A move; its number indexes the compiled move table and the policy rows."""
+
+    LEFT = 0
+    UP = 1
+    DOWN = 2
+    RIGHT = 3
+    STAY = 4
 
     @property
     def delta(self) -> Cell:
-        return self.value
+        return ((-1, 0), (0, -1), (0, 1), (1, 0), (0, 0))[self]
+
+
+# One timestep as the engine sees it: (agent 0's cell, agent 1's cell, the
+# stag's cell, timestep), each cell numbered y * width + x.
+State = tuple[int, int, int, int]
+
+
+@dataclass(frozen=True, slots=True)
+class CompiledGrid:
+    """A layout as integer tables over cell numbers, built once per GridConfig."""
+
+    move: tuple[tuple[int, ...], ...]  # move[cell][action]: where the move ends, blocked or not
+    hare: tuple[bool, ...]
+    # the stag's choices from each cell: stay, then each free cell LEFT, UP,
+    # DOWN and RIGHT; None for a static stag, which draws nothing
+    stag_options: tuple[tuple[int, ...], ...] | None
+    starts: tuple[int, int, int]  # agent 0, agent 1, stag
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,12 +76,19 @@ class GridConfig:
     reward_hare_alone: float = 3.0
     reward_left_out: float = 0.0
     stag_motion: str = "random_walk"  # or "static"
+    # built when the config is, from the fields above; not compared or hashed
+    grid: CompiledGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.stag_motion not in ("random_walk", "static"):
             raise ValueError(f"unknown stag motion: {self.stag_motion}")
         if self.t_max <= 0:
             raise ValueError("t_max must be positive")
+        if len(self.agent_starts) != 2:
+            raise ValueError(f"agent_starts must hold 2 cells, got {len(self.agent_starts)}")
+        for cell in self.obstacles:
+            if not self.in_bounds(cell):
+                raise ValueError(f"obstacle out of bounds: {cell}")
         for name, cell in (("stag_start", self.stag_start), *(
             (f"agent_start[{i}]", c) for i, c in enumerate(self.agent_starts)
         ), *((f"hare {c}", c) for c in self.hare_cells)):
@@ -71,13 +101,27 @@ class GridConfig:
                 raise ValueError(f"agent_start[{i}] may not be a hare cell: {start}")
         # The four reward levels must themselves form a Stag Hunt.
         self.label_payoffs()
+        object.__setattr__(self, "grid", self._compile())
 
     def in_bounds(self, cell: Cell) -> bool:
         x, y = cell
         return 0 <= x < self.width and 0 <= y < self.height
 
-    def is_free(self, cell: Cell) -> bool:
-        return self.in_bounds(cell) and cell not in self.obstacles
+    def _compile(self) -> CompiledGrid:
+        cells = [(x, y) for y in range(self.height) for x in range(self.width)]
+        free = {cell: i for i, cell in enumerate(cells) if cell not in self.obstacles}
+        # a move off the grid or onto an obstacle stays put
+        move = tuple(
+            tuple(free.get((x + dx, y + dy), i) for dx, dy in (a.delta for a in GridAction))
+            for i, (x, y) in enumerate(cells)
+        )
+        options = None
+        if self.stag_motion == "random_walk":  # the first four actions: LEFT, UP, DOWN, RIGHT
+            options = tuple((i, *(to for to in moves[:4] if to != i)) for i, moves in enumerate(move))
+        hare = tuple(cell in self.hare_cells for cell in cells)
+        return CompiledGrid(move, hare, options, tuple(
+            free[cell] for cell in (*self.agent_starts, self.stag_start)
+        ))
 
     def label_payoffs(self) -> PayoffMatrix:
         """The episode-label reward table as a PayoffMatrix (h, c, m, g)."""
@@ -87,14 +131,6 @@ class GridConfig:
             m=self.reward_hare_shared,
             g=self.reward_left_out,
         )
-
-
-@dataclass(frozen=True, slots=True)
-class GridState:
-    agent_positions: tuple[Cell, Cell]
-    stag_position: Cell
-    timestep: int
-    terminated: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,90 +145,13 @@ class StepEvent:
 
 @dataclass(slots=True)
 class EpisodeRecord:
-    """One full episode: per-step transitions plus the terminal summary."""
+    """One full episode: each step's pre-move state and actions, plus how it ended."""
 
-    transitions: list[tuple[GridState, tuple[GridAction, GridAction], tuple[float, float], GridState]] = field(
-        default_factory=list
-    )
-    terminal_rewards: tuple[float, float] = (0.0, 0.0)
-    labels: tuple[PolicyLabel, PolicyLabel] = (UNKNOWN, UNKNOWN)
-    event: StepEvent | None = None
-
-
-def initial_state(config: GridConfig) -> GridState:
-    return GridState(
-        agent_positions=config.agent_starts,
-        stag_position=config.stag_start,
-        timestep=0,
-        terminated=False,
-    )
-
-
-def _resolve_move(config: GridConfig, cell: Cell, action: GridAction) -> Cell:
-    dx, dy = action.delta
-    target = (cell[0] + dx, cell[1] + dy)
-    return target if config.is_free(target) else cell
-
-
-def _move_stag(config: GridConfig, stag: Cell, rng: np.random.Generator) -> Cell:
-    if config.stag_motion == "static":
-        return stag
-    options = [stag]
-    for action in (GridAction.LEFT, GridAction.UP, GridAction.DOWN, GridAction.RIGHT):
-        dx, dy = action.delta
-        target = (stag[0] + dx, stag[1] + dy)
-        if config.is_free(target):
-            options.append(target)
-    return options[rng.integers(len(options))]
-
-
-def step(
-    state: GridState,
-    config: GridConfig,
-    actions: tuple[GridAction, GridAction],
-    rng: np.random.Generator,
-) -> tuple[GridState, StepEvent | None]:
-    """Advance one timestep; returns the new state and a StepEvent on termination."""
-    if state.terminated:
-        raise ValueError("cannot step a terminated episode")
-
-    positions = tuple(
-        _resolve_move(config, pos, act) for pos, act in zip(state.agent_positions, actions)
-    )
-    stag = _move_stag(config, state.stag_position, rng)
-    timestep = state.timestep + 1
-
-    on_stag = tuple(pos == stag for pos in positions)
-    on_hare = tuple(pos in config.hare_cells for pos in positions)
-
-    event: StepEvent | None = None
-    if all(on_stag):
-        event = StepEvent(
-            kind="stag_joint",
-            rewards=(config.reward_stag_joint, config.reward_stag_joint),
-            hare_captors=(False, False),
-            on_stag=(True, True),
-        )
-    elif any(on_hare):
-        if all(on_hare):
-            rewards = (config.reward_hare_shared, config.reward_hare_shared)
-        elif on_hare[0]:
-            rewards = (config.reward_hare_alone, config.reward_left_out)
-        else:
-            rewards = (config.reward_left_out, config.reward_hare_alone)
-        event = StepEvent(kind="hare", rewards=rewards, hare_captors=on_hare, on_stag=on_stag)
-    elif timestep >= config.t_max:
-        event = StepEvent(
-            kind="timeout", rewards=(0.0, 0.0), hare_captors=(False, False), on_stag=on_stag
-        )
-
-    new_state = GridState(
-        agent_positions=positions,
-        stag_position=stag,
-        timestep=timestep,
-        terminated=event is not None,
-    )
-    return new_state, event
+    config: GridConfig
+    transitions: list[tuple[State, GridAction, GridAction]]
+    terminal_rewards: tuple[float, float]
+    labels: tuple[PolicyLabel, PolicyLabel]
+    event: StepEvent
 
 
 def label_episode(event: StepEvent) -> tuple[PolicyLabel, PolicyLabel]:
@@ -203,22 +162,17 @@ def label_episode(event: StepEvent) -> tuple[PolicyLabel, PolicyLabel]:
     Anyone who ended the episode with neither prey nor a spot on the stag is
     Unknown, which covers timeouts entirely.
     """
-    if event.kind == "stag_joint":
-        return (C, C)
     if event.kind == "timeout":
         return (UNKNOWN, UNKNOWN)
-    labels = []
-    for i in range(2):
-        if event.hare_captors[i]:
-            labels.append(U)
-        elif event.on_stag[i]:
-            labels.append(C)
-        else:
-            labels.append(UNKNOWN)
-    return (labels[0], labels[1])
+    # a joint capture has both agents on the stag and neither on a hare
+    first, second = (
+        U if captor else C if on_stag else UNKNOWN
+        for captor, on_stag in zip(event.hare_captors, event.on_stag)
+    )
+    return (first, second)
 
 
-PolicyFn = Callable[[GridState, int, np.random.Generator], GridAction]
+PolicyFn = Callable[[State, int, np.random.Generator], GridAction]
 
 
 def run_episode(
@@ -231,19 +185,37 @@ def run_episode(
     `policy(state, agent_index, rng)` is queried for agent 0 then agent 1
     each step, so identical seeds replay identical episodes.
     """
-    record = EpisodeRecord()
-    state = initial_state(config)
-    while not state.terminated:
-        actions = (policy(state, 0, rng), policy(state, 1, rng))
-        new_state, event = step(state, config, actions, rng)
-        rewards = event.rewards if event is not None else (0.0, 0.0)
-        record.transitions.append((state, actions, rewards, new_state))
-        state = new_state
-        if event is not None:
-            record.terminal_rewards = event.rewards
-            record.labels = label_episode(event)
-            record.event = event
-    return record
+    grid = config.grid
+    move, hare, stag_options, t_max = grid.move, grid.hare, grid.stag_options, config.t_max
+    a0, a1, stag = grid.starts
+    t = 0
+    transitions = []
+    while True:
+        state = (a0, a1, stag, t)
+        act0 = policy(state, 0, rng)
+        act1 = policy(state, 1, rng)
+        transitions.append((state, act0, act1))
+        a0 = move[a0][act0]
+        a1 = move[a1][act1]
+        if stag_options is not None:
+            options = stag_options[stag]
+            stag = options[rng.integers(len(options))]
+        t += 1
+        if a0 == stag == a1 or hare[a0] or hare[a1] or t >= t_max:
+            break
+
+    on_stag = (a0 == stag, a1 == stag)
+    on_hare = (hare[a0], hare[a1])
+    if all(on_stag):
+        event = StepEvent("stag_joint", (config.reward_stag_joint,) * 2, (False, False), on_stag)
+    elif any(on_hare):
+        alone, out = config.reward_hare_alone, config.reward_left_out
+        rewards = (config.reward_hare_shared,) * 2 if all(on_hare) else (
+            (alone, out) if on_hare[0] else (out, alone))
+        event = StepEvent("hare", rewards, on_hare, on_stag)
+    else:
+        event = StepEvent("timeout", (0.0, 0.0), (False, False), on_stag)
+    return EpisodeRecord(config, transitions, event.rewards, label_episode(event), event)
 
 
 EPISODE_LOG_COLUMNS = (
@@ -254,22 +226,32 @@ EPISODE_LOG_COLUMNS = (
 
 def episode_transition_rows(record: EpisodeRecord) -> list[tuple]:
     """Flatten an episode into CSV rows (one per transition, pre-move state)."""
+    width = record.config.width
+    last = len(record.transitions) - 1
     rows = []
-    for step_index, (state, actions, rewards, next_state) in enumerate(record.transitions):
-        (a0x, a0y), (a1x, a1y) = state.agent_positions
+    for step_index, ((a0, a1, stag, _), act0, act1) in enumerate(record.transitions):
+        rewards = record.terminal_rewards if step_index == last else (0.0, 0.0)
         rows.append(
             (
-                step_index, a0x, a0y, a1x, a1y,
-                state.stag_position[0], state.stag_position[1],
-                actions[0].name.lower(), actions[1].name.lower(),
-                rewards[0], rewards[1], next_state.terminated,
+                step_index, a0 % width, a0 // width, a1 % width, a1 // width,
+                stag % width, stag // width, act0.name.lower(), act1.name.lower(),
+                *rewards, step_index == last,
             )
         )
     return rows
 
 
+_CONFIG_KEYS = ("width", "height", "obstacles", "hare_cells", "stag_start", "agent_starts",
+                "t_max", "stag_motion", "rewards")
+_REWARD_KEYS = ("stag_joint", "hare_shared", "hare_alone", "left_out")
+
+
 def config_from_dict(raw: dict) -> GridConfig:
     rewards = raw.get("rewards", {})
+    for what, given, known in (("grid", raw, _CONFIG_KEYS), ("grid reward", rewards, _REWARD_KEYS)):
+        unknown = sorted(set(given) - set(known))
+        if unknown:
+            raise ValueError(f"unknown {what} keys {unknown}; expected some of {list(known)}")
     return GridConfig(
         width=raw.get("width", 4),
         height=raw.get("height", 4),

@@ -20,13 +20,7 @@ import numpy as np
 
 from .beliefs import ToMState, make_tom_state, update_beliefs
 from .game import C, KNOWN_LABELS, PolicyLabel
-from .gridworld import (
-    EpisodeRecord,
-    GridAction,
-    GridConfig,
-    GridState,
-    run_episode,
-)
+from .gridworld import EpisodeRecord, GridAction, GridConfig, State, run_episode
 from .shaping import (
     GuiltParams,
     InequityParams,
@@ -38,9 +32,8 @@ from .shaping import (
 
 ACTIONS = tuple(GridAction)
 N_ACTIONS = len(ACTIONS)
-ACTION_INDEX = {a: i for i, a in enumerate(ACTIONS)}
 
-ObsKey = tuple
+ObsKey = int
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,34 +48,38 @@ class LearnerConfig:
 
 @dataclass(slots=True)
 class PolicyParams:
-    """Tabular softmax policy and state-value table.
+    """Tabular softmax policy and state-value table, one row per observation key.
 
-    dists caches, per key, the row that update_policies last wrote with its
-    action probabilities and normalised cumulative sums as Python floats. An
-    entry is valid only while its row is the very object in preferences; the
-    rows update_policies writes are read-only, so such a row cannot change.
+    A key gets the next row on its first visit (`row`), with zero
+    preferences and a zero value. dists[r] holds row r's action
+    probabilities and normalised cumulative sums. update_policies refreshes
+    it for every row it writes; it is None for a row no update has written,
+    or one it left non-finite. Code that writes a row by other means must
+    set its entry to None.
     """
 
     hyper: LearnerConfig = field(default_factory=LearnerConfig)
-    preferences: dict[ObsKey, np.ndarray] = field(default_factory=dict)
-    values: dict[ObsKey, float] = field(default_factory=dict)
-    dists: dict[ObsKey, tuple[np.ndarray, list[float], list[float]]] = field(default_factory=dict)
+    rows: dict[ObsKey, int] = field(default_factory=dict)
+    preferences: list[list[float]] = field(default_factory=list)
+    values: list[float] = field(default_factory=list)
+    dists: list[tuple[list[float], list[float]] | None] = field(default_factory=list)
 
-    def prefs(self, key: ObsKey) -> np.ndarray:
-        if key not in self.preferences:
-            self.preferences[key] = np.zeros(N_ACTIONS)
-        return self.preferences[key]
+    def row(self, key: ObsKey) -> int:
+        r = self.rows.get(key)
+        if r is None:
+            r = self.rows[key] = len(self.rows)
+            self.preferences.append([0.0] * N_ACTIONS)
+            self.values.append(0.0)
+            self.dists.append(None)
+        return r
 
-    def value(self, key: ObsKey) -> float:
-        return self.values.get(key, 0.0)
 
-
-def observation_key(state: GridState, agent_index: int, config: LearnerConfig) -> ObsKey:
-    """Discrete, injective encoding of what one agent sees."""
-    own = state.agent_positions[agent_index]
-    other = state.agent_positions[1 - agent_index]
-    bucket = state.timestep // config.time_bucket_width
-    return (own, other, state.stag_position, bucket)
+def observation_key(state: State, agent_index: int, bucket_width: int, cells: int) -> ObsKey:
+    """What one agent sees, (time bucket, own cell, other's cell, stag's cell), as one
+    int; injective for cell numbers below cells."""
+    own = state[agent_index]
+    other = state[1 - agent_index]
+    return ((state[3] // bucket_width * cells + own) * cells + other) * cells + state[2]
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -93,7 +90,7 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def action_probs(policy: PolicyParams, key: ObsKey) -> np.ndarray:
-    return _softmax(policy.prefs(key))
+    return _softmax(np.array(policy.preferences[policy.row(key)]))
 
 
 def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -240,60 +237,64 @@ def update_policies(policies: Sequence[PolicyParams], episodes: Sequence["Shaped
     """Run the clipped-surrogate epochs for several policies, each on its own episode.
 
     The policies' tables are independent but share one LearnerConfig, so
-    every epoch is one array pass over all of their episode rows stacked
-    together. A zero clip ratio pins every ratio at 1, so the surrogate is
-    constant and the update is skipped outright.
+    every epoch is one array pass over all of their episode rows gathered
+    into one stack, which is then scattered back. A zero clip ratio pins
+    every ratio at 1, so the surrogate is constant and the update is
+    skipped outright.
     """
     cfg = policies[0].hyper
     if any(policy.hyper != cfg for policy in policies):
         raise ValueError("update_policies needs policies that share one LearnerConfig")
-    if not all(episode.keys for episode in episodes):
+    if not all(episode.rows for episode in episodes):
         raise ValueError("update_policies needs a non-empty episode")
     if cfg.clip_ratio == 0.0:
         return
 
-    # one table of rows over all the policies: a key seen by two policies is two rows
-    tables: dict[tuple[int, ObsKey], np.ndarray] = {}
-    batch: list[BatchItem] = []
-    all_returns = []
-    for p, (policy, episode) in enumerate(zip(policies, episodes)):
+    # each policy's distinct rows in order of first appearance, stacked by
+    # policy: a key seen by two policies is two rows
+    gathered = []  # (policy, its distinct rows, its episode, the episode's returns)
+    stack: list[list[float]] = []
+    slots, actions, old_p, adv = [], [], [], []
+    for policy, episode in zip(policies, episodes):
         returns = discounted_returns(episode.rewards, cfg.gamma)
-        all_returns.append(returns)
-        steps = zip(episode.keys, episode.actions, episode.behaviour_probs, returns)
-        for key, action, old_p, ret in steps:
-            tables[p, key] = policy.prefs(key)  # materialise rows before differentiating
-            batch.append(((p, key), ACTION_INDEX[action], old_p, ret - policy.value(key)))
-    slots, prefs, items = _gather(tables, batch)
+        first: dict[int, int] = {}
+        slots += [first.setdefault(r, len(stack) + len(first)) for r in episode.rows]
+        stack += [policy.preferences[r] for r in first]
+        gathered.append((policy, list(first), episode, returns))
+        values = policy.values
+        adv += [ret - values[r] for r, ret in zip(episode.rows, returns)]
+        actions += episode.actions
+        old_p += episode.behaviour_probs
+    prefs = np.array(stack)
+    items = _Items.build(slots, actions, old_p, adv)
 
     for _ in range(cfg.epochs):
         prefs = prefs + cfg.step_size * _gradient(prefs, items, cfg.clip_ratio, cfg.entropy_weight)
     # the next episodes' action distributions, as sample_index would compute
     # them row by row: softmax, cumsum and division all work within a row
-    prefs.flags.writeable = False  # a cached row is replaced, never edited in place
     probs = _softmax(prefs)
     cdf = probs.cumsum(axis=1)
     finite = np.isfinite(cdf[:, -1]).tolist()
     cdf /= cdf[:, -1:]
-    for (p, key), row, ok, row_probs, row_cdf in zip(
-        slots, prefs, finite, probs.tolist(), cdf.tolist()
-    ):
-        policies[p].preferences[key] = row
-        if ok:  # a non-finite row is left to sample_index, which raises
-            policies[p].dists[key] = (row, row_probs, row_cdf)
-    # single squared-error step toward the returns, after the policy epochs,
-    # so the baseline tracks a running mean instead of swallowing the batch
-    for policy, episode, returns in zip(policies, episodes, all_returns):
-        for key, ret in zip(episode.keys, returns):
-            value = policy.value(key)
-            policy.values[key] = value + cfg.step_size * (ret - value)
+    written = zip(prefs.tolist(), probs.tolist(), cdf.tolist(), finite)
+    for policy, rows, episode, returns in gathered:
+        preferences, dists, values = policy.preferences, policy.dists, policy.values
+        for r, (row, row_probs, row_cdf, ok) in zip(rows, written):
+            preferences[r] = row
+            # a non-finite row gets no entry: playing it reaches sample_index, which raises
+            dists[r] = (row_probs, row_cdf) if ok else None
+        # single squared-error step toward the returns, after the policy epochs,
+        # so the baseline tracks a running mean instead of swallowing the batch
+        for r, ret in zip(episode.rows, returns):
+            values[r] += cfg.step_size * (ret - values[r])
 
 
 @dataclass(slots=True)
 class ShapedEpisode:
-    """An episode flattened to per-step training rows for one agent."""
+    """An episode flattened to per-step training rows for one agent's policy."""
 
-    keys: list[ObsKey]
-    actions: list[GridAction]
+    rows: list[int]  # the policy's table row for each step's observation
+    actions: list[int]  # indices into ACTIONS
     behaviour_probs: list[float]
     rewards: list[float]
 
@@ -390,40 +391,39 @@ def play_iteration(
 ) -> tuple[EpisodeRecord, tuple[ShapingDetail, ShapingDetail], list[ShapedEpisode]]:
     """Play one episode, reveal labels and shape terminal rewards; no policy update."""
     policies = tuple(learner.policy for learner in learners)
-    keys: list[list[ObsKey]] = [[], []]
-    behaviour: list[list[float]] = [[], []]
+    widths = tuple(policy.hyper.time_bucket_width for policy in policies)
+    cells = config.width * config.height
+    episodes = [ShapedEpisode([], [], [], []) for _ in policies]
 
-    def joint_policy(state: GridState, agent_index: int, step_rng: np.random.Generator) -> GridAction:
+    def joint_policy(state: State, agent_index: int, step_rng: np.random.Generator) -> GridAction:
         policy = policies[agent_index]
-        key = observation_key(state, agent_index, policy.hyper)
-        entry = policy.dists.get(key)
-        if entry is not None and entry[0] is policy.preferences.get(key):
-            # sample_index's draw on the cached distribution
-            _, probs, cdf = entry
-            idx = bisect_right(cdf, step_rng.random())
-            p = probs[idx]
-        else:
+        key = observation_key(state, agent_index, widths[agent_index], cells)
+        r = policy.row(key)
+        entry = policy.dists[r]
+        if entry is None:
             probs = action_probs(policy, key)
             idx = sample_index(probs, step_rng)
             p = float(probs[idx])
-        keys[agent_index].append(key)
-        behaviour[agent_index].append(p)
+        else:  # sample_index's draw on the cached distribution
+            probs, cdf = entry
+            idx = bisect_right(cdf, step_rng.random())
+            p = probs[idx]
+        episode = episodes[agent_index]
+        episode.rows.append(r)
+        episode.actions.append(idx)
+        episode.behaviour_probs.append(p)
         return ACTIONS[idx]
 
     record = run_episode(config, joint_policy, rng)
     label_matrix = config.label_payoffs()
 
-    details = []
-    episodes = []
-    for i, learner in enumerate(learners):
-        detail = _shaped_terminal_reward(
-            learner, record.labels, record.terminal_rewards, i, label_matrix
-        )
-        details.append(detail)
-        actions = [acts[i] for _, acts, _, _ in record.transitions]
-        rewards = [0.0] * (len(record.transitions) - 1) + [detail.shaped]
-        episodes.append(ShapedEpisode(keys[i], actions, behaviour[i], rewards))
-    return record, (details[0], details[1]), episodes
+    details = tuple(
+        _shaped_terminal_reward(learner, record.labels, record.terminal_rewards, i, label_matrix)
+        for i, learner in enumerate(learners)
+    )
+    for episode, detail in zip(episodes, details):
+        episode.rewards = [0.0] * (len(record.transitions) - 1) + [detail.shaped]
+    return record, details, episodes
 
 
 # One run: its two learners, its grid and its own generator.

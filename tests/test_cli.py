@@ -215,6 +215,9 @@ def test_manifest_records_run_telemetry_outside_the_hash(tmp_path, command):
             telemetry["units"] / telemetry["experiment_wall_s"]
         )
         assert telemetry["write_s"] >= 0
+        if command == "gridworld":  # two runs of 3 episodes
+            assert sum(telemetry["episode_ends"].values()) == 2 * 3
+            assert telemetry["episode_length_mean"] >= 1
         # the hash covers the resolved spec only
         fixed = ("command", "config_hash", "base_seed", "package_version", "created_utc",
                  "telemetry")

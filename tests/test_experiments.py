@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -171,12 +173,13 @@ def _lane_trace(lanes, iterations, cached=True):
         if not cached:
             for learners, _, _ in lanes:
                 for learner in learners:
-                    learner.policy.dists.clear()
+                    learner.policy.dists[:] = [None] * len(learner.policy.dists)
     for trace, (learners, _, _) in zip(traces, lanes):
         for learner in learners:
+            policy = learner.policy
             trace.append(learner.tom)
-            trace.append(sorted((k, v.tobytes()) for k, v in learner.policy.preferences.items()))
-            trace.append(sorted(learner.policy.values.items()))
+            trace.append(sorted((k, policy.preferences[r], policy.values[r])
+                                for k, r in policy.rows.items()))
     return traces
 
 
@@ -197,7 +200,10 @@ def test_lockstep_lanes_match_each_run_played_alone(stag_motion):
     together = _lane_trace([_gridworld_lane(*p) for p in payloads], spec.iterations)
     alone = [_lane_trace([_gridworld_lane(*p)], spec.iterations)[0] for p in payloads]
     assert together == alone
-    assert _gridworld_block(payloads) == [_gridworld_block([p])[0] for p in payloads]
+    rows, ends = _gridworld_block(payloads)
+    alone_blocks = [_gridworld_block([p]) for p in payloads]
+    assert rows == [block_rows[0] for block_rows, _ in alone_blocks]
+    assert ends == sum((block_ends for _, block_ends in alone_blocks), Counter())
 
 
 @pytest.mark.parametrize("stag_motion", ["static", None])
@@ -208,9 +214,9 @@ def test_cached_distributions_are_the_per_row_ones_after_every_update(stag_motio
     for _ in run_lanes(lanes, spec.iterations):
         for policy in policies:
             # every row an episode reached was updated, so every row has an entry
-            assert policy.dists.keys() == policy.preferences.keys()
-            for key, (row, probs, cdf) in policy.dists.items():
-                assert row is policy.preferences[key]
+            assert len(policy.dists) == len(policy.rows) and None not in policy.dists
+            for key, r in policy.rows.items():
+                probs, cdf = policy.dists[r]
                 expected = action_probs(policy, key)
                 total = expected.cumsum()
                 assert probs == expected.tolist()
@@ -261,6 +267,31 @@ def test_pool_has_no_more_workers_than_payloads(monkeypatch):
     # about four chunks a worker: 72 payloads at 2 jobs go in 8 chunks of 9
     assert experiments._pmap(abs, list(range(-72, 0)), 2) == list(range(72, 0, -1))
     assert _RecordingPool.chunks == [1, 1, 9]
+
+
+def test_gridworld_telemetry_counts_every_episode_by_its_end():
+    spec = GridworldSpec(scenarios=("near-stag", "near-hares"), variants=("individual", "tomaga"),
+                         seeds=2, iterations=30, window=10, stag_motion=None)
+    telemetry = run_gridworld_comparison(spec, base_seed=8, jobs=2).telemetry
+    ends = telemetry["episode_ends"]
+    assert sum(ends.values()) == 8 * spec.iterations  # runs x iterations
+    # the same counts from each run's detail log: joint capture labels both C,
+    # a timeout neither C nor U, and a hare leaves a U
+    from staghunt.experiments import run_gridworld_detail
+
+    kinds: Counter = Counter()
+    lengths = []
+    for scenario in spec.scenarios:
+        for variant in spec.variants:
+            for seed in range(spec.seeds):
+                for row in run_gridworld_detail(spec, scenario, variant, seed, base_seed=8).rows:
+                    labels = (row[2], row[3])
+                    kinds["stag_joint" if labels == ("C", "C") else
+                          "timeout" if labels == ("unknown", "unknown") else "hare"] += 1
+                    lengths.append(row[1])
+    assert ends == dict(kinds)
+    assert min(ends.values()) > 0
+    assert telemetry["episode_length_mean"] == pytest.approx(sum(lengths) / len(lengths))
 
 
 def test_gridworld_comparison_reproducible():

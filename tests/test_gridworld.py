@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +10,12 @@ from staghunt.game import C, U, UNKNOWN
 from staghunt.gridworld import (
     GridAction,
     GridConfig,
-    GridState,
     StepEvent,
     config_from_dict,
-    initial_state,
+    episode_transition_rows,
     label_episode,
     make_scenario,
     run_episode,
-    step,
 )
 
 
@@ -33,86 +34,96 @@ def simple_config(**overrides) -> GridConfig:
     return GridConfig(**base)
 
 
+def play(config, *moves, seed=0):
+    """An episode whose agents play moves[t] = (action 0, action 1) at step t, then stay."""
+
+    def policy(state, agent_index, rng):
+        t = state[3]
+        return moves[t][agent_index] if t < len(moves) else GridAction.STAY
+
+    return run_episode(config, policy, np.random.default_rng(seed))
+
+
+def xy(config, cell):
+    return (cell % config.width, cell // config.width)
+
+
+def is_free(config, cell):
+    return config.in_bounds(cell) and cell not in config.obstacles
+
+
+def positions_before(record, step):
+    """Both agents' (x, y) cells before the given step."""
+    a0, a1, _, _ = record.transitions[step][0]
+    return (xy(record.config, a0), xy(record.config, a1))
+
+
 # --- movement and termination mechanics ---------------------------------------
 
 
 def test_joint_move_onto_static_stag_captures_it():
-    config = simple_config()
-    state = initial_state(config)
-    new, event = step(state, config, (GridAction.RIGHT, GridAction.LEFT), np.random.default_rng(0))
-    assert new.terminated
-    assert event.kind == "stag_joint"
-    assert event.rewards == (4.0, 4.0)
+    record = play(simple_config(), (GridAction.RIGHT, GridAction.LEFT))
+    assert len(record.transitions) == 1
+    assert record.event.kind == "stag_joint"
+    assert record.event.rewards == (4.0, 4.0)
 
 
 def test_lone_hare_capture_pays_three_and_zero():
-    config = simple_config(agent_starts=((0, 2), (3, 0)))
-    state = initial_state(config)
-    new, event = step(state, config, (GridAction.DOWN, GridAction.STAY), np.random.default_rng(0))
-    assert event.kind == "hare"
-    assert event.rewards == (3.0, 0.0)
-    assert event.hare_captors == (True, False)
+    record = play(simple_config(agent_starts=((0, 2), (3, 0))), (GridAction.DOWN, GridAction.STAY))
+    assert record.event.kind == "hare"
+    assert record.event.rewards == (3.0, 0.0)
+    assert record.event.hare_captors == (True, False)
 
 
 def test_simultaneous_hare_capture_pays_two_each():
-    config = simple_config(agent_starts=((0, 2), (3, 2)))
-    state = initial_state(config)
-    new, event = step(state, config, (GridAction.DOWN, GridAction.DOWN), np.random.default_rng(0))
-    assert event.rewards == (2.0, 2.0)
+    record = play(simple_config(agent_starts=((0, 2), (3, 2))), (GridAction.DOWN, GridAction.DOWN))
+    assert record.event.rewards == (2.0, 2.0)
 
 
 def test_boundary_move_resolves_to_stay():
-    config = simple_config()
-    state = initial_state(config)
-    new, event = step(state, config, (GridAction.LEFT, GridAction.UP), np.random.default_rng(0))
-    assert new.agent_positions == ((0, 0), (2, 0))
+    record = play(simple_config(), (GridAction.LEFT, GridAction.UP))
+    assert positions_before(record, 1) == ((0, 0), (2, 0))
 
 
 def test_obstacle_move_resolves_to_stay():
-    config = simple_config(agent_starts=((2, 1), (3, 0)))
-    state = initial_state(config)
-    new, _ = step(state, config, (GridAction.DOWN, GridAction.STAY), np.random.default_rng(0))
-    assert new.agent_positions[0] == (2, 1)
+    record = play(simple_config(agent_starts=((2, 1), (3, 0))), (GridAction.DOWN, GridAction.STAY))
+    assert positions_before(record, 1)[0] == (2, 1)
 
 
 def test_timeout_after_t_max_steps():
-    config = simple_config(t_max=3)
-    state = initial_state(config)
-    rng = np.random.default_rng(0)
-    events = []
-    for _ in range(3):
-        state, event = step(state, config, (GridAction.STAY, GridAction.STAY), rng)
-        events.append(event)
-    assert events[:2] == [None, None]
-    assert events[2].kind == "timeout"
-    assert events[2].rewards == (0.0, 0.0)
-    assert state.terminated
+    record = play(simple_config(t_max=3))
+    rows = episode_transition_rows(record)
+    assert [row[-1] for row in rows] == [False, False, True]
+    assert record.event.kind == "timeout"
+    assert record.event.rewards == (0.0, 0.0)
 
 
-def test_stepping_a_terminated_state_raises():
-    config = simple_config(t_max=1)
-    state = initial_state(config)
-    state, _ = step(state, config, (GridAction.STAY, GridAction.STAY), np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        step(state, config, (GridAction.STAY, GridAction.STAY), np.random.default_rng(0))
+def test_an_episode_is_never_stepped_past_its_end():
+    calls = []
+
+    def policy(state, agent_index, rng):
+        calls.append(state)
+        return GridAction.STAY
+
+    record = run_episode(simple_config(t_max=1), policy, np.random.default_rng(0))
+    assert len(record.transitions) == 1
+    assert len(calls) == 2  # one query per agent, for the only step
 
 
 def test_agents_may_share_a_cell():
-    config = simple_config(agent_starts=((1, 1), (1, 3)))
-    state = initial_state(config)
-    new, _ = step(state, config, (GridAction.DOWN, GridAction.UP), np.random.default_rng(0))
-    assert new.agent_positions == ((1, 2), (1, 2))
+    record = play(simple_config(agent_starts=((1, 1), (1, 3))), (GridAction.DOWN, GridAction.UP))
+    assert positions_before(record, 1) == ((1, 2), (1, 2))
 
 
 def test_random_walk_stag_stays_on_free_cells():
     config = simple_config(stag_motion="random_walk", obstacles=frozenset({(1, 1), (2, 2)}))
     rng = np.random.default_rng(42)
-    state = initial_state(config)
-    for _ in range(200):
-        if state.terminated:
-            state = initial_state(config)
-        state, _ = step(state, config, (GridAction.STAY, GridAction.STAY), rng)
-        assert config.is_free(state.stag_position)
+    steps = 0
+    while steps < 200:
+        record = run_episode(config, lambda state, i, r: GridAction.STAY, rng)
+        steps += len(record.transitions)
+        for (_, _, stag, _), _, _ in record.transitions:
+            assert is_free(config, xy(config, stag))
 
 
 # --- labelling ------------------------------------------------------------------
@@ -155,6 +166,36 @@ def test_config_rejects_out_of_bounds_and_overlaps():
         simple_config(agent_starts=((0, 3), (2, 0)))  # on a hare
     with pytest.raises(ValueError):
         simple_config(stag_motion="teleport")
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(obstacles=frozenset({(2, 2), (9, 9)})),
+        dict(obstacles=frozenset({(-1, 0)})),
+        dict(agent_starts=((0, 0),)),
+        dict(agent_starts=((0, 0), (2, 0), (3, 0))),
+    ],
+    ids=["obstacle-at-9-9", "obstacle-at-minus-1", "one-agent-start", "three-agent-starts"],
+)
+def test_config_rejects_a_bad_obstacle_or_agent_count(overrides):
+    with pytest.raises(ValueError, match="obstacle out of bounds|agent_starts must hold 2"):
+        simple_config(**overrides)
+
+
+@pytest.mark.parametrize(
+    "raw, unknown",
+    [
+        ({"hare_cell": [[0, 3]]}, "hare_cell"),
+        ({"rewards": {"stag": 9}}, "stag"),
+    ],
+    ids=["typo-hare-cell", "unknown-reward"],
+)
+def test_config_from_dict_rejects_unknown_keys(raw, unknown):
+    base = {"stag_start": [1, 0], "agent_starts": [[0, 0], [2, 0]]}
+    config_from_dict(base)  # the base layout alone is valid
+    with pytest.raises(ValueError, match=f"unknown grid.*'{unknown}'"):
+        config_from_dict({**base, **raw})
 
 
 def test_reward_levels_must_form_a_stag_hunt():
@@ -229,9 +270,9 @@ def test_episode_rewards_and_labels_are_consistent(seed):
     """Exactly one termination; rewards only at the end; labels match rewards."""
     config = make_scenario("near-hares")
     record = run_episode(config, random_policy, np.random.default_rng(seed))
-    *body, last = record.transitions
-    assert all(rewards == (0.0, 0.0) for _, _, rewards, _ in body)
-    assert last[3].terminated
+    *body, last = episode_transition_rows(record)
+    assert all(row[9:] == (0.0, 0.0, False) for row in body)
+    assert last[11] is True
     assert record.terminal_rewards in {
         (4.0, 4.0), (2.0, 2.0), (3.0, 0.0), (0.0, 3.0), (0.0, 0.0)
     }
@@ -246,7 +287,7 @@ def test_episode_rewards_and_labels_are_consistent(seed):
 
 
 def test_episode_transition_rows_flatten_the_record():
-    from staghunt.gridworld import EPISODE_LOG_COLUMNS, episode_transition_rows
+    from staghunt.gridworld import EPISODE_LOG_COLUMNS
 
     config = make_scenario("near-hares")
     record = run_episode(config, random_policy, np.random.default_rng(5))
@@ -256,3 +297,179 @@ def test_episode_transition_rows_flatten_the_record():
     assert rows[0][0] == 0
     assert rows[-1][-1] is True  # last transition terminates
     assert rows[-1][9:11] == record.terminal_rewards
+
+
+# --- differential check against the tuple stepper ---------------------------------
+#
+# The stepper the integer engine replaced, kept as it was apart from its
+# names, GridConfig.is_free (now is_free above) and the record it returns:
+# every cell a tuple, a frozen state per step. run_episode must replay it
+# exactly, draw for draw.
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class TupleState:
+    agent_positions: tuple
+    stag_position: tuple
+    timestep: int
+    terminated: bool
+
+
+def tuple_initial_state(config):
+    return TupleState(config.agent_starts, config.stag_start, 0, False)
+
+
+def _tuple_resolve_move(config, cell, action):
+    dx, dy = action.delta
+    target = (cell[0] + dx, cell[1] + dy)
+    return target if is_free(config, target) else cell
+
+
+def _tuple_move_stag(config, stag, rng):
+    if config.stag_motion == "static":
+        return stag
+    options = [stag]
+    for action in (GridAction.LEFT, GridAction.UP, GridAction.DOWN, GridAction.RIGHT):
+        dx, dy = action.delta
+        target = (stag[0] + dx, stag[1] + dy)
+        if is_free(config, target):
+            options.append(target)
+    return options[rng.integers(len(options))]
+
+
+def tuple_step(state, config, actions, rng):
+    if state.terminated:
+        raise ValueError("cannot step a terminated episode")
+
+    positions = tuple(
+        _tuple_resolve_move(config, pos, act) for pos, act in zip(state.agent_positions, actions)
+    )
+    stag = _tuple_move_stag(config, state.stag_position, rng)
+    timestep = state.timestep + 1
+
+    on_stag = tuple(pos == stag for pos in positions)
+    on_hare = tuple(pos in config.hare_cells for pos in positions)
+
+    event = None
+    if all(on_stag):
+        event = StepEvent(
+            kind="stag_joint",
+            rewards=(config.reward_stag_joint, config.reward_stag_joint),
+            hare_captors=(False, False),
+            on_stag=(True, True),
+        )
+    elif any(on_hare):
+        if all(on_hare):
+            rewards = (config.reward_hare_shared, config.reward_hare_shared)
+        elif on_hare[0]:
+            rewards = (config.reward_hare_alone, config.reward_left_out)
+        else:
+            rewards = (config.reward_left_out, config.reward_hare_alone)
+        event = StepEvent(kind="hare", rewards=rewards, hare_captors=on_hare, on_stag=on_stag)
+    elif timestep >= config.t_max:
+        event = StepEvent(
+            kind="timeout", rewards=(0.0, 0.0), hare_captors=(False, False), on_stag=on_stag
+        )
+
+    new_state = TupleState(positions, stag, timestep, event is not None)
+    return new_state, event
+
+
+def tuple_run_episode(config, policy, rng):
+    """(transitions, event, labels) with the policy queried on TupleStates."""
+    transitions, event = [], None
+    state = tuple_initial_state(config)
+    while not state.terminated:
+        actions = (policy(state, 0, rng), policy(state, 1, rng))
+        new_state, event = tuple_step(state, config, actions, rng)
+        rewards = event.rewards if event is not None else (0.0, 0.0)
+        transitions.append((state, actions, rewards, new_state))
+        state = new_state
+    return transitions, event, label_episode(event)
+
+
+def tuple_rows(transitions):
+    """The tuple stepper's transitions as episode_transition_rows flattens them."""
+    return [
+        (k, *state.agent_positions[0], *state.agent_positions[1], *state.stag_position,
+         actions[0].name.lower(), actions[1].name.lower(), *rewards, after.terminated)
+        for k, (state, actions, rewards, after) in enumerate(transitions)
+    ]
+
+
+@pytest.mark.parametrize("stag_motion", ["random_walk", "static"])
+@pytest.mark.parametrize("scenario", ["near-stag", "near-hares"])
+def test_integer_engine_replays_the_tuple_stepper(scenario, stag_motion):
+    config = dataclasses.replace(make_scenario(scenario), stag_motion=stag_motion)
+    kinds = set()
+    for seed in range(250):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        record = run_episode(config, random_policy, ours)
+        transitions, event, labels = tuple_run_episode(config, random_policy, theirs)
+        assert episode_transition_rows(record) == tuple_rows(transitions), seed
+        # the state after the last step shows only through the event
+        assert record.event == event
+        assert record.labels == labels
+        assert record.terminal_rewards == event.rewards
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        kinds.add(event.kind)
+    assert kinds == {"stag_joint", "hare", "timeout"}
+
+
+# --- independent check: exact episode ends under uniform play ---------------------
+
+
+def exact_end_probabilities(config):
+    """P(stag_joint), P(hare), P(timeout) of one episode under uniform play, static stag.
+
+    Forward recursion over the agents' joint positions, on (x, y) cells and
+    the config's fields alone: each step every one of the 25 joint actions
+    has probability 1/25, and a move into a wall or an obstacle stays put.
+    """
+    assert config.stag_motion == "static"
+    stag = config.stag_start
+    ends = {"stag_joint": 0.0, "hare": 0.0, "timeout": 0.0}
+    alive = {config.agent_starts: 1.0}
+    for t in range(1, config.t_max + 1):
+        nxt = {}
+        for (p0, p1), prob in alive.items():
+            for a0 in GridAction:
+                for a1 in GridAction:
+                    q0 = _tuple_resolve_move(config, p0, a0)
+                    q1 = _tuple_resolve_move(config, p1, a1)
+                    share = prob / 25
+                    if q0 == stag == q1:
+                        ends["stag_joint"] += share
+                    elif q0 in config.hare_cells or q1 in config.hare_cells:
+                        ends["hare"] += share
+                    elif t == config.t_max:
+                        ends["timeout"] += share
+                    else:
+                        nxt[q0, q1] = nxt.get((q0, q1), 0.0) + share
+        alive = nxt
+    return ends
+
+
+EXACT_ENDS = {  # rounded to 3 places
+    "near-stag": {"stag_joint": 0.222, "hare": 0.406, "timeout": 0.372},
+    "near-hares": {"stag_joint": 0.008, "hare": 0.932, "timeout": 0.060},
+}
+
+
+@pytest.mark.parametrize("scenario", ["near-stag", "near-hares"])
+def test_monte_carlo_episode_ends_match_the_exact_probabilities(scenario):
+    """Each end frequency over n uniform-play episodes lies within 4 binomial
+    standard errors of its exact probability (a false alarm about 6e-5 of the
+    time per kind)."""
+    config = dataclasses.replace(make_scenario(scenario), stag_motion="static")
+    exact = exact_end_probabilities(config)
+    assert sum(exact.values()) == pytest.approx(1.0, abs=1e-12)
+    assert {kind: round(p, 3) for kind, p in exact.items()} == EXACT_ENDS[scenario]
+    n = 20_000
+    rng = np.random.default_rng(2026)
+    counts = dict.fromkeys(exact, 0)
+    for _ in range(n):
+        counts[run_episode(config, random_policy, rng).event.kind] += 1
+    for kind, p in exact.items():
+        bound = 4 * math.sqrt(p * (1 - p) / n)
+        assert abs(counts[kind] / n - p) <= bound, (kind, counts[kind] / n, p, bound)

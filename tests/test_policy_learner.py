@@ -1,10 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from staghunt.game import C, U, UNKNOWN, PayoffMatrix
-from staghunt.gridworld import GridAction, initial_state, make_scenario
+from staghunt.gridworld import GridAction, make_scenario
 from staghunt.policy_learner import (
-    ACTION_INDEX,
     ACTIONS,
     N_ACTIONS,
     LearnerConfig,
@@ -79,54 +80,53 @@ def test_gradient_matches_central_finite_differences(entropy_weight):
             assert analytic == pytest.approx(numeric, rel=1e-4, abs=1e-7)
 
 
+KEY = 1234  # an observation key
+
+
 def test_zero_advantages_leave_preferences_unchanged():
     policy = PolicyParams(hyper=LearnerConfig(entropy_weight=0.0))
-    key = ((0, 0), (1, 1), (2, 2), 0)
-    policy.preferences[key] = np.array([0.3, -0.1, 0.0, 0.2, -0.4])
-    policy.values[key] = 1.0  # matches the return below, so advantage is zero
-    episode = ShapedEpisode(keys=[key], actions=[GridAction.STAY], behaviour_probs=[0.2],
+    row = policy.row(KEY)
+    policy.preferences[row] = [0.3, -0.1, 0.0, 0.2, -0.4]
+    policy.values[row] = 1.0  # matches the return below, so advantage is zero
+    episode = ShapedEpisode(rows=[row], actions=[GridAction.STAY], behaviour_probs=[0.2],
                             rewards=[1.0])
-    before = policy.preferences[key].copy()
+    before = list(policy.preferences[row])
     update_policies([policy], [episode])
-    assert np.allclose(policy.preferences[key], before)
+    assert np.allclose(policy.preferences[row], before)
 
 
 def test_positive_advantage_increases_taken_action_probability():
     policy = PolicyParams(hyper=LearnerConfig())
-    key = ((0, 0), (1, 1), (2, 2), 0)
-    p_before = action_probs(policy, key)[0]
+    p_before = action_probs(policy, KEY)[0]
     episode = ShapedEpisode(
-        keys=[key], actions=[ACTIONS[0]], behaviour_probs=[p_before], rewards=[4.0]
+        rows=[policy.row(KEY)], actions=[0], behaviour_probs=[p_before], rewards=[4.0]
     )
     update_policies([policy], [episode])
-    assert action_probs(policy, key)[0] > p_before
+    assert action_probs(policy, KEY)[0] > p_before
 
 
 def test_zero_clip_ratio_freezes_the_policy():
     policy = PolicyParams(hyper=LearnerConfig(clip_ratio=0.0))
-    key = ((0, 0), (1, 1), (2, 2), 0)
-    episode = ShapedEpisode(
-        keys=[key], actions=[ACTIONS[2]], behaviour_probs=[0.2], rewards=[10.0]
-    )
+    row = policy.row(KEY)
+    episode = ShapedEpisode(rows=[row], actions=[2], behaviour_probs=[0.2], rewards=[10.0])
     update_policies([policy], [episode])
-    assert not policy.preferences or np.allclose(policy.preferences[key], 0.0)
-    assert policy.value(key) == 0.0
+    assert policy.preferences[row] == [0.0] * N_ACTIONS
+    assert policy.values[row] == 0.0
 
 
 def test_policy_stays_a_distribution_after_updates():
     policy = PolicyParams(hyper=LearnerConfig(step_size=0.5))
-    key = ((0, 0), (1, 1), (2, 2), 0)
     rng = np.random.default_rng(0)
     for _ in range(50):
         action = ACTIONS[rng.integers(5)]
-        probs = action_probs(policy, key)
+        probs = action_probs(policy, KEY)
         episode = ShapedEpisode(
-            keys=[key], actions=[action],
+            rows=[policy.row(KEY)], actions=[action],
             behaviour_probs=[float(probs[list(ACTIONS).index(action)])],
             rewards=[float(rng.normal())],
         )
         update_policies([policy], [episode])
-        probs = action_probs(policy, key)
+        probs = action_probs(policy, KEY)
         assert probs.sum() == pytest.approx(1.0)
         assert (probs > 0).all()
 
@@ -139,14 +139,31 @@ def test_policy_update_rejects_empty_episode():
 # --- differential check against the per-item reference ------------------------------
 #
 # The per-item gradient and epoch loop that the array kernel replaced, kept
-# verbatim: the kernel must reproduce them bit for bit, since every
-# grid-world CSV follows from these preferences.
+# verbatim, on the dict tables it ran on: the kernel must reproduce them bit
+# for bit, since every grid-world CSV follows from these preferences.
 
 
 def _ref_softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max()
     e = np.exp(shifted)
     return e / e.sum()
+
+
+@dataclasses.dataclass
+class RefPolicy:
+    """The dict tables the reference update works on: key -> row, key -> value."""
+
+    hyper: LearnerConfig
+    preferences: dict = dataclasses.field(default_factory=dict)
+    values: dict = dataclasses.field(default_factory=dict)
+
+    def prefs(self, key):
+        if key not in self.preferences:
+            self.preferences[key] = np.zeros(N_ACTIONS)
+        return self.preferences[key]
+
+    def value(self, key):
+        return self.values.get(key, 0.0)
 
 
 def _ref_surrogate_gradient(preferences, batch, clip_ratio, entropy_weight):
@@ -183,7 +200,7 @@ def _ref_policy_update(policy, episode):
     for key, action, old_p, ret in zip(episode.keys, episode.actions, episode.behaviour_probs, returns):
         adv = ret - policy.value(key)
         policy.prefs(key)  # materialise rows before differentiating
-        batch.append((key, ACTION_INDEX[action], old_p, adv))
+        batch.append((key, action, old_p, adv))
 
     for _ in range(cfg.epochs):
         grads = _ref_surrogate_gradient(policy.preferences, batch, cfg.clip_ratio, cfg.entropy_weight)
@@ -196,32 +213,60 @@ def _ref_policy_update(policy, episode):
     return policy
 
 
+@dataclasses.dataclass
+class KeyEpisode:
+    """An episode over observation keys, as the reference takes it."""
+
+    keys: list
+    actions: list
+    behaviour_probs: list
+    rewards: list
+
+
 def random_case(seed, hyper, pool=4, table=3):
-    """A policy with random rows for part of a small key pool, and an episode
-    over that pool: keys repeat, some keys are new, and the behaviour
+    """A reference policy with random rows for part of a small key pool, and an
+    episode over that pool: keys repeat, some keys are new, and the behaviour
     probabilities sit both inside and far outside the clip range."""
     rng = np.random.default_rng(seed)
-    keys = [("cell", k) for k in range(pool)]
-    policy = PolicyParams(hyper=hyper)
+    keys = [10 * k + 3 for k in range(pool)]
+    policy = RefPolicy(hyper)
     for key in keys[:table]:
         policy.preferences[key] = rng.normal(0, 1.0, N_ACTIONS)
         policy.values[key] = float(rng.normal(0, 2.0))
     length = int(rng.integers(1, 13))
     episode_keys = [keys[i] for i in rng.integers(pool, size=length)]
-    actions = [ACTIONS[i] for i in rng.integers(N_ACTIONS, size=length)]
+    actions = [int(i) for i in rng.integers(N_ACTIONS, size=length)]
     behaviour = []
     for key, action in zip(episode_keys, actions):
-        p = _ref_softmax(policy.preferences.get(key, np.zeros(N_ACTIONS)))[ACTION_INDEX[action]]
+        p = _ref_softmax(policy.preferences.get(key, np.zeros(N_ACTIONS)))[action]
         behaviour.append(float(np.clip(p * rng.choice([1.0, 0.95, 0.4, 2.5]), 0.01, 0.99)))
     rewards = [float(r) for r in rng.normal(0, 3.0, length)]
-    return policy, ShapedEpisode(episode_keys, actions, behaviour, rewards)
+    return policy, KeyEpisode(episode_keys, actions, behaviour, rewards)
 
 
-def assert_same_tables(a: PolicyParams, b: PolicyParams):
-    assert list(a.preferences) == list(b.preferences)
-    for key in a.preferences:
-        assert np.array_equal(a.preferences[key], b.preferences[key]), key
-    assert a.values == b.values
+def as_policy(ref: RefPolicy) -> PolicyParams:
+    """The reference's tables as PolicyParams rows, in the dicts' order."""
+    policy = PolicyParams(hyper=ref.hyper)
+    for key, prefs in ref.preferences.items():
+        r = policy.row(key)
+        policy.preferences[r] = prefs.tolist()
+        policy.values[r] = ref.value(key)
+    return policy
+
+
+def as_rows(policy: PolicyParams, episode: KeyEpisode) -> ShapedEpisode:
+    rows = [policy.row(key) for key in episode.keys]
+    return ShapedEpisode(rows, episode.actions, episode.behaviour_probs, episode.rewards)
+
+
+def assert_same_tables(policy: PolicyParams, ref: RefPolicy):
+    # a row the reference never made (a zero clip ratio skips its update)
+    # reads as the reference's default: zeros and a zero value
+    assert list(ref.preferences) == list(policy.rows)[: len(ref.preferences)]
+    for key, r in policy.rows.items():
+        expected = ref.preferences.get(key, np.zeros(N_ACTIONS))
+        assert np.array_equal(policy.preferences[r], expected), key
+        assert policy.values[r] == ref.value(key), key
 
 
 HYPERS = [
@@ -238,11 +283,12 @@ SEEDS = range(40)
 @pytest.mark.parametrize("hyper", HYPERS)
 def test_policy_update_matches_per_item_reference(hyper):
     for seed in SEEDS:
-        policy, episode = random_case(seed, hyper)
-        reference, _ = random_case(seed, hyper)
+        reference, episode = random_case(seed, hyper)
+        policy = as_policy(reference)
+        shaped = as_rows(policy, episode)
         # several updates in a row, so the rows drift away from the seed's
         for _ in range(3):
-            update_policies([policy], [episode])
+            update_policies([policy], [shaped])
             _ref_policy_update(reference, episode)
         assert_same_tables(policy, reference)
 
@@ -254,7 +300,7 @@ def test_surrogate_gradient_matches_per_item_reference(clip_ratio, entropy_weigh
         policy, episode = random_case(seed, LearnerConfig(), table=4)
         rng = np.random.default_rng(1000 + seed)
         batch = [
-            (key, ACTION_INDEX[action], p, float(adv))
+            (key, action, p, float(adv))
             for key, action, p, adv in zip(
                 episode.keys, episode.actions, episode.behaviour_probs,
                 rng.normal(0, 2.0, len(episode.keys)),
@@ -271,10 +317,10 @@ def test_surrogate_gradient_matches_per_item_reference(clip_ratio, entropy_weigh
 def test_two_learners_updated_together_match_per_item_reference(hyper):
     """Both learners' rows in one pass: the same key in both tables stays two rows."""
     for seed in SEEDS:
-        together = [random_case(seed, hyper)[0], random_case(seed + 500, hyper)[0]]
         apart = [random_case(seed, hyper)[0], random_case(seed + 500, hyper)[0]]
+        together = [as_policy(ref) for ref in apart]
         episodes = [random_case(seed + 1000, hyper)[1], random_case(seed + 2000, hyper)[1]]
-        update_policies(together, episodes)
+        update_policies(together, [as_rows(p, e) for p, e in zip(together, episodes)])
         for policy, episode in zip(apart, episodes):
             _ref_policy_update(policy, episode)
         for a, b in zip(together, apart):
@@ -283,7 +329,7 @@ def test_two_learners_updated_together_match_per_item_reference(hyper):
 
 def test_update_policies_needs_one_shared_config():
     policies = [PolicyParams(LearnerConfig()), PolicyParams(LearnerConfig(epochs=2))]
-    episode = ShapedEpisode([("s", 0)], [ACTIONS[0]], [0.2], [1.0])
+    episode = ShapedEpisode([0], [0], [0.2], [1.0])
     with pytest.raises(ValueError, match="LearnerConfig"):
         update_policies(policies, [episode, episode])
 
@@ -295,7 +341,7 @@ def test_random_cases_cover_repeats_and_both_clip_branches():
         policy, episode = random_case(seed, LearnerConfig())
         repeats += len(set(episode.keys)) < len(episode.keys)
         for key, action, p in zip(episode.keys, episode.actions, episode.behaviour_probs):
-            ratio = _ref_softmax(policy.prefs(key))[ACTION_INDEX[action]] / p
+            ratio = _ref_softmax(policy.prefs(key))[action] / p
             if 0.8 < ratio < 1.2:
                 unclipped += 1
             else:
@@ -400,30 +446,30 @@ def test_iterations_to_threshold_finds_first_full_window():
 
 
 def test_observation_key_injective_at_unit_bucket_width():
-    from staghunt.gridworld import GridState
-
-    cfg = LearnerConfig(time_bucket_width=1)
-    base = GridState(((0, 0), (2, 1)), (1, 0), 3, False)
+    # states are (agent 0's cell, agent 1's cell, stag's cell, timestep) on 16 cells
+    base = (4, 9, 1, 3)
     variants = [
-        GridState(((0, 1), (2, 1)), (1, 0), 3, False),  # own moved
-        GridState(((0, 0), (3, 1)), (1, 0), 3, False),  # other moved
-        GridState(((0, 0), (2, 1)), (2, 0), 3, False),  # stag moved
-        GridState(((0, 0), (2, 1)), (1, 0), 4, False),  # time advanced
+        (5, 9, 1, 3),  # own moved
+        (4, 10, 1, 3),  # other moved
+        (4, 9, 2, 3),  # stag moved
+        (4, 9, 1, 4),  # time advanced
     ]
-    keys = {observation_key(s, 0, cfg) for s in [base, *variants]}
+    keys = {observation_key(s, 0, 1, 16) for s in [base, *variants]}
     assert len(keys) == 5
     # the two agents see mirrored encodings of the same state
-    assert observation_key(base, 0, cfg) != observation_key(base, 1, cfg)
+    assert observation_key(base, 0, 1, 16) != observation_key(base, 1, 1, 16)
+    # every state of a 4-cell grid over 6 timesteps gets its own key
+    states = [(a, b, c, t) for a in range(4) for b in range(4) for c in range(4) for t in range(6)]
+    assert len({observation_key(s, 0, 1, 4) for s in states}) == len(states)
 
 
 def test_sample_action_tracks_policy_distribution():
     policy = PolicyParams()
-    key = ((1, 1), (2, 2), (0, 0), 0)
-    policy.preferences[key] = np.array([2.0, 0.0, 0.0, 0.0, -2.0])
+    policy.preferences[policy.row(KEY)] = [2.0, 0.0, 0.0, 0.0, -2.0]
     rng = np.random.default_rng(8)
-    draws = [ACTIONS[sample_index(action_probs(policy, key), rng)] for _ in range(4000)]
+    draws = [ACTIONS[sample_index(action_probs(policy, KEY), rng)] for _ in range(4000)]
     freq_first = draws.count(ACTIONS[0]) / len(draws)
-    expected = action_probs(policy, key)[0]
+    expected = action_probs(policy, KEY)[0]
     assert abs(freq_first - expected) < 0.03
 
 
@@ -458,10 +504,9 @@ def test_sample_index_matches_generator_choice_draw_for_draw(probs):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_sample_index_rejects_a_non_finite_preference_row(bad):
     policy = PolicyParams()
-    key = ((0, 0), (1, 1), (2, 2), 0)
-    policy.preferences[key] = np.array([0.0, bad, 0.0, 0.0, 0.0])
+    policy.preferences[policy.row(KEY)] = [0.0, bad, 0.0, 0.0, 0.0]
     with np.errstate(invalid="ignore"):  # inf - inf in the softmax shift
-        probs = action_probs(policy, key)
+        probs = action_probs(policy, KEY)
     with pytest.raises(ValueError, match="finite"):
         sample_index(probs, np.random.default_rng(0))
 
@@ -485,22 +530,24 @@ def _trained_pair(seed=3):
     learners = tuple(make_grid_learner("individual") for _ in range(2))
     config = make_scenario("near-stag")
     next(run_lanes([(learners, config, np.random.default_rng(seed))], 1))
-    key = observation_key(initial_state(config), 0, learners[0].policy.hyper)
+    start = (*config.grid.starts, 0)
+    key = observation_key(start, 0, learners[0].policy.hyper.time_bucket_width, 16)
     return learners, config, key
 
 
 def test_a_row_assigned_after_an_update_is_sampled_not_its_stale_cache():
     learners, config, key = _trained_pair()
     policy = learners[0].policy
-    stale = policy.dists[key][1]
-    with pytest.raises(ValueError, match="read-only"):
-        policy.preferences[key][0] = 1.0  # a cached row cannot change under its entry
+    r = policy.rows[key]
+    stale, _ = policy.dists[r]
+    assert stale == action_probs(policy, key).tolist()  # the update's entry
     favoured = stale.index(min(stale))
-    row = np.full(N_ACTIONS, -50.0)
+    row = [-50.0] * N_ACTIONS
     row[favoured] = 50.0
-    policy.preferences[key] = row
+    policy.preferences[r] = row
+    policy.dists[r] = None  # a row written outside update_policies drops its entry
     _, _, episodes = play_iteration(learners, config, np.random.default_rng(4))
-    assert episodes[0].actions[0] is ACTIONS[favoured]
+    assert episodes[0].actions[0] == favoured
     assert episodes[0].behaviour_probs[0] == float(action_probs(policy, key)[favoured])
     assert episodes[0].behaviour_probs[0] > 0.99 > max(stale)
 
@@ -509,15 +556,17 @@ def test_a_row_assigned_after_an_update_is_sampled_not_its_stale_cache():
 def test_a_non_finite_row_raises_through_play_iteration(bad):
     learners, config, key = _trained_pair()
     policy = learners[0].policy
-    row = np.zeros(N_ACTIONS)
+    r = policy.rows[key]
+    row = [0.0] * N_ACTIONS
     row[1] = bad
-    policy.preferences[key] = row
+    policy.preferences[r] = row
+    policy.dists[r] = None
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
         play_iteration(learners, config, np.random.default_rng(4))
-    # a non-finite row that update_policies writes back gets no valid entry
+    # a non-finite row that update_policies writes back gets no entry
     with np.errstate(invalid="ignore"):
-        update_policies([policy], [ShapedEpisode([key], [ACTIONS[0]], [0.2], [1.0])])
-    assert not np.isfinite(policy.preferences[key]).all()
-    assert policy.dists[key][0] is not policy.preferences[key]
+        update_policies([policy], [ShapedEpisode([r], [0], [0.2], [1.0])])
+    assert not np.isfinite(policy.preferences[r]).all()
+    assert policy.dists[r] is None
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
         play_iteration(learners, config, np.random.default_rng(4))
