@@ -147,6 +147,15 @@ def cmd_analyze(args, config: dict) -> int:
     phi_hi = args.phi_max if args.phi_max is not None else matrix.h
     phi_grid = _grid("phi", phi_lo, phi_hi, args.phi_step)
     theta_grid = _grid("theta", args.theta_min, args.theta_max, args.theta_step)
+    # the cells the scalar route can build: transform_game and GuiltParams reject the rest
+    if phi_grid[0] < matrix.g:
+        raise ValueError(f"--phi-min {phi_lo} is below g = {matrix.g}: phi must lie in [g, h]")
+    if phi_grid[-1] > matrix.h:
+        raise ValueError(f"--phi-max {phi_hi} is above h = {matrix.h}: phi must lie in [g, h]")
+    if not theta_grid[0] > 0:
+        raise ValueError(
+            f"--theta-min {args.theta_min} puts theta {theta_grid[0]} on the grid: theta must be > 0"
+        )
     rows, seconds = _timed(equilibrium_grid_rows, matrix, phi_grid, theta_grid)
     return _finish(args, "analyze", {
         "matrix": matrix.as_dict(),

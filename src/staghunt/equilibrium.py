@@ -151,14 +151,16 @@ def guilt_threshold_f(matrix: PayoffMatrix, theta: float) -> float:
 def _ne_flags_grid(
     matrix: PayoffMatrix, phi: np.ndarray, theta: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Vectorised brute-force equilibrium flags over a (phi, theta) meshgrid.
+    """Vectorised brute-force equilibrium flags over the (phi, theta) grid.
 
     Both players share phi and theta (the symmetric self-play setting).
-    Returns boolean arrays keyed by cell name plus the unique-(C,C) flag.
+    Returns (len(phi), len(theta)) boolean arrays keyed by cell name plus
+    the unique-(C,C) flag, computed by broadcasting a phi column against a
+    theta row (the same elementwise operations as on meshgrid copies).
     Mirrors pure_nash exactly; tests assert the two routes agree.
     """
     h, c, m, g = matrix.h, matrix.c, matrix.m, matrix.g
-    pp, tt = np.meshgrid(phi, theta, indexing="ij")
+    pp, tt = phi[:, None], theta[None, :]
 
     t_cc = h - tt * np.maximum(0.0, pp - h)  # other receives h
     t_cu = g - tt * np.maximum(0.0, pp - c)  # row cooperates, other receives c
@@ -186,7 +188,7 @@ def _observation1_predicted(
     brute-force deviation comparisons bit for bit.
     """
     m, g, c = matrix.m, matrix.g, matrix.c
-    pp, tt = np.meshgrid(phi, theta, indexing="ij")
+    pp, tt = phi[:, None], theta[None, :]
     return (pp > m) & (tt * (np.minimum(pp, c) - m) > (m - g) + PAYOFF_TOL)
 
 
@@ -204,7 +206,7 @@ def observation1_mismatches(
         raise ValueError("phi and theta grids must be non-empty")
     flags = _ne_flags_grid(matrix, phi, theta)
     predicted = _observation1_predicted(matrix, phi, theta)
-    applicable = np.meshgrid(phi, theta, indexing="ij")[0] > matrix.m
+    applicable = phi[:, None] > matrix.m
     return int(np.sum(applicable & (flags["unique_cc"] != predicted)))
 
 
@@ -233,20 +235,31 @@ def equilibrium_grid_rows(
     Cells run phi-major, theta-minor. Each line is byte-equal to what
     csv.writer writes for the row (phi, theta, n_pure_ne, unique_cc,
     threshold_theta): csv writes a float as str(), its shortest round-trip
-    repr, so each distinct phi, theta and threshold is rendered once and the
-    lines are joined from those pieces.
+    repr, so each distinct phi, theta and threshold is rendered once. Within
+    a phi row the flags change at only a few theta columns, so each run of
+    equal flags is joined in one str.join, and the row's text is split back
+    into lines (no piece holds a line boundary other than the "\\r\\n").
     """
     phi = np.asarray(list(phi_grid), dtype=np.float64)
     theta = np.asarray(list(theta_grid), dtype=np.float64)
     flags = _ne_flags_grid(matrix, phi, theta)
     c, m, g = matrix.c, matrix.m, matrix.g
     thetas = [f",{t!r}," for t in theta.tolist()]
-    middles = {(n, u): f"{n},{u}," for n in range(5) for u in (False, True)}
+    # the (n_pure_ne, unique_cc) pair as one int, and where a run of equal pairs starts
+    pair = 2 * flags["n_pure"] + flags["unique_cc"]
+    starts = np.ones(pair.shape, dtype=bool)
+    starts[:, 1:] = pair[:, 1:] != pair[:, :-1]
+    middles = {2 * n + u: f"{n},{u}," for n in range(5) for u in (False, True)}
     lines: list[str] = []
-    for p, n_row, u_row in zip(
-        phi.tolist(), flags["n_pure"].tolist(), flags["unique_cc"].tolist()
-    ):
+    for p, pair_row, starts_row in zip(phi.tolist(), pair, starts):
         threshold = (m - g) / (min(p, c) - m) if p > m else math.inf
         head, tail = repr(p), f"{threshold!r}\r\n"
-        lines += [head + t + middles[n, u] + tail for t, n, u in zip(thetas, n_row, u_row)]
+        cols = np.flatnonzero(starts_row)
+        mids = [middles[k] for k in pair_row[cols].tolist()]
+        bounds = [*cols.tolist(), len(thetas)]
+        text = "".join(
+            head + (mid + tail + head).join(thetas[a:b]) + mid + tail
+            for a, b, mid in zip(bounds, bounds[1:], mids)
+        )
+        lines += text.splitlines(keepends=True)
     return lines

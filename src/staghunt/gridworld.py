@@ -52,7 +52,8 @@ State = tuple[int, int, int, int]
 
 @dataclass(frozen=True, slots=True)
 class CompiledGrid:
-    """A layout as integer tables over cell numbers, built once per GridConfig."""
+    """A layout as integer tables over cell numbers, and its label payoffs,
+    built once per GridConfig."""
 
     move: tuple[tuple[int, ...], ...]  # move[cell][action]: where the move ends, blocked or not
     hare: tuple[bool, ...]
@@ -60,6 +61,7 @@ class CompiledGrid:
     # DOWN and RIGHT; None for a static stag, which draws nothing
     stag_options: tuple[tuple[int, ...], ...] | None
     starts: tuple[int, int, int]  # agent 0, agent 1, stag
+    label_payoffs: PayoffMatrix  # the episode-label reward table as (h, c, m, g)
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,8 +101,8 @@ class GridConfig:
         for i, start in enumerate(self.agent_starts):
             if start in self.hare_cells:
                 raise ValueError(f"agent_start[{i}] may not be a hare cell: {start}")
-        # The four reward levels must themselves form a Stag Hunt.
-        self.label_payoffs()
+        # The four reward levels must themselves form a Stag Hunt: _compile
+        # builds their PayoffMatrix, which checks it.
         object.__setattr__(self, "grid", self._compile())
 
     def in_bounds(self, cell: Cell) -> bool:
@@ -119,18 +121,15 @@ class GridConfig:
         if self.stag_motion == "random_walk":  # the first four actions: LEFT, UP, DOWN, RIGHT
             options = tuple((i, *(to for to in moves[:4] if to != i)) for i, moves in enumerate(move))
         hare = tuple(cell in self.hare_cells for cell in cells)
-        return CompiledGrid(move, hare, options, tuple(
-            free[cell] for cell in (*self.agent_starts, self.stag_start)
-        ))
-
-    def label_payoffs(self) -> PayoffMatrix:
-        """The episode-label reward table as a PayoffMatrix (h, c, m, g)."""
-        return PayoffMatrix(
+        label_payoffs = PayoffMatrix(
             h=self.reward_stag_joint,
             c=self.reward_hare_alone,
             m=self.reward_hare_shared,
             g=self.reward_left_out,
         )
+        return CompiledGrid(move, hare, options, tuple(
+            free[cell] for cell in (*self.agent_starts, self.stag_start)
+        ), label_payoffs)
 
 
 @dataclass(frozen=True, slots=True)

@@ -415,7 +415,7 @@ def play_iteration(
         return ACTIONS[idx]
 
     record = run_episode(config, joint_policy, rng)
-    label_matrix = config.label_payoffs()
+    label_matrix = config.grid.label_payoffs
 
     details = tuple(
         _shaped_terminal_reward(learner, record.labels, record.terminal_rewards, i, label_matrix)

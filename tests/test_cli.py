@@ -405,6 +405,47 @@ def test_analyze_rejects_an_empty_grid_before_any_work(tmp_path, bounds):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bounds, flag", [
+    (("--phi-step", "5", "--theta-min", "-2", "--theta-max", "1", "--theta-step", "1"),
+     "--theta-min"),
+    (("--theta-min", "0", "--theta-max", "1"), "--theta-min"),
+    (("--theta-min", "1e-12", "--theta-max", "1"), "--theta-min"),  # the grid rounds it to 0
+    (("--phi-min", "-10", "--phi-max", "50"), "--phi-min"),
+    (("--phi-max", "50"), "--phi-max"),
+    (("--h", "5", "--c", "4", "--m", "2", "--g", "1", "--phi-min", "0.5"), "--phi-min"),
+])
+def test_analyze_rejects_cells_outside_the_game_before_any_work(tmp_path, monkeypatch, bounds,
+                                                                  flag):
+    # transform_game rejects phi outside [g, h], and GuiltParams theta <= 0
+    from staghunt import cli
+
+    def never(*_):
+        raise AssertionError("equilibrium_grid_rows called on a rejected grid")
+
+    monkeypatch.setattr(cli, "equilibrium_grid_rows", never)
+    out = tmp_path / "o"
+    with pytest.raises(ValueError, match=flag):
+        main(["--out", str(out), "analyze", *bounds])
+    assert not out.exists()
+
+
+def test_analyze_accepts_phi_at_g_and_h(tmp_path):
+    from staghunt import PayoffMatrix, pure_nash, transform_game
+
+    out = tmp_path / "o"
+    assert main(["--out", str(out), "analyze", "--phi-min", "0", "--phi-max", "40",
+                 "--phi-step", "20", "--theta-min", "1", "--theta-max", "2",
+                 "--theta-step", "1"]) == 0
+    rows = read_csv(out / "analyze.csv")[1:]
+    assert [(float(r[0]), float(r[1])) for r in rows] == [
+        (phi, theta) for phi in (0.0, 20.0, 40.0) for theta in (1.0, 2.0)]
+    for phi, theta, n_pure, unique_cc, _ in rows:  # each cell builds on the scalar route
+        report = pure_nash(transform_game(PayoffMatrix(40, 30, 20, 0), float(phi), float(phi),
+                                          float(theta), float(theta)))
+        assert (len(report.pure_equilibria), report.is_unique_cc) == (int(n_pure),
+                                                                     unique_cc == "True")
+
+
 def test_grid_step_grid_stops_at_the_last_point_not_above_one(tmp_path):
     out = tmp_path / "o"
     assert main(["--out", str(out), "matrix-selfplay", "--grid-step", "0.15",
@@ -442,6 +483,13 @@ PINNED_OUTPUTS = {
          "0.5", "--theta-max", "6", "--theta-step", "0.5"),
         {
             "analyze.csv": "437a4e88902e9f3c56ed88f2fa47fba549da6b0bdf04cfec34f03f17c3ab43fa",
+        },
+    ),
+    "analyze_benchmark_grid": (  # 400 phi x 1,000 theta cells, the perfbench analyze grid
+        ("analyze", "--h", "40", "--c", "30", "--m", "20", "--g", "0", "--phi-step", "0.05",
+         "--theta-min", "0.05", "--theta-max", "50", "--theta-step", "0.05"),
+        {
+            "analyze.csv": "c68ab2246c858450d1474d7decaaeedcca46d577927da4236b2a48fdbdbe83d4",
         },
     ),
     "matrix_selfplay_trace": (

@@ -211,8 +211,18 @@ def _csv_text(rows) -> str:
         (Q1, [20 + k * 0.1 for k in range(-5, 120)], [k * 0.3 for k in range(1, 60)]),
         (Q2, [k * 0.3 for k in range(3, 17)], [k * 0.1 for k in range(1, 80)]),
         (Q1, [25.0], [3.0]),
+        # one theta column: one run of equal flags per row
+        (Q1, frange(0, 40, 0.5), [3.0]),
+        # flags change at the first and at the last theta column (threshold 4 at phi 25)
+        (Q1, [25.0, 21.0], [3.0, 5.0, 6.0, 3.5, 25.0]),
+        # each row's threshold (5, 4, 2) is on the theta grid: a tie is not unique (C,C)
+        (Q1, [24.0, 25.0, 30.0], [2.0, 3.0, 4.0, 5.0, 6.0]),
+        # flags change at every column, ties included
+        (Q1, [25.0], [3.0, 5.0, 4.0, 6.0, 2.0, 7.0]),
     ],
-    ids=["q1-inf-and-above-c", "q2", "q1-step-0.1-0.3", "q2-step-0.3-0.1", "single-cell"],
+    ids=["q1-inf-and-above-c", "q2", "q1-step-0.1-0.3", "q2-step-0.3-0.1", "single-cell",
+         "single-theta", "change-at-first-and-last-theta", "threshold-ties",
+         "change-at-every-theta"],
 )
 def test_grid_lines_match_csv_writer_on_the_typed_rows(matrix, phi_grid, theta_grid):
     lines = equilibrium_grid_rows(matrix, phi_grid, theta_grid)

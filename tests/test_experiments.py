@@ -5,8 +5,10 @@ import pytest
 
 from staghunt import PayoffMatrix, experiments
 from staghunt.experiments import (
+    WRITE_CHUNK_LINES,
     AgentParams,
     GridworldSpec,
+    RunResult,
     SweepSpec,
     TournamentSpec,
     _gridworld_block,
@@ -315,6 +317,18 @@ def test_write_csv_round_trip(tmp_path):
         rows = list(csv.reader(fh))
     assert tuple(rows[0]) == result.columns
     assert len(rows) == len(result.rows) + 1
+
+
+@pytest.mark.parametrize("n_lines", [1, WRITE_CHUNK_LINES, WRITE_CHUNK_LINES + 1])
+def test_write_csv_writes_str_rows_as_writelines_would(tmp_path, n_lines):
+    import csv
+
+    lines = [f"{k},{k * 0.1!r}\r\n" for k in range(n_lines)]
+    RunResult(("k", "x"), lines).write_csv(tmp_path / "chunked.csv")
+    with open(tmp_path / "lines.csv", "w", newline="") as fh:
+        csv.writer(fh).writerow(("k", "x"))
+        fh.writelines(lines)
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "lines.csv").read_bytes()
 
 
 def test_gridworld_detail_matches_comparison_run():

@@ -204,7 +204,7 @@ def test_reward_levels_must_form_a_stag_hunt():
 
 
 def test_label_payoffs_expose_the_reward_table():
-    payoffs = simple_config().label_payoffs()
+    payoffs = simple_config().grid.label_payoffs
     assert (payoffs.h, payoffs.c, payoffs.m, payoffs.g) == (4.0, 3.0, 2.0, 0.0)
 
 
@@ -277,7 +277,7 @@ def test_episode_rewards_and_labels_are_consistent(seed):
         (4.0, 4.0), (2.0, 2.0), (3.0, 0.0), (0.0, 3.0), (0.0, 0.0)
     }
     if all(l in (C, U) for l in record.labels):
-        table = config.label_payoffs()
+        table = config.grid.label_payoffs
         expected = (
             table.payoff(record.labels[0], record.labels[1]),
             table.payoff(record.labels[1], record.labels[0]),
