@@ -1,0 +1,95 @@
+#!/usr/bin/env python3
+"""Layer-by-layer seconds of the benchmark's grid-world workload, in one process.
+
+Builds the `gridworld` workload of perfbench/run.py (both layouts, all four
+variants, one seed each, --iterations episodes, base seed 2026), deals its
+8 runs into --jobs blocks as run_gridworld_comparison does, and plays each
+block here, one after another, with timers around the layers of
+policy_learner: play (play_iteration, every lane's episode), update
+(update_policies), and inside update the epochs' _gradient calls and the
+per-iteration _Items.build. Prints one line per block, then checks that the
+timed blocks gave the rows of an untimed run_gridworld_comparison.
+
+    PYTHONPATH=src python scripts/time_gridworld_layers.py [--iterations 300] [--jobs 2]
+"""
+
+from __future__ import annotations
+
+import argparse
+import time
+from collections import Counter
+from contextlib import contextmanager
+
+from staghunt import policy_learner
+from staghunt.experiments import GridworldSpec, _gridworld_block, run_gridworld_comparison
+
+BASE_SEED = 2026
+LAYERS = ("play", "update", "_gradient", "_Items.build")
+
+
+def _timed(fn, seconds: Counter, layer: str):
+    def wrapper(*args):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            seconds[layer] += time.perf_counter() - t0
+
+    return wrapper
+
+
+@contextmanager
+def layer_timers(seconds: Counter):
+    """Time the layers into seconds while inside; the module is as it was after."""
+    names = ("play_iteration", "update_policies", "_gradient")
+    originals = {name: getattr(policy_learner, name) for name in names}
+    items = policy_learner._Items
+    build = items.__dict__["build"]
+    for (name, fn), layer in zip(originals.items(), LAYERS):
+        setattr(policy_learner, name, _timed(fn, seconds, layer))
+    timed_build = _timed(items.build, seconds, "_Items.build")
+    items.build = classmethod(lambda cls, *args: timed_build(*args))
+    try:
+        yield
+    finally:
+        for name, fn in originals.items():
+            setattr(policy_learner, name, fn)
+        items.build = build
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--iterations", type=int, default=300)
+    parser.add_argument("--jobs", type=int, default=2, help="blocks to deal the runs into")
+    args = parser.parse_args()
+
+    spec = GridworldSpec(
+        scenarios=("near-stag", "near-hares"),
+        variants=("individual", "inequity", "ga-no-tom", "tomaga"),
+        seeds=1,
+        iterations=args.iterations,
+    )
+    payloads = [
+        (spec, s, v, 0, BASE_SEED)
+        for s in range(len(spec.scenarios))
+        for v in range(len(spec.variants))
+    ]
+    n = max(1, min(args.jobs, len(payloads)))
+    rows: list = [None] * len(payloads)
+    print("block lanes " + " ".join(f"{layer:>12}" for layer in ("total", *LAYERS)) + "  (s)")
+    for b in range(n):
+        seconds: Counter = Counter()
+        with layer_timers(seconds):
+            t0 = time.perf_counter()
+            rows[b::n], _ = _gridworld_block(payloads[b::n])
+            total = time.perf_counter() - t0
+        print(f"{b:>5} {len(payloads[b::n]):>5} " + " ".join(
+            f"{value:>12.4f}" for value in (total, *(seconds[layer] for layer in LAYERS))
+        ))
+    expected = run_gridworld_comparison(spec, base_seed=BASE_SEED).rows
+    if rows != expected:
+        raise SystemExit("timed blocks disagree with run_gridworld_comparison")
+
+
+if __name__ == "__main__":
+    main()

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import platform
 import time
 from dataclasses import asdict
@@ -99,8 +100,8 @@ def _finish(args, command: str, resolved: dict, seconds: float, tables: dict) ->
 
 
 def _require_positive_step(flag: str, step: float) -> None:
-    if not step > 0:
-        raise ValueError(f"{flag} must be > 0, got {step!r}")
+    if not 0 < step < math.inf:
+        raise ValueError(f"{flag} must be a finite number > 0, got {step!r}")
 
 
 def _frange(lo: float, hi: float, step: float) -> list[float]:
@@ -115,7 +116,14 @@ def _frange(lo: float, hi: float, step: float) -> list[float]:
 
 
 def _grid(name: str, lo: float, hi: float, step: float) -> list[float]:
-    """lo, lo + step, ... up to hi; ValueError naming the flags if that is no point."""
+    """lo, lo + step, ... up to hi; ValueError naming the flags if that is no point.
+
+    A non-finite bound is rejected first: _frange would never reach an
+    infinite hi (nor leave an infinite lo), and NaN gives no point at all.
+    """
+    for flag, bound in (("min", lo), ("max", hi)):
+        if not math.isfinite(bound):
+            raise ValueError(f"--{name}-{flag} must be a finite number, got {bound}")
     grid = _frange(lo, hi, step)
     if not grid:
         raise ValueError(f"--{name}-min {lo} is above --{name}-max {hi}: the {name} grid is empty")

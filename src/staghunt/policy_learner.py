@@ -119,57 +119,52 @@ BatchItem = tuple[ObsKey, int, float, float]
 
 @dataclass(frozen=True, slots=True)
 class _Items:
-    """A batch as arrays over a (rows, N_ACTIONS) table, with what every epoch reuses.
+    """A batch as arrays over a (rows, N_ACTIONS) table, with what every epoch reuses."""
 
-    Rows are numbered in order of first appearance, so the first items of
-    all rows, taken in item order, are rows 0, 1, 2, ... exactly once.
-    """
-
-    item_rows: np.ndarray | slice  # row of each item; a full slice when no row repeats
-    taken: np.ndarray  # one-hot mask of each item's action
+    item_rows: np.ndarray  # row of each item
+    taken: np.ndarray  # float one-hot of each item's action
+    flat_taken: np.ndarray  # each item's action in its flattened (items, N_ACTIONS) array
     adv: np.ndarray
     old_p: np.ndarray
-    positive: np.ndarray
-    negative: np.ndarray
-    # (items, their rows) for the first item of every row, then for each
-    # further round of repeats: rows differ within a round, and a repeated
-    # row meets its items in item order
-    rounds: tuple[tuple[np.ndarray | slice, np.ndarray | slice], ...]
+    # The clipped branch has zero gradient once the ratio leaves the trust
+    # region in the advantage's favoured direction: an item is active while
+    # lo < ratio < hi. A positive advantage bounds only hi, a negative one
+    # only lo (the open side is infinite, so a ratio that overflows to inf
+    # counts as outside it), and a zero or NaN advantage is never active.
+    lo: np.ndarray
+    hi: np.ndarray
+    # the flat (row, action) cells of each item, twice: for its clipped term, then its entropy term
+    bins: np.ndarray
 
     @classmethod
-    def build(cls, rows: list[int], actions: list[int], old_p, adv) -> "_Items":
-        by_round: list[list[int]] = []
-        seen: dict[int, int] = {}
-        for item, row in enumerate(rows):
-            k = seen[row] = seen.get(row, -1) + 1
-            if k == len(by_round):
-                by_round.append([])
-            by_round[k].append(item)
-        distinct = len(by_round) == 1
-        first = slice(None) if distinct else np.array(by_round[0])
-        rounds = ((first, slice(None)),) + tuple(
-            (np.array(items), np.array([rows[i] for i in items])) for items in by_round[1:]
-        )
-        taken = np.zeros((len(rows), N_ACTIONS), dtype=bool)
-        taken[np.arange(len(rows)), actions] = True
+    def build(cls, rows: list[int], actions: list[int], old_p, adv, clip_ratio: float) -> "_Items":
+        n = len(rows)
+        item_rows = np.array(rows)
+        flat_taken = np.arange(0, n * N_ACTIONS, N_ACTIONS) + actions
+        taken = np.zeros((n, N_ACTIONS))
+        taken.put(flat_taken, 1.0)
         adv = np.array(adv)
-        return cls(
-            slice(None) if distinct else np.array(rows),
-            taken, adv, np.array(old_p), adv > 0, adv < 0, rounds,
+        # (lo, hi) for a zero or NaN, a positive and a negative advantage
+        bounds = np.array(
+            ((np.inf, -np.inf), (-np.inf, 1.0 + clip_ratio), (1.0 - clip_ratio, np.inf))
         )
+        lo, hi = bounds.take((adv > 0) + 2 * (adv < 0), axis=0).T
+        cells = (item_rows * N_ACTIONS)[:, None] + np.arange(N_ACTIONS)
+        bins = np.repeat(cells, 2, axis=0).ravel()
+        return cls(item_rows, taken, flat_taken, adv, np.array(old_p), lo, hi, bins)
 
     def probs_and_ratios(self, prefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        probs = _softmax(prefs[self.item_rows])
-        return probs, probs[self.taken] / self.old_p
+        probs = _softmax(prefs.take(self.item_rows, axis=0))
+        return probs, probs.take(self.flat_taken) / self.old_p
 
 
-def _gather(preferences: dict[ObsKey, np.ndarray], batch: Sequence[BatchItem]):
+def _gather(preferences: dict[ObsKey, np.ndarray], batch: Sequence[BatchItem], clip_ratio: float):
     """The batch's distinct keys (first appearance first), their rows, and its items."""
     slots: dict[ObsKey, int] = {}
     rows = [slots.setdefault(key, len(slots)) for key, _, _, _ in batch]
     _, actions, old_p, adv = zip(*batch)
     prefs = np.array([preferences[key] for key in slots])
-    return list(slots), prefs, _Items.build(rows, list(actions), old_p, adv)
+    return list(slots), prefs, _Items.build(rows, list(actions), old_p, adv, clip_ratio)
 
 
 def _entropy_terms(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,33 +173,28 @@ def _entropy_terms(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.add.reduce(probs * logp, axis=1, keepdims=True), logp
 
 
-def _gradient(
-    prefs: np.ndarray, items: _Items, clip_ratio: float, entropy_weight: float
-) -> np.ndarray:
+def _gradient(prefs: np.ndarray, items: _Items, entropy_weight: float) -> np.ndarray:
     """Gradient of the clipped surrogate plus entropy bonus w.r.t. every row of prefs.
 
-    One array pass over all items. Each item adds its clipped term and then
-    its entropy term to its row, in item order, so a row that repeats sums
-    its terms in the same order as an item-by-item loop would.
+    One array pass over all items and one scatter, whether or not rows
+    repeat. Each item's clipped term and then its entropy term go into one
+    weight array, in item order; bincount adds a cell's weights to 0.0 in
+    input order, so a row that repeats sums (((0 + c1) + b1) + c2) + b2 ...
+    as an item-by-item loop would. An inactive item's clipped term is a
+    signed zero, and at a zero entropy weight every entropy term stays 0.0:
+    a sum that starts at +0.0 is never -0.0, so adding a zero leaves it as
+    it is.
     """
     probs, ratio = items.probs_and_ratios(prefs)
-    # The clipped branch has zero gradient once the ratio leaves the
-    # trust region in the advantage's favoured direction.
-    active = (items.positive & (ratio < 1.0 + clip_ratio)) | (
-        items.negative & (ratio > 1.0 - clip_ratio)
-    )
-    # an inactive item adds zeros, which leave its row's sum as it is
-    scale = np.where(active, items.adv * ratio, 0.0)[:, None]
-    clipped = scale * (items.taken - probs)
+    active = (items.lo < ratio) & (ratio < items.hi)
+    terms = np.zeros((len(ratio), 2, N_ACTIONS))
+    np.multiply(np.where(active, items.adv * ratio, 0.0)[:, None], items.taken - probs,
+                out=terms[:, 0])
     if entropy_weight:
         neg_entropy, logp = _entropy_terms(probs)
-        bonus = entropy_weight * (-probs * (logp - neg_entropy))  # logp + entropy
-    grads = np.zeros(prefs.shape)
-    for take, rows in items.rounds:
-        grads[rows] += clipped[take]
-        if entropy_weight:
-            grads[rows] += bonus[take]
-    return grads
+        # -w * (p * (logp + entropy)), with logp + entropy = logp - neg_entropy
+        np.multiply(-entropy_weight, probs * (logp - neg_entropy), out=terms[:, 1])
+    return np.bincount(items.bins, terms.ravel(), prefs.size).reshape(prefs.shape)
 
 
 def surrogate_objective(
@@ -214,7 +204,7 @@ def surrogate_objective(
     entropy_weight: float,
 ) -> float:
     """Clipped surrogate plus entropy bonus, as a pure function of preferences."""
-    _, prefs, items = _gather(preferences, batch)
+    _, prefs, items = _gather(preferences, batch, clip_ratio)
     probs, ratio = items.probs_and_ratios(prefs)
     clipped = np.clip(ratio, 1.0 - clip_ratio, 1.0 + clip_ratio)
     surrogate = np.minimum(ratio * items.adv, clipped * items.adv)
@@ -229,8 +219,8 @@ def surrogate_gradient(
     entropy_weight: float,
 ) -> dict[ObsKey, np.ndarray]:
     """Analytic gradient of surrogate_objective w.r.t. every preference entry."""
-    keys, prefs, items = _gather(preferences, batch)
-    return dict(zip(keys, _gradient(prefs, items, clip_ratio, entropy_weight)))
+    keys, prefs, items = _gather(preferences, batch, clip_ratio)
+    return dict(zip(keys, _gradient(prefs, items, entropy_weight)))
 
 
 def update_policies(policies: Sequence[PolicyParams], episodes: Sequence["ShapedEpisode"]) -> None:
@@ -266,10 +256,10 @@ def update_policies(policies: Sequence[PolicyParams], episodes: Sequence["Shaped
         actions += episode.actions
         old_p += episode.behaviour_probs
     prefs = np.array(stack)
-    items = _Items.build(slots, actions, old_p, adv)
+    items = _Items.build(slots, actions, old_p, adv, cfg.clip_ratio)
 
     for _ in range(cfg.epochs):
-        prefs = prefs + cfg.step_size * _gradient(prefs, items, cfg.clip_ratio, cfg.entropy_weight)
+        prefs = prefs + cfg.step_size * _gradient(prefs, items, cfg.entropy_weight)
     # the next episodes' action distributions, as sample_index would compute
     # them row by row: softmax, cumsum and division all work within a row
     probs = _softmax(prefs)
@@ -451,14 +441,17 @@ def iterations_to_threshold(
 ) -> int | None:
     """First iteration whose trailing full window is >= threshold cooperative.
 
-    The proportion pools both agents' labels. Returns None when the run
-    never crosses the threshold.
+    The proportion pools both agents' labels; the window's count of C
+    labels is kept running, one iteration in and one out. Returns None when
+    the run never crosses the threshold.
     """
     if window > len(history):
         return None
+    c_counts = [(a is C) + (b is C) for a, b in history]
+    c_count = sum(c_counts[: window - 1])
     for t in range(window - 1, len(history)):
-        chunk = history[t + 1 - window : t + 1]
-        c_count = sum(1 for pair in chunk for label in pair if label is C)
+        c_count += c_counts[t]
         if c_count / (2 * window) >= threshold:
             return t
+        c_count -= c_counts[t + 1 - window]
     return None

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -379,7 +380,7 @@ def test_non_positive_jobs_is_an_argument_error(tmp_path, capsys, jobs):
 
 
 @pytest.mark.parametrize("flag", ["--phi-step", "--theta-step"])
-@pytest.mark.parametrize("step", ["0", "-1", "nan"])
+@pytest.mark.parametrize("step", ["0", "-1", "nan", "inf"])
 def test_analyze_rejects_non_positive_steps(tmp_path, monkeypatch, flag, step):
     from staghunt import cli
 
@@ -402,6 +403,31 @@ def test_analyze_rejects_an_empty_grid_before_any_work(tmp_path, bounds):
     name = "theta" if "--theta-min" in bounds else "phi"
     with pytest.raises(ValueError, match=f"--{name}-min .* --{name}-max .* grid is empty"):
         main(["--out", str(out), "analyze", *bounds])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, bound", [
+    ("--theta-max", "inf"),
+    ("--phi-max", "inf"),
+    ("--phi-min", "-inf"),
+    ("--theta-min", "-inf"),
+    ("--theta-max", "nan"),
+    ("--phi-min", "nan"),
+])
+def test_analyze_rejects_a_non_finite_bound_before_any_work(tmp_path, monkeypatch, flag, bound):
+    # an infinite bound used to grow the grid until memory ran out
+    from staghunt import cli
+
+    frange = cli._frange
+
+    def finite_only(lo, hi, step):
+        assert math.isfinite(lo) and math.isfinite(hi), "_frange called with a non-finite bound"
+        return frange(lo, hi, step)
+
+    monkeypatch.setattr(cli, "_frange", finite_only)
+    out = tmp_path / "o"
+    with pytest.raises(ValueError, match=f"{flag} must be a finite number"):
+        main(["--out", str(out), "analyze", f"{flag}={bound}"])
     assert not out.exists()
 
 

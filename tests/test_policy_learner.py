@@ -349,6 +349,136 @@ def test_random_cases_cover_repeats_and_both_clip_branches():
     assert repeats >= 10 and clipped >= 20 and unclipped >= 20
 
 
+# --- the one-scatter kernel on its edge cases -----------------------------------------
+#
+# _gradient scatters every item's clipped term and then its entropy term with
+# one bincount, whatever the rows' repeats; these cases pin that against the
+# per-item reference where an ordering or a bound would show.
+
+
+STILL = 40  # steps of an episode that stays on one observation until timeout
+
+
+def still_case(seed, hyper, steps=STILL):
+    """A reference policy over two keys and an episode that sits on KEY, as an
+    agent standing still until timeout does, stepping onto KEY + 1 every 7th step."""
+    rng = np.random.default_rng(seed)
+    policy = RefPolicy(hyper)
+    for key in (KEY, KEY + 1):
+        policy.preferences[key] = rng.normal(0, 1.0, N_ACTIONS)
+        policy.values[key] = float(rng.normal(0, 1.0))
+    keys = [KEY + (t % 7 == 6) for t in range(steps)]
+    actions = [int(GridAction.STAY) if rng.random() < 0.7 else int(rng.integers(N_ACTIONS))
+               for _ in range(steps)]
+    behaviour = [
+        float(np.clip(_ref_softmax(policy.preferences[key])[action]
+                      * rng.choice([1.0, 0.9, 0.5, 2.0]), 0.01, 0.99))
+        for key, action in zip(keys, actions)
+    ]
+    rewards = [float(r) for r in rng.normal(0, 2.0, steps)]
+    return policy, KeyEpisode(keys, actions, behaviour, rewards)
+
+
+def still_batch(seed, advantages=None):
+    """still_case's policy and episode as a gradient batch with the given advantages
+    (default: seeded normals)."""
+    policy, episode = still_case(seed, LearnerConfig())
+    if advantages is None:
+        advantages = np.random.default_rng(1000 + seed).normal(0, 2.0, len(episode.keys))
+    batch = [
+        (key, action, p, float(adv))
+        for key, action, p, adv in zip(
+            episode.keys, episode.actions, episode.behaviour_probs, advantages
+        )
+    ]
+    return policy.preferences, batch
+
+
+def assert_same_gradient(preferences, batch, clip_ratio, entropy_weight):
+    grads = surrogate_gradient(preferences, batch, clip_ratio, entropy_weight)
+    reference = _ref_surrogate_gradient(preferences, batch, clip_ratio, entropy_weight)
+    assert list(grads) == list(reference)
+    for key in reference:
+        assert np.array_equal(grads[key], reference[key]), key
+    return grads
+
+
+def test_still_cases_repeat_one_row_at_least_32_times():
+    _, episode = still_case(0, LearnerConfig())
+    assert episode.keys.count(KEY) >= 32
+
+
+@pytest.mark.parametrize("hyper", HYPERS)
+def test_a_row_repeated_until_timeout_matches_per_item_reference(hyper):
+    for seed in range(10):
+        reference, episode = still_case(seed, hyper)
+        policy = as_policy(reference)
+        shaped = as_rows(policy, episode)
+        for _ in range(3):
+            update_policies([policy], [shaped])
+            _ref_policy_update(reference, episode)
+        assert_same_tables(policy, reference)
+
+
+@pytest.mark.parametrize("clip_ratio", [0.2, 0.0])
+@pytest.mark.parametrize("entropy_weight", [0.0, 0.03])
+def test_surrogate_gradient_on_a_repeated_row_matches_per_item_reference(
+    clip_ratio, entropy_weight
+):
+    for seed in range(10):
+        assert_same_gradient(*still_batch(seed), clip_ratio, entropy_weight)
+
+
+@pytest.mark.parametrize("adv", [0.0, -0.0, np.nan])
+@pytest.mark.parametrize("entropy_weight", [0.0, 0.03])
+def test_zero_and_nan_advantages_add_no_clipped_term(adv, entropy_weight):
+    """Neither `adv > 0` nor `adv < 0` holds, so the item is never active,
+    whichever way its ratio lies."""
+    for seed in range(5):
+        advantages = np.random.default_rng(seed).normal(0, 2.0, STILL)
+        advantages[::3] = adv
+        grads = assert_same_gradient(*still_batch(seed, advantages), 0.2, entropy_weight)
+        assert all(np.isfinite(g).all() for g in grads.values())
+    # every item's advantage is adv: without the entropy bonus, no row moves
+    preferences, batch = still_batch(0, [adv] * STILL)
+    grads = assert_same_gradient(preferences, batch, 0.2, 0.0)
+    assert all(not g.any() for g in grads.values())
+
+
+@pytest.mark.parametrize("edge", ["upper", "lower"])
+def test_a_ratio_exactly_at_the_clip_edge_is_inactive(edge):
+    """The trust region is open: ratio == 1 + clip (positive advantage) and
+    ratio == 1 - clip (negative advantage) add no clipped term."""
+    preferences, batch = still_batch(3)
+    key, action, _, _ = batch[0]
+    p = _softmax(np.array([preferences[key]]))[0, action]
+    old_p = p / (1.25 if edge == "upper" else 0.75)
+    ratio = p / old_p
+    clip_ratio, adv = (ratio - 1.0, 1.5) if edge == "upper" else (1.0 - ratio, -1.5)
+    assert (1.0 + clip_ratio if edge == "upper" else 1.0 - clip_ratio) == ratio
+    # every item of the row sits on the edge
+    edge_batch = [(k, action, old_p, adv) for k, _, _, _ in batch if k == key]
+    grads = assert_same_gradient(preferences, edge_batch, clip_ratio, 0.0)
+    assert not grads[key].any()
+    # and every other item of the row on the edge, between items that are not
+    mixed = [(key, action, old_p, adv) if item[0] == key and i % 2 == 0 else item
+             for i, item in enumerate(batch)]
+    assert_same_gradient(preferences, mixed, clip_ratio, 0.03)
+
+
+@pytest.mark.parametrize("hyper", HYPERS)
+def test_two_learners_standing_still_updated_together_match_per_item_reference(hyper):
+    for seed in range(10):
+        apart = [still_case(seed, hyper)[0], still_case(seed + 500, hyper)[0]]
+        together = [as_policy(ref) for ref in apart]
+        episodes = [still_case(seed + 1000, hyper)[1], still_case(seed + 2000, hyper)[1]]
+        update_policies(together, [as_rows(p, e) for p, e in zip(together, episodes)])
+        for policy, episode in zip(apart, episodes):
+            _ref_policy_update(policy, episode)
+        for a, b in zip(together, apart):
+            assert_same_tables(a, b)
+
+
 # --- iteration wiring -------------------------------------------------------------
 
 
@@ -443,6 +573,42 @@ def test_iterations_to_threshold_finds_first_full_window():
     assert iterations_to_threshold(history, window=4, threshold=0.8) == 9
     assert iterations_to_threshold([(U, U)] * 12, window=4) is None
     assert iterations_to_threshold([(C, C)] * 3, window=10) is None
+
+
+def _ref_iterations_to_threshold(history, window, threshold=0.8):
+    """The rescan of every full window that the running count replaced."""
+    if window > len(history):
+        return None
+    for t in range(window - 1, len(history)):
+        chunk = history[t + 1 - window : t + 1]
+        c_count = sum(1 for pair in chunk for label in pair if label is C)
+        if c_count / (2 * window) >= threshold:
+            return t
+    return None
+
+
+def test_iterations_to_threshold_matches_a_rescan_of_every_window():
+    seen = {"first full window": 0, "later": 0, "never": 0, "window too long": 0}
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        p_c = rng.uniform(0.2, 1.0)
+        n = int(rng.integers(1, 120))
+        history = [
+            tuple(C if rng.random() < p_c else (U, UNKNOWN)[rng.integers(2)] for _ in range(2))
+            for _ in range(n)
+        ]
+        for window in (1, 3, 10, 50, n, n + 1):
+            for threshold in (0.5, 0.8, 1.0):
+                got = iterations_to_threshold(history, window, threshold)
+                assert got == _ref_iterations_to_threshold(history, window, threshold), (
+                    seed, window, threshold)
+                if window > n:
+                    seen["window too long"] += 1
+                elif got is None:
+                    seen["never"] += 1
+                else:
+                    seen["first full window" if got == window - 1 else "later"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_observation_key_injective_at_unit_bucket_width():
