@@ -62,7 +62,8 @@ class AgentParams:
     prob_clamp: float = 1e-3
 
     def __post_init__(self):
-        _require(self, lambda v: v > 0, "be > 0", "theta", "temperature")
+        # an infinite theta or temperature makes NaN (inf * 0.0) in shaping or initial Q-values
+        _require(self, lambda v: 0 < v < math.inf, "be finite and > 0", "theta", "temperature")
         _require(self, lambda v: 0 < v <= 1, "lie in (0, 1]", "alpha", "temperature_decay")
         _require_unit_interval(
             self, "gamma", "learning_rate", "confidence", "zero_order", "first_order"
@@ -447,9 +448,11 @@ class GridworldSpec:
         _require_unit_interval(
             self, "threshold", "zero_order", "first_order", "confidence", "learning_rate", "gamma"
         )
-        _require(self, lambda v: v > 0, "be > 0", "theta", "step_size")
-        _require(self, lambda v: v >= 0, "be >= 0", "inequity_advantageous",
-                 "inequity_disadvantageous", "clip_ratio", "entropy_weight")
+        # an infinite weight makes NaN shaping or preferences (-inf * 0.0, inf - inf)
+        _require(self, lambda v: 0 < v < math.inf, "be finite and > 0", "theta", "step_size")
+        _require(self, lambda v: 0 <= v < math.inf, "be finite and >= 0", "inequity_advantageous",
+                 "inequity_disadvantageous", "entropy_weight")
+        _require(self, lambda v: v >= 0, "be >= 0", "clip_ratio")
         if self.stag_motion not in (None, "random_walk", "static"):
             raise ValueError(f"GridworldSpec.stag_motion: unknown {self.stag_motion!r}")
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -35,6 +36,12 @@ N_ACTIONS = len(ACTIONS)
 
 ObsKey = int
 
+# A first visit's action distribution and normalised cumulative sums, as
+# update_policies builds them for a zero row: exp(0) is exactly 1, 1/5 is
+# correctly rounded and the sums are sequential, so these are its bits.
+_UNIFORM = (1.0 / N_ACTIONS,) * N_ACTIONS
+FIRST_VISIT = (_UNIFORM, tuple(accumulate(_UNIFORM)))
+
 
 @dataclass(frozen=True, slots=True)
 class LearnerConfig:
@@ -51,18 +58,16 @@ class PolicyParams:
     """Tabular softmax policy and state-value table, one row per observation key.
 
     A key gets the next row on its first visit (`row`), with zero
-    preferences and a zero value. dists[r] holds row r's action
-    probabilities and normalised cumulative sums. update_policies refreshes
-    it for every row it writes; it is None for a row no update has written,
-    or one it left non-finite. Code that writes a row by other means must
-    set its entry to None.
+    preferences, a zero value and the shared FIRST_VISIT entry in dists.
+    dists[r] holds row r's action probabilities and normalised cumulative
+    sums; update_policies refreshes it for every row it writes.
     """
 
     hyper: LearnerConfig = field(default_factory=LearnerConfig)
     rows: dict[ObsKey, int] = field(default_factory=dict)
     preferences: list[list[float]] = field(default_factory=list)
     values: list[float] = field(default_factory=list)
-    dists: list[tuple[list[float], list[float]] | None] = field(default_factory=list)
+    dists: list[tuple[Sequence[float], Sequence[float]]] = field(default_factory=list)
 
     def row(self, key: ObsKey) -> int:
         r = self.rows.get(key)
@@ -70,7 +75,7 @@ class PolicyParams:
             r = self.rows[key] = len(self.rows)
             self.preferences.append([0.0] * N_ACTIONS)
             self.values.append(0.0)
-            self.dists.append(None)
+            self.dists.append(FIRST_VISIT)
         return r
 
 
@@ -87,20 +92,6 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / np.add.reduce(e, axis=-1, keepdims=True)
-
-
-def action_probs(policy: PolicyParams, key: ObsKey) -> np.ndarray:
-    return _softmax(np.array(policy.preferences[policy.row(key)]))
-
-
-def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """An index drawn with probabilities probs: numpy's own algorithm for
-    rng.choice(len(probs), p=probs), draw for draw, without its checks of p."""
-    cdf = probs.cumsum()
-    if not np.isfinite(cdf[-1]):
-        raise ValueError(f"probabilities must be finite, got {probs}")
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def discounted_returns(rewards: Sequence[float], gamma: float) -> list[float]:
@@ -230,7 +221,8 @@ def update_policies(policies: Sequence[PolicyParams], episodes: Sequence["Shaped
     every epoch is one array pass over all of their episode rows gathered
     into one stack, which is then scattered back. A zero clip ratio pins
     every ratio at 1, so the surrogate is constant and the update is
-    skipped outright.
+    skipped outright. A row whose action distribution comes out non-finite
+    is a ValueError, raised before any table is written.
     """
     cfg = policies[0].hyper
     if any(policy.hyper != cfg for policy in policies):
@@ -260,19 +252,19 @@ def update_policies(policies: Sequence[PolicyParams], episodes: Sequence["Shaped
 
     for _ in range(cfg.epochs):
         prefs = prefs + cfg.step_size * _gradient(prefs, items, cfg.entropy_weight)
-    # the next episodes' action distributions, as sample_index would compute
-    # them row by row: softmax, cumsum and division all work within a row
+    # the next episodes' action distributions, as Generator.choice(5, p=probs)
+    # would build them row by row: softmax, cumsum and division all work within a row
     probs = _softmax(prefs)
     cdf = probs.cumsum(axis=1)
-    finite = np.isfinite(cdf[:, -1]).tolist()
+    if not np.isfinite(cdf[:, -1]).all():
+        raise ValueError("update_policies made a policy row whose probabilities are not finite")
     cdf /= cdf[:, -1:]
-    written = zip(prefs.tolist(), probs.tolist(), cdf.tolist(), finite)
+    written = zip(prefs.tolist(), probs.tolist(), cdf.tolist())
     for policy, rows, episode, returns in gathered:
         preferences, dists, values = policy.preferences, policy.dists, policy.values
-        for r, (row, row_probs, row_cdf, ok) in zip(rows, written):
+        for r, (row, row_probs, row_cdf) in zip(rows, written):
             preferences[r] = row
-            # a non-finite row gets no entry: playing it reaches sample_index, which raises
-            dists[r] = (row_probs, row_cdf) if ok else None
+            dists[r] = (row_probs, row_cdf)
         # single squared-error step toward the returns, after the policy epochs,
         # so the baseline tracks a running mean instead of swallowing the batch
         for r, ret in zip(episode.rows, returns):
@@ -300,7 +292,6 @@ class GridLearner:
     tom: ToMState
     guilt: GuiltParams | None = None
     inequity: InequityParams | None = None
-    variant: str = "individual"
 
 
 def make_grid_learner(
@@ -328,9 +319,7 @@ def make_grid_learner(
     inequity = None
     if variant == "inequity":
         inequity = inequity_params or InequityParams(1.0, 1.0, n_agents=2)
-    return GridLearner(
-        policy=PolicyParams(hyper=cfg), tom=tom, guilt=guilt, inequity=inequity, variant=variant
-    )
+    return GridLearner(policy=PolicyParams(hyper=cfg), tom=tom, guilt=guilt, inequity=inequity)
 
 
 @dataclass(frozen=True, slots=True)
@@ -389,19 +378,13 @@ def play_iteration(
         policy = policies[agent_index]
         key = observation_key(state, agent_index, widths[agent_index], cells)
         r = policy.row(key)
-        entry = policy.dists[r]
-        if entry is None:
-            probs = action_probs(policy, key)
-            idx = sample_index(probs, step_rng)
-            p = float(probs[idx])
-        else:  # sample_index's draw on the cached distribution
-            probs, cdf = entry
-            idx = bisect_right(cdf, step_rng.random())
-            p = probs[idx]
+        # Generator.choice(5, p=probs)'s draw: the first cdf entry above a uniform
+        probs, cdf = policy.dists[r]
+        idx = bisect_right(cdf, step_rng.random())
         episode = episodes[agent_index]
         episode.rows.append(r)
         episode.actions.append(idx)
-        episode.behaviour_probs.append(p)
+        episode.behaviour_probs.append(probs[idx])
         return ACTIONS[idx]
 
     record = run_episode(config, joint_policy, rng)

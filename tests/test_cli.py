@@ -492,6 +492,19 @@ def test_matrix_selfplay_rejects_non_positive_grid_step(tmp_path, step):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("matrix-selfplay", "--iterations", "2", "--repetitions", "1"),
+    ("tournament", "--rounds", "2", "--repetitions", "1"),
+    ("gridworld", "--seeds", "1", "--iterations", "1"),
+])
+def test_an_infinite_theta_is_rejected_before_any_work(tmp_path, argv):
+    # it used to make NaN shaping: a nan in sweep.csv, or a crash in the grid-world engine
+    out = tmp_path / "o"
+    with pytest.raises(ValueError, match=r"\.theta must be finite"):
+        main(["--out", str(out), *argv, "--theta", "inf"])
+    assert not out.exists()
+
+
 # --- every file each command writes, pinned before the run pipeline was merged -------
 
 CONFIGS = Path(__file__).parent.parent / "configs"

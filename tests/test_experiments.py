@@ -21,7 +21,16 @@ from staghunt.experiments import (
     sweep_cell_means,
     tournament_means,
 )
-from staghunt.policy_learner import action_probs, run_lanes
+from staghunt.gridworld import run_episode
+from staghunt.policy_learner import (
+    ACTIONS,
+    N_ACTIONS,
+    _softmax,
+    observation_key,
+    play_iteration,
+    run_lanes,
+    update_policies,
+)
 
 
 # --- self-play sweep -----------------------------------------------------------
@@ -163,19 +172,12 @@ def test_gridworld_parallel_jobs_match_serial():
         assert run_gridworld_comparison(spec, base_seed=17, jobs=jobs).rows == serial.rows
 
 
-def _lane_trace(lanes, iterations, cached=True):
-    """Per lane: every iteration's outcome, then its final beliefs and tables.
-
-    With cached=False every iteration plays with no cached distributions.
-    """
+def _lane_trace(lanes, iterations):
+    """Per lane: every iteration's outcome, then its final beliefs and tables."""
     traces = [[] for _ in lanes]
     for played in run_lanes(lanes, iterations):
         for trace, (record, details) in zip(traces, played):
             trace.append((record.labels, record.terminal_rewards, len(record.transitions), details))
-        if not cached:
-            for learners, _, _ in lanes:
-                for learner in learners:
-                    learner.policy.dists[:] = [None] * len(learner.policy.dists)
     for trace, (learners, _, _) in zip(traces, lanes):
         for learner in learners:
             policy = learner.policy
@@ -217,21 +219,52 @@ def test_cached_distributions_are_the_per_row_ones_after_every_update(stag_motio
         for policy in policies:
             # every row an episode reached was updated, so every row has an entry
             assert len(policy.dists) == len(policy.rows) and None not in policy.dists
-            for key, r in policy.rows.items():
+            for r in policy.rows.values():
                 probs, cdf = policy.dists[r]
-                expected = action_probs(policy, key)
+                expected = _softmax(np.array(policy.preferences[r]))
                 total = expected.cumsum()
                 assert probs == expected.tolist()
                 assert cdf == (total / total[-1]).tolist()
 
 
+def _choice_policy(learners, config, behaviour_probs):
+    """The per-row draw the cached one replaced: softmax of the current row (a zero
+    row for an unseen key), then Generator.choice; logs each behaviour probability."""
+    cells = config.width * config.height
+
+    def joint_policy(state, agent_index, step_rng):
+        policy = learners[agent_index].policy
+        key = observation_key(state, agent_index, policy.hyper.time_bucket_width, cells)
+        r = policy.rows.get(key)
+        probs = _softmax(np.zeros(N_ACTIONS) if r is None else np.array(policy.preferences[r]))
+        idx = int(step_rng.choice(N_ACTIONS, p=probs))
+        behaviour_probs[agent_index].append(float(probs[idx]))
+        return ACTIONS[idx]
+
+    return joint_policy
+
+
 @pytest.mark.parametrize("stag_motion", ["static", None])
-def test_play_from_cached_distributions_matches_play_without_them(stag_motion):
+def test_play_from_cached_distributions_matches_a_choice_reference(stag_motion):
+    """Every episode, replayed from the same generator state under the reference
+    policy, takes the same steps with the same behaviour probabilities."""
     spec = GridworldSpec(seeds=1, iterations=60, stag_motion=stag_motion)
-    payloads = _payloads(spec, 13)
-    cached = _lane_trace([_gridworld_lane(*p) for p in payloads], spec.iterations)
-    uncached = _lane_trace([_gridworld_lane(*p) for p in payloads], spec.iterations, cached=False)
-    assert cached == uncached
+    lanes = [_gridworld_lane(*p) for p in _payloads(spec, 13)]
+    policies = [learner.policy for learners, _, _ in lanes for learner in learners]
+    for _ in range(spec.iterations):
+        states = [rng.bit_generator.state for _, _, rng in lanes]
+        played = [play_iteration(*lane) for lane in lanes]
+        for (learners, config, rng), state, (record, _, episodes) in zip(lanes, states, played):
+            replay_rng = np.random.default_rng()
+            replay_rng.bit_generator.state = state
+            behaviour_probs = ([], [])
+            replay = run_episode(config, _choice_policy(learners, config, behaviour_probs),
+                                 replay_rng)
+            assert replay.transitions == record.transitions
+            assert replay.labels == record.labels
+            assert [e.behaviour_probs for e in episodes] == list(behaviour_probs)
+            assert replay_rng.bit_generator.state == rng.bit_generator.state
+        update_policies(policies, [episode for *_, episodes in played for episode in episodes])
 
 
 class _RecordingPool:

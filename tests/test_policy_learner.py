@@ -1,4 +1,5 @@
 import dataclasses
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -7,23 +8,39 @@ from staghunt.game import C, U, UNKNOWN, PayoffMatrix
 from staghunt.gridworld import GridAction, make_scenario
 from staghunt.policy_learner import (
     ACTIONS,
+    FIRST_VISIT,
     N_ACTIONS,
     LearnerConfig,
     PolicyParams,
     ShapedEpisode,
     _softmax,
-    action_probs,
     discounted_returns,
     iterations_to_threshold,
     make_grid_learner,
     observation_key,
     play_iteration,
     run_lanes,
-    sample_index,
     surrogate_gradient,
     surrogate_objective,
     update_policies,
 )
+
+
+# --- references: the per-row draw the cached distributions replaced --------------
+
+
+def action_probs(policy: PolicyParams, key) -> np.ndarray:
+    return _softmax(np.array(policy.preferences[policy.row(key)]))
+
+
+def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """An index drawn with probabilities probs: numpy's own algorithm for
+    rng.choice(len(probs), p=probs), draw for draw, without its checks of p."""
+    cdf = probs.cumsum()
+    if not np.isfinite(cdf[-1]):
+        raise ValueError(f"probabilities must be finite, got {probs}")
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 # --- returns -------------------------------------------------------------------
@@ -660,11 +677,16 @@ def test_individual_learner_keeps_material_terminal_reward():
     ids=["uniform", "skewed", "near-one-hot"],
 )
 def test_sample_index_matches_generator_choice_draw_for_draw(probs):
-    ours, theirs = np.random.default_rng(2024), np.random.default_rng(2024)
-    drawn = [sample_index(probs, ours) for _ in range(20_000)]
-    assert drawn == [int(theirs.choice(N_ACTIONS, p=probs)) for _ in range(20_000)]
-    # both consumed the same stream
-    assert ours.random() == theirs.random()
+    # the cached draw: bisect_right on the cdf as update_policies builds it, stacked
+    cdf = probs[None, :].cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    cdf = cdf[0].tolist()
+    cached, ours, theirs = (np.random.default_rng(2024) for _ in range(3))
+    expected = [int(theirs.choice(N_ACTIONS, p=probs)) for _ in range(20_000)]
+    assert [bisect_right(cdf, cached.random()) for _ in range(20_000)] == expected
+    assert [sample_index(probs, ours) for _ in range(20_000)] == expected
+    # all three consumed the same stream
+    assert cached.random() == ours.random() == theirs.random()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -675,6 +697,8 @@ def test_sample_index_rejects_a_non_finite_preference_row(bad):
         probs = action_probs(policy, KEY)
     with pytest.raises(ValueError, match="finite"):
         sample_index(probs, np.random.default_rng(0))
+    with pytest.raises(ValueError):  # as Generator.choice refuses it
+        np.random.default_rng(0).choice(N_ACTIONS, p=probs)
 
 
 # --- cached action distributions --------------------------------------------------
@@ -701,38 +725,23 @@ def _trained_pair(seed=3):
     return learners, config, key
 
 
-def test_a_row_assigned_after_an_update_is_sampled_not_its_stale_cache():
-    learners, config, key = _trained_pair()
-    policy = learners[0].policy
-    r = policy.rows[key]
-    stale, _ = policy.dists[r]
-    assert stale == action_probs(policy, key).tolist()  # the update's entry
-    favoured = stale.index(min(stale))
-    row = [-50.0] * N_ACTIONS
-    row[favoured] = 50.0
-    policy.preferences[r] = row
-    policy.dists[r] = None  # a row written outside update_policies drops its entry
-    _, _, episodes = play_iteration(learners, config, np.random.default_rng(4))
-    assert episodes[0].actions[0] == favoured
-    assert episodes[0].behaviour_probs[0] == float(action_probs(policy, key)[favoured])
-    assert episodes[0].behaviour_probs[0] > 0.99 > max(stale)
+def test_a_first_visit_gets_the_zero_row_distribution():
+    probs = _softmax(np.zeros(N_ACTIONS))
+    total = probs.cumsum()
+    assert FIRST_VISIT == (tuple(probs.tolist()), tuple((total / total[-1]).tolist()))
+    policy = PolicyParams()
+    assert [policy.dists[policy.row(key)] for key in (KEY, KEY + 1)] == [FIRST_VISIT] * 2
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_a_non_finite_row_raises_through_play_iteration(bad):
-    learners, config, key = _trained_pair()
-    policy = learners[0].policy
-    r = policy.rows[key]
-    row = [0.0] * N_ACTIONS
-    row[1] = bad
-    policy.preferences[r] = row
-    policy.dists[r] = None
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
-        play_iteration(learners, config, np.random.default_rng(4))
-    # a non-finite row that update_policies writes back gets no entry
-    with np.errstate(invalid="ignore"):
-        update_policies([policy], [ShapedEpisode([r], [0], [0.2], [1.0])])
-    assert not np.isfinite(policy.preferences[r]).all()
-    assert policy.dists[r] is None
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
-        play_iteration(learners, config, np.random.default_rng(4))
+def test_update_policies_rejects_a_non_finite_row_and_writes_nothing(bad):
+    learners, _, key = _trained_pair()
+    policies = [learner.policy for learner in learners]
+    r = policies[0].rows[key]
+    policies[0].preferences[r][1] = bad
+    tables = [(p.rows, p.preferences, p.values, p.dists) for p in policies]
+    before = repr(tables)
+    episodes = [ShapedEpisode([r], [0], [0.2], [1.0]), ShapedEpisode([0], [0], [0.2], [1.0])]
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+        update_policies(policies, episodes)
+    assert repr(tables) == before

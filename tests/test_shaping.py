@@ -147,11 +147,18 @@ def test_inequity_validation():
     own=st.floats(-50, 50),
     others=st.lists(st.floats(-50, 50), min_size=1, max_size=6),
 )
+# a subnormal gap: 0.5 * 5e-324 underflows, so the reward reads -0.0 though the rewards differ
+@example(own=0.0, others=[-5e-324])
 def test_inequity_zero_iff_all_equal(own, others):
     params = InequityParams(0.5, 1.5, n_agents=len(others) + 1)
     value = inequity_reward(params, own, others)
     assert value <= 0.0
-    assert (value == 0.0) == all(r == own for r in others)
+    # a nonzero gap is never 0 (gradual underflow), but its weighted sum can round to 0
+    advantage = sum(max(own - r, 0.0) for r in others)
+    disadvantage = sum(max(r - own, 0.0) for r in others)
+    n1 = len(others)
+    underflows = 0.5 / n1 * advantage == 0.0 and 1.5 / n1 * disadvantage == 0.0
+    assert (value == 0.0) == (all(r == own for r in others) or underflows)
 
 
 @given(z=st.floats(0, 1), f=st.floats(0, 1), t=st.floats(0, 1))

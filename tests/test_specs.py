@@ -113,6 +113,21 @@ def test_bounded_fields_reject_values_outside_their_interval(cls, name):
         assert getattr(cls(**{name: value}), name) == value
 
 
+# each of these makes NaN at inf, through -inf * 0.0 or inf - inf
+NON_FINITE = [
+    (AgentParams, "theta"), (AgentParams, "temperature"),
+    *((GridworldSpec, name) for name in ("theta", "step_size", "entropy_weight",
+                                         "inequity_advantageous", "inequity_disadvantageous")),
+]
+
+
+@pytest.mark.parametrize("cls, name", NON_FINITE)
+@pytest.mark.parametrize("value", [float("inf"), NAN])
+def test_non_finite_weights_are_rejected(cls, name, value):
+    with pytest.raises(ValueError, match=rf"{cls.__name__}\.{name} must be finite"):
+        cls(**{name: value})
+
+
 @few
 @given(theta=st.one_of(st.floats(max_value=0.0), st.just(float("nan"))))
 def test_gridworld_theta_must_be_positive(theta):
