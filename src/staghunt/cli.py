@@ -259,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--seed", type=int, default=0, help="base seed")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes (gridworld: "
-                        "this many blocks of runs, each played in lockstep)")
+    parser.add_argument("--jobs", type=int, default=1, help="worker processes: the units are "
+                        "dealt into this many blocks, each played in lockstep")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="equilibrium grid analysis")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -24,12 +25,9 @@ from .gridworld import SCENARIOS, episode_transition_rows, make_scenario
 from .matrix_agents import (
     Exploration,
     MatrixAgentState,
-    MatrixLearner,
+    MatrixLanes,
     MatrixPlayer,
     PavlovState,
-    cooperation_probability,
-    learner_for,
-    play_learners,
     values_for_cooperation_probability,
 )
 from .beliefs import make_tom_state
@@ -176,11 +174,24 @@ def _rng_for(base_seed: int, *indices: int) -> np.random.Generator:
 def _pmap(worker, payloads: Sequence, jobs: int) -> list:
     if jobs <= 1 or len(payloads) <= 1:
         return [worker(p) for p in payloads]
-    # no more workers than payloads: under fork every worker starts at the first submit;
-    # about four chunks a worker, so short units do not each make a round trip
-    chunksize = math.ceil(len(payloads) / (4 * jobs))
+    # no more workers than payloads: under fork every worker starts at the first submit
     with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-        return list(pool.map(worker, payloads, chunksize=chunksize))
+        return list(pool.map(worker, payloads))
+
+
+def _deal(block, payloads: list, jobs: int) -> tuple[list, Counter]:
+    """Run the payloads in min(jobs, len(payloads)) blocks, one _pmap payload each.
+
+    Payloads are dealt round-robin, so that each block mixes cheap and
+    costly ones. block(block_payloads) returns (one row per payload, in
+    order; a Counter). Returns every row in payload order and the Counters' sum.
+    """
+    n = max(1, min(jobs, len(payloads)))
+    blocks = _pmap(block, [payloads[b::n] for b in range(n)], jobs)
+    rows: list = [None] * len(payloads)
+    for b, (block_rows, _) in enumerate(blocks):
+        rows[b::n] = block_rows
+    return rows, sum((counts for _, counts in blocks), Counter())
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +219,45 @@ class SweepSpec:
         _require_known(self, "variants", MATRIX_VARIANTS)
 
 
+#: A match's or a tournament group's draws are taken from its generator this
+#: many iterations at a time: the same numbers, in the same order, as the
+#: iteration-by-iteration calls of the match or group played alone.
+DRAW_CHUNK = 100
+
+
+def run_matches(
+    pairs: Sequence[tuple[MatrixPlayer, MatrixPlayer]],
+    matrix: PayoffMatrix,
+    iterations: int,
+    rngs: Sequence[np.random.Generator],
+    traces: Sequence[list] | None = None,
+) -> tuple[MatrixLanes, np.ndarray]:
+    """Play every pair's repeated one-shot match in lockstep, pair k from rngs[k].
+
+    Pair k's players are lanes k and len(pairs) + k of the returned
+    MatrixLanes, which holds their final state. Also returns the actions:
+    actions[t, lane] is True where that lane played C in iteration t. Each
+    iteration takes two draws from the pair's generator, first player's
+    first, exactly as the pair's match played alone. Pass one list per pair
+    as traces to also collect one TRACE_COLUMNS row per iteration.
+    """
+    n = len(pairs)
+    lanes = MatrixLanes([pair[0] for pair in pairs] + [pair[1] for pair in pairs])
+    first = np.arange(n)
+    second = first + n
+    actions = np.empty((iterations, 2 * n), dtype=bool)
+    for start in range(0, iterations, DRAW_CHUNK):
+        stop = min(start + DRAW_CHUNK, iterations)
+        draws = np.stack([rng.random((stop - start, 2)) for rng in rngs], axis=2)
+        for t, (u_first, u_second) in enumerate(draws, start):
+            c, _, phi, psychological = lanes.play(first, second, u_first, u_second, matrix)
+            actions[t] = c
+            if traces is not None:
+                for k, trace in enumerate(traces):
+                    trace.append(_trace_row(t, lanes, (k, n + k), c, phi, psychological, matrix))
+    return lanes, actions
+
+
 def run_match(
     agents: tuple[MatrixPlayer, MatrixPlayer],
     matrix: PayoffMatrix,
@@ -215,21 +265,14 @@ def run_match(
     rng: np.random.Generator,
     trace: list | None = None,
 ) -> tuple[tuple[MatrixPlayer, MatrixPlayer], list[tuple[PolicyLabel, PolicyLabel]]]:
-    """Run repeated one-shot play, returning final agents and the action history.
+    """One match, as run_matches with one pair: final agents and the action history.
 
     Pass a list as trace to also collect one TRACE_COLUMNS row per iteration.
     """
-    learners = (learner_for(agents[0]), learner_for(agents[1]))
-    # one block of draws: the same doubles, in the same order, as one
-    # rng.random() per player per iteration
-    draws = rng.random((iterations, 2)).tolist()
-    history: list[tuple[PolicyLabel, PolicyLabel]] = []
-    for it, (u0, u1) in enumerate(draws):
-        a0, a1, rec0, rec1 = play_learners(*learners, matrix, u0, u1)
-        history.append((a0, a1))
-        if trace is not None:
-            trace.append(_trace_row(it, a0, a1, rec0, rec1, learners, matrix))
-    return (learners[0].state(), learners[1].state()), history
+    traces = None if trace is None else [trace]
+    lanes, actions = run_matches([agents], matrix, iterations, [rng], traces)
+    history = [(C if a0 else U, C if a1 else U) for a0, a1 in actions.tolist()]
+    return (lanes.state(0), lanes.state(1)), history
 
 
 TRACE_COLUMNS = (
@@ -240,20 +283,23 @@ TRACE_COLUMNS = (
 )
 
 
-def _trace_row(iteration, a0, a1, rec0, rec1, learners, matrix) -> tuple:
+def _trace_row(iteration, lanes, pair, c, phi, psychological, matrix) -> tuple:
+    a0, a1 = (C if c[k] else U for k in pair)
+    records: list = []
     beliefs: list = []
     values: list = []
-    for learner in learners:
-        if isinstance(learner, MatrixLearner):
-            beliefs += (learner.b0, learner.b1, learner.conf)
-            values += (learner.v_c, learner.v_u)
-        else:
+    for k in pair:
+        if lanes.pavlov[k]:
+            records += (None, None)
             beliefs += (None, None, None)
             values += (None, None)
+        else:
+            records += (float(phi[k]), float(psychological[k]))
+            beliefs += (float(lanes.b0[k]), float(lanes.b1[k]), float(lanes.conf[k]))
+            values += (float(lanes.v_c[k]), float(lanes.v_u[k]))
     return (
         iteration, str(a0), str(a1), matrix.payoff(a0, a1), matrix.payoff(a1, a0),
-        rec0[0], rec0[1], rec1[0], rec1[1],
-        *beliefs, *values,
+        *records, *beliefs, *values,
     )
 
 
@@ -261,6 +307,31 @@ SWEEP_COLUMNS = (
     "variant", "p_init_0", "p_init_1", "repetition",
     "final_coop_softmax", "final_coop_freq",
 )
+
+
+def _sweep_block(payloads, traces: Sequence[list] | None = None) -> tuple[list[tuple], Counter]:
+    """The sweep.csv rows of a block of matches played in lockstep, in payload order.
+
+    The stream of the match at cell (i, j), repetition rep depends only on
+    (base_seed, i, j, rep), never on the variant or the block.
+    """
+    spec = payloads[0][0]
+    pairs = [
+        tuple(make_matrix_agent(variant, spec.agent_params, spec.probabilities[k]) for k in (i, j))
+        for _, variant, i, j, _, _ in payloads
+    ]
+    rngs = [_rng_for(base_seed, i, j, rep) for _, _, i, j, rep, base_seed in payloads]
+    lanes, actions = run_matches(pairs, spec.matrix, spec.iterations, rngs, traces)
+    n = len(pairs)
+    coop = lanes.p_cooperate()[:n].tolist()
+    window = actions[-spec.measure_window :, :n]
+    cooperated = window.sum(axis=0).tolist()
+    probs = spec.probabilities
+    rows = [
+        (variant, probs[i], probs[j], rep, coop[k], cooperated[k] / len(window))
+        for k, (_, variant, i, j, rep, _) in enumerate(payloads)
+    ]
+    return rows, Counter()
 
 
 def run_sweep_unit(
@@ -276,24 +347,13 @@ def run_sweep_unit(
 
     Pass a list as trace to replay that row's match per iteration.
     """
-    p0, p1 = spec.probabilities[i], spec.probabilities[j]
-    agents = (
-        make_matrix_agent(variant, spec.agent_params, p0),
-        make_matrix_agent(variant, spec.agent_params, p1),
-    )
-    rng = _rng_for(base_seed, i, j, rep)
-    agents, history = run_match(agents, spec.matrix, spec.iterations, rng, trace)
-    window = history[-spec.measure_window :]
-    freq = sum(1 for pair in window if pair[0] is C) / len(window)
-    return (variant, p0, p1, rep, cooperation_probability(agents[0]), freq)
-
-
-def _sweep_unit(payload) -> tuple:
-    return run_sweep_unit(*payload)
+    payload = (spec, variant, i, j, rep, base_seed)
+    rows, _ = _sweep_block([payload], None if trace is None else [trace])
+    return rows[0]
 
 
 def run_sweep(spec: SweepSpec, base_seed: int = 0, jobs: int = 1) -> RunResult:
-    """Fill the initial-probability grid for every variant.
+    """Fill the initial-probability grid for every variant, in min(jobs, matches) lockstep blocks.
 
     The random stream for a grid cell depends only on (base_seed, cell,
     repetition), never on the variant, so variants face identical luck.
@@ -305,7 +365,8 @@ def run_sweep(spec: SweepSpec, base_seed: int = 0, jobs: int = 1) -> RunResult:
         for j in range(len(spec.probabilities))
         for rep in range(spec.repetitions)
     ]
-    return RunResult(SWEEP_COLUMNS, _pmap(_sweep_unit, payloads, jobs), spec)
+    rows, _ = _deal(_sweep_block, payloads, jobs)
+    return RunResult(SWEEP_COLUMNS, rows, spec)
 
 
 def sweep_cell_means(result: RunResult) -> dict[tuple[str, float, float], float]:
@@ -363,25 +424,53 @@ def _make_group(composition: str, size: int, spec: TournamentSpec) -> list[Matri
 TOURNAMENT_COLUMNS = ("composition", "group_size", "repetition", "mean_common_reward")
 
 
-def _tournament_unit(payload) -> tuple:
-    spec, comp_idx, size_idx, rep, base_seed = payload
-    composition, size = spec.compositions[comp_idx], spec.group_sizes[size_idx]
-    rng = _rng_for(base_seed, comp_idx, size_idx, rep)
-    group = [learner_for(player) for player in _make_group(composition, size, spec)]
-    matrix = spec.matrix
-    common: list[float] = []
-    for _ in range(spec.rounds):
-        order = rng.permutation(size).tolist()
-        draws = rng.random(size - size % 2).tolist()  # actor, partner, actor, ...
-        round_rewards: list[float] = []
-        for k in range(0, size - 1, 2):
-            a, b, _rec_a, _rec_b = play_learners(
-                group[order[k]], group[order[k + 1]], matrix, draws[k], draws[k + 1]
+def _tournament_block(payloads) -> tuple[list[tuple], Counter]:
+    """The tournament.csv rows of a block of groups played in lockstep, in payload order.
+
+    Every group's pairs of a round go to one MatrixLanes.play call. A
+    group's stream depends only on (base_seed, composition, size,
+    repetition): each round, its matching permutation, then one draw per
+    matched agent (actor, partner, actor, ...), as when it played alone.
+    """
+    spec = payloads[0][0]
+    groups = []  # (size, generator, its first lane)
+    players: list[MatrixPlayer] = []
+    for _, comp_idx, size_idx, rep, base_seed in payloads:
+        size = spec.group_sizes[size_idx]
+        groups.append((size, _rng_for(base_seed, comp_idx, size_idx, rep), len(players)))
+        players += _make_group(spec.compositions[comp_idx], size, spec)
+    lanes = MatrixLanes(players)
+    # a round's rewards in pair order, actor then partner: group g's are bounds[g]:bounds[g + 1]
+    bounds = list(itertools.accumulate((size - size % 2 for size, _, _ in groups), initial=0))
+    window_from = spec.rounds - min(spec.report_window, spec.rounds)
+    commons: list[list[float]] = [[] for _ in groups]
+    for start in range(0, spec.rounds, DRAW_CHUNK):
+        rounds = min(DRAW_CHUNK, spec.rounds - start)
+        columns = []  # per group: its first players, second players and their draws
+        for size, rng, lane0 in groups:
+            matched = size - size % 2
+            order = np.tile(np.arange(size), (rounds, 1))
+            draws = np.empty((rounds, matched))
+            for t in range(rounds):
+                rng.shuffle(order[t])  # what rng.permutation(size) draws
+                rng.random(out=draws[t])
+            order += lane0
+            columns.append(
+                (order[:, 0:matched:2], order[:, 1:matched:2], draws[:, 0::2], draws[:, 1::2])
             )
-            round_rewards += (matrix.payoff(a, b), matrix.payoff(b, a))
-        common.append(sum(round_rewards) / len(round_rewards))
-    window = common[-spec.report_window :]
-    return (composition, size, rep, sum(window) / len(window))
+        first, second, u_first, u_second = (np.concatenate(part, axis=1) for part in zip(*columns))
+        for t in range(rounds):
+            _, reward, _, _ = lanes.play(first[t], second[t], u_first[t], u_second[t], spec.matrix)
+            if start + t < window_from:
+                continue
+            rewards = np.column_stack((reward[first[t]], reward[second[t]])).ravel().tolist()
+            for common, lo, hi in zip(commons, bounds, bounds[1:]):
+                common.append(sum(rewards[lo:hi]) / (hi - lo))
+    rows = [
+        (spec.compositions[comp_idx], spec.group_sizes[size_idx], rep, sum(window) / len(window))
+        for (_, comp_idx, size_idx, rep, _), window in zip(payloads, commons)
+    ]
+    return rows, Counter()
 
 
 def run_tournament(spec: TournamentSpec, base_seed: int = 0, jobs: int = 1) -> RunResult:
@@ -389,7 +478,7 @@ def run_tournament(spec: TournamentSpec, base_seed: int = 0, jobs: int = 1) -> R
 
     Common reward for a round is the mean material (unshaped) reward over
     the agents that actually played; with an odd group size one uniformly
-    chosen agent sits out.
+    chosen agent sits out. Groups run in min(jobs, groups) lockstep blocks.
     """
     payloads = [
         (spec, comp_idx, size_idx, rep, base_seed)
@@ -397,7 +486,8 @@ def run_tournament(spec: TournamentSpec, base_seed: int = 0, jobs: int = 1) -> R
         for size_idx in range(len(spec.group_sizes))
         for rep in range(spec.repetitions)
     ]
-    return RunResult(TOURNAMENT_COLUMNS, _pmap(_tournament_unit, payloads, jobs), spec)
+    rows, _ = _deal(_tournament_block, payloads, jobs)
+    return RunResult(TOURNAMENT_COLUMNS, rows, spec)
 
 
 def tournament_means(result: RunResult) -> dict[tuple[str, int], float]:
@@ -534,12 +624,7 @@ def run_gridworld_comparison(spec: GridworldSpec, base_seed: int = 0, jobs: int 
         for var_idx in range(len(spec.variants))
         for seed_idx in range(spec.seeds)
     ]
-    n = max(1, min(jobs, len(payloads)))
-    blocks = _pmap(_gridworld_block, [payloads[b::n] for b in range(n)], jobs)
-    rows: list = [None] * len(payloads)
-    for b, (block_rows, _) in enumerate(blocks):
-        rows[b::n] = block_rows
-    ends = sum((block_ends for _, block_ends in blocks), Counter())
+    rows, ends = _deal(_gridworld_block, payloads, jobs)
     return RunResult(GRIDWORLD_COLUMNS, rows, spec, {
         "episode_ends": {kind: ends[kind] for kind in ("stag_joint", "hare", "timeout")},
         "episode_length_mean": ends["steps"] / (len(payloads) * spec.iterations),

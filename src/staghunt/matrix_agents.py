@@ -8,21 +8,28 @@ Three families live here:
       bootstrap term is the belief-weighted best material payoff;
     * the Pavlov baseline (generalised Win-Stay-Lose-Shift) that cooperates
       with probability i/n and nudges i on behaviour matches/mismatches;
-    * the engine: each frozen state becomes a mutable learner on plain
-      floats for the length of a match (`learner_for`), `play_learners`
-      plays one round between two learners and routes every update in the
-      right order, and `state()` turns a learner back into a frozen state.
+    * the engine, `MatrixLanes`: every player of a block of matches is one
+      slot ("lane") of flat numpy arrays, and `play` moves every lane
+      through one round in one pass of numpy calls, for any set of disjoint
+      pairs; `state` turns a lane back into a frozen state.
+
+Each rule of the engine is the scalar rule (beliefs.belief_step,
+shaping.phi_from_beliefs, shaping.guilt_reward) written as elementwise
+numpy, with the same float operations in the same order: a branch becomes
+np.where, so lockstep play gives the same bits as one match at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Union
+from typing import Sequence, Union
 
-from .beliefs import Belief, ToMState, belief_step
+import numpy as np
+
+from .beliefs import Belief, ToMState
 from .game import C, U, PayoffMatrix, PolicyLabel
-from .shaping import GuiltParams, guilt_reward, phi_from_beliefs, shape_reward
+from .shaping import GuiltParams
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,159 +108,197 @@ def values_for_cooperation_probability(
     return {C: gap / 2.0, U: -gap / 2.0}
 
 
-def _logistic(x: float) -> float:
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
+def _clamp01(x: np.ndarray) -> np.ndarray:
+    # beliefs._clamp01, lane by lane
+    return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
 
 
-_NO_RECORD = (None, None, None)
-
-
-class MatrixLearner:
-    """A value learner on plain floats, updated in place.
-
-    Built once per match from a frozen MatrixAgentState and turned back into
-    one by `state()`, so the frozen dataclasses stay the API boundary while
-    every iteration runs without allocating agent objects. Its methods hold
-    the action-selection, TD(1) and temperature-decay rules;
-    `cooperation_probability` and `td1_update` below apply them to a
-    MatrixAgentState.
-    """
-
-    __slots__ = (
-        "v_c", "v_u", "b0", "b1", "conf", "temp",
-        "learning_rate", "tom_enabled", "guilt", "alpha", "gamma",
-        "softmax", "epsilon", "decay", "_agent",
+def _payoff(own_c: np.ndarray, other_c: np.ndarray, matrix: PayoffMatrix) -> np.ndarray:
+    # PayoffMatrix.payoff, lane by lane
+    return np.where(
+        own_c, np.where(other_c, matrix.h, matrix.g), np.where(other_c, matrix.c, matrix.m)
     )
 
-    def __init__(self, agent: MatrixAgentState):
-        tom, explore = agent.tom, agent.explore
-        self.v_c = agent.values[C]
-        self.v_u = agent.values[U]
-        self.b0 = tom.zero_order.p_cooperative
-        self.b1 = tom.first_order.p_cooperative
-        self.conf = tom.confidence
-        self.temp = explore.temperature
-        self.learning_rate = tom.learning_rate
-        self.tom_enabled = tom.tom_enabled
-        self.guilt = agent.guilt
-        self.alpha = agent.alpha
-        self.gamma = agent.gamma
-        self.softmax = explore.kind == "softmax"
-        self.epsilon = explore.epsilon
+
+#: A Pavlov lane's value-learner columns: no belief learning, guilt, step,
+#: lookahead or decay, so they stay in range; its value rule is thrown away.
+_INERT_VALUE_LEARNER = dict(
+    v_c=0.0, v_u=0.0, b0=0.5, b1=0.5, conf=0.5, temp=1.0, keep_lr=1.0, lr=0.0, tom=True,
+    neg_theta=0.0, alpha=0.0, gamma=0.0, softmax=True, keep_eps=1.0, half_eps=0.0, decay=1.0,
+)
+_INT_COLUMNS = ("i_count", "n")
+_BOOL_COLUMNS = ("tom", "softmax", "pavlov")
+#: What play() moves; a lane that sits a round out keeps these.
+_LANE_STATE = ("v_c", "v_u", "b0", "b1", "conf", "temp", "i_count")
+
+
+def _lane(player: MatrixPlayer) -> dict:
+    """A player's lane: every column of MatrixLanes for it."""
+    if isinstance(player, PavlovState):
+        return {**_INERT_VALUE_LEARNER, "pavlov": True, "i_count": player.i_count, "n": player.n}
+    tom, explore = player.tom, player.explore
+    softmax = explore.kind == "softmax"
+    lr, eps = tom.learning_rate, explore.epsilon
+    return dict(
+        v_c=player.values[C], v_u=player.values[U], b0=tom.zero_order.p_cooperative,
+        b1=tom.first_order.p_cooperative, conf=tom.confidence,
+        # an epsilon lane divides by 1.0 in the softmax rule it throws away
+        temp=explore.temperature if softmax else 1.0,
+        keep_lr=1.0 - lr, lr=lr, tom=tom.tom_enabled,
+        # 0.0 with guilt off: 0.0 * max(0, d) is exactly guilt-off's 0.0
+        neg_theta=-player.guilt.theta if player.guilt else 0.0,
+        alpha=player.alpha, gamma=player.gamma, softmax=softmax, keep_eps=1.0 - eps,
+        half_eps=eps / 2.0,
         # only the softmax temperature decays; x * 1.0 == x exactly
-        self.decay = explore.temperature_decay if self.softmax else 1.0
-        self._agent = agent
+        decay=explore.temperature_decay if softmax else 1.0,
+        # an inert Pavlov count, 0 of 1: its rule is thrown away
+        pavlov=False, i_count=0, n=1,
+    )
 
-    def p_cooperate(self) -> float:
-        """P(C) under the exploration rule (see Exploration)."""
+
+class MatrixLanes:
+    """A block's players as lanes of flat arrays, all moved by one `play` per round.
+
+    State: v_c, v_u (action values), b0, b1, conf (zero- and first-order
+    beliefs, confidence), temp (softmax temperature) and, for Pavlov lanes,
+    i_count. Per-lane constants: keep_lr = 1 - learning rate, lr, tom,
+    neg_theta = -theta (0.0 with guilt off), alpha, gamma, softmax,
+    keep_eps = 1 - epsilon, half_eps = epsilon / 2, decay, pavlov and n.
+    Every rule runs on every lane; a mask picks each lane's own.
+    """
+
+    def __init__(self, players: Sequence[MatrixPlayer]):
+        self.players = list(players)
+        lanes = [_lane(player) for player in self.players]
+        for name in lanes[0]:
+            dtype = int if name in _INT_COLUMNS else bool if name in _BOOL_COLUMNS else float
+            setattr(self, name, np.array([lane[name] for lane in lanes], dtype=dtype))
+        self.all_tom = bool(self.tom.all())
+        self.any_epsilon = not self.softmax.all()
+        self.any_pavlov = bool(self.pavlov.any())
+
+    def p_cooperate(self) -> np.ndarray:
+        """Every lane's P(C) under its exploration rule (see Exploration), or i/n for Pavlov."""
         gap = self.v_c - self.v_u
-        if self.softmax:
-            return _logistic(gap / self.temp)
-        greedy_c = 1.0 if gap >= 0 else 0.0
-        return (1.0 - self.epsilon) * greedy_c + self.epsilon / 2.0
+        x = gap / self.temp
+        # the logistic on math.exp, whose rounding is libm's, as the scalar rule's
+        e = np.fromiter(map(math.exp, (-np.abs(x)).tolist()), float, len(x))
+        p = np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        if self.any_epsilon:
+            greedy_c = np.where(gap >= 0, 1.0, 0.0)
+            p = np.where(self.softmax, p, self.keep_eps * greedy_c + self.half_eps)
+        if self.any_pavlov:
+            p = np.where(self.pavlov, self.i_count / self.n, p)
+        return p
 
-    def act(self, u: float) -> PolicyLabel:
-        """The action for a uniform draw u in [0, 1)."""
-        return C if u < self.p_cooperate() else U
-
-    def td1(self, taken: PolicyLabel, shaped_reward: float, matrix: PayoffMatrix) -> None:
-        """V(taken) += alpha * (shaped + gamma * lookahead - V(taken)).
+    def td1(self, own_c: np.ndarray, shaped: np.ndarray, matrix: PayoffMatrix) -> None:
+        """V(taken) += alpha * (shaped + gamma * lookahead - V(taken)), every lane.
 
         The lookahead is the best material payoff under the zero-order
         belief about the opponent's action; beliefs must already reflect
         this iteration's observations when this runs.
         """
-        target = shaped_reward + self.gamma * max(matrix.expected_payoffs(self.b0))
-        if taken is C:
-            self.v_c += self.alpha * (target - self.v_c)
-        else:
-            self.v_u += self.alpha * (target - self.v_u)
+        b0 = self.b0
+        b0_u = 1.0 - b0
+        score_c = b0 * matrix.h + b0_u * matrix.g
+        score_u = b0 * matrix.c + b0_u * matrix.m
+        target = shaped + self.gamma * np.where(score_u > score_c, score_u, score_c)
+        taken = np.where(own_c, self.v_c, self.v_u)
+        stepped = taken + self.alpha * (target - taken)
+        self.v_c = np.where(own_c, stepped, self.v_c)
+        self.v_u = np.where(own_c, self.v_u, stepped)
 
-    def decay_temperature(self) -> None:
-        self.temp *= self.decay
+    def play(
+        self,
+        first: np.ndarray,
+        second: np.ndarray,
+        u_first: np.ndarray,
+        u_second: np.ndarray,
+        matrix: PayoffMatrix,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """One simultaneous round of the disjoint pairs (first[k], second[k]).
 
-    def learn(
-        self, own: PolicyLabel, other: PolicyLabel, matrix: PayoffMatrix
-    ) -> tuple[float, float, float]:
-        """Beliefs, then shaping, then TD(1), then decay; returns (phi, psychological, shaped)."""
-        self.b0, self.b1, self.conf = belief_step(
-            self.b0, self.b1, self.conf, self.learning_rate, self.tom_enabled, other, own, matrix
+        u_first[k] and u_second[k] are the two players' uniform draws; each
+        player sees only the revealed actions. A lane in no pair sits the
+        round out unchanged. Then per lane, in this order: beliefs, phi,
+        guilt, shaped reward, TD(1), temperature decay; Pavlov steps its
+        count. Returns, over every lane: whether it played C, its material
+        reward, phi and the psychological reward (meaningless for Pavlov
+        lanes and for lanes that sat out).
+        """
+        n = len(self.players)
+        sitting_out = 2 * len(first) < n
+        u = np.zeros(n)
+        u[first] = u_first
+        u[second] = u_second
+        c = u < self.p_cooperate()
+        opponent = np.arange(n)
+        opponent[first] = second
+        opponent[second] = first
+        other_c = c[opponent]
+        before = {name: getattr(self, name) for name in _LANE_STATE} if sitting_out else {}
+
+        # beliefs (beliefs.belief_step): predict, confidence, integration, first-order pull
+        b1_u = 1.0 - self.b1
+        predicts_c = self.b1 * matrix.h + b1_u * matrix.g >= self.b1 * matrix.c + b1_u * matrix.m
+        conf = _clamp01(self.keep_lr * self.conf + self.lr * (other_c == predicts_c))
+        keep = 1.0 - conf
+        self.b0 = _clamp01(keep * self.b0 + conf * predicts_c)
+        b1 = _clamp01(keep * self.b1 + conf * c)
+        self.b1 = b1 if self.all_tom else np.where(self.tom, b1, self.b1)
+        self.conf = conf
+
+        # phi (shaping.phi_from_beliefs), guilt (shaping.guilt_reward), shaping
+        b0, b1 = self.b0, self.b1
+        b0_u, b1_u = 1.0 - b0, 1.0 - b1
+        phi = (
+            b0 * b1 * matrix.h + b0_u * b1 * matrix.c
+            + b0 * b1_u * matrix.g + b0_u * b1_u * matrix.m
         )
-        phi = phi_from_beliefs(self.b0, self.b1, matrix)
-        guilt = self.guilt
-        psychological = guilt_reward(guilt, phi, matrix.payoff(other, own)) if guilt else 0.0
-        shaped = shape_reward(matrix.payoff(own, other), psychological)
-        self.td1(own, shaped, matrix)
-        self.decay_temperature()
-        return phi, psychological, shaped
+        other_reward = _payoff(other_c, c, matrix)
+        shortfall = phi - other_reward
+        psychological = self.neg_theta * np.where(shortfall > 0.0, shortfall, 0.0)
+        reward = _payoff(c, other_c, matrix)
+        self.td1(c, reward + psychological, matrix)
+        self.temp = self.temp * self.decay
 
-    def state(self) -> MatrixAgentState:
-        agent = self._agent
+        if self.any_pavlov:
+            # unit step up on matched behaviours, unit step down otherwise, clamped
+            i = self.i_count
+            self.i_count = np.where(c == other_c, np.minimum(i + 1, self.n), np.maximum(i - 1, 0))
+        if sitting_out:
+            playing = np.zeros(n, dtype=bool)
+            playing[first] = True
+            playing[second] = True
+            for name, old in before.items():
+                setattr(self, name, np.where(playing, getattr(self, name), old))
+        return c, reward, phi, psychological
+
+    def state(self, k: int) -> MatrixPlayer:
+        """Lane k as a frozen state: its player with the lane's current state."""
+        player = self.players[k]
+        if isinstance(player, PavlovState):
+            return PavlovState(int(self.i_count[k]), player.n)
+        explore = player.explore
+        if explore.kind == "softmax":
+            explore = replace(explore, temperature=float(self.temp[k]))
         return replace(
-            agent,
-            values={C: self.v_c, U: self.v_u},
+            player,
+            values={C: float(self.v_c[k]), U: float(self.v_u[k])},
             tom=replace(
-                agent.tom,
-                zero_order=Belief(self.b0),
-                first_order=Belief(self.b1),
-                confidence=self.conf,
+                player.tom,
+                zero_order=Belief(float(self.b0[k])),
+                first_order=Belief(float(self.b1[k])),
+                confidence=float(self.conf[k]),
             ),
-            explore=replace(agent.explore, temperature=self.temp),
+            explore=explore,
         )
 
-
-class PavlovLearner:
-    """PavlovState on plain ints, updated in place."""
-
-    __slots__ = ("i_count", "n")
-
-    def __init__(self, state: PavlovState):
-        self.i_count = state.i_count
-        self.n = state.n
-
-    def act(self, u: float) -> PolicyLabel:
-        return C if u < self.i_count / self.n else U
-
-    def learn(self, own: PolicyLabel, other: PolicyLabel, matrix: PayoffMatrix):
-        """Unit step up on matched behaviours, unit step down otherwise, clamped."""
-        if own is other:
-            self.i_count = min(self.i_count + 1, self.n)
-        else:
-            self.i_count = max(self.i_count - 1, 0)
-        return _NO_RECORD
-
-    def state(self) -> PavlovState:
-        return PavlovState(self.i_count, self.n)
-
-
-Learner = Union[MatrixLearner, PavlovLearner]
-
-
-def learner_for(player: MatrixPlayer) -> Learner:
-    if isinstance(player, PavlovState):
-        return PavlovLearner(player)
-    return MatrixLearner(player)
-
-
-def play_learners(first: Learner, second: Learner, matrix: PayoffMatrix, u0: float, u1: float):
-    """One simultaneous round, updating both learners in place.
-
-    u0 and u1 are the two players' uniform draws, first player's first;
-    each learner sees only the revealed labels. Returns (first's action,
-    second's action, first's (phi, psychological, shaped), second's), with
-    None entries for Pavlov.
-    """
-    a0 = first.act(u0)
-    a1 = second.act(u1)
-    return a0, a1, first.learn(a0, a1, matrix), second.learn(a1, a0, matrix)
 
 
 def cooperation_probability(agent: MatrixAgentState) -> float:
     """The agent's current probability of playing C under its exploration rule."""
-    return MatrixLearner(agent).p_cooperate()
+    return float(MatrixLanes([agent]).p_cooperate()[0])
 
 
 def td1_update(
@@ -262,7 +307,7 @@ def td1_update(
     shaped_reward: float,
     matrix: PayoffMatrix,
 ) -> MatrixAgentState:
-    """MatrixLearner.td1 on a frozen agent."""
-    learner = MatrixLearner(agent)
-    learner.td1(taken, shaped_reward, matrix)
-    return learner.state()
+    """MatrixLanes.td1 on a frozen agent."""
+    lanes = MatrixLanes([agent])
+    lanes.td1(np.array([taken is C]), np.array([shaped_reward], dtype=float), matrix)
+    return lanes.state(0)

@@ -13,6 +13,7 @@ of multi-step games carry zero material reward.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,26 +23,29 @@ from .game import PayoffMatrix
 
 @dataclass(frozen=True, slots=True)
 class GuiltParams:
-    """Guilt sensitivity theta > 0."""
+    """Guilt sensitivity theta, finite and > 0."""
 
     theta: float
 
     def __post_init__(self):
-        if not self.theta > 0:
-            raise ValueError(f"guilt sensitivity must be > 0, got {self.theta}")
+        # an infinite theta makes NaN guilt when expectations are met (-inf * 0.0)
+        if not 0 < self.theta < math.inf:
+            raise ValueError(f"guilt sensitivity must be finite and > 0, got {self.theta}")
 
 
 @dataclass(frozen=True, slots=True)
 class InequityParams:
-    """Advantageous/disadvantageous inequity sensitivities for N agents."""
+    """Advantageous/disadvantageous inequity sensitivities (finite, >= 0) for N agents."""
 
     theta_advantageous: float
     theta_disadvantageous: float
     n_agents: int = 2
 
     def __post_init__(self):
-        if self.theta_advantageous < 0 or self.theta_disadvantageous < 0:
-            raise ValueError("inequity sensitivities must be >= 0")
+        # an infinite one makes NaN shaping when a gap is 0 (-inf * 0.0)
+        for theta in (self.theta_advantageous, self.theta_disadvantageous):
+            if not 0 <= theta < math.inf:
+                raise ValueError(f"inequity sensitivities must be finite and >= 0, got {theta}")
         if self.n_agents < 2:
             raise ValueError("inequity shaping needs at least 2 agents")
 

@@ -35,7 +35,7 @@ from staghunt.experiments import (
     gridworld_threshold_summary,
     make_matrix_agent,
     run_gridworld_comparison,
-    run_match,
+    run_matches,
     run_sweep,
     run_tournament,
     sweep_cell_means,
@@ -127,14 +127,27 @@ def test_criterion_3_transformed_game_spot_check():
     )
 
 
-def _replay_sweep_unit(spec: SweepSpec, variant: str, i: int, j: int, rep: int, base_seed: int):
-    """Re-run one sweep unit from the sweep's own per-unit seeding, returning
-    its final agents and action history."""
-    agents = tuple(
-        make_matrix_agent(variant, spec.agent_params, spec.probabilities[k]) for k in (i, j)
-    )
-    rng = np.random.default_rng(np.random.SeedSequence([base_seed, i, j, rep]))
-    return run_match(agents, spec.matrix, spec.iterations, rng)
+def _replay_sweep_units(spec: SweepSpec, units, base_seed: int):
+    """Re-run sweep units (variant, i, j, rep) from the sweep's own per-unit
+    seeding, all in one batch, returning each one's final agents and last
+    joint action."""
+    pairs = [
+        tuple(make_matrix_agent(variant, spec.agent_params, spec.probabilities[k]) for k in (i, j))
+        for variant, i, j, _rep in units
+    ]
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence([base_seed, i, j, rep]))
+        for _variant, i, j, rep in units
+    ]
+    lanes, actions = run_matches(pairs, spec.matrix, spec.iterations, rngs)
+    n = len(units)
+    return [
+        (
+            (lanes.state(k), lanes.state(n + k)),
+            tuple(C if actions[-1, lane] else U for lane in (k, n + k)),
+        )
+        for k in range(n)
+    ]
 
 
 def test_criterion_4_matrix_selfplay_sweep():
@@ -190,17 +203,17 @@ def test_criterion_4_matrix_selfplay_sweep():
     }
     replay_ok = ga_ok = tom_ok = True
     ga_phi_min, tom_uu_phi_max, tom_uu = math.inf, -math.inf, 0
-    for variant, i, j, rep in units:
-        agents, history = _replay_sweep_unit(spec, variant, i, j, rep, base_seed=2026)
+    replays = _replay_sweep_units(spec, units, base_seed=2026)
+    for (variant, i, j, rep), (agents, last) in zip(units, replays):
         replay_ok &= (
             cooperation_probability(agents[0]) == sweep_rows[(variant, probs[i], probs[j], rep)]
         )
         phis = [expected_other_value(agent.tom, spec.matrix) for agent in agents]
         equilibria = pure_nash(transform_game(spec.matrix, *phis, theta, theta))
         if variant == "ga-no-tom":
-            ga_ok &= history[-1] == (C, C) and equilibria.is_unique_cc
+            ga_ok &= last == (C, C) and equilibria.is_unique_cc
             ga_phi_min = min(ga_phi_min, *phis)
-        elif history[-1] == (U, U):
+        elif last == (U, U):
             tom_ok &= (U, U) in equilibria.pure_equilibria
             tom_uu_phi_max = max(tom_uu_phi_max, *phis)
             tom_uu += 1

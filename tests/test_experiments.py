@@ -268,10 +268,10 @@ def test_play_from_cached_distributions_matches_a_choice_reference(stag_motion):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and chunksize, maps in-process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and payloads, maps in-process."""
 
     sizes: list = []
-    chunks: list = []
+    payloads: list = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -282,15 +282,16 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items, chunksize=1):
-        self.chunks.append(chunksize)
+    def map(self, fn, items):
+        items = list(items)
+        self.payloads.append(len(items))
         return map(fn, items)
 
 
 def test_pool_has_no_more_workers_than_payloads(monkeypatch):
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(_RecordingPool, "chunks", [])
+    monkeypatch.setattr(_RecordingPool, "payloads", [])
     assert experiments._pmap(abs, [-1, -2, -3], 64) == [1, 2, 3]
     spec = GridworldSpec(scenarios=("near-stag",), variants=("tomaga",), seeds=2,
                          iterations=5, window=5)
@@ -298,10 +299,26 @@ def test_pool_has_no_more_workers_than_payloads(monkeypatch):
     assert rows == run_gridworld_comparison(spec, base_seed=1, jobs=1).rows
     sweep = small_sweep(probabilities=(0.5,), iterations=5, repetitions=1, variants=("tomaga",))
     run_sweep(sweep, base_seed=1, jobs=8)  # one payload: no pool at all
-    assert _RecordingPool.sizes == [3, 2]
-    # about four chunks a worker: 72 payloads at 2 jobs go in 8 chunks of 9
-    assert experiments._pmap(abs, list(range(-72, 0)), 2) == list(range(72, 0, -1))
-    assert _RecordingPool.chunks == [1, 1, 9]
+    # one payload per worker: 72 matches at 2 jobs go as 2 blocks, 6 groups at 3 jobs as 3
+    sweep = small_sweep(probabilities=(0.0, 0.5, 1.0), iterations=5, repetitions=4)
+    assert run_sweep(sweep, base_seed=1, jobs=2).rows == run_sweep(sweep, base_seed=1).rows
+    tournament = TournamentSpec(group_sizes=(2, 3), rounds=5, report_window=5, repetitions=3,
+                                compositions=("pavlov",))
+    run_tournament(tournament, base_seed=1, jobs=3)
+    assert _RecordingPool.sizes == [3, 2, 2, 3]
+    assert _RecordingPool.payloads == [3, 2, 2, 3]
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_matrix_lockstep_rows_do_not_depend_on_jobs(jobs):
+    # every block a different mix of matches and groups, rows back in payload order
+    sweep = small_sweep(probabilities=(0.0, 0.3, 1.0), iterations=40, repetitions=2,
+                        variants=("tomaga", "individual"))
+    assert run_sweep(sweep, base_seed=4, jobs=jobs).rows == run_sweep(sweep, base_seed=4).rows
+    tournament = TournamentSpec(group_sizes=(2, 3, 4), rounds=40, report_window=10,
+                                repetitions=2, compositions=("heterogeneous", "tom-no-guilt"))
+    assert (run_tournament(tournament, base_seed=4, jobs=jobs).rows
+            == run_tournament(tournament, base_seed=4).rows)
 
 
 def test_gridworld_telemetry_counts_every_episode_by_its_end():

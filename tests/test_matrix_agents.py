@@ -1,42 +1,150 @@
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from staghunt import C, U, GuiltParams, PayoffMatrix, guilt_threshold_f, make_tom_state
-from staghunt.experiments import AgentParams, make_matrix_agent
+from staghunt.beliefs import belief_step
+from staghunt.experiments import (
+    COMPOSITIONS,
+    DRAW_CHUNK,
+    AgentParams,
+    TournamentSpec,
+    _make_group,
+    make_matrix_agent,
+    run_match,
+    run_matches,
+    run_tournament,
+)
 from staghunt.matrix_agents import (
     Exploration,
     MatrixAgentState,
-    MatrixLearner,
-    PavlovLearner,
+    MatrixLanes,
     PavlovState,
     cooperation_probability,
-    learner_for,
-    play_learners,
     td1_update,
     values_for_cooperation_probability,
 )
+from staghunt.shaping import guilt_reward, phi_from_beliefs, shape_reward
 
 Q1 = PayoffMatrix(40, 30, 20, 0)
 
 
-def play(learners, rng):
-    """One round between two learners, each drawing its uniform in turn.
+# --- the scalar engine the lanes replaced, kept as their reference -------------
+
+
+def _logistic(x: float) -> float:
+    if x >= 0.0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
+class MatrixLearner:
+    """One value learner on plain floats, updated in place."""
+
+    def __init__(self, agent: MatrixAgentState):
+        tom, explore = agent.tom, agent.explore
+        self.v_c = agent.values[C]
+        self.v_u = agent.values[U]
+        self.b0 = tom.zero_order.p_cooperative
+        self.b1 = tom.first_order.p_cooperative
+        self.conf = tom.confidence
+        self.temp = explore.temperature
+        self.learning_rate = tom.learning_rate
+        self.tom_enabled = tom.tom_enabled
+        self.guilt = agent.guilt
+        self.alpha = agent.alpha
+        self.gamma = agent.gamma
+        self.softmax = explore.kind == "softmax"
+        self.epsilon = explore.epsilon
+        self.decay = explore.temperature_decay if self.softmax else 1.0
+
+    def p_cooperate(self) -> float:
+        gap = self.v_c - self.v_u
+        if self.softmax:
+            return _logistic(gap / self.temp)
+        greedy_c = 1.0 if gap >= 0 else 0.0
+        return (1.0 - self.epsilon) * greedy_c + self.epsilon / 2.0
+
+    def act(self, u: float):
+        return C if u < self.p_cooperate() else U
+
+    def learn(self, own, other, matrix: PayoffMatrix) -> tuple[float, float, float]:
+        """Beliefs, then shaping, then TD(1), then decay; returns (phi, psychological, shaped)."""
+        self.b0, self.b1, self.conf = belief_step(
+            self.b0, self.b1, self.conf, self.learning_rate, self.tom_enabled, other, own, matrix
+        )
+        phi = phi_from_beliefs(self.b0, self.b1, matrix)
+        guilt = self.guilt
+        psychological = guilt_reward(guilt, phi, matrix.payoff(other, own)) if guilt else 0.0
+        shaped = shape_reward(matrix.payoff(own, other), psychological)
+        target = shaped + self.gamma * max(matrix.expected_payoffs(self.b0))
+        if own is C:
+            self.v_c += self.alpha * (target - self.v_c)
+        else:
+            self.v_u += self.alpha * (target - self.v_u)
+        self.temp *= self.decay
+        return phi, psychological, shaped
+
+
+class PavlovLearner:
+    def __init__(self, state: PavlovState):
+        self.i_count = state.i_count
+        self.n = state.n
+
+    def p_cooperate(self) -> float:
+        return self.i_count / self.n
+
+    def act(self, u: float):
+        return C if u < self.i_count / self.n else U
+
+    def learn(self, own, other, matrix: PayoffMatrix):
+        if own is other:
+            self.i_count = min(self.i_count + 1, self.n)
+        else:
+            self.i_count = max(self.i_count - 1, 0)
+        return None, None, None
+
+
+def learner_for(player):
+    return PavlovLearner(player) if isinstance(player, PavlovState) else MatrixLearner(player)
+
+
+def play_learners(first, second, matrix: PayoffMatrix, u0: float, u1: float):
+    a0 = first.act(u0)
+    a1 = second.act(u1)
+    return a0, a1, first.learn(a0, a1, matrix), second.learn(a1, a0, matrix)
+
+
+# --- helpers on the engine -----------------------------------------------------
+
+
+def play(lanes, rng, matrix=Q1):
+    """One round between lanes 0 and 1, each drawing its uniform in turn.
 
     Returns (actions, material rewards, per-player (phi, psychological,
     shaped) records).
     """
-    a0, a1, rec0, rec1 = play_learners(*learners, Q1, rng.random(), rng.random())
-    return (a0, a1), (Q1.payoff(a0, a1), Q1.payoff(a1, a0)), (rec0, rec1)
+    u0, u1 = rng.random(), rng.random()
+    c, reward, phi, psychological = lanes.play(np.array([0]), np.array([1]), [u0], [u1], matrix)
+    actions = tuple(C if c[k] else U for k in (0, 1))
+    records = tuple(
+        (phi[k], psychological[k], reward[k] + psychological[k]) for k in (0, 1)
+    )
+    return actions, (reward[0], reward[1]), records
 
 
 def pavlov_learn(state, own, other):
-    learner = PavlovLearner(state)
-    learner.learn(own, other, Q1)
-    return learner.state()
+    """state after one round in which it played own against other."""
+    partner = PavlovState(i_count=10 if other is C else 0, n=10)
+    lanes = MatrixLanes([state, partner])
+    draws = [0.0 if label is C else 1.0 for label in (own, other)]  # C needs P(C) > 0
+    lanes.play(np.array([0]), np.array([1]), draws[:1], draws[1:], Q1)
+    return lanes.state(0)
 
 
 def make_agent(values=None, guilt_theta=200.0, tom_enabled=True, alpha=0.1, gamma=0.9,
@@ -63,8 +171,8 @@ def test_equal_values_give_even_odds():
 def test_epsilon_zero_is_pure_exploitation():
     agent = make_agent(values={C: 1.0, U: 0.0}, explore=Exploration(kind="epsilon", epsilon=0.0))
     rng = np.random.default_rng(0)
-    learner = MatrixLearner(agent)
-    assert all(learner.act(rng.random()) is C for _ in range(50))
+    p = MatrixLanes([agent]).p_cooperate()[0]
+    assert all(rng.random() < p for _ in range(50))
 
 
 def test_softmax_probability_from_value_gap():
@@ -144,17 +252,18 @@ def test_agent_state_validation():
 
 def test_pavlov_extremes_are_deterministic():
     rng = np.random.default_rng(0)
-    always = PavlovLearner(PavlovState(i_count=10, n=10))
-    never = PavlovLearner(PavlovState(i_count=0, n=10))
-    assert all(always.act(rng.random()) is C for _ in range(20))
-    assert all(never.act(rng.random()) is U for _ in range(20))
+    always, never = MatrixLanes(
+        [PavlovState(i_count=10, n=10), PavlovState(i_count=0, n=10)]
+    ).p_cooperate()
+    assert all(rng.random() < always for _ in range(20))
+    assert not any(rng.random() < never for _ in range(20))
 
 
 def test_pavlov_half_probability_sampling():
     rng = np.random.default_rng(1234)
-    learner = PavlovLearner(PavlovState(i_count=1, n=2))
+    p = MatrixLanes([PavlovState(i_count=1, n=2)]).p_cooperate()[0]
     draws = 10_000
-    heads = sum(learner.act(rng.random()) is C for _ in range(draws))
+    heads = sum(rng.random() < p for _ in range(draws))
     sigma = math.sqrt(draws * 0.25)
     assert abs(heads - draws / 2) < 3 * sigma
 
@@ -174,26 +283,24 @@ def test_pavlov_state_validation():
 
 
 @given(
-    start=st.integers(0, 10),
-    plays=st.lists(st.tuples(st.sampled_from([C, U]), st.sampled_from([C, U])), max_size=100),
+    starts=st.tuples(st.integers(0, 10), st.integers(0, 10)),
+    draws=st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.floats(0, 1, exclude_max=True)),
+                   max_size=100),
 )
-def test_pavlov_count_stays_in_range(start, plays):
-    learner = PavlovLearner(PavlovState(i_count=start, n=10))
-    for own, other in plays:
-        learner.learn(own, other, Q1)
-        assert 0 <= learner.i_count <= 10
+def test_pavlov_count_stays_in_range(starts, draws):
+    lanes = MatrixLanes([PavlovState(i_count=start, n=10) for start in starts])
+    for u0, u1 in draws:
+        lanes.play(np.array([0]), np.array([1]), [u0], [u1], Q1)
+        assert all(0 <= i <= 10 for i in lanes.i_count.tolist())
 
 
 # --- one round on the engine --------------------------------------------------
 
 
 def test_individual_pair_has_no_psychological_component():
-    learners = (
-        MatrixLearner(make_agent(values={C: -10.0, U: 10.0}, guilt_theta=None)),
-        MatrixLearner(make_agent(values={C: -10.0, U: 10.0}, guilt_theta=None)),
-    )
+    lanes = MatrixLanes([make_agent(values={C: -10.0, U: 10.0}, guilt_theta=None)] * 2)
     rng = np.random.default_rng(0)
-    actions, rewards, records = play(learners, rng)
+    actions, rewards, records = play(lanes, rng)
     assert actions == (U, U)
     assert rewards == (20.0, 20.0)
     assert records[0][1] == 0.0 and records[1][1] == 0.0  # psychological
@@ -206,20 +313,16 @@ def test_guilt_pair_with_certain_beliefs_defecting_together():
     Zero confidence with a zero belief learning rate freezes the beliefs, so
     phi stays at h=40 through the update and guilt = -200 * (40 - 20).
     """
-    learners = tuple(
-        MatrixLearner(MatrixAgentState(
-            values={C: -100.0, U: 100.0},
-            tom=make_tom_state(zero_order=1.0, first_order=1.0, confidence=0.0,
-                               learning_rate=0.0),
-            guilt=GuiltParams(200.0),
-            alpha=0.1,
-            gamma=0.9,
-            explore=Exploration(),
-        ))
-        for _ in range(2)
+    agent = MatrixAgentState(
+        values={C: -100.0, U: 100.0},
+        tom=make_tom_state(zero_order=1.0, first_order=1.0, confidence=0.0, learning_rate=0.0),
+        guilt=GuiltParams(200.0),
+        alpha=0.1,
+        gamma=0.9,
+        explore=Exploration(),
     )
     rng = np.random.default_rng(0)
-    actions, rewards, records = play(learners, rng)
+    actions, rewards, records = play(MatrixLanes([agent, agent]), rng)
     assert actions == (U, U)
     assert records[0][0] == pytest.approx(40.0)  # phi
     assert records[0][2] == pytest.approx(-3980.0)  # shaped
@@ -227,13 +330,13 @@ def test_guilt_pair_with_certain_beliefs_defecting_together():
 
 
 def test_mixed_pair_runs_without_sharing_internals():
-    learners = (learner_for(make_agent()), learner_for(PavlovState(i_count=5, n=10)))
-    rng = np.random.default_rng(7)
-    for _ in range(30):
-        actions, rewards, records = play(learners, rng)
-    assert isinstance(learners[0].state(), MatrixAgentState)
-    assert isinstance(learners[1].state(), PavlovState)
-    assert records[1][0] is None  # Pavlov has no phi
+    trace: list = []
+    agents, _ = run_match((make_agent(), PavlovState(i_count=5, n=10)), Q1, 30,
+                          np.random.default_rng(7), trace=trace)
+    assert isinstance(agents[0], MatrixAgentState)
+    assert isinstance(agents[1], PavlovState)
+    assert trace[-1][7] is None  # Pavlov has no phi
+    assert trace[-1][5] is not None
 
 
 def test_guilt_off_trajectory_identical_to_individual_learner():
@@ -241,16 +344,16 @@ def test_guilt_off_trajectory_identical_to_individual_learner():
 
     def run(variant):
         params = AgentParams()
-        learners = (
-            MatrixLearner(make_matrix_agent(variant, params, initial_p_cooperate=0.6)),
-            MatrixLearner(make_matrix_agent(variant, params, initial_p_cooperate=0.3)),
-        )
+        lanes = MatrixLanes([
+            make_matrix_agent(variant, params, initial_p_cooperate=0.6),
+            make_matrix_agent(variant, params, initial_p_cooperate=0.3),
+        ])
         rng = np.random.default_rng(99)
         trail = []
         for _ in range(200):
-            actions, rewards, _ = play(learners, rng)
+            actions, rewards, _ = play(lanes, rng)
             trail.append((*actions, rewards))
-        return trail, [learner.state() for learner in learners]
+        return trail, [lanes.state(k) for k in (0, 1)]
 
     trail_tng, agents_tng = run("tom-no-guilt")
     trail_ind, agents_ind = run("individual")
@@ -260,12 +363,12 @@ def test_guilt_off_trajectory_identical_to_individual_learner():
 
 
 def test_temperature_decays_each_iteration():
-    learners = (MatrixLearner(make_agent()), MatrixLearner(make_agent()))
+    lanes = MatrixLanes([make_agent(), make_agent()])
     rng = np.random.default_rng(3)
-    play(learners, rng)
-    assert learners[0].state().explore.temperature == pytest.approx(0.995)
-    play(learners, rng)
-    assert learners[0].state().explore.temperature == pytest.approx(0.995**2)
+    play(lanes, rng)
+    assert lanes.state(0).explore.temperature == pytest.approx(0.995)
+    play(lanes, rng)
+    assert lanes.state(0).explore.temperature == pytest.approx(0.995**2)
 
 
 @given(
@@ -295,10 +398,10 @@ def test_first_mutual_defection_clears_tom_guilt_but_not_frozen_belief_guilt():
     assert params.theta == 200.0
 
     def first_uu(variant):
-        learners = tuple(MatrixLearner(make_matrix_agent(variant, params, 0.0)) for _ in range(2))
-        actions, _, records = play(learners, np.random.default_rng(0))
+        lanes = MatrixLanes([make_matrix_agent(variant, params, 0.0)] * 2)
+        actions, _, records = play(lanes, np.random.default_rng(0))
         assert actions == (U, U)
-        return learners[0].state().tom, records[0]
+        return lanes.state(0).tom, records[0]
 
     tom, (phi, psychological, _) = first_uu("tomaga")
     assert (tom.zero_order.p_cooperative, tom.first_order.p_cooperative) == pytest.approx(
@@ -314,3 +417,198 @@ def test_first_mutual_defection_clears_tom_guilt_but_not_frozen_belief_guilt():
     assert phi == pytest.approx(23.875)
     assert phi > guilt_threshold_f(Q1, 200.0)
     assert psychological == pytest.approx(-775.0)
+
+
+# --- the lanes against the scalar reference, bit for bit -------------------------
+
+
+def _bits(x) -> bytes:
+    """A float's bytes: tells -0.0 from 0.0, and one NaN equals another."""
+    return struct.pack("<d", float(x))
+
+
+# edge values first: probabilities at the clamp and signed zeros
+_probability = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5]), st.floats(0, 1))
+_value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+
+_value_learner = st.builds(
+    MatrixAgentState,
+    values=st.builds(lambda c, u: {C: c, U: u}, _value, _value),
+    tom=st.builds(make_tom_state, _probability, _probability, _probability, _probability,
+                  st.booleans()),
+    guilt=st.one_of(st.none(), st.builds(GuiltParams, st.floats(1e-9, 1e6))),
+    alpha=st.one_of(st.just(1.0), st.floats(1e-9, 1.0)),
+    gamma=_probability,
+    explore=st.one_of(
+        st.builds(Exploration, st.just("softmax"), st.floats(0.05, 100.0),
+                  st.one_of(st.just(1.0), st.floats(0.9, 1.0))),
+        st.builds(lambda eps: Exploration(kind="epsilon", epsilon=eps), _probability),
+    ),
+)
+_pavlov = st.integers(1, 10).flatmap(
+    lambda n: st.builds(PavlovState, st.integers(0, n), st.just(n))
+)
+_matrix = st.one_of(
+    st.sampled_from([Q1, PayoffMatrix(5.0, 4.0, 2.0, 1.0)]),
+    st.lists(st.floats(-100, 100), min_size=4, max_size=4, unique=True).map(
+        lambda xs: PayoffMatrix(*sorted(xs, reverse=True))
+    ),
+)
+
+
+def _reference_state(ref) -> tuple[bytes, ...]:
+    if isinstance(ref, PavlovLearner):
+        return (ref.i_count,)
+    return tuple(map(_bits, (ref.v_c, ref.v_u, ref.b0, ref.b1, ref.conf)))
+
+
+def _lane_state(lanes, k) -> tuple[bytes, ...]:
+    if lanes.pavlov[k]:
+        return (int(lanes.i_count[k]),)
+    return tuple(_bits(getattr(lanes, name)[k]) for name in ("v_c", "v_u", "b0", "b1", "conf"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    players=st.lists(st.one_of(_value_learner, _pavlov), min_size=1, max_size=9),
+    matrix=_matrix,
+    seed=st.integers(0, 2**32 - 1),
+    rounds=st.integers(1, 8),
+)
+@example(  # every variant's softmax learner with Pavlov, each lane in play every round
+    players=[make_matrix_agent(v, AgentParams(), p) for v, p in (
+        ("tomaga", 0.0), ("ga-no-tom", 1.0), ("individual", 0.3), ("tom-no-guilt", 0.9),
+    )] + [PavlovState(9, 10), PavlovState(0, 10)],
+    matrix=Q1, seed=1, rounds=8,
+)
+def test_lanes_match_the_scalar_reference_bit_for_bit(players, matrix, seed, rounds):
+    """Random disjoint pairs each round, with lanes sitting out: every action,
+    reward, phi, psychological reward and state as the scalar learners give."""
+    lanes = MatrixLanes(players)
+    refs = [learner_for(player) for player in players]
+    rng = np.random.default_rng(seed)
+    for _ in range(rounds):
+        p = lanes.p_cooperate()
+        assert [_bits(x) for x in p] == [_bits(ref.p_cooperate()) for ref in refs]
+        order = rng.permutation(len(players))
+        n_pairs = int(rng.integers(0, len(players) // 2 + 1))
+        first, second = order[0 : 2 * n_pairs : 2], order[1 : 2 * n_pairs : 2]
+        u_first, u_second = rng.random(n_pairs), rng.random(n_pairs)
+        c, reward, phi, psychological = lanes.play(first, second, u_first, u_second, matrix)
+        for k in range(n_pairs):
+            a0, a1, *records = play_learners(
+                refs[first[k]], refs[second[k]], matrix, u_first[k], u_second[k]
+            )
+            for lane, action, other, (ref_phi, ref_psy, ref_shaped) in zip(
+                (first[k], second[k]), (a0, a1), (a1, a0), records
+            ):
+                assert c[lane] == (action is C)
+                assert reward[lane] == matrix.payoff(action, other)
+                if ref_phi is not None:
+                    assert _bits(phi[lane]) == _bits(ref_phi)
+                    assert _bits(psychological[lane]) == _bits(ref_psy)
+                    assert _bits(reward[lane] + psychological[lane]) == _bits(ref_shaped)
+        for k, ref in enumerate(refs):
+            assert _lane_state(lanes, k) == _reference_state(ref)
+            if isinstance(ref, MatrixLearner) and ref.softmax:
+                assert _bits(lanes.temp[k]) == _bits(ref.temp)
+    for k, ref in enumerate(refs):
+        state = lanes.state(k)
+        if isinstance(ref, PavlovLearner):
+            assert state == PavlovState(ref.i_count, ref.n)
+        else:
+            assert _bits(state.values[C]) == _bits(ref.v_c)
+            assert _bits(state.tom.confidence) == _bits(ref.conf)
+            assert state.explore.temperature == ref.temp
+
+
+def test_state_round_trips_every_lane():
+    players = [
+        make_matrix_agent("tomaga", AgentParams(), 0.3),
+        PavlovState(4, 7),
+        MatrixAgentState(
+            values={C: 0.5, U: -0.0},
+            tom=make_tom_state(0.7, 0.4, 0.3, tom_enabled=False),
+            guilt=None, alpha=0.2, gamma=0.8,
+            explore=Exploration(kind="epsilon", epsilon=0.25),
+        ),
+    ]
+    lanes = MatrixLanes(players)
+    assert [lanes.state(k) for k in range(len(players))] == players
+
+
+# --- whole matches and tournaments against the reference -------------------------
+
+
+def _reference_match(agents, matrix, iterations, rng):
+    learners = [learner_for(agent) for agent in agents]
+    history = []
+    for u0, u1 in rng.random((iterations, 2)).tolist():
+        a0, a1, _, _ = play_learners(*learners, matrix, u0, u1)
+        history.append((a0, a1))
+    return learners, history
+
+
+def test_run_matches_plays_each_pair_as_the_reference_plays_it_alone():
+    params = AgentParams()
+    epsilon = MatrixAgentState(
+        values={C: 0.5, U: 1.0}, tom=make_tom_state(0.7, 0.4, 0.3), guilt=GuiltParams(3.0),
+        alpha=0.2, gamma=0.8, explore=Exploration(kind="epsilon", epsilon=0.25),
+    )
+    pairs = [
+        (make_matrix_agent("tomaga", params, 0.2), make_matrix_agent("tomaga", params, 0.7)),
+        (make_matrix_agent("ga-no-tom", params, 0.1), make_matrix_agent("individual", params, 0.4)),
+        (make_matrix_agent("tom-no-guilt", params, 0.9), PavlovState(6, 10)),
+        (PavlovState(3, 4), PavlovState(0, 4)),
+        (epsilon, make_matrix_agent("tomaga", params, 0.5)),
+    ]
+    matrix = PayoffMatrix(5.0, 4.0, 2.0, 1.0)
+    iterations = 2 * DRAW_CHUNK + 17  # crosses two draw chunks
+    lanes, actions = run_matches(
+        pairs, matrix, iterations, [np.random.default_rng(50 + k) for k in range(len(pairs))]
+    )
+    n = len(pairs)
+    for k, pair in enumerate(pairs):
+        rng = np.random.default_rng(50 + k)
+        learners, history = _reference_match(pair, matrix, iterations, rng)
+        labels = [(C if a else U, C if b else U) for a, b in actions[:, [k, n + k]].tolist()]
+        assert labels == history
+        for lane, ref in zip((k, n + k), learners):
+            assert _lane_state(lanes, lane) == _reference_state(ref)
+
+
+def _reference_tournament_row(spec, comp_idx, size_idx, rep, base_seed):
+    """A tournament.csv row from the group played alone on the reference learners."""
+    composition, size = spec.compositions[comp_idx], spec.group_sizes[size_idx]
+    rng = np.random.default_rng(np.random.SeedSequence([base_seed, comp_idx, size_idx, rep]))
+    group = [learner_for(player) for player in _make_group(composition, size, spec)]
+    matrix = spec.matrix
+    common = []
+    for _ in range(spec.rounds):
+        order = rng.permutation(size).tolist()
+        draws = rng.random(size - size % 2).tolist()  # actor, partner, actor, ...
+        round_rewards = []
+        for k in range(0, size - 1, 2):
+            a, b, _, _ = play_learners(
+                group[order[k]], group[order[k + 1]], matrix, draws[k], draws[k + 1]
+            )
+            round_rewards += (matrix.payoff(a, b), matrix.payoff(b, a))
+        common.append(sum(round_rewards) / len(round_rewards))
+    window = common[-spec.report_window :]
+    return (composition, size, rep, sum(window) / len(window))
+
+
+def test_tournament_lanes_give_each_group_the_rows_it_gets_alone():
+    # h dwarfs the other payoffs (1e16 + 1 rounds back to 1e16), so a round's
+    # sum shows the order of its additions; odd sizes sit one out
+    spec = TournamentSpec(
+        group_sizes=(2, 3, 5, 8), rounds=2 * DRAW_CHUNK + 30, report_window=70, repetitions=2,
+        compositions=COMPOSITIONS, matrix=PayoffMatrix(1e16, 3.0, 1.0, 0.1),
+    )
+    expected = [
+        _reference_tournament_row(spec, comp_idx, size_idx, rep, 11)
+        for comp_idx in range(len(spec.compositions))
+        for size_idx in range(len(spec.group_sizes))
+        for rep in range(spec.repetitions)
+    ]
+    assert run_tournament(spec, base_seed=11).rows == expected

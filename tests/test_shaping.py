@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -141,6 +143,24 @@ def test_inequity_validation():
         InequityParams(-0.1, 1.0)
     with pytest.raises(ValueError):
         InequityParams(1.0, 1.0, n_agents=1)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_sensitivities_are_rejected(value):
+    # each would shape to NaN: inf * 0.0 when a gap or a shortfall is 0
+    with pytest.raises(ValueError, match="guilt sensitivity must be finite and > 0"):
+        GuiltParams(value)
+    with pytest.raises(ValueError, match="inequity sensitivities must be finite and >= 0"):
+        InequityParams(value, 1.0)
+    with pytest.raises(ValueError, match="inequity sensitivities must be finite and >= 0"):
+        InequityParams(1.0, value)
+
+
+def test_a_grid_learner_with_an_infinite_theta_is_rejected():
+    from staghunt.policy_learner import make_grid_learner
+
+    with pytest.raises(ValueError, match="guilt sensitivity"):
+        make_grid_learner("tomaga", theta=math.inf)
 
 
 @given(
