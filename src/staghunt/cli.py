@@ -59,14 +59,14 @@ def _timed(run, *args, **kwargs):
     return result, time.perf_counter() - start
 
 
-def _finish(args, command: str, resolved: dict, seconds: float, tables: dict) -> int:
+def _finish(args, command: str, resolved: dict, seconds: float, tables: dict, units=None) -> int:
     """Write each {file name: RunResult} table under args.out in order, then manifest.json.
 
     resolved is what the run was built from, after config and flags; it is
     hashed. The telemetry describes how this run went and stays out of the
     hash; its units are the rows of the first table, the experiment's own,
-    and write_s is the wall time of writing the tables. The first table's
-    own telemetry joins it.
+    unless given, and write_s is the wall time of writing the tables. The
+    first table's own telemetry joins it.
     """
     out_dir = Path(args.out)
     start = time.perf_counter()
@@ -74,7 +74,7 @@ def _finish(args, command: str, resolved: dict, seconds: float, tables: dict) ->
         table.write_csv(out_dir / name)
     write_s = time.perf_counter() - start
     first = next(iter(tables))
-    units = len(tables[first].rows)
+    units = len(tables[first].rows) if units is None else units
     manifest = {
         "command": command,
         "config_hash": config_hash(resolved),
@@ -169,7 +169,8 @@ def cmd_analyze(args, config: dict) -> int:
         "matrix": matrix.as_dict(),
         "phi_grid": [phi_lo, phi_hi, args.phi_step],
         "theta_grid": [args.theta_min, args.theta_max, args.theta_step],
-    }, seconds, {"analyze.csv": RunResult(ANALYZE_COLUMNS, rows)})
+    }, seconds, {"analyze.csv": RunResult(ANALYZE_COLUMNS, rows)},
+        units=len(phi_grid) * len(theta_grid))  # rows holds one text block per phi
 
 
 def cmd_matrix_selfplay(args, config: dict) -> int:

@@ -227,39 +227,44 @@ def unique_cc_fraction_by_theta(
     return flags["unique_cc"].mean(axis=0)
 
 
+#: equilibrium_grid_rows computes flags for this many cells at a time (at least one phi row).
+FLAG_CHUNK_CELLS = 16_384
+
+
 def equilibrium_grid_rows(
     matrix: PayoffMatrix, phi_grid: Sequence[float], theta_grid: Sequence[float]
 ) -> list[str]:
-    """CSV lines, one per (phi, theta) cell, each ending in "\\r\\n".
+    """CSV text, one block per phi row of len(theta_grid) lines, each ending in "\\r\\n".
 
     Cells run phi-major, theta-minor. Each line is byte-equal to what
-    csv.writer writes for the row (phi, theta, n_pure_ne, unique_cc,
-    threshold_theta): csv writes a float as str(), its shortest round-trip
-    repr, so each distinct phi, theta and threshold is rendered once. Within
-    a phi row the flags change at only a few theta columns, so each run of
-    equal flags is joined in one str.join, and the row's text is split back
-    into lines (no piece holds a line boundary other than the "\\r\\n").
+    csv.writer writes for (phi, theta, n_pure_ne, unique_cc, threshold_theta):
+    csv writes a float as str(), its shortest round-trip repr, so each distinct
+    phi, theta and threshold is rendered once, and each run of equal flags in a
+    phi row is joined in one str.join. The flags are elementwise in (phi, theta),
+    so computing them FLAG_CHUNK_CELLS cells at a time changes no bit.
     """
     phi = np.asarray(list(phi_grid), dtype=np.float64)
     theta = np.asarray(list(theta_grid), dtype=np.float64)
-    flags = _ne_flags_grid(matrix, phi, theta)
+    if theta.size == 0:
+        return []
     c, m, g = matrix.c, matrix.m, matrix.g
     thetas = [f",{t!r}," for t in theta.tolist()]
-    # the (n_pure_ne, unique_cc) pair as one int, and where a run of equal pairs starts
-    pair = 2 * flags["n_pure"] + flags["unique_cc"]
-    starts = np.ones(pair.shape, dtype=bool)
-    starts[:, 1:] = pair[:, 1:] != pair[:, :-1]
     middles = {2 * n + u: f"{n},{u}," for n in range(5) for u in (False, True)}
-    lines: list[str] = []
-    for p, pair_row, starts_row in zip(phi.tolist(), pair, starts):
-        threshold = (m - g) / (min(p, c) - m) if p > m else math.inf
-        head, tail = repr(p), f"{threshold!r}\r\n"
-        cols = np.flatnonzero(starts_row)
-        mids = [middles[k] for k in pair_row[cols].tolist()]
-        bounds = [*cols.tolist(), len(thetas)]
-        text = "".join(
-            head + (mid + tail + head).join(thetas[a:b]) + mid + tail
-            for a, b, mid in zip(bounds, bounds[1:], mids)
-        )
-        lines += text.splitlines(keepends=True)
-    return lines
+    step = max(1, FLAG_CHUNK_CELLS // theta.size)
+    blocks: list[str] = []
+    for lo in range(0, phi.size, step):
+        flags = _ne_flags_grid(matrix, phi[lo:lo + step], theta)
+        # the (n_pure_ne, unique_cc) pair as one int, and where a run of equal pairs starts
+        pair = 2 * flags["n_pure"] + flags["unique_cc"]
+        starts = np.diff(pair, axis=1, prepend=-1) != 0
+        for p, pair_row, starts_row in zip(phi[lo:lo + step].tolist(), pair, starts):
+            threshold = (m - g) / (min(p, c) - m) if p > m else math.inf
+            head, tail = repr(p), f"{threshold!r}\r\n"
+            cols = np.flatnonzero(starts_row)
+            mids = [middles[k] for k in pair_row[cols].tolist()]
+            bounds = [*cols.tolist(), len(thetas)]
+            blocks.append("".join(
+                head + (mid + tail + head).join(thetas[a:b]) + mid + tail
+                for a, b, mid in zip(bounds, bounds[1:], mids)
+            ))
+    return blocks

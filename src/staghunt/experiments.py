@@ -99,10 +99,6 @@ def make_matrix_agent(
     )
 
 
-#: Finished str rows are joined and written this many lines at a time.
-WRITE_CHUNK_LINES = 4096
-
-
 @dataclass(slots=True)
 class RunResult:
     """A flat table of rows; an experiment's table also carries the spec it ran,
@@ -116,9 +112,8 @@ class RunResult:
     def write_csv(self, path: str | Path) -> None:
         """Write the header through csv.writer, then the rows.
 
-        Rows that are str are finished CSV lines, each ending in "\\r\\n" as
-        csv.writer ends its own, and are written as they are, one write call
-        per WRITE_CHUNK_LINES lines joined (memory stays bounded by the chunk);
+        Rows that are str are finished CSV text, whole lines each ending in
+        "\\r\\n" as csv.writer ends its own, and are written as they are;
         tuple rows go through csv.writer.
         """
         path = Path(path)
@@ -127,8 +122,7 @@ class RunResult:
             writer = csv.writer(fh)
             writer.writerow(self.columns)
             if self.rows and isinstance(self.rows[0], str):
-                for start in range(0, len(self.rows), WRITE_CHUNK_LINES):
-                    fh.write("".join(self.rows[start:start + WRITE_CHUNK_LINES]))
+                fh.writelines(self.rows)
             else:
                 writer.writerows(self.rows)
 

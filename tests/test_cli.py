@@ -193,7 +193,7 @@ UNITS = {"analyze": 4 * 6, "matrix-selfplay": 2 * 9, "tournament": 1, "gridworld
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_manifest_records_run_telemetry_outside_the_hash(tmp_path, command):
+def test_manifest_records_run_telemetry_outside_the_hash(tmp_path, capsys, command):
     import platform
 
     import numpy as np
@@ -205,6 +205,8 @@ def test_manifest_records_run_telemetry_outside_the_hash(tmp_path, command):
         out = tmp_path / jobs
         assert main(["--out", str(out), "--jobs", jobs, *COMMANDS[command]]) == 0
         manifests.append(json.loads((out / "manifest.json").read_text()))
+        # a count of cells for analyze too, whose rows are one text block per phi
+        assert capsys.readouterr().out.startswith(f"wrote {UNITS[command]} rows to ")
     for jobs, manifest in zip((1, 2), manifests):
         telemetry = manifest["telemetry"]
         assert telemetry["jobs"] == jobs

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from staghunt import C, U, PayoffMatrix, guilt_threshold_f, pure_nash, transform_game
+from staghunt import equilibrium
 from staghunt.equilibrium import (
     _ne_flags_grid,
     equilibrium_grid_rows,
@@ -171,9 +173,13 @@ def test_unique_cc_fraction_non_decreasing_in_theta():
 def test_grid_rows_schema_and_threshold_column():
     # (phi, theta, n_pure_ne, unique_cc, threshold_theta); threshold (m-g)/(phi-m) = 4
     assert equilibrium_grid_rows(Q1, [25.0], [3.0, 5.0]) == [
-        "25.0,3.0,2,False,4.0\r\n",
-        "25.0,5.0,1,True,4.0\r\n",
+        "25.0,3.0,2,False,4.0\r\n25.0,5.0,1,True,4.0\r\n",
     ]
+
+
+@pytest.mark.parametrize("phi_grid, theta_grid", [([25.0], []), ([], [3.0])])
+def test_grid_rows_of_an_empty_grid_are_empty(phi_grid, theta_grid):
+    assert equilibrium_grid_rows(Q1, phi_grid, theta_grid) == []
 
 
 def _typed_grid_rows(matrix, phi_grid, theta_grid):
@@ -225,6 +231,35 @@ def _csv_text(rows) -> str:
          "change-at-every-theta"],
 )
 def test_grid_lines_match_csv_writer_on_the_typed_rows(matrix, phi_grid, theta_grid):
-    lines = equilibrium_grid_rows(matrix, phi_grid, theta_grid)
-    assert len(lines) == len(phi_grid) * len(theta_grid)
-    assert "".join(lines) == _csv_text(_typed_grid_rows(matrix, phi_grid, theta_grid))
+    blocks = equilibrium_grid_rows(matrix, phi_grid, theta_grid)
+    assert len(blocks) == len(phi_grid)
+    assert all(block.count("\r\n") == len(theta_grid) for block in blocks)
+    assert "".join(blocks) == _csv_text(_typed_grid_rows(matrix, phi_grid, theta_grid))
+
+
+# 7 phi rows: chunks of 1 and 3 rows end inside the grid and at its last row
+CHUNK_PHI = [0.0, 20.0, 21.0, 24.0, 25.0, 30.0, 40.0]
+CHUNK_THETA = [0.05, 2.0, 3.0, 4.0, 5.0, 50.0]
+
+
+@pytest.mark.parametrize("chunk_cells", [1, len(CHUNK_THETA), 3 * len(CHUNK_THETA),
+                                         3 * len(CHUNK_THETA) + 1, 7 * len(CHUNK_THETA)])
+def test_grid_lines_do_not_depend_on_the_flag_chunk(monkeypatch, chunk_cells):
+    monkeypatch.setattr(equilibrium, "FLAG_CHUNK_CELLS", chunk_cells)
+    blocks = equilibrium_grid_rows(Q1, CHUNK_PHI, CHUNK_THETA)
+    assert len(blocks) == len(CHUNK_PHI)
+    assert "".join(blocks) == _csv_text(_typed_grid_rows(Q1, CHUNK_PHI, CHUNK_THETA))
+
+
+def test_grid_rows_peak_memory_stays_near_the_text_they_return():
+    """On the default analyze grid (400 x 1,000 cells) the flags are built a
+    chunk at a time: the traced peak is at most 1.5x the text returned."""
+    phi_grid, theta_grid = frange(20, 40, 0.05), frange(0, 50, 0.05)
+    tracemalloc.start()
+    try:
+        blocks = equilibrium_grid_rows(Q1, phi_grid, theta_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(block.count("\r\n") for block in blocks) == 400 * 1000
+    assert peak <= 1.5 * sum(map(len, blocks))  # ASCII: one byte a character

@@ -5,7 +5,6 @@ import pytest
 
 from staghunt import PayoffMatrix, experiments
 from staghunt.experiments import (
-    WRITE_CHUNK_LINES,
     AgentParams,
     GridworldSpec,
     RunResult,
@@ -369,16 +368,18 @@ def test_write_csv_round_trip(tmp_path):
     assert len(rows) == len(result.rows) + 1
 
 
-@pytest.mark.parametrize("n_lines", [1, WRITE_CHUNK_LINES, WRITE_CHUNK_LINES + 1])
-def test_write_csv_writes_str_rows_as_writelines_would(tmp_path, n_lines):
+@pytest.mark.parametrize("n_blocks, n_lines", [(1, 1), (500, 3), (1, 5000)],
+                         ids=["one-block", "many-blocks", "block-of-many-lines"])
+def test_write_csv_writes_str_rows_as_writelines_would(tmp_path, n_blocks, n_lines):
+    """Str rows are blocks of whole lines; the file holds them line for line."""
     import csv
 
-    lines = [f"{k},{k * 0.1!r}\r\n" for k in range(n_lines)]
-    RunResult(("k", "x"), lines).write_csv(tmp_path / "chunked.csv")
+    lines = [[f"{b},{k * 0.1!r}\r\n" for k in range(n_lines)] for b in range(n_blocks)]
+    RunResult(("k", "x"), ["".join(block) for block in lines]).write_csv(tmp_path / "blocks.csv")
     with open(tmp_path / "lines.csv", "w", newline="") as fh:
         csv.writer(fh).writerow(("k", "x"))
-        fh.writelines(lines)
-    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "lines.csv").read_bytes()
+        fh.writelines(line for block in lines for line in block)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "lines.csv").read_bytes()
 
 
 def test_gridworld_detail_matches_comparison_run():
