@@ -21,7 +21,7 @@ from collections import Counter
 from contextlib import contextmanager
 
 from staghunt import policy_learner
-from staghunt.experiments import GridworldSpec, _gridworld_block, run_gridworld_comparison
+from staghunt.experiments import GridworldSpec, _cpus, _gridworld_block, run_gridworld_comparison
 
 BASE_SEED = 2026
 LAYERS = ("play", "update", "_gradient", "_Items.build")
@@ -74,7 +74,7 @@ def main() -> None:
         for s in range(len(spec.scenarios))
         for v in range(len(spec.variants))
     ]
-    n = max(1, min(args.jobs, len(payloads)))
+    n = max(1, min(args.jobs, len(payloads), _cpus()))
     rows: list = [None] * len(payloads)
     print("block lanes " + " ".join(f"{layer:>12}" for layer in ("total", *LAYERS)) + "  (s)")
     for b in range(n):

@@ -10,9 +10,11 @@ Subcommands mirror the experiment suite:
 Every run writes a manifest.json recording the resolved spec (for analyze,
 the matrix and grids), its hash, the base seed and the package version, so
 results can be reproduced exactly. Its "telemetry" entry, which is not
-hashed, records how the run went: worker count, Python and numpy versions,
-the experiment's wall seconds, its units and units per second, and what the
-experiment counted (gridworld: episode ends by kind, mean episode length).
+hashed, records how the run went: the --jobs asked for, Python and numpy
+versions, the experiment's wall seconds, its units and units per second, and
+what the experiment counted (the blocks its units were dealt into, each with
+its payload count and wall seconds; gridworld: episode ends by kind, mean
+episode length).
 """
 
 from __future__ import annotations
@@ -260,8 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--seed", type=int, default=0, help="base seed")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes: the units are "
-                        "dealt into this many blocks, each played in lockstep")
+    parser.add_argument("--jobs", type=int, default=1, help="at most this many worker "
+                        "processes: the units are dealt into up to this many blocks, each "
+                        "played in lockstep")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="equilibrium grid analysis")

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import itertools
 import math
+import os
+import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -165,27 +168,45 @@ def _rng_for(base_seed: int, *indices: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([base_seed, *indices]))
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
 def _pmap(worker, payloads: Sequence, jobs: int) -> list:
+    """[worker(p) for p in payloads]: here at jobs 1 or for one payload, else on a pool of
+    min(jobs, payloads) workers, since under fork every worker starts at the first submit."""
     if jobs <= 1 or len(payloads) <= 1:
         return [worker(p) for p in payloads]
-    # no more workers than payloads: under fork every worker starts at the first submit
     with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
         return list(pool.map(worker, payloads))
 
 
-def _deal(block, payloads: list, jobs: int) -> tuple[list, Counter]:
-    """Run the payloads in min(jobs, len(payloads)) blocks, one _pmap payload each.
+def _timed_block(block, payloads) -> tuple[list, Counter, float]:
+    start = time.perf_counter()
+    rows, counts = block(payloads)
+    return rows, counts, time.perf_counter() - start
+
+
+def _deal(block, payloads: list, jobs: int) -> tuple[list, Counter, list[dict]]:
+    """Run the payloads in min(jobs, len(payloads), CPUs) blocks, one _pmap payload each.
 
     Payloads are dealt round-robin, so that each block mixes cheap and
-    costly ones. block(block_payloads) returns (one row per payload, in
-    order; a Counter). Returns every row in payload order and the Counters' sum.
+    costly ones; one block runs in this process and starts no pool.
+    block(block_payloads) returns (one row per payload, in order; a
+    Counter). Returns every row in payload order, the Counters' sum, and
+    one {"payloads", "wall_s"} per block, in deal order, timed in its worker.
     """
-    n = max(1, min(jobs, len(payloads)))
-    blocks = _pmap(block, [payloads[b::n] for b in range(n)], jobs)
+    n = max(1, min(jobs, len(payloads), _cpus()))
+    blocks = _pmap(functools.partial(_timed_block, block), [payloads[b::n] for b in range(n)], jobs)
     rows: list = [None] * len(payloads)
-    for b, (block_rows, _) in enumerate(blocks):
+    for b, (block_rows, _, _) in enumerate(blocks):
         rows[b::n] = block_rows
-    return rows, sum((counts for _, counts in blocks), Counter())
+    deal = [{"payloads": len(block_rows), "wall_s": s} for block_rows, _, s in blocks]
+    return rows, sum((counts for _, counts, _ in blocks), Counter()), deal
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +238,12 @@ class SweepSpec:
 #: many iterations at a time: the same numbers, in the same order, as the
 #: iteration-by-iteration calls of the match or group played alone.
 DRAW_CHUNK = 100
+
+#: A sweep makes one block per this many lane-rounds (2 x matches x iterations),
+#: up to jobs. A second block saves about 0.1 us a lane-round and its pool costs
+#: about 0.03 s; they broke even at 0.22-0.29 M lane-rounds (BENCH_sweep_blocks.json),
+#: so a sweep splits in two only from twice that.
+MIN_BLOCK_LANE_ROUNDS = 250_000
 
 
 def run_matches(
@@ -347,10 +374,11 @@ def run_sweep_unit(
 
 
 def run_sweep(spec: SweepSpec, base_seed: int = 0, jobs: int = 1) -> RunResult:
-    """Fill the initial-probability grid for every variant, in min(jobs, matches) lockstep blocks.
+    """Fill the initial-probability grid for every variant, in lockstep blocks.
 
-    The random stream for a grid cell depends only on (base_seed, cell,
-    repetition), never on the variant, so variants face identical luck.
+    One block per MIN_BLOCK_LANE_ROUNDS lane-rounds, at least one and at
+    most jobs. The random stream for a grid cell depends only on (base_seed,
+    cell, repetition), never on the variant, so variants face identical luck.
     """
     payloads = [
         (spec, variant, i, j, rep, base_seed)
@@ -359,8 +387,10 @@ def run_sweep(spec: SweepSpec, base_seed: int = 0, jobs: int = 1) -> RunResult:
         for j in range(len(spec.probabilities))
         for rep in range(spec.repetitions)
     ]
-    rows, _ = _deal(_sweep_block, payloads, jobs)
-    return RunResult(SWEEP_COLUMNS, rows, spec)
+    lane_rounds = 2 * len(payloads) * spec.iterations
+    jobs = min(jobs, max(1, lane_rounds // MIN_BLOCK_LANE_ROUNDS))
+    rows, _, deal = _deal(_sweep_block, payloads, jobs)
+    return RunResult(SWEEP_COLUMNS, rows, spec, {"blocks": deal})
 
 
 def sweep_cell_means(result: RunResult) -> dict[tuple[str, float, float], float]:
@@ -472,7 +502,7 @@ def run_tournament(spec: TournamentSpec, base_seed: int = 0, jobs: int = 1) -> R
 
     Common reward for a round is the mean material (unshaped) reward over
     the agents that actually played; with an odd group size one uniformly
-    chosen agent sits out. Groups run in min(jobs, groups) lockstep blocks.
+    chosen agent sits out. Groups run in min(jobs, groups, CPUs) lockstep blocks.
     """
     payloads = [
         (spec, comp_idx, size_idx, rep, base_seed)
@@ -480,8 +510,8 @@ def run_tournament(spec: TournamentSpec, base_seed: int = 0, jobs: int = 1) -> R
         for size_idx in range(len(spec.group_sizes))
         for rep in range(spec.repetitions)
     ]
-    rows, _ = _deal(_tournament_block, payloads, jobs)
-    return RunResult(TOURNAMENT_COLUMNS, rows, spec)
+    rows, _, deal = _deal(_tournament_block, payloads, jobs)
+    return RunResult(TOURNAMENT_COLUMNS, rows, spec, {"blocks": deal})
 
 
 def tournament_means(result: RunResult) -> dict[tuple[str, int], float]:
@@ -607,10 +637,11 @@ def _gridworld_block(payloads) -> tuple[list[tuple], Counter]:
 
 
 def run_gridworld_comparison(spec: GridworldSpec, base_seed: int = 0, jobs: int = 1) -> RunResult:
-    """Every (scenario, variant, seed) run, in min(jobs, runs) lockstep blocks.
+    """Every (scenario, variant, seed) run, in min(jobs, runs, CPUs) lockstep blocks.
 
     Runs are dealt round-robin, so that each block mixes cheap and costly ones.
-    The telemetry gives how many episodes ended in each way and their mean length.
+    The telemetry gives how many episodes ended in each way, their mean
+    length, and the deal's blocks.
     """
     payloads = [
         (spec, scen_idx, var_idx, seed_idx, base_seed)
@@ -618,10 +649,11 @@ def run_gridworld_comparison(spec: GridworldSpec, base_seed: int = 0, jobs: int 
         for var_idx in range(len(spec.variants))
         for seed_idx in range(spec.seeds)
     ]
-    rows, ends = _deal(_gridworld_block, payloads, jobs)
+    rows, ends, deal = _deal(_gridworld_block, payloads, jobs)
     return RunResult(GRIDWORLD_COLUMNS, rows, spec, {
         "episode_ends": {kind: ends[kind] for kind in ("stag_joint", "hare", "timeout")},
         "episode_length_mean": ends["steps"] / (len(payloads) * spec.iterations),
+        "blocks": deal,
     })
 
 

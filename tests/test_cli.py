@@ -218,6 +218,10 @@ def test_manifest_records_run_telemetry_outside_the_hash(tmp_path, capsys, comma
             telemetry["units"] / telemetry["experiment_wall_s"]
         )
         assert telemetry["write_s"] >= 0
+        if command != "analyze":  # every unit in one of the blocks of the deal
+            blocks = telemetry["blocks"]
+            assert sum(block["payloads"] for block in blocks) == UNITS[command]
+            assert all(block["wall_s"] > 0 for block in blocks)
         if command == "gridworld":  # two runs of 3 episodes
             assert sum(telemetry["episode_ends"].values()) == 2 * 3
             assert telemetry["episode_length_mean"] >= 1
@@ -228,6 +232,17 @@ def test_manifest_records_run_telemetry_outside_the_hash(tmp_path, capsys, comma
         assert manifest["config_hash"] == config_hash(resolved)
     assert manifests[0]["config_hash"] == manifests[1]["config_hash"]
 
+
+
+def test_benchmark_size_sweep_runs_as_one_block_at_two_jobs(tmp_path):
+    # the perfbench sweep: 72 matches of 500 iterations, 72,000 lane-rounds
+    out = tmp_path / "sweep"
+    assert main(["--out", str(out), "--jobs", "2", "matrix-selfplay", "--iterations", "500",
+                 "--repetitions", "1", "--grid-step", "0.2",
+                 "--variants", "tomaga", "ga-no-tom"]) == 0
+    telemetry = json.loads((out / "manifest.json").read_text())["telemetry"]
+    assert telemetry["jobs"] == 2
+    assert [block["payloads"] for block in telemetry["blocks"]] == [72]
 
 
 # --- the spec builder, pinned by the config_hash of each resolved spec ---------------

@@ -1,3 +1,4 @@
+import os
 from collections import Counter
 
 import numpy as np
@@ -162,13 +163,16 @@ def test_gridworld_comparison_rows_and_summary():
     assert summary[("near-stag", "tomaga")]["n_runs"] == 2
 
 
-def test_gridworld_parallel_jobs_match_serial():
-    # 9 runs: at jobs 2 the round-robin blocks hold 5 and 4 of them
+def test_gridworld_parallel_jobs_match_serial(monkeypatch):
+    # 9 runs: at jobs 2 the round-robin blocks hold 5 and 4 of them, at jobs 3 three each
+    monkeypatch.setattr(experiments, "_cpus", lambda: 3)
     spec = GridworldSpec(scenarios=("near-stag",), variants=("individual", "inequity", "tomaga"),
                          seeds=3, iterations=40, window=10)
     serial = run_gridworld_comparison(spec, base_seed=17, jobs=1)
-    for jobs in (2, 3):
-        assert run_gridworld_comparison(spec, base_seed=17, jobs=jobs).rows == serial.rows
+    for jobs, payloads in ((2, [5, 4]), (3, [3, 3, 3])):
+        result = run_gridworld_comparison(spec, base_seed=17, jobs=jobs)
+        assert result.rows == serial.rows
+        assert [block["payloads"] for block in result.telemetry["blocks"]] == payloads
 
 
 def _lane_trace(lanes, iterations):
@@ -291,6 +295,7 @@ def test_pool_has_no_more_workers_than_payloads(monkeypatch):
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(_RecordingPool, "payloads", [])
+    monkeypatch.setattr(experiments, "_cpus", lambda: 64)
     assert experiments._pmap(abs, [-1, -2, -3], 64) == [1, 2, 3]
     spec = GridworldSpec(scenarios=("near-stag",), variants=("tomaga",), seeds=2,
                          iterations=5, window=5)
@@ -298,22 +303,70 @@ def test_pool_has_no_more_workers_than_payloads(monkeypatch):
     assert rows == run_gridworld_comparison(spec, base_seed=1, jobs=1).rows
     sweep = small_sweep(probabilities=(0.5,), iterations=5, repetitions=1, variants=("tomaga",))
     run_sweep(sweep, base_seed=1, jobs=8)  # one payload: no pool at all
-    # one payload per worker: 72 matches at 2 jobs go as 2 blocks, 6 groups at 3 jobs as 3
+    # 72 matches of 5 iterations are 720 lane-rounds, far below MIN_BLOCK_LANE_ROUNDS: one
+    # block, played here
     sweep = small_sweep(probabilities=(0.0, 0.5, 1.0), iterations=5, repetitions=4)
     assert run_sweep(sweep, base_seed=1, jobs=2).rows == run_sweep(sweep, base_seed=1).rows
+    # one payload per worker: 6 groups at 3 jobs go as 3 blocks
     tournament = TournamentSpec(group_sizes=(2, 3), rounds=5, report_window=5, repetitions=3,
                                 compositions=("pavlov",))
     run_tournament(tournament, base_seed=1, jobs=3)
-    assert _RecordingPool.sizes == [3, 2, 2, 3]
-    assert _RecordingPool.payloads == [3, 2, 2, 3]
+    assert _RecordingPool.sizes == [3, 2, 3]
+    assert _RecordingPool.payloads == [3, 2, 3]
+
+
+def test_deal_has_no_more_blocks_than_cpus(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert experiments._cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    assert experiments._cpus() == (os.cpu_count() or 1)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(_RecordingPool, "payloads", [])
+    tournament = TournamentSpec(group_sizes=(2, 3), rounds=5, report_window=5, repetitions=3,
+                                compositions=("pavlov",))
+    serial = run_tournament(tournament, base_seed=1).rows
+    monkeypatch.setattr(experiments, "_cpus", lambda: 2)
+    result = run_tournament(tournament, base_seed=1, jobs=500)
+    assert result.rows == serial
+    assert [block["payloads"] for block in result.telemetry["blocks"]] == [3, 3]
+    assert _RecordingPool.sizes == [2]
+    monkeypatch.setattr(experiments, "_cpus", lambda: 1)  # one block, played here
+    assert run_tournament(tournament, base_seed=1, jobs=500).rows == serial
+    assert _RecordingPool.sizes == [2]
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_sweep_makes_one_block_per_min_block_lane_rounds(monkeypatch, jobs):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(_RecordingPool, "payloads", [])
+    monkeypatch.setattr(experiments, "_cpus", lambda: 64)
+    # 4 matches of 5 iterations: 40 lane-rounds
+    sweep = small_sweep(iterations=5, repetitions=1, variants=("tomaga",))
+    monkeypatch.setattr(experiments, "MIN_BLOCK_LANE_ROUNDS", 41)
+    assert [b["payloads"] for b in run_sweep(sweep, jobs=jobs).telemetry["blocks"]] == [4]
+    monkeypatch.setattr(experiments, "MIN_BLOCK_LANE_ROUNDS", 20)
+    blocks = run_sweep(sweep, jobs=jobs).telemetry["blocks"]
+    assert [b["payloads"] for b in blocks] == ([4] if jobs == 1 else [2, 2])
+    assert _RecordingPool.sizes == ([] if jobs == 1 else [2])
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
-def test_matrix_lockstep_rows_do_not_depend_on_jobs(jobs):
+def test_matrix_lockstep_rows_do_not_depend_on_jobs(monkeypatch, jobs):
     # every block a different mix of matches and groups, rows back in payload order
+    monkeypatch.setattr(experiments, "_cpus", lambda: jobs)
     sweep = small_sweep(probabilities=(0.0, 0.3, 1.0), iterations=40, repetitions=2,
                         variants=("tomaga", "individual"))
-    assert run_sweep(sweep, base_seed=4, jobs=jobs).rows == run_sweep(sweep, base_seed=4).rows
+    serial = run_sweep(sweep, base_seed=4).rows
+    # 36 matches of 40 iterations: one block, played here, unless split at every lane-round
+    result = run_sweep(sweep, base_seed=4, jobs=jobs)
+    assert result.rows == serial
+    assert [block["payloads"] for block in result.telemetry["blocks"]] == [36]
+    monkeypatch.setattr(experiments, "MIN_BLOCK_LANE_ROUNDS", 1)
+    result = run_sweep(sweep, base_seed=4, jobs=jobs)
+    assert result.rows == serial
+    assert [block["payloads"] for block in result.telemetry["blocks"]] == [36 // jobs] * jobs
     tournament = TournamentSpec(group_sizes=(2, 3, 4), rounds=40, report_window=10,
                                 repetitions=2, compositions=("heterogeneous", "tom-no-guilt"))
     assert (run_tournament(tournament, base_seed=4, jobs=jobs).rows
