@@ -152,6 +152,10 @@ def _require_nonempty(spec, *names: str) -> None:
             raise ValueError(f"{type(spec).__name__}.{name} must not be empty")
 
 
+def _require_distinct(spec, *names: str) -> None:
+    _require(spec, lambda v: len(set(v)) == len(v), "not repeat a value", *names)
+
+
 def _require_known(spec, name: str, allowed: tuple[str, ...]) -> None:
     unknown = [v for v in getattr(spec, name) if v not in allowed]
     if unknown:
@@ -232,6 +236,7 @@ class SweepSpec:
             raise ValueError("initial probabilities must lie in [0, 1]")
         _require_positive(self, "iterations", "repetitions", "measure_window")
         _require_known(self, "variants", MATRIX_VARIANTS)
+        _require_distinct(self, "variants", "probabilities")
 
 
 #: A match's or a tournament group's draws are taken from its generator this
@@ -429,6 +434,7 @@ class TournamentSpec:
         if any(n < 2 for n in self.group_sizes):
             raise ValueError("group sizes must be >= 2")
         _require_known(self, "compositions", COMPOSITIONS)
+        _require_distinct(self, "group_sizes", "compositions")
         _require_positive(self, "rounds", "report_window", "repetitions", "pavlov_n")
         _require_unit_interval(self, "pavlov_p0")
 
@@ -558,6 +564,7 @@ class GridworldSpec:
         _require_nonempty(self, "scenarios", "variants")
         _require_known(self, "scenarios", SCENARIOS)
         _require_known(self, "variants", GRID_VARIANTS)
+        _require_distinct(self, "scenarios", "variants")
         _require_positive(self, "seeds", "iterations", "window", "epochs", "time_bucket_width")
         _require_unit_interval(
             self, "threshold", "zero_order", "first_order", "confidence", "learning_rate", "gamma"

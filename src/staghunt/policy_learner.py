@@ -54,29 +54,42 @@ class LearnerConfig:
 
 
 @dataclass(slots=True)
-class PolicyParams:
-    """Tabular softmax policy and state-value table, one row per observation key.
-
-    A key gets the next row on its first visit (`row`), with zero
-    preferences, a zero value and the shared FIRST_VISIT entry in dists.
-    dists[r] holds row r's action probabilities and normalised cumulative
-    sums; update_policies refreshes it for every row it writes.
-    """
+class PolicyTable:
+    """Every row of a lockstep block's policies, under one LearnerConfig: row r's
+    preferences prefs[r] (grown by doubling; rows past the last are zero), value
+    values[r], and in dists[r] its action probabilities and normalised cumulative
+    sums as lists, for play's bisect_right; update_policies refreshes what it writes."""
 
     hyper: LearnerConfig = field(default_factory=LearnerConfig)
-    rows: dict[ObsKey, int] = field(default_factory=dict)
-    preferences: list[list[float]] = field(default_factory=list)
+    prefs: np.ndarray = field(default_factory=lambda: np.zeros((8, N_ACTIONS)))
     values: list[float] = field(default_factory=list)
     dists: list[tuple[Sequence[float], Sequence[float]]] = field(default_factory=list)
 
+
+@dataclass(slots=True)
+class PolicyParams:
+    """Tabular softmax policy and state-value table: each observation key's row of
+    table, given on the key's first visit (`row`). No two policies share a row."""
+
+    table: PolicyTable = field(default_factory=PolicyTable)
+    rows: dict[ObsKey, int] = field(default_factory=dict)
+
     def row(self, key: ObsKey) -> int:
+        """key's row; a first visit's has zero preferences, a zero value and FIRST_VISIT."""
         r = self.rows.get(key)
         if r is None:
-            r = self.rows[key] = len(self.rows)
-            self.preferences.append([0.0] * N_ACTIONS)
-            self.values.append(0.0)
-            self.dists.append(FIRST_VISIT)
+            table = self.table
+            r = self.rows[key] = len(table.values)
+            if r == len(table.prefs):
+                table.prefs = np.concatenate((table.prefs, np.zeros_like(table.prefs)))
+            table.values.append(0.0)
+            table.dists.append(FIRST_VISIT)
         return r
+
+    @property
+    def preferences(self) -> np.ndarray:
+        """The policy's own rows of the table's preferences, in the order of rows: a copy."""
+        return self.table.prefs[list(self.rows.values())]
 
 
 def observation_key(state: State, agent_index: int, bucket_width: int, cells: int) -> ObsKey:
@@ -129,19 +142,16 @@ class _Items:
 
     @classmethod
     def build(cls, rows: list[int], actions: list[int], old_p, adv, clip_ratio: float) -> "_Items":
-        n = len(rows)
-        item_rows = np.array(rows)
-        flat_taken = np.arange(0, n * N_ACTIONS, N_ACTIONS) + actions
-        taken = np.zeros((n, N_ACTIONS))
-        taken.put(flat_taken, 1.0)
+        item_rows, actions = np.array(rows), np.array(actions)
+        taken = np.eye(N_ACTIONS).take(actions, axis=0)
         adv = np.array(adv)
         # (lo, hi) for a zero or NaN, a positive and a negative advantage
         bounds = np.array(
             ((np.inf, -np.inf), (-np.inf, 1.0 + clip_ratio), (1.0 - clip_ratio, np.inf))
         )
         lo, hi = bounds.take((adv > 0) + 2 * (adv < 0), axis=0).T
-        cells = (item_rows * N_ACTIONS)[:, None] + np.arange(N_ACTIONS)
-        bins = np.repeat(cells, 2, axis=0).ravel()
+        bins = ((item_rows * N_ACTIONS)[:, None] + np.arange(2 * N_ACTIONS) % N_ACTIONS).ravel()
+        flat_taken = np.arange(0, len(rows) * N_ACTIONS, N_ACTIONS) + actions
         return cls(item_rows, taken, flat_taken, adv, np.array(old_p), lo, hi, bins)
 
     def probs_and_ratios(self, prefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,41 +225,36 @@ def surrogate_gradient(
 
 
 def update_policies(policies: Sequence[PolicyParams], episodes: Sequence["ShapedEpisode"]) -> None:
-    """Run the clipped-surrogate epochs for several policies, each on its own episode.
+    """Run the clipped-surrogate epochs for policies of one table, each on its own episode.
 
-    The policies' tables are independent but share one LearnerConfig, so
-    every epoch is one array pass over all of their episode rows gathered
-    into one stack, which is then scattered back. A zero clip ratio pins
-    every ratio at 1, so the surrogate is constant and the update is
-    skipped outright. A row whose action distribution comes out non-finite
-    is a ValueError, raised before any table is written.
+    No two policies share a row, so every epoch is one array pass over the
+    episodes' distinct rows, gathered from the table with one index and
+    written back with one. A zero clip ratio pins every ratio at 1, so the
+    update is skipped. A row whose action distribution comes out non-finite
+    is a ValueError, raised before the table is written.
     """
-    cfg = policies[0].hyper
-    if any(policy.hyper != cfg for policy in policies):
-        raise ValueError("update_policies needs policies that share one LearnerConfig")
+    table = policies[0].table
+    if any(policy.table is not table for policy in policies):
+        raise ValueError("update_policies needs policies of one PolicyTable (one LearnerConfig)")
     if not all(episode.rows for episode in episodes):
         raise ValueError("update_policies needs a non-empty episode")
+    cfg, values = table.hyper, table.values
     if cfg.clip_ratio == 0.0:
         return
 
-    # each policy's distinct rows in order of first appearance, stacked by
-    # policy: a key seen by two policies is two rows
-    gathered = []  # (policy, its distinct rows, its episode, the episode's returns)
-    stack: list[list[float]] = []
-    slots, actions, old_p, adv = [], [], [], []
-    for policy, episode in zip(policies, episodes):
-        returns = discounted_returns(episode.rewards, cfg.gamma)
-        first: dict[int, int] = {}
-        slots += [first.setdefault(r, len(stack) + len(first)) for r in episode.rows]
-        stack += [policy.preferences[r] for r in first]
-        gathered.append((policy, list(first), episode, returns))
-        values = policy.values
-        adv += [ret - values[r] for r, ret in zip(episode.rows, returns)]
+    rows, returns, actions, old_p = [], [], [], []
+    for episode in episodes:
+        rows += episode.rows
+        returns += discounted_returns(episode.rewards, cfg.gamma)
         actions += episode.actions
         old_p += episode.behaviour_probs
-    prefs = np.array(stack)
+    # the distinct rows in order of first appearance, and each item's slot among them
+    first: dict[int, int] = {}
+    slots = [first.setdefault(r, len(first)) for r in rows]
+    written = list(first)
+    adv = [ret - values[r] for r, ret in zip(rows, returns)]
     items = _Items.build(slots, actions, old_p, adv, cfg.clip_ratio)
-
+    prefs = table.prefs[written]
     for _ in range(cfg.epochs):
         prefs = prefs + cfg.step_size * _gradient(prefs, items, cfg.entropy_weight)
     # the next episodes' action distributions, as Generator.choice(5, p=probs)
@@ -259,16 +264,13 @@ def update_policies(policies: Sequence[PolicyParams], episodes: Sequence["Shaped
     if not np.isfinite(cdf[:, -1]).all():
         raise ValueError("update_policies made a policy row whose probabilities are not finite")
     cdf /= cdf[:, -1:]
-    written = zip(prefs.tolist(), probs.tolist(), cdf.tolist())
-    for policy, rows, episode, returns in gathered:
-        preferences, dists, values = policy.preferences, policy.dists, policy.values
-        for r, (row, row_probs, row_cdf) in zip(rows, written):
-            preferences[r] = row
-            dists[r] = (row_probs, row_cdf)
-        # single squared-error step toward the returns, after the policy epochs,
-        # so the baseline tracks a running mean instead of swallowing the batch
-        for r, ret in zip(episode.rows, returns):
-            values[r] += cfg.step_size * (ret - values[r])
+    table.prefs[written] = prefs
+    for r, dist in zip(written, zip(probs.tolist(), cdf.tolist())):
+        table.dists[r] = dist
+    # single squared-error step toward the returns, after the policy epochs,
+    # so the baseline tracks a running mean instead of swallowing the batch
+    for r, ret in zip(rows, returns):
+        values[r] += cfg.step_size * (ret - values[r])
 
 
 @dataclass(slots=True)
@@ -307,7 +309,7 @@ def make_grid_learner(
     """Build one of the four comparison variants with shared defaults."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    cfg = learner_config or LearnerConfig()
+    policy = PolicyParams(PolicyTable(learner_config or LearnerConfig()))
     tom = make_tom_state(
         zero_order=zero_order,
         first_order=first_order,
@@ -319,7 +321,7 @@ def make_grid_learner(
     inequity = None
     if variant == "inequity":
         inequity = inequity_params or InequityParams(1.0, 1.0, n_agents=2)
-    return GridLearner(policy=PolicyParams(hyper=cfg), tom=tom, guilt=guilt, inequity=inequity)
+    return GridLearner(policy=policy, tom=tom, guilt=guilt, inequity=inequity)
 
 
 @dataclass(frozen=True, slots=True)
@@ -370,16 +372,16 @@ def play_iteration(
 ) -> tuple[EpisodeRecord, tuple[ShapingDetail, ShapingDetail], list[ShapedEpisode]]:
     """Play one episode, reveal labels and shape terminal rewards; no policy update."""
     policies = tuple(learner.policy for learner in learners)
-    widths = tuple(policy.hyper.time_bucket_width for policy in policies)
+    dists = tuple(policy.table.dists for policy in policies)
+    widths = tuple(policy.table.hyper.time_bucket_width for policy in policies)
     cells = config.width * config.height
     episodes = [ShapedEpisode([], [], [], []) for _ in policies]
 
     def joint_policy(state: State, agent_index: int, step_rng: np.random.Generator) -> GridAction:
-        policy = policies[agent_index]
         key = observation_key(state, agent_index, widths[agent_index], cells)
-        r = policy.row(key)
+        r = policies[agent_index].row(key)
         # Generator.choice(5, p=probs)'s draw: the first cdf entry above a uniform
-        probs, cdf = policy.dists[r]
+        probs, cdf = dists[agent_index][r]
         idx = bisect_right(cdf, step_rng.random())
         episode = episodes[agent_index]
         episode.rows.append(r)
@@ -407,10 +409,16 @@ def run_lanes(lanes: Sequence[Lane], iterations: int) -> Iterator[list[tuple]]:
     """Play runs in lockstep, yielding every lane's (record, details) per iteration.
 
     Each iteration plays every lane's episode from its own generator, in lane
-    order, then trains all their policies in one update_policies call. The
-    update works row by row, so no lane's results depend on its batch mates.
+    order, then trains all their policies, moved onto one PolicyTable, in one
+    update_policies call. The update works row by row, so no lane's results
+    depend on its batch mates.
     """
     policies = [learner.policy for learners, _, _ in lanes for learner in learners]
+    table = PolicyTable(policies[0].table.hyper)
+    for policy in policies:  # the one check of the block's shared LearnerConfig
+        if policy.rows or policy.table.hyper != table.hyper:
+            raise ValueError("run_lanes needs policies with no rows yet and one LearnerConfig")
+        policy.table = table
     for _ in range(iterations):
         played = [play_iteration(*lane) for lane in lanes]
         update_policies(policies, [episode for *_, episodes in played for episode in episodes])

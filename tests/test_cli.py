@@ -386,6 +386,21 @@ def test_detail_outside_the_comparison_is_rejected_before_any_work(tmp_path, det
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("gridworld", "--scenario", "near-stag", "near-stag", "--agent", "tomaga", "--seeds", "1",
+     "--iterations", "2"),
+    ("gridworld", "--scenario", "near-stag", "--agent", "tomaga", "individual", "tomaga",
+     "--seeds", "1", "--iterations", "2"),
+    ("tournament", "--sizes", "2", "2", "--rounds", "3"),
+    ("matrix-selfplay", "--variants", "tomaga", "tomaga", "--iterations", "2"),
+])
+def test_repeated_axis_values_are_rejected_before_any_work(tmp_path, argv):
+    out = tmp_path / "o"
+    with pytest.raises(ValueError, match="must not repeat a value"):
+        main(["--out", str(out), *argv])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_non_positive_jobs_is_an_argument_error(tmp_path, capsys, jobs):
     out = tmp_path / "o"

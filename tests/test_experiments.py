@@ -25,6 +25,7 @@ from staghunt.gridworld import run_episode
 from staghunt.policy_learner import (
     ACTIONS,
     N_ACTIONS,
+    PolicyTable,
     _softmax,
     observation_key,
     play_iteration,
@@ -185,7 +186,7 @@ def _lane_trace(lanes, iterations):
         for learner in learners:
             policy = learner.policy
             trace.append(learner.tom)
-            trace.append(sorted((k, policy.preferences[r], policy.values[r])
+            trace.append(sorted((k, policy.table.prefs[r].tolist(), policy.table.values[r])
                                 for k, r in policy.rows.items()))
     return traces
 
@@ -219,12 +220,14 @@ def test_cached_distributions_are_the_per_row_ones_after_every_update(stag_motio
     lanes = [_gridworld_lane(*p) for p in _payloads(spec, 9)]
     policies = [learner.policy for learners, _, _ in lanes for learner in learners]
     for _ in run_lanes(lanes, spec.iterations):
+        table = policies[0].table
+        # every row an episode reached was updated, so every row has an entry
+        assert len(table.dists) == sum(len(policy.rows) for policy in policies)
+        assert None not in table.dists
         for policy in policies:
-            # every row an episode reached was updated, so every row has an entry
-            assert len(policy.dists) == len(policy.rows) and None not in policy.dists
             for r in policy.rows.values():
-                probs, cdf = policy.dists[r]
-                expected = _softmax(np.array(policy.preferences[r]))
+                probs, cdf = table.dists[r]
+                expected = _softmax(table.prefs[r])
                 total = expected.cumsum()
                 assert probs == expected.tolist()
                 assert cdf == (total / total[-1]).tolist()
@@ -237,9 +240,9 @@ def _choice_policy(learners, config, behaviour_probs):
 
     def joint_policy(state, agent_index, step_rng):
         policy = learners[agent_index].policy
-        key = observation_key(state, agent_index, policy.hyper.time_bucket_width, cells)
+        key = observation_key(state, agent_index, policy.table.hyper.time_bucket_width, cells)
         r = policy.rows.get(key)
-        probs = _softmax(np.zeros(N_ACTIONS) if r is None else np.array(policy.preferences[r]))
+        probs = _softmax(np.zeros(N_ACTIONS) if r is None else policy.table.prefs[r])
         idx = int(step_rng.choice(N_ACTIONS, p=probs))
         behaviour_probs[agent_index].append(float(probs[idx]))
         return ACTIONS[idx]
@@ -254,6 +257,9 @@ def test_play_from_cached_distributions_matches_a_choice_reference(stag_motion):
     spec = GridworldSpec(seeds=1, iterations=60, stag_motion=stag_motion)
     lanes = [_gridworld_lane(*p) for p in _payloads(spec, 13)]
     policies = [learner.policy for learners, _, _ in lanes for learner in learners]
+    table = PolicyTable(policies[0].table.hyper)  # one table for the block, as run_lanes makes
+    for policy in policies:
+        policy.table = table
     for _ in range(spec.iterations):
         states = [rng.bit_generator.state for _, _, rng in lanes]
         played = [play_iteration(*lane) for lane in lanes]

@@ -12,6 +12,7 @@ from staghunt.policy_learner import (
     N_ACTIONS,
     LearnerConfig,
     PolicyParams,
+    PolicyTable,
     ShapedEpisode,
     _softmax,
     discounted_returns,
@@ -30,7 +31,7 @@ from staghunt.policy_learner import (
 
 
 def action_probs(policy: PolicyParams, key) -> np.ndarray:
-    return _softmax(np.array(policy.preferences[policy.row(key)]))
+    return _softmax(policy.table.prefs[policy.row(key)])
 
 
 def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -101,19 +102,19 @@ KEY = 1234  # an observation key
 
 
 def test_zero_advantages_leave_preferences_unchanged():
-    policy = PolicyParams(hyper=LearnerConfig(entropy_weight=0.0))
+    policy = PolicyParams(PolicyTable(LearnerConfig(entropy_weight=0.0)))
     row = policy.row(KEY)
-    policy.preferences[row] = [0.3, -0.1, 0.0, 0.2, -0.4]
-    policy.values[row] = 1.0  # matches the return below, so advantage is zero
+    policy.table.prefs[row] = [0.3, -0.1, 0.0, 0.2, -0.4]
+    policy.table.values[row] = 1.0  # matches the return below, so advantage is zero
     episode = ShapedEpisode(rows=[row], actions=[GridAction.STAY], behaviour_probs=[0.2],
                             rewards=[1.0])
-    before = list(policy.preferences[row])
+    before = policy.table.prefs[row].tolist()
     update_policies([policy], [episode])
-    assert np.allclose(policy.preferences[row], before)
+    assert np.allclose(policy.table.prefs[row], before)
 
 
 def test_positive_advantage_increases_taken_action_probability():
-    policy = PolicyParams(hyper=LearnerConfig())
+    policy = PolicyParams(PolicyTable(LearnerConfig()))
     p_before = action_probs(policy, KEY)[0]
     episode = ShapedEpisode(
         rows=[policy.row(KEY)], actions=[0], behaviour_probs=[p_before], rewards=[4.0]
@@ -123,16 +124,16 @@ def test_positive_advantage_increases_taken_action_probability():
 
 
 def test_zero_clip_ratio_freezes_the_policy():
-    policy = PolicyParams(hyper=LearnerConfig(clip_ratio=0.0))
+    policy = PolicyParams(PolicyTable(LearnerConfig(clip_ratio=0.0)))
     row = policy.row(KEY)
     episode = ShapedEpisode(rows=[row], actions=[2], behaviour_probs=[0.2], rewards=[10.0])
     update_policies([policy], [episode])
-    assert policy.preferences[row] == [0.0] * N_ACTIONS
-    assert policy.values[row] == 0.0
+    assert policy.table.prefs[row].tolist() == [0.0] * N_ACTIONS
+    assert policy.table.values[row] == 0.0
 
 
 def test_policy_stays_a_distribution_after_updates():
-    policy = PolicyParams(hyper=LearnerConfig(step_size=0.5))
+    policy = PolicyParams(PolicyTable(LearnerConfig(step_size=0.5)))
     rng = np.random.default_rng(0)
     for _ in range(50):
         action = ACTIONS[rng.integers(5)]
@@ -261,13 +262,14 @@ def random_case(seed, hyper, pool=4, table=3):
     return policy, KeyEpisode(episode_keys, actions, behaviour, rewards)
 
 
-def as_policy(ref: RefPolicy) -> PolicyParams:
-    """The reference's tables as PolicyParams rows, in the dicts' order."""
-    policy = PolicyParams(hyper=ref.hyper)
+def as_policy(ref: RefPolicy, table: PolicyTable | None = None) -> PolicyParams:
+    """The reference's tables as PolicyParams rows, in the dicts' order, on table
+    (default: a table of its own)."""
+    policy = PolicyParams(PolicyTable(ref.hyper) if table is None else table)
     for key, prefs in ref.preferences.items():
         r = policy.row(key)
-        policy.preferences[r] = prefs.tolist()
-        policy.values[r] = ref.value(key)
+        policy.table.prefs[r] = prefs
+        policy.table.values[r] = ref.value(key)
     return policy
 
 
@@ -282,8 +284,8 @@ def assert_same_tables(policy: PolicyParams, ref: RefPolicy):
     assert list(ref.preferences) == list(policy.rows)[: len(ref.preferences)]
     for key, r in policy.rows.items():
         expected = ref.preferences.get(key, np.zeros(N_ACTIONS))
-        assert np.array_equal(policy.preferences[r], expected), key
-        assert policy.values[r] == ref.value(key), key
+        assert np.array_equal(policy.table.prefs[r], expected), key
+        assert policy.table.values[r] == ref.value(key), key
 
 
 HYPERS = [
@@ -335,7 +337,8 @@ def test_two_learners_updated_together_match_per_item_reference(hyper):
     """Both learners' rows in one pass: the same key in both tables stays two rows."""
     for seed in SEEDS:
         apart = [random_case(seed, hyper)[0], random_case(seed + 500, hyper)[0]]
-        together = [as_policy(ref) for ref in apart]
+        table = PolicyTable(hyper)
+        together = [as_policy(ref, table) for ref in apart]
         episodes = [random_case(seed + 1000, hyper)[1], random_case(seed + 2000, hyper)[1]]
         update_policies(together, [as_rows(p, e) for p, e in zip(together, episodes)])
         for policy, episode in zip(apart, episodes):
@@ -345,7 +348,8 @@ def test_two_learners_updated_together_match_per_item_reference(hyper):
 
 
 def test_update_policies_needs_one_shared_config():
-    policies = [PolicyParams(LearnerConfig()), PolicyParams(LearnerConfig(epochs=2))]
+    policies = [PolicyParams(PolicyTable(LearnerConfig())),
+                PolicyParams(PolicyTable(LearnerConfig(epochs=2)))]
     episode = ShapedEpisode([0], [0], [0.2], [1.0])
     with pytest.raises(ValueError, match="LearnerConfig"):
         update_policies(policies, [episode, episode])
@@ -487,7 +491,8 @@ def test_a_ratio_exactly_at_the_clip_edge_is_inactive(edge):
 def test_two_learners_standing_still_updated_together_match_per_item_reference(hyper):
     for seed in range(10):
         apart = [still_case(seed, hyper)[0], still_case(seed + 500, hyper)[0]]
-        together = [as_policy(ref) for ref in apart]
+        table = PolicyTable(hyper)
+        together = [as_policy(ref, table) for ref in apart]
         episodes = [still_case(seed + 1000, hyper)[1], still_case(seed + 2000, hyper)[1]]
         update_policies(together, [as_rows(p, e) for p, e in zip(together, episodes)])
         for policy, episode in zip(apart, episodes):
@@ -648,7 +653,7 @@ def test_observation_key_injective_at_unit_bucket_width():
 
 def test_sample_action_tracks_policy_distribution():
     policy = PolicyParams()
-    policy.preferences[policy.row(KEY)] = [2.0, 0.0, 0.0, 0.0, -2.0]
+    policy.table.prefs[policy.row(KEY)] = [2.0, 0.0, 0.0, 0.0, -2.0]
     rng = np.random.default_rng(8)
     draws = [ACTIONS[sample_index(action_probs(policy, KEY), rng)] for _ in range(4000)]
     freq_first = draws.count(ACTIONS[0]) / len(draws)
@@ -692,7 +697,7 @@ def test_sample_index_matches_generator_choice_draw_for_draw(probs):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_sample_index_rejects_a_non_finite_preference_row(bad):
     policy = PolicyParams()
-    policy.preferences[policy.row(KEY)] = [0.0, bad, 0.0, 0.0, 0.0]
+    policy.table.prefs[policy.row(KEY)] = [0.0, bad, 0.0, 0.0, 0.0]
     with np.errstate(invalid="ignore"):  # inf - inf in the softmax shift
         probs = action_probs(policy, KEY)
     with pytest.raises(ValueError, match="finite"):
@@ -721,7 +726,7 @@ def _trained_pair(seed=3):
     config = make_scenario("near-stag")
     next(run_lanes([(learners, config, np.random.default_rng(seed))], 1))
     start = (*config.grid.starts, 0)
-    key = observation_key(start, 0, learners[0].policy.hyper.time_bucket_width, 16)
+    key = observation_key(start, 0, learners[0].policy.table.hyper.time_bucket_width, 16)
     return learners, config, key
 
 
@@ -730,7 +735,7 @@ def test_a_first_visit_gets_the_zero_row_distribution():
     total = probs.cumsum()
     assert FIRST_VISIT == (tuple(probs.tolist()), tuple((total / total[-1]).tolist()))
     policy = PolicyParams()
-    assert [policy.dists[policy.row(key)] for key in (KEY, KEY + 1)] == [FIRST_VISIT] * 2
+    assert [policy.table.dists[policy.row(key)] for key in (KEY, KEY + 1)] == [FIRST_VISIT] * 2
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -738,10 +743,14 @@ def test_update_policies_rejects_a_non_finite_row_and_writes_nothing(bad):
     learners, _, key = _trained_pair()
     policies = [learner.policy for learner in learners]
     r = policies[0].rows[key]
-    policies[0].preferences[r][1] = bad
-    tables = [(p.rows, p.preferences, p.values, p.dists) for p in policies]
-    before = repr(tables)
-    episodes = [ShapedEpisode([r], [0], [0.2], [1.0]), ShapedEpisode([0], [0], [0.2], [1.0])]
+    table = policies[0].table
+    table.prefs[r][1] = bad
+    before = (repr([p.rows for p in policies]), table.prefs.copy(), repr(table.values),
+              repr(table.dists))
+    other = next(iter(policies[1].rows.values()))  # a row of the other policy
+    episodes = [ShapedEpisode([r], [0], [0.2], [1.0]), ShapedEpisode([other], [0], [0.2], [1.0])]
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
         update_policies(policies, episodes)
-    assert repr(tables) == before
+    assert repr([p.rows for p in policies]) == before[0]
+    assert np.array_equal(table.prefs, before[1], equal_nan=True)
+    assert (repr(table.values), repr(table.dists)) == before[2:]

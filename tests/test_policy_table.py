@@ -1,0 +1,249 @@
+"""The block table against the per-policy list update it replaced.
+
+Before the block table, every PolicyParams kept its own preferences, values
+and cached distributions as Python lists, and update_policies stacked each
+policy's distinct rows with np.array, ran the epochs, and wrote the stack back
+row by row from prefs.tolist(). That update and the _Items.build it called are
+kept here verbatim as the reference: every policy of a random block must end
+each iteration with the bytes the reference gives it, in preferences, values
+and distributions alike.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from staghunt.gridworld import make_scenario
+from staghunt.policy_learner import (
+    FIRST_VISIT,
+    N_ACTIONS,
+    LearnerConfig,
+    PolicyParams,
+    PolicyTable,
+    ShapedEpisode,
+    _gradient,
+    _Items,
+    _softmax,
+    discounted_returns,
+    make_grid_learner,
+    run_lanes,
+    update_policies,
+)
+
+
+@dataclasses.dataclass
+class ListPolicy:
+    """A policy with list tables of its own, one row per observation key."""
+
+    hyper: LearnerConfig
+    rows: dict = dataclasses.field(default_factory=dict)
+    preferences: list = dataclasses.field(default_factory=list)
+    values: list = dataclasses.field(default_factory=list)
+    dists: list = dataclasses.field(default_factory=list)
+
+    def row(self, key) -> int:
+        r = self.rows.get(key)
+        if r is None:
+            r = self.rows[key] = len(self.rows)
+            self.preferences.append([0.0] * N_ACTIONS)
+            self.values.append(0.0)
+            self.dists.append(FIRST_VISIT)
+        return r
+
+
+def _ref_items(rows, actions, old_p, adv, clip_ratio) -> _Items:
+    n = len(rows)
+    item_rows = np.array(rows)
+    flat_taken = np.arange(0, n * N_ACTIONS, N_ACTIONS) + actions
+    taken = np.zeros((n, N_ACTIONS))
+    taken.put(flat_taken, 1.0)
+    adv = np.array(adv)
+    bounds = np.array(
+        ((np.inf, -np.inf), (-np.inf, 1.0 + clip_ratio), (1.0 - clip_ratio, np.inf))
+    )
+    lo, hi = bounds.take((adv > 0) + 2 * (adv < 0), axis=0).T
+    cells = (item_rows * N_ACTIONS)[:, None] + np.arange(N_ACTIONS)
+    bins = np.repeat(cells, 2, axis=0).ravel()
+    return _Items(item_rows, taken, flat_taken, adv, np.array(old_p), lo, hi, bins)
+
+
+def _ref_update(policies: list[ListPolicy], episodes: list[ShapedEpisode]) -> None:
+    cfg = policies[0].hyper
+    if cfg.clip_ratio == 0.0:
+        return
+    gathered = []
+    stack: list[list[float]] = []
+    slots, actions, old_p, adv = [], [], [], []
+    for policy, episode in zip(policies, episodes):
+        returns = discounted_returns(episode.rewards, cfg.gamma)
+        first: dict[int, int] = {}
+        slots += [first.setdefault(r, len(stack) + len(first)) for r in episode.rows]
+        stack += [policy.preferences[r] for r in first]
+        gathered.append((policy, list(first), episode, returns))
+        values = policy.values
+        adv += [ret - values[r] for r, ret in zip(episode.rows, returns)]
+        actions += episode.actions
+        old_p += episode.behaviour_probs
+    prefs = np.array(stack)
+    items = _ref_items(slots, actions, old_p, adv, cfg.clip_ratio)
+    for _ in range(cfg.epochs):
+        prefs = prefs + cfg.step_size * _gradient(prefs, items, cfg.entropy_weight)
+    probs = _softmax(prefs)
+    cdf = probs.cumsum(axis=1)
+    if not np.isfinite(cdf[:, -1]).all():
+        raise ValueError("not finite")
+    cdf /= cdf[:, -1:]
+    written = zip(prefs.tolist(), probs.tolist(), cdf.tolist())
+    for policy, rows, episode, returns in gathered:
+        preferences, dists, values = policy.preferences, policy.dists, policy.values
+        for r, (row, row_probs, row_cdf) in zip(rows, written):
+            preferences[r] = row
+            dists[r] = (row_probs, row_cdf)
+        for r, ret in zip(episode.rows, returns):
+            values[r] += cfg.step_size * (ret - values[r])
+
+
+def _bytes(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def assert_same_bytes(policy: PolicyParams, ref: ListPolicy):
+    assert list(policy.rows) == list(ref.rows)
+    table = policy.table
+    for key, r in policy.rows.items():
+        s = ref.rows[key]
+        assert _bytes(table.prefs[r]) == _bytes(ref.preferences[s]), key
+        assert _bytes(table.values[r]) == _bytes(ref.values[s]), key
+        for ours, theirs in zip(table.dists[r], ref.dists[s]):
+            assert _bytes(ours) == _bytes(theirs), key
+    assert len(policy.preferences) == len(ref.rows)
+    assert _bytes(policy.preferences) == _bytes(ref.preferences)
+
+
+HYPERS = [
+    LearnerConfig(step_size=0.5, epochs=6, entropy_weight=0.03),
+    LearnerConfig(step_size=0.5, epochs=6, entropy_weight=0.0),
+    LearnerConfig(step_size=0.05, epochs=4, entropy_weight=0.01, clip_ratio=0.05),
+    LearnerConfig(clip_ratio=0.0),
+]
+
+
+def play_block(rng, policies, refs, pool=5):
+    """Every policy's episode of one iteration, stepped in turn as lanes are: keys
+    from a small pool per policy, so rows repeat within an episode and new rows are
+    first seen between other policies' rows. Some rewards are NaN (a NaN advantage,
+    then a NaN value), and some one-step episodes are paid their row's value (a
+    zero advantage)."""
+    lengths = rng.integers(1, 9, len(policies))
+    episodes = [ShapedEpisode([], [], [], []) for _ in policies]
+    shadows = [ShapedEpisode([], [], [], []) for _ in policies]
+    for t in range(max(lengths)):
+        for i, (policy, ref) in enumerate(zip(policies, refs)):
+            if t >= lengths[i]:
+                continue
+            key = 100 * i + int(rng.integers(pool))
+            r, s = policy.row(key), ref.row(key)
+            action = int(rng.integers(N_ACTIONS))
+            p = ref.dists[s][0][action] * rng.choice([1.0, 0.95, 0.4, 2.5])
+            for episode, row in ((episodes[i], r), (shadows[i], s)):
+                episode.rows.append(row)
+                episode.actions.append(action)
+                episode.behaviour_probs.append(float(np.clip(p, 0.01, 0.99)))
+    for i, ref in enumerate(refs):
+        rewards = [0.0] * (lengths[i] - 1) + [float(rng.normal(0, 3.0))]
+        kind = rng.random()
+        if kind < 0.05:
+            rewards[-1] = float("nan")
+        elif kind < 0.25 and lengths[i] == 1:
+            rewards[-1] = ref.values[shadows[i].rows[0]]
+        episodes[i].rewards = shadows[i].rewards = rewards
+    return episodes, shadows
+
+
+@pytest.mark.parametrize("hyper", HYPERS)
+def test_block_table_matches_the_per_policy_list_update(hyper):
+    zero_advantages = nan_advantages = repeats = interleaved = clipped = unclipped = 0
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        table = PolicyTable(hyper)
+        policies = [PolicyParams(table) for _ in range(n)]
+        refs = [ListPolicy(hyper) for _ in range(n)]
+        for _ in range(6):
+            episodes, shadows = play_block(rng, policies, refs)
+            for ref, shadow in zip(refs, shadows):
+                repeats += len(set(shadow.rows)) < len(shadow.rows)
+                for s, action, p in zip(shadow.rows, shadow.actions, shadow.behaviour_probs):
+                    inside = abs(ref.dists[s][0][action] / p - 1.0) < (hyper.clip_ratio or 0.2)
+                    unclipped += inside
+                    clipped += not inside
+                if len(shadow.rows) == 1:
+                    adv = shadow.rewards[0] - ref.values[shadow.rows[0]]
+                    zero_advantages += adv == 0.0
+                    nan_advantages += adv != adv
+            with np.errstate(invalid="ignore"):
+                update_policies(policies, episodes)
+                _ref_update(refs, shadows)
+            for policy, ref in zip(policies, refs):
+                assert_same_bytes(policy, ref)
+        # no two policies share a row, and every row of the table belongs to one
+        owned = sorted(r for policy in policies for r in policy.rows.values())
+        assert owned == list(range(len(table.values)))
+        interleaved += sum(max(p.rows.values()) - min(p.rows.values()) >= len(p.rows)
+                           for p in policies)
+    assert zero_advantages >= 5 and nan_advantages >= 2
+    assert repeats >= 100 and interleaved >= 30 and clipped >= 100 and unclipped >= 100
+
+
+@pytest.mark.parametrize("adv", [0.0, -0.0, np.nan])
+def test_lean_items_match_the_reference_build(adv):
+    """An advantage of -0.0 never reaches update_policies (a return is never -0.0,
+    and x - x is +0.0), so the build is compared on it directly, with 0.0 and NaN."""
+    rng = np.random.default_rng(4)
+    for clip_ratio in (0.2, 0.0):
+        n = 40
+        rows = [int(r) for r in rng.integers(0, 7, n)]
+        actions = [int(a) for a in rng.integers(0, N_ACTIONS, n)]
+        old_p = [float(p) for p in rng.uniform(0.01, 0.99, n)]
+        advs = rng.normal(0, 2.0, n)
+        advs[::3] = adv
+        ours = _Items.build(rows, actions, old_p, advs.tolist(), clip_ratio)
+        theirs = _ref_items(rows, actions, old_p, advs.tolist(), clip_ratio)
+        for field in dataclasses.fields(_Items):
+            a, b = getattr(ours, field.name), getattr(theirs, field.name)
+            assert a.shape == b.shape and a.dtype == b.dtype, field.name
+            assert a.tobytes() == b.tobytes(), field.name
+
+
+def test_update_policies_rejects_policies_of_two_tables():
+    policies = [PolicyParams(), PolicyParams()]  # equal configs, separate tables
+    episodes = [ShapedEpisode([policy.row(7)], [0], [0.2], [1.0]) for policy in policies]
+    with pytest.raises(ValueError, match="one PolicyTable"):
+        update_policies(policies, episodes)
+
+
+def test_run_lanes_puts_a_block_on_one_table_and_checks_its_config_once():
+    config = make_scenario("near-stag")
+    learners = [tuple(make_grid_learner("individual") for _ in range(2)) for _ in range(2)]
+    lanes = [(pair, config, np.random.default_rng(i)) for i, pair in enumerate(learners)]
+    next(run_lanes(lanes, 1))
+    tables = {id(learner.policy.table) for pair in learners for learner in pair}
+    assert len(tables) == 1
+    # policies with rows already, or with two configs, cannot start a block
+    with pytest.raises(ValueError, match="no rows yet"):
+        next(run_lanes(lanes, 1))
+    mixed = (make_grid_learner("individual"),
+             make_grid_learner("individual", learner_config=LearnerConfig(epochs=2)))
+    with pytest.raises(ValueError, match="one LearnerConfig"):
+        next(run_lanes([(mixed, config, np.random.default_rng(0))], 1))
+
+
+def test_the_table_grows_by_doubling_and_keeps_its_rows():
+    policy = PolicyParams()
+    for key in range(20):
+        r = policy.row(key)  # before naming table.prefs: a new row may replace the array
+        policy.table.prefs[r] = key
+    assert len(policy.table.prefs) == 32
+    assert policy.preferences[:, 0].tolist() == list(range(20))
+    assert not policy.table.prefs[20:].any()

@@ -153,3 +153,30 @@ EMPTIES = [
 def test_empty_grids_are_rejected(cls, name):
     with pytest.raises(ValueError, match=name):
         cls(**{name: ()})
+
+
+# a repeated axis value would be a second run under the same CSV key, and its
+# rows would be merged into one summary cell
+REPEATS = {
+    (SweepSpec, "probabilities"): (0.5, 1.0, 0.5),
+    (SweepSpec, "variants"): ("tomaga", "tomaga"),
+    (TournamentSpec, "group_sizes"): (2, 4, 2),
+    (TournamentSpec, "compositions"): ("pavlov", "tomaga", "pavlov"),
+    (GridworldSpec, "scenarios"): ("near-stag", "near-stag"),
+    (GridworldSpec, "variants"): ("tomaga", "individual", "tomaga"),
+}
+
+
+@pytest.mark.parametrize("cls, name", list(REPEATS))
+def test_repeated_axis_values_are_rejected(cls, name):
+    repeated = REPEATS[cls, name]
+    with pytest.raises(ValueError, match=rf"{cls.__name__}\.{name} must not repeat a value"):
+        cls(**{name: repeated})
+    distinct = tuple(dict.fromkeys(repeated))
+    assert getattr(cls(**{name: distinct}), name) == distinct
+
+
+def test_default_specs_repeat_no_value():
+    for cls, name in REPEATS:
+        values = getattr(cls(), name)
+        assert len(set(values)) == len(values)
