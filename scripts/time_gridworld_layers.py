@@ -7,9 +7,10 @@ each, 8 runs, 300 episodes), and at `--seeds 10 --iterations 1500`
 criterion 6's 80 runs. Deals the runs into --jobs blocks as
 run_gridworld_comparison does, and plays each block here, one after
 another, with timers around the layers of policy_learner: play
-(play_iteration, every lane's episode), update (update_policies), and
-inside update the epochs' _gradient calls and the per-iteration
-_Items.build; "own" is the update's own Python, update minus the other two.
+(play_iteration, every lane's episode), beliefs (_shape_guilt, the block's
+belief and guilt step), update (update_policies), and inside update the
+epochs' _gradient calls and the per-iteration _Items.build; "own" is the
+update's own Python, update minus the other two.
 Prints one line per block, then checks that the timed blocks gave the rows
 of an untimed run_gridworld_comparison.
 
@@ -27,7 +28,7 @@ from staghunt import policy_learner
 from staghunt.experiments import GridworldSpec, _cpus, _gridworld_block, run_gridworld_comparison
 
 BASE_SEED = 2026
-LAYERS = ("play", "update", "_gradient", "_Items.build")
+LAYERS = ("play", "beliefs", "update", "_gradient", "_Items.build")
 COLUMNS = ("total", *LAYERS, "own")
 
 
@@ -45,7 +46,7 @@ def _timed(fn, seconds: Counter, layer: str):
 @contextmanager
 def layer_timers(seconds: Counter):
     """Time the layers into seconds while inside; the module is as it was after."""
-    names = ("play_iteration", "update_policies", "_gradient")
+    names = ("play_iteration", "_shape_guilt", "update_policies", "_gradient")
     originals = {name: getattr(policy_learner, name) for name in names}
     items = policy_learner._Items
     build = items.__dict__["build"]

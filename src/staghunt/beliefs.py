@@ -10,8 +10,9 @@ confidence in its own predictions. After each iteration it runs, in order:
     4. if first-order updates are enabled, pull the first-order belief
        toward the agent's own revealed label.
 
-`belief_step` runs the pipeline on plain floats; `update_beliefs` runs it
-on a ToMState and returns a new state, never mutating the old one.
+Each blend is clamped to [0, 1]. `shaping.guilt_step` runs the pipeline on
+arrays, one element per learner; `update_beliefs` runs it on a ToMState
+and returns a new state, never mutating the old one.
 """
 
 from __future__ import annotations
@@ -19,11 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .game import C, KNOWN_LABELS, PayoffMatrix, PolicyLabel
-
-
-def _clamp01(x: float) -> float:
-    # Convex combinations of values in [0, 1] can drift by one ulp.
-    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
+from .shaping import guilt_step
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,53 +72,21 @@ def make_tom_state(
     )
 
 
-def _blend(old: float, target: float, weight: float) -> float:
-    return _clamp01((1.0 - weight) * old + weight * target)
-
-
-def _predicts_c(first_order: float, matrix: PayoffMatrix) -> bool:
-    # the other's greedy label under the first-order belief; ties go to C
-    score_c, score_u = matrix.expected_payoffs(first_order)
-    return score_c >= score_u
-
-
-def belief_step(
-    zero_order: float,
-    first_order: float,
-    confidence: float,
-    learning_rate: float,
-    tom_enabled: bool,
-    observed_other: PolicyLabel,
-    observed_self: PolicyLabel,
-    matrix: PayoffMatrix,
-) -> tuple[float, float, float]:
-    """One iteration of the belief pipeline on plain floats.
-
-    Predict, then confidence, then integration, then the first-order pull;
-    returns the new (zero_order, first_order, confidence). Labels must be C
-    or U; the callers that take labels from outside check them.
-    """
-    predicts_c = _predicts_c(first_order, matrix)
-    confidence = _blend(confidence, float((observed_other is C) == predicts_c), learning_rate)
-    zero_order = _blend(zero_order, float(predicts_c), confidence)
-    if tom_enabled:
-        first_order = _blend(first_order, float(observed_self is C), confidence)
-    return zero_order, first_order, confidence
-
-
 def update_beliefs(
     state: ToMState,
     observed_other: PolicyLabel,
     observed_self: PolicyLabel,
     matrix: PayoffMatrix,
 ) -> ToMState:
-    """Run the full per-iteration belief pipeline and return the new state."""
+    """Run the per-iteration belief pipeline (guilt_step on one lane); return the new state."""
     if observed_other not in KNOWN_LABELS or observed_self not in KNOWN_LABELS:
         raise ValueError("belief updates require both observed labels in {C, U}")
-    zero_order, first_order, confidence = belief_step(
+    lr = state.learning_rate
+    zero_order, first_order, confidence, _, _ = guilt_step(
         state.zero_order.p_cooperative, state.first_order.p_cooperative, state.confidence,
-        state.learning_rate, state.tom_enabled, observed_other, observed_self, matrix,
+        1.0 - lr, lr, state.tom_enabled, 0.0, observed_self is C, observed_other is C, 0.0, matrix,
     )
     return replace(
-        state, zero_order=Belief(zero_order), first_order=Belief(first_order), confidence=confidence
+        state, zero_order=Belief(float(zero_order)), first_order=Belief(float(first_order)),
+        confidence=float(confidence),
     )

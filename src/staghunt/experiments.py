@@ -94,11 +94,7 @@ def make_matrix_agent(
         guilt=guilt,
         alpha=params.alpha,
         gamma=params.gamma,
-        explore=Exploration(
-            kind="softmax",
-            temperature=params.temperature,
-            temperature_decay=params.temperature_decay,
-        ),
+        explore=Exploration(params.temperature, params.temperature_decay),
     )
 
 

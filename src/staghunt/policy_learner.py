@@ -7,7 +7,8 @@ observation encodings; no function approximation anywhere. One iteration =
 one episode, then (for guilt agents) a belief update from the revealed
 labels, a shaped terminal reward, and a few epochs of clipped updates over
 the episode's transitions. `run_lanes` steps several runs in lockstep, so
-one update per iteration covers all of their policies.
+one guilt step (shaping.guilt_step) and one update per iteration cover all
+of their learners.
 """
 
 from __future__ import annotations
@@ -19,17 +20,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .beliefs import ToMState, make_tom_state, update_beliefs
-from .game import C, KNOWN_LABELS, PolicyLabel
+from .beliefs import Belief, ToMState, make_tom_state
+from .game import C, KNOWN_LABELS, PayoffMatrix, PolicyLabel
 from .gridworld import EpisodeRecord, GridAction, GridConfig, State, run_episode
-from .shaping import (
-    GuiltParams,
-    InequityParams,
-    expected_other_value,
-    guilt_reward,
-    inequity_reward,
-    shape_reward,
-)
+from .shaping import GuiltParams, InequityParams, guilt_step, inequity_reward, shape_reward
 
 ACTIONS = tuple(GridAction)
 N_ACTIONS = len(ACTIONS)
@@ -286,14 +280,57 @@ class ShapedEpisode:
 VARIANTS = ("individual", "inequity", "ga-no-tom", "tomaga")
 
 
+class Beliefs:
+    """Learners' beliefs as arrays, slot k for one learner: its zero- and
+    first-order beliefs b0[k] and b1[k], confidence conf[k], learning rate
+    lr[k] (keep_lr = 1 - lr), tom[k] (first-order updates on) and neg_theta[k]
+    (-theta; 0.0 with guilt off), the columns of shaping.guilt_step."""
+
+    __slots__ = ("b0", "b1", "conf", "lr", "keep_lr", "tom", "neg_theta")
+
+    def __init__(self, states: Sequence[ToMState], guilts: Sequence[GuiltParams | None]):
+        # float even where a config gave an int, so that a step's write-back is not truncated
+        self.b0 = np.array([state.zero_order.p_cooperative for state in states], dtype=float)
+        self.b1 = np.array([state.first_order.p_cooperative for state in states], dtype=float)
+        self.conf = np.array([state.confidence for state in states], dtype=float)
+        self.lr = np.array([state.learning_rate for state in states], dtype=float)
+        self.keep_lr = 1.0 - self.lr
+        self.tom = np.array([state.tom_enabled for state in states], dtype=bool)
+        self.neg_theta = np.array([-guilt.theta if guilt else 0.0 for guilt in guilts], dtype=float)
+
+    def state(self, k: int) -> ToMState:
+        """Slot k as a ToMState."""
+        return ToMState(Belief(float(self.b0[k])), Belief(float(self.b1[k])),
+                        float(self.conf[k]), float(self.lr[k]), bool(self.tom[k]))
+
+    def step(self, slots: list[int], own_c: list[bool], other_c: list[bool],
+             other_reward: list[float], matrix: PayoffMatrix) -> tuple[list[float], list[float]]:
+        """guilt_step on the given slots, with each one's labels and other's reward;
+        returns their phi and psychological rewards. The other slots keep their beliefs."""
+        k = np.array(slots)
+        self.b0[k], self.b1[k], self.conf[k], phi, psychological = guilt_step(
+            self.b0[k], self.b1[k], self.conf[k], self.keep_lr[k], self.lr[k], self.tom[k],
+            self.neg_theta[k], np.array(own_c), np.array(other_c), np.array(other_reward),
+            matrix,
+        )
+        return phi.tolist(), psychological.tolist()
+
+
 @dataclass(slots=True)
 class GridLearner:
-    """One grid-world agent: a policy plus its social-preference attachments."""
+    """One grid-world agent: a policy plus its social-preference attachments; its
+    beliefs are slot `slot` of `beliefs` (run_lanes moves them to its block's)."""
 
     policy: PolicyParams
-    tom: ToMState
+    beliefs: Beliefs
+    slot: int = 0
     guilt: GuiltParams | None = None
     inequity: InequityParams | None = None
+
+    @property
+    def tom(self) -> ToMState:
+        """The learner's current beliefs, built from its slot."""
+        return self.beliefs.state(self.slot)
 
 
 def make_grid_learner(
@@ -321,7 +358,7 @@ def make_grid_learner(
     inequity = None
     if variant == "inequity":
         inequity = inequity_params or InequityParams(1.0, 1.0, n_agents=2)
-    return GridLearner(policy=policy, tom=tom, guilt=guilt, inequity=inequity)
+    return GridLearner(policy, Beliefs([tom], [guilt]), guilt=guilt, inequity=inequity)
 
 
 @dataclass(frozen=True, slots=True)
@@ -334,43 +371,25 @@ class ShapingDetail:
 
 
 def _shaped_terminal_reward(
-    learner: GridLearner,
-    labels: tuple[PolicyLabel, PolicyLabel],
-    terminal_rewards: tuple[float, float],
-    agent_index: int,
-    label_matrix,
+    learner: GridLearner, terminal_rewards: tuple[float, float], agent_index: int
 ) -> ShapingDetail:
-    """Belief update plus psychological shaping for one agent's episode end.
-
-    Guilt needs both labels: the psychological reward is a function of the
-    revealed label pair, so episodes with an Unknown label keep both the
-    beliefs and the material reward untouched. Inequity shaping only needs
-    realised rewards and therefore always applies.
-    """
-    own_label = labels[agent_index]
-    other_label = labels[1 - agent_index]
+    """One agent's episode end without guilt: inequity shaping, which needs only
+    the realised rewards and so always applies, or the material reward. A guilt
+    learner keeps its material reward here; run_lanes shapes it (_shape_guilt)."""
     material = terminal_rewards[agent_index]
-    other_material = terminal_rewards[1 - agent_index]
-
-    if learner.guilt is not None:
-        if own_label in KNOWN_LABELS and other_label in KNOWN_LABELS:
-            learner.tom = update_beliefs(learner.tom, other_label, own_label, label_matrix)
-            phi = expected_other_value(learner.tom, label_matrix)
-            psy = guilt_reward(learner.guilt, phi, other_material)
-            return ShapingDetail(phi, psy, shape_reward(material, psy))
+    if learner.inequity is None or learner.guilt is not None:
         return ShapingDetail(None, 0.0, material)
-    if learner.inequity is not None:
-        psy = inequity_reward(learner.inequity, material, [other_material])
-        return ShapingDetail(None, psy, shape_reward(material, psy))
-    return ShapingDetail(None, 0.0, material)
+    psy = inequity_reward(learner.inequity, material, [terminal_rewards[1 - agent_index]])
+    return ShapingDetail(None, psy, shape_reward(material, psy))
 
 
 def play_iteration(
     learners: tuple[GridLearner, GridLearner],
     config: GridConfig,
     rng: np.random.Generator,
-) -> tuple[EpisodeRecord, tuple[ShapingDetail, ShapingDetail], list[ShapedEpisode]]:
-    """Play one episode, reveal labels and shape terminal rewards; no policy update."""
+) -> tuple[EpisodeRecord, list[ShapingDetail], list[ShapedEpisode]]:
+    """Play one episode, reveal labels and shape terminal rewards without guilt
+    (_shaped_terminal_reward); no guilt step and no policy update."""
     policies = tuple(learner.policy for learner in learners)
     dists = tuple(policy.table.dists for policy in policies)
     widths = tuple(policy.table.hyper.time_bucket_width for policy in policies)
@@ -390,15 +409,39 @@ def play_iteration(
         return ACTIONS[idx]
 
     record = run_episode(config, joint_policy, rng)
-    label_matrix = config.grid.label_payoffs
-
-    details = tuple(
-        _shaped_terminal_reward(learner, record.labels, record.terminal_rewards, i, label_matrix)
+    details = [
+        _shaped_terminal_reward(learner, record.terminal_rewards, i)
         for i, learner in enumerate(learners)
-    )
+    ]
     for episode, detail in zip(episodes, details):
         episode.rewards = [0.0] * (len(record.transitions) - 1) + [detail.shaped]
     return record, details, episodes
+
+
+def _shape_guilt(matrix: PayoffMatrix, members: list[tuple], played: list[tuple]) -> None:
+    """One Beliefs.step for the guilt learners members[slot] = (lane, agent index,
+    learner) of one Beliefs, against their other's terminal reward, with played
+    as play_iteration's output per lane. Guilt needs both labels: a learner whose
+    episode revealed an Unknown one keeps its beliefs and its material reward."""
+    slots, own_c, other_c, other_reward = [], [], [], []
+    for slot, (lane, i, _) in enumerate(members):
+        record = played[lane][0]
+        own, other = record.labels[i], record.labels[1 - i]
+        if own in KNOWN_LABELS and other in KNOWN_LABELS:
+            slots.append(slot)
+            own_c.append(own is C)
+            other_c.append(other is C)
+            other_reward.append(record.terminal_rewards[1 - i])
+    if not slots:
+        return
+    beliefs = members[0][2].beliefs
+    phi, psychological = beliefs.step(slots, own_c, other_c, other_reward, matrix)
+    for slot, p, psy in zip(slots, phi, psychological):
+        lane, i, _ = members[slot]
+        record, details, episodes = played[lane]
+        shaped = shape_reward(record.terminal_rewards[i], psy)
+        details[i] = ShapingDetail(p, psy, shaped)
+        episodes[i].rewards[-1] = shaped
 
 
 # One run: its two learners, its grid and its own generator.
@@ -409,9 +452,10 @@ def run_lanes(lanes: Sequence[Lane], iterations: int) -> Iterator[list[tuple]]:
     """Play runs in lockstep, yielding every lane's (record, details) per iteration.
 
     Each iteration plays every lane's episode from its own generator, in lane
-    order, then trains all their policies, moved onto one PolicyTable, in one
-    update_policies call. The update works row by row, so no lane's results
-    depend on its batch mates.
+    order, then steps the guilt learners, moved onto one Beliefs per label
+    payoff table, in one _shape_guilt call each, and trains all policies,
+    moved onto one PolicyTable, in one update_policies call. Both work lane
+    by lane, so no lane's results depend on its batch mates.
     """
     policies = [learner.policy for learners, _, _ in lanes for learner in learners]
     table = PolicyTable(policies[0].table.hyper)
@@ -419,8 +463,19 @@ def run_lanes(lanes: Sequence[Lane], iterations: int) -> Iterator[list[tuple]]:
         if policy.rows or policy.table.hyper != table.hyper:
             raise ValueError("run_lanes needs policies with no rows yet and one LearnerConfig")
         policy.table = table
+    guilty: dict[PayoffMatrix, list[tuple[int, int, GridLearner]]] = {}
+    for lane, (learners, config, _) in enumerate(lanes):
+        for i, learner in enumerate(learners):
+            if learner.guilt is not None:
+                guilty.setdefault(config.grid.label_payoffs, []).append((lane, i, learner))
+    for members in guilty.values():
+        beliefs = Beliefs([l.tom for *_, l in members], [l.guilt for *_, l in members])
+        for slot, (*_, learner) in enumerate(members):
+            learner.beliefs, learner.slot = beliefs, slot
     for _ in range(iterations):
         played = [play_iteration(*lane) for lane in lanes]
+        for matrix, members in guilty.items():
+            _shape_guilt(matrix, members, played)
         update_policies(policies, [episode for *_, episodes in played for episode in episodes])
         yield [(record, details) for record, details, _ in played]
 

@@ -5,33 +5,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from staghunt import C, U, Belief, PayoffMatrix, make_tom_state, update_beliefs
-from staghunt.beliefs import belief_step
 
 
 Q1 = PayoffMatrix(40, 30, 20, 0)
-# belief_step predicts the other's label from the first-order belief; on Q1
+# the update predicts the other's label from the first-order belief; on Q1
 # these first-order beliefs make it predict C and U
 PREDICTS = {C: 1.0, U: 0.0}
 
 
 def predicted(first_order, matrix=Q1):
-    """The label belief_step predicts: at a fixed full confidence the
+    """The label the update predicts: at a fixed full confidence the
     zero-order belief moves all the way to it."""
-    zero_order, _, _ = belief_step(0.5, first_order, 1.0, 0.0, True, U, U, matrix)
+    state = make_tom_state(0.5, first_order, confidence=1.0, learning_rate=0.0)
+    zero_order = update_beliefs(state, U, U, matrix).zero_order.p_cooperative
     return C if zero_order == 1.0 else U
 
 
 def confidence_after(confidence, learning_rate, observed, predicted_label):
-    return belief_step(
-        0.5, PREDICTS[predicted_label], confidence, learning_rate, True, observed, U, Q1
-    )[2]
+    state = make_tom_state(0.5, PREDICTS[predicted_label], confidence, learning_rate)
+    return update_beliefs(state, observed, U, Q1).confidence
 
 
 def integrated(zero_order, confidence, predicted_label):
     """The zero-order belief after integration; a zero learning rate keeps the confidence."""
-    return belief_step(
-        zero_order, PREDICTS[predicted_label], confidence, 0.0, True, U, U, Q1
-    )[0]
+    state = make_tom_state(zero_order, PREDICTS[predicted_label], confidence, 0.0)
+    return update_beliefs(state, U, U, Q1).zero_order.p_cooperative
 
 
 # --- prediction -------------------------------------------------------------
@@ -76,13 +74,11 @@ def test_zero_learning_rate_freezes_confidence():
 def test_confidence_closed_form_after_k_correct_predictions():
     """k correct predictions from c0: confidence = 1 - (1-lam)^k (1-c0)."""
     lam, c0, k = 0.2, 0.3, 17
-    zero_order, first_order, confidence = 0.5, PREDICTS[U], c0
+    state = make_tom_state(0.5, PREDICTS[U], c0, lam)
     for _ in range(k):
         # observing U, as predicted; the own U keeps the prediction at U
-        zero_order, first_order, confidence = belief_step(
-            zero_order, first_order, confidence, lam, True, U, U, Q1
-        )
-    assert confidence == pytest.approx(1 - (1 - lam) ** k * (1 - c0))
+        state = update_beliefs(state, U, U, Q1)
+    assert state.confidence == pytest.approx(1 - (1 - lam) ** k * (1 - c0))
 
 
 # --- belief integration -----------------------------------------------------

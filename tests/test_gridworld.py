@@ -286,6 +286,32 @@ def test_episode_rewards_and_labels_are_consistent(seed):
     assert UNKNOWN not in record.labels or record.event.kind in ("hare", "timeout")
 
 
+@pytest.mark.parametrize("stag_motion", ["static", "random_walk"])
+@pytest.mark.parametrize("scenario", ["near-stag", "near-hares"])
+def test_other_terminal_reward_is_the_label_payoff_whenever_both_labels_are_known(
+    scenario, stag_motion
+):
+    """The grid world's guilt step takes the other's terminal reward as the
+    other's material reward; with both labels known that is
+    label_payoffs.payoff(other, own), at every end kind that reveals them."""
+    config = dataclasses.replace(make_scenario(scenario), stag_motion=stag_motion)
+    table = config.grid.label_payoffs
+    rng = np.random.default_rng(31)
+    seen = set()
+    for _ in range(3000):
+        record = run_episode(config, random_policy, rng)
+        labels, rewards = record.labels, record.terminal_rewards
+        seen.add((record.event.kind, labels))
+        if UNKNOWN in labels:
+            continue
+        for own in range(2):
+            assert rewards[1 - own] == table.payoff(labels[1 - own], labels[own])
+    kinds = {kind for kind, labels in seen if UNKNOWN not in labels}
+    assert kinds == {"stag_joint", "hare"}
+    assert {labels for _, labels in seen} >= {(C, C), (U, U), (U, C), (C, U)}
+    assert ("timeout", (UNKNOWN, UNKNOWN)) in seen
+
+
 def test_episode_transition_rows_flatten_the_record():
     from staghunt.gridworld import EPISODE_LOG_COLUMNS
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scalar_beliefs import belief_step
 from staghunt import C, U, GuiltParams, PayoffMatrix, guilt_threshold_f, make_tom_state
-from staghunt.beliefs import belief_step
 from staghunt.experiments import (
     COMPOSITIONS,
     DRAW_CHUNK,
@@ -59,16 +59,10 @@ class MatrixLearner:
         self.guilt = agent.guilt
         self.alpha = agent.alpha
         self.gamma = agent.gamma
-        self.softmax = explore.kind == "softmax"
-        self.epsilon = explore.epsilon
-        self.decay = explore.temperature_decay if self.softmax else 1.0
+        self.decay = explore.temperature_decay
 
     def p_cooperate(self) -> float:
-        gap = self.v_c - self.v_u
-        if self.softmax:
-            return _logistic(gap / self.temp)
-        greedy_c = 1.0 if gap >= 0 else 0.0
-        return (1.0 - self.epsilon) * greedy_c + self.epsilon / 2.0
+        return _logistic((self.v_c - self.v_u) / self.temp)
 
     def act(self, u: float):
         return C if u < self.p_cooperate() else U
@@ -168,13 +162,6 @@ def test_equal_values_give_even_odds():
     assert cooperation_probability(agent) == pytest.approx(0.5)
 
 
-def test_epsilon_zero_is_pure_exploitation():
-    agent = make_agent(values={C: 1.0, U: 0.0}, explore=Exploration(kind="epsilon", epsilon=0.0))
-    rng = np.random.default_rng(0)
-    p = MatrixLanes([agent]).p_cooperate()[0]
-    assert all(rng.random() < p for _ in range(50))
-
-
 def test_softmax_probability_from_value_gap():
     agent = make_agent(values={C: math.log(3), U: 0.0}, explore=Exploration(temperature=1.0))
     assert cooperation_probability(agent) == pytest.approx(0.75)
@@ -244,7 +231,7 @@ def test_agent_state_validation():
     with pytest.raises(ValueError):
         make_agent(gamma=1.5)
     with pytest.raises(ValueError):
-        Exploration(kind="greedy")
+        Exploration(temperature=0.0)
 
 
 # --- Pavlov -------------------------------------------------------------------
@@ -371,19 +358,6 @@ def test_temperature_decays_each_iteration():
     assert lanes.state(0).explore.temperature == pytest.approx(0.995**2)
 
 
-@given(
-    gap=st.one_of(st.just(0.0), st.floats(1e-6, 50), st.floats(-50, -1e-6)),
-    shift=st.floats(-100, 100),
-)
-def test_epsilon_greedy_invariant_to_constant_shift(gap, shift):
-    # gaps tiny enough to be absorbed by the shift are excluded: the
-    # invariance is about the argmax, not float addition at ties
-    explore = Exploration(kind="epsilon", epsilon=0.2)
-    base = make_agent(values={C: gap, U: 0.0}, explore=explore)
-    shifted = make_agent(values={C: gap + shift, U: shift}, explore=explore)
-    assert cooperation_probability(base) == cooperation_probability(shifted)
-
-
 def test_first_mutual_defection_clears_tom_guilt_but_not_frozen_belief_guilt():
     """The two phi bounds behind the sweep's Observation 1 check, by hand.
 
@@ -439,11 +413,8 @@ _value_learner = st.builds(
     guilt=st.one_of(st.none(), st.builds(GuiltParams, st.floats(1e-9, 1e6))),
     alpha=st.one_of(st.just(1.0), st.floats(1e-9, 1.0)),
     gamma=_probability,
-    explore=st.one_of(
-        st.builds(Exploration, st.just("softmax"), st.floats(0.05, 100.0),
-                  st.one_of(st.just(1.0), st.floats(0.9, 1.0))),
-        st.builds(lambda eps: Exploration(kind="epsilon", epsilon=eps), _probability),
-    ),
+    explore=st.builds(Exploration, st.floats(0.05, 100.0),
+                      st.one_of(st.just(1.0), st.floats(0.9, 1.0))),
 )
 _pavlov = st.integers(1, 10).flatmap(
     lambda n: st.builds(PavlovState, st.integers(0, n), st.just(n))
@@ -510,7 +481,7 @@ def test_lanes_match_the_scalar_reference_bit_for_bit(players, matrix, seed, rou
                     assert _bits(reward[lane] + psychological[lane]) == _bits(ref_shaped)
         for k, ref in enumerate(refs):
             assert _lane_state(lanes, k) == _reference_state(ref)
-            if isinstance(ref, MatrixLearner) and ref.softmax:
+            if isinstance(ref, MatrixLearner):
                 assert _bits(lanes.temp[k]) == _bits(ref.temp)
     for k, ref in enumerate(refs):
         state = lanes.state(k)
@@ -530,7 +501,7 @@ def test_state_round_trips_every_lane():
             values={C: 0.5, U: -0.0},
             tom=make_tom_state(0.7, 0.4, 0.3, tom_enabled=False),
             guilt=None, alpha=0.2, gamma=0.8,
-            explore=Exploration(kind="epsilon", epsilon=0.25),
+            explore=Exploration(temperature=2.5, temperature_decay=0.9),
         ),
     ]
     lanes = MatrixLanes(players)
@@ -551,16 +522,16 @@ def _reference_match(agents, matrix, iterations, rng):
 
 def test_run_matches_plays_each_pair_as_the_reference_plays_it_alone():
     params = AgentParams()
-    epsilon = MatrixAgentState(
+    hot = MatrixAgentState(
         values={C: 0.5, U: 1.0}, tom=make_tom_state(0.7, 0.4, 0.3), guilt=GuiltParams(3.0),
-        alpha=0.2, gamma=0.8, explore=Exploration(kind="epsilon", epsilon=0.25),
+        alpha=0.2, gamma=0.8, explore=Exploration(temperature=2.5, temperature_decay=0.9),
     )
     pairs = [
         (make_matrix_agent("tomaga", params, 0.2), make_matrix_agent("tomaga", params, 0.7)),
         (make_matrix_agent("ga-no-tom", params, 0.1), make_matrix_agent("individual", params, 0.4)),
         (make_matrix_agent("tom-no-guilt", params, 0.9), PavlovState(6, 10)),
         (PavlovState(3, 4), PavlovState(0, 4)),
-        (epsilon, make_matrix_agent("tomaga", params, 0.5)),
+        (hot, make_matrix_agent("tomaga", params, 0.5)),
     ]
     matrix = PayoffMatrix(5.0, 4.0, 2.0, 1.0)
     iterations = 2 * DRAW_CHUNK + 17  # crosses two draw chunks

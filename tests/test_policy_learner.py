@@ -1,10 +1,17 @@
 import dataclasses
+import struct
 from bisect import bisect_right
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from staghunt.game import C, U, UNKNOWN, PayoffMatrix
+from scalar_beliefs import belief_step
+from staghunt import policy_learner
+from staghunt.beliefs import Belief
+from staghunt.experiments import GridworldSpec, _gridworld_lane
+from staghunt.game import C, KNOWN_LABELS, U, UNKNOWN, PayoffMatrix
 from staghunt.gridworld import GridAction, make_scenario
 from staghunt.policy_learner import (
     ACTIONS,
@@ -14,6 +21,9 @@ from staghunt.policy_learner import (
     PolicyParams,
     PolicyTable,
     ShapedEpisode,
+    ShapingDetail,
+    _shape_guilt,
+    _shaped_terminal_reward,
     _softmax,
     discounted_returns,
     iterations_to_threshold,
@@ -25,6 +35,7 @@ from staghunt.policy_learner import (
     surrogate_objective,
     update_policies,
 )
+from staghunt.shaping import guilt_reward, inequity_reward, phi_from_beliefs, shape_reward
 
 
 # --- references: the per-row draw the cached distributions replaced --------------
@@ -523,15 +534,24 @@ def test_individual_learners_keep_material_rewards():
     assert learners[0].tom.zero_order.p_cooperative == 0.5
 
 
+def shaped_end(learner, labels, rewards, label_matrix):
+    """Agent 0's shaped episode end, as run_lanes makes it in a one-lane block:
+    play_iteration's detail without guilt, then the block's guilt step."""
+    details = [_shaped_terminal_reward(learner, rewards, 0), None]
+    episode = ShapedEpisode([0], [0], [1.0], [details[0].shaped])
+    record = SimpleNamespace(labels=labels, terminal_rewards=rewards)
+    if learner.guilt is not None:
+        _shape_guilt(label_matrix, [(0, 0, learner)], [(record, details, [episode, None])])
+    assert episode.rewards == [details[0].shaped]
+    return details[0]
+
+
 def test_mutual_stag_capture_with_aligned_beliefs_has_zero_guilt():
     """(C,C) labels with point-mass-C beliefs: phi = 4.0 = reward, guilt 0."""
-    from staghunt.beliefs import make_tom_state
-    from staghunt.policy_learner import _shaped_terminal_reward
-
-    learner = make_grid_learner("tomaga", theta=1.0, zero_order=1.0, first_order=1.0)
-    learner.tom = make_tom_state(1.0, 1.0, confidence=1.0, learning_rate=0.0)
+    learner = make_grid_learner("tomaga", theta=1.0, zero_order=1.0, first_order=1.0,
+                                confidence=1.0, learning_rate=0.0)
     label_matrix = PayoffMatrix(4.0, 3.0, 2.0, 0.0)
-    detail = _shaped_terminal_reward(learner, (C, C), (4.0, 4.0), 0, label_matrix)
+    detail = shaped_end(learner, (C, C), (4.0, 4.0), label_matrix)
     assert detail.shaped == pytest.approx(4.0)
     assert detail.phi == pytest.approx(4.0)
     assert detail.psychological == 0.0
@@ -539,36 +559,130 @@ def test_mutual_stag_capture_with_aligned_beliefs_has_zero_guilt():
 
 def test_hare_catcher_guilt_with_confident_beliefs():
     """(U, C) with beliefs pinned at mutual cooperation: 3 - 1*(4-0) = -1."""
-    from staghunt.beliefs import make_tom_state
-    from staghunt.policy_learner import _shaped_terminal_reward
-
-    learner = make_grid_learner("tomaga", theta=1.0)
-    learner.tom = make_tom_state(1.0, 1.0, confidence=0.0, learning_rate=0.0)
+    learner = make_grid_learner("tomaga", theta=1.0, zero_order=1.0, first_order=1.0,
+                                confidence=0.0, learning_rate=0.0)
     label_matrix = PayoffMatrix(4.0, 3.0, 2.0, 0.0)
-    detail = _shaped_terminal_reward(learner, (U, C), (3.0, 0.0), 0, label_matrix)
+    detail = shaped_end(learner, (U, C), (3.0, 0.0), label_matrix)
     assert detail.shaped == pytest.approx(-1.0)
     assert detail.psychological == pytest.approx(-4.0)
 
 
 def test_unknown_labels_skip_beliefs_and_guilt():
-    from staghunt.policy_learner import _shaped_terminal_reward
-
     learner = make_grid_learner("tomaga", theta=5.0)
     tom_before = learner.tom
     label_matrix = PayoffMatrix(4.0, 3.0, 2.0, 0.0)
-    detail = _shaped_terminal_reward(learner, (U, UNKNOWN), (3.0, 0.0), 0, label_matrix)
+    detail = shaped_end(learner, (U, UNKNOWN), (3.0, 0.0), label_matrix)
     assert detail.shaped == 3.0
     assert detail.psychological == 0.0
     assert learner.tom == tom_before
 
 
 def test_inequity_shaping_applies_to_unequal_outcomes():
-    from staghunt.policy_learner import _shaped_terminal_reward
-
     learner = make_grid_learner("inequity")
     label_matrix = PayoffMatrix(4.0, 3.0, 2.0, 0.0)
-    assert _shaped_terminal_reward(learner, (U, UNKNOWN), (3.0, 0.0), 0, label_matrix).shaped == 0.0
-    assert _shaped_terminal_reward(learner, (UNKNOWN, UNKNOWN), (0.0, 0.0), 0, label_matrix).shaped == 0.0
+    assert shaped_end(learner, (U, UNKNOWN), (3.0, 0.0), label_matrix).shaped == 0.0
+    assert shaped_end(learner, (UNKNOWN, UNKNOWN), (0.0, 0.0), label_matrix).shaped == 0.0
+
+
+def _reference_shaped_terminal_reward(ref, labels, terminal_rewards, agent_index, label_matrix):
+    """The per-learner shaping that the block's guilt step replaced: belief update
+    plus psychological shaping for one agent's episode end. ref holds the
+    learner's guilt, inequity and current ToMState tom, which a guilt step replaces."""
+    own_label = labels[agent_index]
+    other_label = labels[1 - agent_index]
+    material = terminal_rewards[agent_index]
+    other_material = terminal_rewards[1 - agent_index]
+
+    if ref.guilt is not None:
+        if own_label in KNOWN_LABELS and other_label in KNOWN_LABELS:
+            tom = ref.tom
+            b0, b1, conf = belief_step(
+                tom.zero_order.p_cooperative, tom.first_order.p_cooperative, tom.confidence,
+                tom.learning_rate, tom.tom_enabled, other_label, own_label, label_matrix,
+            )
+            ref.tom = dataclasses.replace(
+                tom, zero_order=Belief(b0), first_order=Belief(b1), confidence=conf
+            )
+            phi = phi_from_beliefs(b0, b1, label_matrix)
+            psy = guilt_reward(ref.guilt, phi, other_material)
+            return ShapingDetail(phi, psy, shape_reward(material, psy))
+        return ShapingDetail(None, 0.0, material)
+    if ref.inequity is not None:
+        psy = inequity_reward(ref.inequity, material, [other_material])
+        return ShapingDetail(None, psy, shape_reward(material, psy))
+    return ShapingDetail(None, 0.0, material)
+
+
+def _bits(x) -> bytes | None:
+    """A float's bytes (tells -0.0 from 0.0), or None for None."""
+    return None if x is None else struct.pack("<d", float(x))
+
+
+def _tom_bits(tom):
+    return tuple(map(_bits, (tom.zero_order.p_cooperative, tom.first_order.p_cooperative,
+                             tom.confidence)))
+
+
+def _detail_bits(detail):
+    return tuple(map(_bits, (detail.phi, detail.psychological, detail.shaped)))
+
+
+@pytest.mark.parametrize("stag_motion", ["static", None], ids=["static", "random_walk"])
+def test_block_guilt_step_matches_the_per_learner_reference(stag_motion, monkeypatch):
+    """A 16-lane block of both layouts and all four variants: every iteration,
+    each learner's beliefs, phi, psychological and shaped reward, and the
+    terminal reward its policy trains on, are the per-learner reference's bytes."""
+    spec = GridworldSpec(seeds=2, iterations=60, stag_motion=stag_motion)
+    payloads = [
+        (spec, scen_idx, var_idx, seed_idx, 23)
+        for seed_idx in range(spec.seeds)
+        for var_idx in range(len(spec.variants))
+        for scen_idx in range(len(spec.scenarios))
+    ]
+    lanes = [_gridworld_lane(*payload) for payload in payloads]
+    assert len(lanes) == 16
+    refs = [
+        [SimpleNamespace(tom=l.tom, guilt=l.guilt, inequity=l.inequity) for l in learners]
+        for learners, _, _ in lanes
+    ]
+    trained: list = []
+    update = policy_learner.update_policies
+
+    def recording_update(policies, episodes):
+        trained.append([episode.rewards[-1] for episode in episodes])
+        update(policies, episodes)
+
+    monkeypatch.setattr(policy_learner, "update_policies", recording_update)
+    seen = Counter()
+    for played in run_lanes(lanes, spec.iterations):
+        terminal = iter(trained.pop())
+        for (learners, config, _), (record, details), lane_refs in zip(lanes, played, refs):
+            for i, (learner, ref) in enumerate(zip(learners, lane_refs)):
+                expected = _reference_shaped_terminal_reward(
+                    ref, record.labels, record.terminal_rewards, i, config.grid.label_payoffs
+                )
+                assert _detail_bits(details[i]) == _detail_bits(expected)
+                assert _bits(next(terminal)) == _bits(expected.shaped)
+                assert _tom_bits(learner.tom) == _tom_bits(ref.tom)
+                assert learner.tom == ref.tom
+                if learner.guilt is not None:
+                    seen["guilt step" if expected.phi is not None else "unknown label"] += 1
+                    seen["guilt"] += expected.psychological < 0.0
+    assert min(seen.values()) >= 20, seen
+
+
+def test_integer_belief_settings_step_as_their_floats():
+    """A config may give a belief, confidence or theta as an int (JSON 1): the
+    learner's arrays hold floats, so a step's write-back is not truncated."""
+    label_matrix = PayoffMatrix(4.0, 3.0, 2.0, 0.0)
+    ends = []
+    for one in (1, 1.0):
+        learner = make_grid_learner("tomaga", theta=2 * one, zero_order=one, first_order=one,
+                                    confidence=one)
+        ends.append((shaped_end(learner, (C, U), (0.0, 3.0), label_matrix), learner.tom))
+    assert ends[0] == ends[1]
+    # predicted C, saw U: confidence 0.9 * 1 + 0.1 * 0
+    assert ends[0][1].confidence == pytest.approx(0.9)
 
 
 def test_ga_without_tom_keeps_first_order_frozen():
@@ -662,12 +776,10 @@ def test_sample_action_tracks_policy_distribution():
 
 
 def test_individual_learner_keeps_material_terminal_reward():
-    from staghunt.policy_learner import _shaped_terminal_reward
-
     learner = make_grid_learner("individual")
     label_matrix = PayoffMatrix(4.0, 3.0, 2.0, 0.0)
     for labels, rewards in [((U, C), (3.0, 0.0)), ((C, U), (0.0, 3.0)), ((U, U), (2.0, 2.0))]:
-        detail = _shaped_terminal_reward(learner, labels, rewards, 0, label_matrix)
+        detail = shaped_end(learner, labels, rewards, label_matrix)
         assert detail.psychological == 0.0
         assert detail.shaped == rewards[0]
 

@@ -1,10 +1,14 @@
 import math
+import struct
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scalar_beliefs import belief_step
 from staghunt import (
+    C,
+    U,
     GuiltParams,
     InequityParams,
     PayoffMatrix,
@@ -13,7 +17,10 @@ from staghunt import (
     inequity_reward,
     make_tom_state,
     shape_reward,
+    update_beliefs,
 )
+from staghunt.policy_learner import Beliefs
+from staghunt.shaping import phi_from_beliefs
 
 Q1 = PayoffMatrix(40, 30, 20, 0)
 
@@ -188,3 +195,81 @@ def test_expected_value_bilinear_in_first_order(z, f, t):
     mid = make_tom_state(zero_order=z, first_order=t)
     blended = (1 - t) * expected_other_value(lo, Q1) + t * expected_other_value(hi, Q1)
     assert expected_other_value(mid, Q1) == pytest.approx(blended)
+
+
+# --- the lane rule against the scalar rule, bit for bit --------------------------
+
+
+def _bits(x) -> bytes:
+    """A float's bytes: tells -0.0 from 0.0."""
+    return struct.pack("<d", float(x))
+
+
+def _triple(b0, b1, conf) -> tuple[bytes, ...]:
+    return tuple(map(_bits, (b0, b1, conf)))
+
+
+def _state_bits(state) -> tuple[bytes, ...]:
+    return _triple(state.zero_order.p_cooperative, state.first_order.p_cooperative,
+                   state.confidence)
+
+
+# edge values first: probabilities at the clamp and signed zeros
+_probability = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5]), st.floats(0, 1))
+_matrix = st.one_of(
+    st.sampled_from([Q1, PayoffMatrix(4.0, 3.0, 2.0, 0.0), PayoffMatrix(5.0, 4.0, 2.0, 1.0)]),
+    st.lists(st.floats(-100, 100), min_size=4, max_size=4, unique=True).map(
+        lambda xs: PayoffMatrix(*sorted(xs, reverse=True))
+    ),
+)
+_learner = st.tuples(
+    st.builds(make_tom_state, _probability, _probability, _probability, _probability,
+              st.booleans()),
+    st.one_of(st.none(), st.builds(GuiltParams, st.floats(1e-9, 1e6))),
+    st.sampled_from([C, U]),  # own label
+    st.sampled_from([C, U]),  # other's label
+    st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3)),  # other's reward
+    st.booleans(),  # stepped this time
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(learners=st.lists(_learner, min_size=1, max_size=12), matrix=_matrix,
+       at_payoff=st.booleans())
+@example(  # frozen first-order belief, at the clamp, an exact zero shortfall
+    learners=[(make_tom_state(1.0, 1.0, 1.0, 1.0, False), GuiltParams(2.0), C, C, 4.0, True),
+              (make_tom_state(-0.0, 0.0, -0.0, -0.0), GuiltParams(1.0), U, C, -0.0, True),
+              (make_tom_state(0.3, 0.6, 0.2, 0.4), None, C, U, 3.0, False)],
+    matrix=PayoffMatrix(4.0, 3.0, 2.0, 0.0), at_payoff=False,
+)
+def test_guilt_step_matches_the_scalar_rule_bit_for_bit(learners, matrix, at_payoff):
+    """Beliefs.step (guilt_step on the stepped slots) and update_beliefs (one lane)
+    give each learner the scalar rule's beliefs, phi and guilt; the slots not
+    stepped keep theirs."""
+    if at_payoff:  # the other's reward is the label payoff, as in the grid world
+        learners = [(state, guilt, own, other, matrix.payoff(other, own), stepped)
+                    for state, guilt, own, other, _, stepped in learners]
+    beliefs = Beliefs([l[0] for l in learners], [l[1] for l in learners])
+    slots = [k for k, l in enumerate(learners) if l[5]]
+    own_c = [learners[k][2] is C for k in slots]
+    other_c = [learners[k][3] is C for k in slots]
+    other_reward = [learners[k][4] for k in slots]
+    if slots:
+        phi, psychological = beliefs.step(slots, own_c, other_c, other_reward, matrix)
+        stepped = dict(zip(slots, zip(phi, psychological)))
+    else:
+        stepped = {}
+    for k, (state, guilt, own, other, reward, _) in enumerate(learners):
+        b0, b1, conf = belief_step(
+            state.zero_order.p_cooperative, state.first_order.p_cooperative, state.confidence,
+            state.learning_rate, state.tom_enabled, other, own, matrix,
+        )
+        assert _state_bits(update_beliefs(state, other, own, matrix)) == _triple(b0, b1, conf)
+        lane = _triple(beliefs.b0[k], beliefs.b1[k], beliefs.conf[k])
+        if k not in stepped:
+            assert lane == _state_bits(state)
+            continue
+        assert lane == _triple(b0, b1, conf)
+        ref_phi = phi_from_beliefs(b0, b1, matrix)
+        ref_psy = guilt_reward(guilt, ref_phi, reward) if guilt else 0.0
+        assert tuple(map(_bits, stepped[k])) == (_bits(ref_phi), _bits(ref_psy))
