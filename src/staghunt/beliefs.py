@@ -10,17 +10,19 @@ confidence in its own predictions. After each iteration it runs, in order:
     4. if first-order updates are enabled, pull the first-order belief
        toward the agent's own revealed label.
 
-Each blend is clamped to [0, 1]. `shaping.guilt_step` runs the pipeline on
-arrays, one element per learner; `update_beliefs` runs it on a ToMState
-and returns a new state, never mutating the old one.
+Each blend stays in [0, 1]. `step_beliefs` runs the pipeline on arrays,
+one element per learner, for `shaping.guilt_step` and for `update_beliefs`,
+which runs it on a ToMState and returns a new state, never mutating the old
+one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .game import C, KNOWN_LABELS, PayoffMatrix, PolicyLabel
-from .shaping import guilt_step
+import numpy as np
+
+from .game import C, KNOWN_LABELS, ONE, PayoffMatrix, PolicyLabel
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,21 +74,43 @@ def make_tom_state(
     )
 
 
+def step_beliefs(b, conf, keep_lr, lr, tom, own_c, other_c, matrix: PayoffMatrix):
+    """The pipeline, lane by lane; returns the new b and conf.
+
+    Per lane: beliefs b[0] (zero-order) and b[1] (first-order) of a (2, n)
+    array b, confidence conf, learning rate lr and keep_lr = 1 - lr, tom
+    (first-order updates on) and whether it (own_c) and its other (other_c)
+    played C. Each float operation is the scalar rule's, in its order, so no
+    lane's bits depend on its batch mates.
+    """
+    b1 = b[1]
+    score_c, score_u = matrix.expected_payoffs(b1)
+    predicts_c = score_c >= score_u  # the other's greedy label; ties go to C
+    # No clamp: for w and x in [0, 1] and a target t of 0 or 1, (1 - w) * x + w * t
+    # rounds into [0, 1], as fl(1 - w) + w rounds to 1 at most, so the scalar
+    # rule's clamp to [0, 1] never moves a value.
+    conf = keep_lr * conf + lr * (other_c == predicts_c)
+    # both blends at once: b0 toward the prediction, b1 toward the own label
+    b = (ONE - conf) * b + conf * np.array((predicts_c, own_c))
+    np.putmask(b[1], np.logical_not(tom), b1)
+    return b, conf
+
+
 def update_beliefs(
     state: ToMState,
     observed_other: PolicyLabel,
     observed_self: PolicyLabel,
     matrix: PayoffMatrix,
 ) -> ToMState:
-    """Run the per-iteration belief pipeline (guilt_step on one lane); return the new state."""
+    """Run the per-iteration belief pipeline (step_beliefs on one lane); return the new state."""
     if observed_other not in KNOWN_LABELS or observed_self not in KNOWN_LABELS:
         raise ValueError("belief updates require both observed labels in {C, U}")
     lr = state.learning_rate
-    zero_order, first_order, confidence, _, _ = guilt_step(
-        state.zero_order.p_cooperative, state.first_order.p_cooperative, state.confidence,
-        1.0 - lr, lr, state.tom_enabled, 0.0, observed_self is C, observed_other is C, 0.0, matrix,
+    # the beliefs and own_c as one-lane arrays; the scalars broadcast against them
+    b, conf = step_beliefs(
+        np.array((state.zero_order.p_cooperative, state.first_order.p_cooperative), float)[:, None],
+        state.confidence, 1.0 - lr, lr, state.tom_enabled, [observed_self is C],
+        observed_other is C, matrix,
     )
-    return replace(
-        state, zero_order=Belief(float(zero_order)), first_order=Belief(float(first_order)),
-        confidence=float(confidence),
-    )
+    (zero_order,), (first_order,) = b.tolist()
+    return ToMState(Belief(zero_order), Belief(first_order), conf.item(), lr, state.tom_enabled)

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .game import C, U, PayoffMatrix, PolicyLabel
+from .game import C, U, PayoffMatrix
 from .gridworld import SCENARIOS, episode_transition_rows, make_scenario
 from .matrix_agents import (
     Exploration,
@@ -280,23 +280,6 @@ def run_matches(
     return lanes, actions
 
 
-def run_match(
-    agents: tuple[MatrixPlayer, MatrixPlayer],
-    matrix: PayoffMatrix,
-    iterations: int,
-    rng: np.random.Generator,
-    trace: list | None = None,
-) -> tuple[tuple[MatrixPlayer, MatrixPlayer], list[tuple[PolicyLabel, PolicyLabel]]]:
-    """One match, as run_matches with one pair: final agents and the action history.
-
-    Pass a list as trace to also collect one TRACE_COLUMNS row per iteration.
-    """
-    traces = None if trace is None else [trace]
-    lanes, actions = run_matches([agents], matrix, iterations, [rng], traces)
-    history = [(C if a0 else U, C if a1 else U) for a0, a1 in actions.tolist()]
-    return (lanes.state(0), lanes.state(1)), history
-
-
 TRACE_COLUMNS = (
     "iteration", "action_0", "action_1", "reward_0", "reward_1",
     "phi_0", "psy_0", "phi_1", "psy_1",
@@ -317,7 +300,7 @@ def _trace_row(iteration, lanes, pair, c, phi, psychological, matrix) -> tuple:
             values += (None, None)
         else:
             records += (float(phi[k]), float(psychological[k]))
-            beliefs += (float(lanes.b0[k]), float(lanes.b1[k]), float(lanes.conf[k]))
+            beliefs += (float(lanes.b[0, k]), float(lanes.b[1, k]), float(lanes.conf[k]))
             values += (float(lanes.v_c[k]), float(lanes.v_u[k]))
     return (
         iteration, str(a0), str(a1), matrix.payoff(a0, a1), matrix.payoff(a1, a0),

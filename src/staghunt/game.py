@@ -14,6 +14,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class PolicyLabel(enum.Enum):
     """Episode-level classification of an executed policy.
@@ -38,7 +40,7 @@ UNKNOWN = PolicyLabel.UNKNOWN
 KNOWN_LABELS = (C, U)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class PayoffMatrix:
     """Symmetric Stag Hunt material rewards with the ordering h > c > m > g.
 
@@ -59,6 +61,13 @@ class PayoffMatrix:
                     f"payoff ordering violated: need {hi_name} > {lo_name}, "
                     f"got {hi_name}={hi!r}, {lo_name}={lo!r}"
                 )
+        # an attribute, not a field: ==, hash, asdict and the config keys see h, c, m, g only
+        floats = [_constant(float(x)) for x in (self.h, self.c, self.m, self.g)]
+        object.__setattr__(self, "_arrays", (*floats, _constant([self.m, self.c, self.g, self.h])))
+
+    def __reduce__(self):
+        # pickled as its four payoffs; unpickling builds the arrays anew
+        return PayoffMatrix, (self.h, self.c, self.m, self.g)
 
     def payoff(self, own: PolicyLabel, other: PolicyLabel) -> float:
         """Material reward of the player acting `own` against `other`."""
@@ -68,13 +77,18 @@ class PayoffMatrix:
             return self.h if other is C else self.g
         return self.c if other is C else self.m
 
-    def expected_payoffs(self, p_other_c: float) -> tuple[float, float]:
-        """Expected reward of playing C and of playing U against P(other plays C)."""
-        p_other_u = 1.0 - p_other_c
-        return (
-            p_other_c * self.h + p_other_u * self.g,
-            p_other_c * self.c + p_other_u * self.m,
-        )
+    def expected_payoffs(self, p_other_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Expected reward of playing C and of playing U against P(other plays C), per lane."""
+        h, c, m, g, _ = self.arrays()
+        p_other_u = ONE - p_other_c
+        return p_other_c * h + p_other_u * g, p_other_c * c + p_other_u * m
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """h, c, m, g as read-only 0-d float64 arrays and table[2 * own_c + other_c],
+        the reward of playing C (own_c) or not against C (other_c) or not in the
+        payoffs' own dtype (int payoffs give ints, -0.0 keeps its sign): the lane
+        rules' operands, built once per matrix."""
+        return self._arrays
 
     def payoff_pair(self, row: PolicyLabel, col: PolicyLabel) -> tuple[float, float]:
         """(row player's reward, column player's reward) for a joint outcome."""
@@ -82,4 +96,14 @@ class PayoffMatrix:
 
     def as_dict(self) -> dict[str, float]:
         return {"h": self.h, "c": self.c, "m": self.m, "g": self.g}
+
+
+def _constant(value) -> np.ndarray:
+    array = np.array(value)
+    array.flags.writeable = False  # one array, shared by every caller
+    return array
+
+
+#: 0.0 and 1.0 as float64 arrays: a cheaper ufunc operand than a Python float
+ZERO, ONE = _constant(0.0), _constant(1.0)
 

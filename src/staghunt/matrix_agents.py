@@ -28,7 +28,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .beliefs import Belief, ToMState
-from .game import C, U, PayoffMatrix, PolicyLabel
+from .game import C, ONE, U, ZERO, PayoffMatrix, PolicyLabel
 from .shaping import GuiltParams, guilt_step
 
 
@@ -97,23 +97,16 @@ def values_for_cooperation_probability(
     return {C: gap / 2.0, U: -gap / 2.0}
 
 
-def _payoff(own_c: np.ndarray, other_c: np.ndarray, matrix: PayoffMatrix) -> np.ndarray:
-    # PayoffMatrix.payoff, lane by lane
-    return np.where(
-        own_c, np.where(other_c, matrix.h, matrix.g), np.where(other_c, matrix.c, matrix.m)
-    )
-
-
 #: A Pavlov lane's value-learner columns: no belief learning, guilt, step,
 #: lookahead or decay, so they stay in range; its value rule is thrown away.
 _INERT_VALUE_LEARNER = dict(
-    v_c=0.0, v_u=0.0, b0=0.5, b1=0.5, conf=0.5, temp=1.0, keep_lr=1.0, lr=0.0, tom=True,
+    v_c=0.0, v_u=0.0, b=(0.5, 0.5), conf=0.5, temp=1.0, keep_lr=1.0, lr=0.0, tom=True,
     neg_theta=0.0, alpha=0.0, gamma=0.0, decay=1.0,
 )
 _INT_COLUMNS = ("i_count", "n")
 _BOOL_COLUMNS = ("tom", "pavlov")
 #: What play() moves; a lane that sits a round out keeps these.
-_LANE_STATE = ("v_c", "v_u", "b0", "b1", "conf", "temp", "i_count")
+_LANE_STATE = ("v_c", "v_u", "b", "conf", "temp", "i_count")
 
 
 def _lane(player: MatrixPlayer) -> dict:
@@ -123,8 +116,9 @@ def _lane(player: MatrixPlayer) -> dict:
     tom, explore = player.tom, player.explore
     lr = tom.learning_rate
     return dict(
-        v_c=player.values[C], v_u=player.values[U], b0=tom.zero_order.p_cooperative,
-        b1=tom.first_order.p_cooperative, conf=tom.confidence, temp=explore.temperature,
+        v_c=player.values[C], v_u=player.values[U],
+        b=(tom.zero_order.p_cooperative, tom.first_order.p_cooperative), conf=tom.confidence,
+        temp=explore.temperature,
         keep_lr=1.0 - lr, lr=lr, tom=tom.tom_enabled,
         # 0.0 with guilt off: 0.0 * max(0, d) is exactly guilt-off's 0.0
         neg_theta=-player.guilt.theta if player.guilt else 0.0,
@@ -137,9 +131,9 @@ def _lane(player: MatrixPlayer) -> dict:
 class MatrixLanes:
     """A block's players as lanes of flat arrays, all moved by one `play` per round.
 
-    State: v_c, v_u (action values), b0, b1, conf (zero- and first-order
-    beliefs, confidence), temp (softmax temperature) and, for Pavlov lanes,
-    i_count. Per-lane constants: keep_lr = 1 - learning rate, lr, tom,
+    State: v_c, v_u (action values), b (rows b[0] and b[1]: zero- and
+    first-order beliefs), conf (confidence), temp (softmax temperature) and,
+    for Pavlov lanes, i_count. Per-lane constants: keep_lr = 1 - learning rate, lr, tom,
     neg_theta = -theta (0.0 with guilt off), alpha, gamma, decay, pavlov and n.
     Every rule runs on every lane; a mask picks each lane's own.
     """
@@ -149,7 +143,8 @@ class MatrixLanes:
         lanes = [_lane(player) for player in self.players]
         for name in lanes[0]:
             dtype = int if name in _INT_COLUMNS else bool if name in _BOOL_COLUMNS else float
-            setattr(self, name, np.array([lane[name] for lane in lanes], dtype=dtype))
+            # .T: a column per lane, and b's rows are its two beliefs
+            setattr(self, name, np.array([lane[name] for lane in lanes], dtype=dtype).T.copy())
         self.any_pavlov = bool(self.pavlov.any())
 
     def p_cooperate(self) -> np.ndarray:
@@ -157,7 +152,8 @@ class MatrixLanes:
         x = (self.v_c - self.v_u) / self.temp
         # the logistic on math.exp, whose rounding is libm's, as the scalar rule's
         e = np.fromiter(map(math.exp, (-np.abs(x)).tolist()), float, len(x))
-        p = np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        d = ONE + e
+        p = np.where(x >= ZERO, ONE / d, e / d)
         if self.any_pavlov:
             p = np.where(self.pavlov, self.i_count / self.n, p)
         return p
@@ -169,7 +165,7 @@ class MatrixLanes:
         belief about the opponent's action; beliefs must already reflect
         this iteration's observations when this runs.
         """
-        score_c, score_u = matrix.expected_payoffs(self.b0)
+        score_c, score_u = matrix.expected_payoffs(self.b[0])
         target = shaped + self.gamma * np.where(score_u > score_c, score_u, score_c)
         taken = np.where(own_c, self.v_c, self.v_u)
         stepped = taken + self.alpha * (target - taken)
@@ -206,9 +202,10 @@ class MatrixLanes:
         other_c = c[opponent]
         before = {name: getattr(self, name) for name in _LANE_STATE} if sitting_out else {}
 
-        reward = _payoff(c, other_c, matrix)
-        self.b0, self.b1, self.conf, phi, psychological = guilt_step(
-            self.b0, self.b1, self.conf, self.keep_lr, self.lr, self.tom, self.neg_theta,
+        *_, table = matrix.arrays()
+        reward = table.take(2 * c + other_c)  # PayoffMatrix.payoff, lane by lane
+        self.b, self.conf, phi, psychological = guilt_step(
+            self.b, self.conf, self.keep_lr, self.lr, self.tom, self.neg_theta,
             c, other_c, reward[opponent], matrix,
         )
         self.td1(c, reward + psychological, matrix)
@@ -236,26 +233,9 @@ class MatrixLanes:
             values={C: float(self.v_c[k]), U: float(self.v_u[k])},
             tom=replace(
                 player.tom,
-                zero_order=Belief(float(self.b0[k])),
-                first_order=Belief(float(self.b1[k])),
+                zero_order=Belief(float(self.b[0, k])),
+                first_order=Belief(float(self.b[1, k])),
                 confidence=float(self.conf[k]),
             ),
             explore=replace(player.explore, temperature=float(self.temp[k])),
         )
-
-
-def cooperation_probability(agent: MatrixAgentState) -> float:
-    """The agent's current probability of playing C under its exploration rule."""
-    return float(MatrixLanes([agent]).p_cooperate()[0])
-
-
-def td1_update(
-    agent: MatrixAgentState,
-    taken: PolicyLabel,
-    shaped_reward: float,
-    matrix: PayoffMatrix,
-) -> MatrixAgentState:
-    """MatrixLanes.td1 on a frozen agent."""
-    lanes = MatrixLanes([agent])
-    lanes.td1(np.array([taken is C]), np.array([shaped_reward], dtype=float), matrix)
-    return lanes.state(0)

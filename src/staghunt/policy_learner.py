@@ -282,16 +282,16 @@ VARIANTS = ("individual", "inequity", "ga-no-tom", "tomaga")
 
 class Beliefs:
     """Learners' beliefs as arrays, slot k for one learner: its zero- and
-    first-order beliefs b0[k] and b1[k], confidence conf[k], learning rate
+    first-order beliefs b[0, k] and b[1, k], confidence conf[k], learning rate
     lr[k] (keep_lr = 1 - lr), tom[k] (first-order updates on) and neg_theta[k]
     (-theta; 0.0 with guilt off), the columns of shaping.guilt_step."""
 
-    __slots__ = ("b0", "b1", "conf", "lr", "keep_lr", "tom", "neg_theta")
+    __slots__ = ("b", "conf", "lr", "keep_lr", "tom", "neg_theta")
 
     def __init__(self, states: Sequence[ToMState], guilts: Sequence[GuiltParams | None]):
         # float even where a config gave an int, so that a step's write-back is not truncated
-        self.b0 = np.array([state.zero_order.p_cooperative for state in states], dtype=float)
-        self.b1 = np.array([state.first_order.p_cooperative for state in states], dtype=float)
+        self.b = np.array([[state.zero_order.p_cooperative for state in states],
+                           [state.first_order.p_cooperative for state in states]], dtype=float)
         self.conf = np.array([state.confidence for state in states], dtype=float)
         self.lr = np.array([state.learning_rate for state in states], dtype=float)
         self.keep_lr = 1.0 - self.lr
@@ -300,7 +300,7 @@ class Beliefs:
 
     def state(self, k: int) -> ToMState:
         """Slot k as a ToMState."""
-        return ToMState(Belief(float(self.b0[k])), Belief(float(self.b1[k])),
+        return ToMState(Belief(float(self.b[0, k])), Belief(float(self.b[1, k])),
                         float(self.conf[k]), float(self.lr[k]), bool(self.tom[k]))
 
     def step(self, slots: list[int], own_c: list[bool], other_c: list[bool],
@@ -308,8 +308,8 @@ class Beliefs:
         """guilt_step on the given slots, with each one's labels and other's reward;
         returns their phi and psychological rewards. The other slots keep their beliefs."""
         k = np.array(slots)
-        self.b0[k], self.b1[k], self.conf[k], phi, psychological = guilt_step(
-            self.b0[k], self.b1[k], self.conf[k], self.keep_lr[k], self.lr[k], self.tom[k],
+        self.b[:, k], self.conf[k], phi, psychological = guilt_step(
+            self.b[:, k], self.conf[k], self.keep_lr[k], self.lr[k], self.tom[k],
             self.neg_theta[k], np.array(own_c), np.array(other_c), np.array(other_reward),
             matrix,
         )

@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .game import PayoffMatrix
-
-if TYPE_CHECKING:
-    from .beliefs import ToMState
+from .beliefs import ToMState, step_beliefs
+from .game import ONE, ZERO, PayoffMatrix
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,33 +71,23 @@ def phi_from_beliefs(zero_order, first_order, matrix: PayoffMatrix):
     )
 
 
-def _clamp01(x: np.ndarray) -> np.ndarray:
-    # convex combinations of values in [0, 1] can drift by one ulp
-    return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
-
-
-def guilt_step(b0, b1, conf, keep_lr, lr, tom, neg_theta, own_c, other_c, other_reward,
+def guilt_step(b, conf, keep_lr, lr, tom, neg_theta, own_c, other_c, other_reward,
                matrix: PayoffMatrix):
-    """One iteration of the belief → phi → guilt rule, lane by lane.
-
-    Per lane: beliefs b0 and b1, confidence conf, learning rate lr and
-    keep_lr = 1 - lr, tom (first-order updates on), neg_theta = -theta (0.0
-    with guilt off), whether it (own_c) and its other (other_c) played C, and
-    the other's material reward. Runs the pipeline of beliefs.py, then phi and
-    neg_theta * max(0, phi - other_reward); returns the new b0, b1 and conf,
-    phi and that psychological reward. Each branch is a where and each float
-    operation the scalar rule's, in its order, so no lane's bits depend on
-    its batch mates.
-    """
-    score_c, score_u = matrix.expected_payoffs(b1)
-    predicts_c = score_c >= score_u
-    conf = _clamp01(keep_lr * conf + lr * (other_c == predicts_c))
-    keep = 1.0 - conf
-    b0 = _clamp01(keep * b0 + conf * predicts_c)
-    b1 = np.where(tom, _clamp01(keep * b1 + conf * own_c), b1)
-    phi = phi_from_beliefs(b0, b1, matrix)
+    """One iteration of the belief → phi → guilt rule, lane by lane: step_beliefs on
+    b, conf, keep_lr, lr, tom, own_c and other_c (see there), then phi and
+    neg_theta * max(0, phi - other_reward), neg_theta = -theta (0.0 with guilt
+    off); returns the new (2, n) beliefs and conf, phi and that psychological
+    reward. Each float operation is the scalar rule's, in its order, so no
+    lane's bits depend on its batch mates."""
+    b, conf = step_beliefs(b, conf, keep_lr, lr, tom, own_c, other_c, matrix)
+    b0, b1 = b[0], b[1]
+    complement = ONE - b
+    b0_u, b1_u = complement[0], complement[1]
+    h, c, m, g, _ = matrix.arrays()
+    # phi_from_beliefs, its operations in its order, on the lanes' numpy operands
+    phi = b0 * b1 * h + b0_u * b1 * c + b0 * b1_u * g + b0_u * b1_u * m
     shortfall = phi - other_reward
-    return b0, b1, conf, phi, neg_theta * np.where(shortfall > 0.0, shortfall, 0.0)
+    return b, conf, phi, neg_theta * np.where(shortfall > ZERO, shortfall, ZERO)
 
 
 def expected_other_value(state: ToMState, matrix: PayoffMatrix) -> float:

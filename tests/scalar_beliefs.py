@@ -1,6 +1,7 @@
 """The scalar belief rule that `shaping.guilt_step` replaced, kept as the
-reference for the differential tests: one learner's belief update on plain
-floats, with Python's own comparisons and branches."""
+reference for the differential tests: one learner's belief update, and the
+expected payoffs it and the scalar TD(1) lookahead use, on plain floats,
+with Python's own comparisons and branches."""
 
 from staghunt.game import C, PayoffMatrix, PolicyLabel
 
@@ -14,9 +15,18 @@ def _blend(old: float, target: float, weight: float) -> float:
     return _clamp01((1.0 - weight) * old + weight * target)
 
 
+def expected_payoffs(p_other_c: float, matrix: PayoffMatrix) -> tuple[float, float]:
+    """Expected reward of playing C and of playing U against P(other plays C)."""
+    p_other_u = 1.0 - p_other_c
+    return (
+        p_other_c * matrix.h + p_other_u * matrix.g,
+        p_other_c * matrix.c + p_other_u * matrix.m,
+    )
+
+
 def _predicts_c(first_order: float, matrix: PayoffMatrix) -> bool:
     # the other's greedy label under the first-order belief; ties go to C
-    score_c, score_u = matrix.expected_payoffs(first_order)
+    score_c, score_u = expected_payoffs(first_order, matrix)
     return score_c >= score_u
 
 

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from engine_helpers import cooperation_probability, td1_update
 from staghunt import (
     C,
     U,
@@ -42,12 +43,7 @@ from staghunt.experiments import (
     tournament_means,
 )
 from staghunt.gridworld import GridAction, make_scenario, run_episode
-from staghunt.matrix_agents import (
-    Exploration,
-    MatrixAgentState,
-    cooperation_probability,
-    td1_update,
-)
+from staghunt.matrix_agents import Exploration, MatrixAgentState
 from staghunt.policy_learner import ACTIONS, surrogate_gradient, surrogate_objective
 
 Q1 = PayoffMatrix(40.0, 30.0, 20.0, 0.0)

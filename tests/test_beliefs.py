@@ -1,7 +1,7 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from staghunt import C, U, Belief, PayoffMatrix, make_tom_state, update_beliefs
@@ -163,6 +163,18 @@ def test_updates_preserve_ranges(z, f, conf, lam, observations):
         assert 0.0 <= state.zero_order.p_cooperative <= 1.0
         assert 0.0 <= state.first_order.p_cooperative <= 1.0
         assert 0.0 <= state.confidence <= 1.0
+
+
+@settings(max_examples=500)
+@given(w=st.floats(0, 1), x=st.floats(0, 1), target=st.sampled_from([0.0, 1.0]))
+# just below 0.5, where 1 - w rounds; the smallest and largest weights below 1
+@example(w=0.49999999999999994, x=1.0, target=1.0)
+@example(w=5e-324, x=1.0, target=1.0)
+@example(w=1.0 - 2**-53, x=1.0, target=1.0)
+def test_a_blend_of_unit_values_needs_no_clamp(w, x, target):
+    """Why step_beliefs has no clamp: the scalar rule's blend (1 - w) * x + w * t,
+    rounded in its order, stays in [0, 1], so its clamp never moves a value."""
+    assert 0.0 <= (1.0 - w) * x + w * target <= 1.0
 
 
 @given(observations=label_seq)

@@ -146,7 +146,7 @@ def test_trace_cell_replays_the_sweep_row(tmp_path):
 
     from staghunt import C, U
     from staghunt.experiments import AgentParams, SweepSpec, make_matrix_agent
-    from staghunt.matrix_agents import cooperation_probability
+    from engine_helpers import cooperation_probability
 
     out = tmp_path / "tr"
     iterations = 60

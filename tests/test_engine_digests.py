@@ -17,6 +17,7 @@ import io
 import numpy as np
 import pytest
 
+from engine_helpers import run_match
 from staghunt import PayoffMatrix
 from staghunt.experiments import (
     COMPOSITIONS,
@@ -29,7 +30,6 @@ from staghunt.experiments import (
     make_matrix_agent,
     run_gridworld_comparison,
     run_gridworld_detail,
-    run_match,
     run_sweep,
     run_tournament,
 )

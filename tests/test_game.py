@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -67,3 +69,14 @@ def test_payoff_total_and_symmetric(matrix):
     assert matrix.payoff(C, C) == matrix.h
     assert matrix.payoff(U, U) == matrix.m
 
+
+def test_equal_int_and_float_payoffs_keep_their_own_reward_types():
+    """Each matrix holds its own numpy payoffs: PayoffMatrix(40, 30, 20, 0) equals
+    its float twin, but its rewards stay ints, as payoff() gives them, and so
+    they stay after a pickle round trip (a payload sent to a worker)."""
+    twins = PayoffMatrix(40.0, 30.0, 20.0, 0.0), PayoffMatrix(40, 30, 20, 0)
+    for matrix in twins + twins[::-1] + tuple(pickle.loads(pickle.dumps(twins))):
+        *floats, table = matrix.arrays()
+        assert [x.dtype.kind for x in floats] == ["f"] * 4
+        assert [type(x) for x in table.tolist()] == [type(matrix.h)] * 4
+        assert table.tolist() == [matrix.m, matrix.c, matrix.g, matrix.h]

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scalar_beliefs import belief_step
+from engine_helpers import cooperation_probability, run_match, td1_update
+from scalar_beliefs import belief_step, expected_payoffs
 from staghunt import C, U, GuiltParams, PayoffMatrix, guilt_threshold_f, make_tom_state
 from staghunt.experiments import (
     COMPOSITIONS,
@@ -15,7 +16,6 @@ from staghunt.experiments import (
     TournamentSpec,
     _make_group,
     make_matrix_agent,
-    run_match,
     run_matches,
     run_tournament,
 )
@@ -24,8 +24,6 @@ from staghunt.matrix_agents import (
     MatrixAgentState,
     MatrixLanes,
     PavlovState,
-    cooperation_probability,
-    td1_update,
     values_for_cooperation_probability,
 )
 from staghunt.shaping import guilt_reward, phi_from_beliefs, shape_reward
@@ -76,7 +74,7 @@ class MatrixLearner:
         guilt = self.guilt
         psychological = guilt_reward(guilt, phi, matrix.payoff(other, own)) if guilt else 0.0
         shaped = shape_reward(matrix.payoff(own, other), psychological)
-        target = shaped + self.gamma * max(matrix.expected_payoffs(self.b0))
+        target = shaped + self.gamma * max(expected_payoffs(self.b0, matrix))
         if own is C:
             self.v_c += self.alpha * (target - self.v_c)
         else:
@@ -436,7 +434,8 @@ def _reference_state(ref) -> tuple[bytes, ...]:
 def _lane_state(lanes, k) -> tuple[bytes, ...]:
     if lanes.pavlov[k]:
         return (int(lanes.i_count[k]),)
-    return tuple(_bits(getattr(lanes, name)[k]) for name in ("v_c", "v_u", "b0", "b1", "conf"))
+    return tuple(map(_bits, (lanes.v_c[k], lanes.v_u[k], lanes.b[0, k], lanes.b[1, k],
+                             lanes.conf[k])))
 
 
 @settings(max_examples=150, deadline=None)
@@ -452,9 +451,20 @@ def _lane_state(lanes, k) -> tuple[bytes, ...]:
     )] + [PavlovState(9, 10), PavlovState(0, 10)],
     matrix=Q1, seed=1, rounds=8,
 )
+@example(  # int payoffs and signed zeros: beliefs, confidence, values and gamma at -0.0
+    players=[
+        MatrixAgentState(
+            values={C: -0.0, U: 0.0}, tom=make_tom_state(-0.0, -0.0, -0.0, 0.5, tom),
+            guilt=GuiltParams(2.0), alpha=0.5, gamma=-0.0, explore=Exploration(),
+        )
+        for tom in (True, False)
+    ] + [PavlovState(1, 2)],
+    matrix=PayoffMatrix(5, 4, 2, 1), seed=3, rounds=8,
+)
 def test_lanes_match_the_scalar_reference_bit_for_bit(players, matrix, seed, rounds):
     """Random disjoint pairs each round, with lanes sitting out: every action,
-    reward, phi, psychological reward and state as the scalar learners give."""
+    reward (of the payoffs' own type: int payoffs give ints), phi,
+    psychological reward and state as the scalar learners give."""
     lanes = MatrixLanes(players)
     refs = [learner_for(player) for player in players]
     rng = np.random.default_rng(seed)
@@ -466,6 +476,7 @@ def test_lanes_match_the_scalar_reference_bit_for_bit(players, matrix, seed, rou
         first, second = order[0 : 2 * n_pairs : 2], order[1 : 2 * n_pairs : 2]
         u_first, u_second = rng.random(n_pairs), rng.random(n_pairs)
         c, reward, phi, psychological = lanes.play(first, second, u_first, u_second, matrix)
+        rewards = reward.tolist()
         for k in range(n_pairs):
             a0, a1, *records = play_learners(
                 refs[first[k]], refs[second[k]], matrix, u_first[k], u_second[k]
@@ -474,7 +485,8 @@ def test_lanes_match_the_scalar_reference_bit_for_bit(players, matrix, seed, rou
                 (first[k], second[k]), (a0, a1), (a1, a0), records
             ):
                 assert c[lane] == (action is C)
-                assert reward[lane] == matrix.payoff(action, other)
+                payoff = matrix.payoff(action, other)
+                assert rewards[lane] == payoff and type(rewards[lane]) is type(payoff)
                 if ref_phi is not None:
                     assert _bits(phi[lane]) == _bits(ref_phi)
                     assert _bits(psychological[lane]) == _bits(ref_psy)
@@ -583,3 +595,37 @@ def test_tournament_lanes_give_each_group_the_rows_it_gets_alone():
         for rep in range(spec.repetitions)
     ]
     assert run_tournament(spec, base_seed=11).rows == expected
+
+
+def test_int_payoffs_are_summed_as_ints():
+    """A tournament on int payoffs sums each round's int rewards as the reference
+    does. h = 2**53 + 1 has no float, so rewards taken from a float payoff table
+    would round it and move these rows."""
+    spec = TournamentSpec(
+        group_sizes=(2, 4), rounds=DRAW_CHUNK + 20, report_window=40, repetitions=2,
+        compositions=COMPOSITIONS, matrix=PayoffMatrix(2**53 + 1, 3, 1, 0),
+    )
+    expected = [
+        _reference_tournament_row(spec, comp_idx, size_idx, rep, 5)
+        for comp_idx in range(len(spec.compositions))
+        for size_idx in range(len(spec.group_sizes))
+        for rep in range(spec.repetitions)
+    ]
+    assert run_tournament(spec, base_seed=5).rows == expected
+
+
+def test_a_negative_zero_payoff_keeps_its_sign_after_its_positive_twin():
+    """PayoffMatrix(4.0, 3.0, 2.0, -0.0) equals its +0.0 twin, yet a cooperator
+    meeting a defector gets its own g, sign and all, whichever matrix ran before."""
+    player = MatrixAgentState(
+        values={C: 0.0, U: 0.0}, tom=make_tom_state(0.5, 0.5, 0.5), guilt=GuiltParams(1.0),
+        alpha=0.5, gamma=0.5, explore=Exploration(),
+    )
+    for g in (0.0, -0.0, 0.0, -0.0):
+        matrix = PayoffMatrix(4.0, 3.0, 2.0, g)
+        # u = 0.0 is below P(C) = 0.5 and u = 1.0 above it: lane 0 plays C, lane 1 U
+        c, reward, _, _ = MatrixLanes([player, player]).play(
+            np.array([0]), np.array([1]), np.array([0.0]), np.array([1.0]), matrix
+        )
+        assert c.tolist() == [True, False]
+        assert (_bits(reward[0]), _bits(reward[1])) == (_bits(g), _bits(matrix.c))

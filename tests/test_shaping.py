@@ -242,6 +242,11 @@ _learner = st.tuples(
               (make_tom_state(0.3, 0.6, 0.2, 0.4), None, C, U, 3.0, False)],
     matrix=PayoffMatrix(4.0, 3.0, 2.0, 0.0), at_payoff=False,
 )
+@example(  # int payoffs and int other rewards, -0.0 beliefs, every slot stepped
+    learners=[(make_tom_state(-0.0, -0.0, -0.0, 0.25, tom), GuiltParams(3.0), own, other, 0, True)
+              for tom, own, other in ((True, C, U), (False, U, C), (True, U, U))],
+    matrix=PayoffMatrix(4, 3, 2, 0), at_payoff=True,
+)
 def test_guilt_step_matches_the_scalar_rule_bit_for_bit(learners, matrix, at_payoff):
     """Beliefs.step (guilt_step on the stepped slots) and update_beliefs (one lane)
     give each learner the scalar rule's beliefs, phi and guilt; the slots not
@@ -265,7 +270,7 @@ def test_guilt_step_matches_the_scalar_rule_bit_for_bit(learners, matrix, at_pay
             state.learning_rate, state.tom_enabled, other, own, matrix,
         )
         assert _state_bits(update_beliefs(state, other, own, matrix)) == _triple(b0, b1, conf)
-        lane = _triple(beliefs.b0[k], beliefs.b1[k], beliefs.conf[k])
+        lane = _triple(beliefs.b[0, k], beliefs.b[1, k], beliefs.conf[k])
         if k not in stepped:
             assert lane == _state_bits(state)
             continue
