@@ -12,6 +12,7 @@ with material rewards h > c > m > g:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,11 @@ class PayoffMatrix:
     g: float
 
     def __post_init__(self):
+        for name, x in (("h", self.h), ("c", self.c), ("m", self.m), ("g", self.g)):
+            # an infinite payoff still orders (inf > c), but phi and the TD lookahead
+            # then make NaN (0 * inf); a NaN one never orders
+            if not -math.inf < x < math.inf:
+                raise ValueError(f"payoff {name} must be finite, got {name}={x!r}")
         pairs = (("h", self.h, "c", self.c), ("c", self.c, "m", self.m), ("m", self.m, "g", self.g))
         for hi_name, hi, lo_name, lo in pairs:
             if not hi > lo:

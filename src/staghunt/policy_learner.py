@@ -95,10 +95,11 @@ def observation_key(state: State, agent_index: int, bucket_width: int, cells: in
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis: one row of preferences, or a stack of rows."""
-    shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    """Softmax along the first axis: one row of preferences, or an (N_ACTIONS, rows)
+    stack of them, one row a column."""
+    shifted = z - np.maximum.reduce(z, axis=0)
     e = np.exp(shifted)
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=0)
 
 
 def discounted_returns(rewards: Sequence[float], gamma: float) -> list[float]:
@@ -110,18 +111,17 @@ def discounted_returns(rewards: Sequence[float], gamma: float) -> list[float]:
     return out
 
 
-# One batch item: (observation key, action index, behaviour probability of
-# that action when it was taken, advantage).
-BatchItem = tuple[ObsKey, int, float, float]
+_EYE = np.eye(N_ACTIONS)
 
 
 @dataclass(frozen=True, slots=True)
 class _Items:
-    """A batch as arrays over a (rows, N_ACTIONS) table, with what every epoch reuses."""
+    """A batch as arrays over an (N_ACTIONS, rows) table, one row a column (the
+    batch's rows are 0 to rows - 1), with what every epoch reuses."""
 
     item_rows: np.ndarray  # row of each item
-    taken: np.ndarray  # float one-hot of each item's action
-    flat_taken: np.ndarray  # each item's action in its flattened (items, N_ACTIONS) array
+    taken: np.ndarray  # (N_ACTIONS, items) float one-hot of each item's action
+    flat_taken: np.ndarray  # each item's action in its flattened (N_ACTIONS, items) array
     adv: np.ndarray
     old_p: np.ndarray
     # The clipped branch has zero gradient once the ratio leaves the trust
@@ -131,101 +131,75 @@ class _Items:
     # counts as outside it), and a zero or NaN advantage is never active.
     lo: np.ndarray
     hi: np.ndarray
-    # the flat (row, action) cells of each item, twice: for its clipped term, then its entropy term
+    # weights[a, i] holds item i's clipped term and then its entropy term for
+    # action a, and bins[a, i] their flat (action, row) cell, twice, so that
+    # each cell gets its terms in item order; rewritten every epoch
     bins: np.ndarray
+    weights: np.ndarray
 
     @classmethod
     def build(cls, rows: list[int], actions: list[int], old_p, adv, clip_ratio: float) -> "_Items":
-        item_rows, actions = np.array(rows), np.array(actions)
-        taken = np.eye(N_ACTIONS).take(actions, axis=0)
-        adv = np.array(adv)
+        n = len(rows)
+        item_rows, actions = np.fromiter(rows, int, n), np.fromiter(actions, int, n)
+        taken = _EYE.take(actions, axis=1)
+        adv, old_p = np.fromiter(adv, float, n), np.fromiter(old_p, float, n)
         # (lo, hi) for a zero or NaN, a positive and a negative advantage
         bounds = np.array(
             ((np.inf, -np.inf), (-np.inf, 1.0 + clip_ratio), (1.0 - clip_ratio, np.inf))
         )
         lo, hi = bounds.take((adv > 0) + 2 * (adv < 0), axis=0).T
-        bins = ((item_rows * N_ACTIONS)[:, None] + np.arange(2 * N_ACTIONS) % N_ACTIONS).ravel()
-        flat_taken = np.arange(0, len(rows) * N_ACTIONS, N_ACTIONS) + actions
-        return cls(item_rows, taken, flat_taken, adv, np.array(old_p), lo, hi, bins)
+        stride = max(rows) + 1
+        bins = (np.arange(0, N_ACTIONS * stride, stride)[:, None] + item_rows).repeat(2, axis=1)
+        flat_taken = actions * n + np.arange(n)
+        return cls(item_rows, taken, flat_taken, adv, old_p, lo, hi, bins.ravel(),
+                   np.zeros((N_ACTIONS, n, 2)))
 
     def probs_and_ratios(self, prefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        probs = _softmax(prefs.take(self.item_rows, axis=0))
+        probs = _softmax(prefs.take(self.item_rows, axis=1))
         return probs, probs.take(self.flat_taken) / self.old_p
 
 
-def _gather(preferences: dict[ObsKey, np.ndarray], batch: Sequence[BatchItem], clip_ratio: float):
-    """The batch's distinct keys (first appearance first), their rows, and its items."""
-    slots: dict[ObsKey, int] = {}
-    rows = [slots.setdefault(key, len(slots)) for key, _, _, _ in batch]
-    _, actions, old_p, adv = zip(*batch)
-    prefs = np.array([preferences[key] for key in slots])
-    return list(slots), prefs, _Items.build(rows, list(actions), old_p, adv, clip_ratio)
-
-
 def _entropy_terms(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row sum of p log p (the negated entropy) and log-probabilities."""
+    """Per-item sum of p log p (the negated entropy) and log-probabilities."""
     logp = np.log(probs + 1e-12)
-    return np.add.reduce(probs * logp, axis=1, keepdims=True), logp
+    return np.add.reduce(probs * logp, axis=0), logp
 
 
 def _gradient(prefs: np.ndarray, items: _Items, entropy_weight: float) -> np.ndarray:
-    """Gradient of the clipped surrogate plus entropy bonus w.r.t. every row of prefs.
+    """Gradient of the clipped surrogate plus entropy bonus w.r.t. every column of
+    prefs, an (N_ACTIONS, rows) table. The entropy half of items.weights is
+    written only at a nonzero weight, so one items serves one entropy weight.
 
     One array pass over all items and one scatter, whether or not rows
-    repeat. Each item's clipped term and then its entropy term go into one
-    weight array, in item order; bincount adds a cell's weights to 0.0 in
-    input order, so a row that repeats sums (((0 + c1) + b1) + c2) + b2 ...
-    as an item-by-item loop would. An inactive item's clipped term is a
-    signed zero, and at a zero entropy weight every entropy term stays 0.0:
-    a sum that starts at +0.0 is never -0.0, so adding a zero leaves it as
-    it is.
+    repeat. The reductions run over the 5 actions along axis 0, which adds
+    (((e0 + e1) + e2) + e3) + e4 as numpy reduces a lone row. bincount adds
+    a cell's weights to 0.0 in input order, so a row that repeats sums
+    (((0 + c1) + b1) + c2) + b2 ... as an item-by-item loop would. An
+    inactive item's clipped term is a signed zero, and at a zero entropy
+    weight every entropy term stays 0.0: a sum that starts at +0.0 is never
+    -0.0, so adding a zero leaves it as it is.
     """
     probs, ratio = items.probs_and_ratios(prefs)
     active = (items.lo < ratio) & (ratio < items.hi)
-    terms = np.zeros((len(ratio), 2, N_ACTIONS))
-    np.multiply(np.where(active, items.adv * ratio, 0.0)[:, None], items.taken - probs,
-                out=terms[:, 0])
+    weights = items.weights
+    np.multiply(np.where(active, items.adv * ratio, 0.0), items.taken - probs,
+                out=weights[..., 0])
     if entropy_weight:
         neg_entropy, logp = _entropy_terms(probs)
         # -w * (p * (logp + entropy)), with logp + entropy = logp - neg_entropy
-        np.multiply(-entropy_weight, probs * (logp - neg_entropy), out=terms[:, 1])
-    return np.bincount(items.bins, terms.ravel(), prefs.size).reshape(prefs.shape)
-
-
-def surrogate_objective(
-    preferences: dict[ObsKey, np.ndarray],
-    batch: Sequence[BatchItem],
-    clip_ratio: float,
-    entropy_weight: float,
-) -> float:
-    """Clipped surrogate plus entropy bonus, as a pure function of preferences."""
-    _, prefs, items = _gather(preferences, batch, clip_ratio)
-    probs, ratio = items.probs_and_ratios(prefs)
-    clipped = np.clip(ratio, 1.0 - clip_ratio, 1.0 + clip_ratio)
-    surrogate = np.minimum(ratio * items.adv, clipped * items.adv)
-    neg_entropy, _ = _entropy_terms(probs)
-    return float(np.sum(surrogate) - entropy_weight * np.sum(neg_entropy))
-
-
-def surrogate_gradient(
-    preferences: dict[ObsKey, np.ndarray],
-    batch: Sequence[BatchItem],
-    clip_ratio: float,
-    entropy_weight: float,
-) -> dict[ObsKey, np.ndarray]:
-    """Analytic gradient of surrogate_objective w.r.t. every preference entry."""
-    keys, prefs, items = _gather(preferences, batch, clip_ratio)
-    return dict(zip(keys, _gradient(prefs, items, entropy_weight)))
+        np.multiply(-entropy_weight, probs * (logp - neg_entropy), out=weights[..., 1])
+    return np.bincount(items.bins, weights.ravel(), prefs.size).reshape(prefs.shape)
 
 
 def update_policies(policies: Sequence[PolicyParams], episodes: Sequence["ShapedEpisode"]) -> None:
     """Run the clipped-surrogate epochs for policies of one table, each on its own episode.
 
     No two policies share a row, so every epoch is one array pass over the
-    episodes' distinct rows, gathered from the table with one index and
-    written back with one. A zero clip ratio pins every ratio at 1, so the
-    update is skipped. A row whose action distribution comes out non-finite
-    is a ValueError, raised before the table is written.
+    episodes' distinct rows, gathered from the table with one index as the
+    columns of an (N_ACTIONS, rows) array and written back with one. A zero
+    clip ratio pins every ratio at 1, so the update is skipped. A row whose
+    action distribution comes out non-finite is a ValueError, raised before
+    the table is written.
     """
     table = policies[0].table
     if any(policy.table is not table for policy in policies):
@@ -248,18 +222,19 @@ def update_policies(policies: Sequence[PolicyParams], episodes: Sequence["Shaped
     written = list(first)
     adv = [ret - values[r] for r, ret in zip(rows, returns)]
     items = _Items.build(slots, actions, old_p, adv, cfg.clip_ratio)
-    prefs = table.prefs[written]
+    prefs = table.prefs[written].T
     for _ in range(cfg.epochs):
         prefs = prefs + cfg.step_size * _gradient(prefs, items, cfg.entropy_weight)
     # the next episodes' action distributions, as Generator.choice(5, p=probs)
-    # would build them row by row: softmax, cumsum and division all work within a row
+    # would build them row by row: softmax, cumsum and division all work within a
+    # row, here a column
     probs = _softmax(prefs)
-    cdf = probs.cumsum(axis=1)
-    if not np.isfinite(cdf[:, -1]).all():
+    cdf = probs.cumsum(axis=0)
+    if not np.isfinite(cdf[-1]).all():
         raise ValueError("update_policies made a policy row whose probabilities are not finite")
-    cdf /= cdf[:, -1:]
-    table.prefs[written] = prefs
-    for r, dist in zip(written, zip(probs.tolist(), cdf.tolist())):
+    cdf /= cdf[-1]
+    table.prefs[written] = prefs.T
+    for r, dist in zip(written, zip(probs.T.tolist(), cdf.T.tolist())):
         table.dists[r] = dist
     # single squared-error step toward the returns, after the policy epochs,
     # so the baseline tracks a running mean instead of swallowing the batch

@@ -14,7 +14,12 @@ import time
 import numpy as np
 import pytest
 
-from engine_helpers import cooperation_probability, td1_update
+from engine_helpers import (
+    cooperation_probability,
+    surrogate_gradient,
+    surrogate_objective,
+    td1_update,
+)
 from staghunt import (
     C,
     U,
@@ -44,7 +49,7 @@ from staghunt.experiments import (
 )
 from staghunt.gridworld import GridAction, make_scenario, run_episode
 from staghunt.matrix_agents import Exploration, MatrixAgentState
-from staghunt.policy_learner import ACTIONS, surrogate_gradient, surrogate_objective
+from staghunt.policy_learner import ACTIONS
 
 Q1 = PayoffMatrix(40.0, 30.0, 20.0, 0.0)
 Q2 = PayoffMatrix(5.0, 4.0, 2.0, 1.0)

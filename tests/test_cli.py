@@ -2,11 +2,15 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import staghunt
 from staghunt.cli import main
 
 
@@ -97,6 +101,27 @@ def test_unknown_config_keys_are_rejected(tmp_path):
     config_path.write_text(json.dumps({"sweep": {"iterationz": 10}}))
     with pytest.raises(ValueError, match="iterationz"):
         main(["--config", str(config_path), "--out", str(tmp_path / "o"), "matrix-selfplay"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("matrix-selfplay", "--iterations", "5", "--repetitions", "1", "--grid-step", "0.5"),
+    ("tournament", "--rounds", "5", "--repetitions", "1", "--sizes", "2"),
+])
+def test_a_non_finite_payoff_in_a_config_exits_nonzero_without_a_csv(tmp_path, argv):
+    """JSON's 1e400 parses to inf; the run must stop on it, not write NaN rows."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text('{"payoff": {"h": 1e400, "c": 30, "m": 20, "g": 0}}')
+    out = tmp_path / "o"
+    paths = (str(Path(staghunt.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    run = subprocess.run(
+        [sys.executable, "-m", "staghunt.cli", "--config", str(config_path), "--out", str(out),
+         *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode != 0
+    assert "payoff h must be finite, got h=inf" in run.stderr
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_gridworld_detail_flag_writes_iteration_and_episode_logs(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import pickle
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from staghunt import C, U, UNKNOWN, PayoffMatrix
+from staghunt.gridworld import GridConfig
 
 
 Q1_MATRIX = PayoffMatrix(40, 30, 20, 0)
@@ -46,6 +48,25 @@ def test_validate_payoffs_rejects_violations(values):
 def test_ordering_error_names_the_offending_pair():
     with pytest.raises(ValueError, match="c > m"):
         PayoffMatrix(5, 4, 4, 1)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("position", range(4))
+def test_a_non_finite_payoff_is_rejected_by_name(position, bad):
+    """inf > c orders, but phi and the TD lookahead would then make NaN (0 * inf)."""
+    values = [40.0, 30.0, 20.0, 0.0]
+    values[position] = bad
+    name = "hcmg"[position]
+    with pytest.raises(ValueError, match=f"payoff {name} must be finite, got {name}={bad!r}"):
+        PayoffMatrix(*values)
+
+
+@pytest.mark.parametrize("field", ["reward_stag_joint", "reward_hare_alone",
+                                   "reward_hare_shared", "reward_left_out"])
+def test_a_grid_with_a_non_finite_reward_is_rejected(field):
+    """A grid's four reward levels are its label PayoffMatrix, which checks them."""
+    with pytest.raises(ValueError, match="must be finite"):
+        GridConfig(**{field: math.inf})
 
 
 @st.composite

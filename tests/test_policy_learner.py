@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from engine_helpers import surrogate_gradient, surrogate_objective
 from scalar_beliefs import belief_step
 from staghunt import policy_learner
 from staghunt.beliefs import Belief
@@ -22,6 +23,7 @@ from staghunt.policy_learner import (
     PolicyTable,
     ShapedEpisode,
     ShapingDetail,
+    _entropy_terms,
     _shape_guilt,
     _shaped_terminal_reward,
     _softmax,
@@ -31,8 +33,6 @@ from staghunt.policy_learner import (
     observation_key,
     play_iteration,
     run_lanes,
-    surrogate_gradient,
-    surrogate_objective,
     update_policies,
 )
 from staghunt.shaping import guilt_reward, inequity_reward, phi_from_beliefs, shape_reward
@@ -483,7 +483,7 @@ def test_a_ratio_exactly_at_the_clip_edge_is_inactive(edge):
     ratio == 1 - clip (negative advantage) add no clipped term."""
     preferences, batch = still_batch(3)
     key, action, _, _ = batch[0]
-    p = _softmax(np.array([preferences[key]]))[0, action]
+    p = _softmax(np.array([preferences[key]]).T)[action, 0]
     old_p = p / (1.25 if edge == "upper" else 0.75)
     ratio = p / old_p
     clip_ratio, adv = (ratio - 1.0, 1.5) if edge == "upper" else (1.0 - ratio, -1.5)
@@ -821,15 +821,47 @@ def test_sample_index_rejects_a_non_finite_preference_row(bad):
 # --- cached action distributions --------------------------------------------------
 
 
-def test_stacked_softmax_matches_row_by_row_bit_for_bit():
-    """Every step of _softmax works within a row, so stacking rows changes no bit."""
+def _mixed_scale_rows(n=20_000):
     rng = np.random.default_rng(11)
-    scales = rng.choice([1e-3, 1.0, 30.0, 700.0], (20_000, 1))
-    rows = rng.normal(0.0, 1.0, (20_000, N_ACTIONS)) * scales
-    stacked = _softmax(rows)
-    assert all(np.array_equal(s, _softmax(row)) for s, row in zip(stacked, rows))
-    cdf = stacked.cumsum(axis=1)
-    assert all(np.array_equal(c, s.cumsum()) for c, s in zip(cdf, stacked))
+    scales = rng.choice([1e-3, 1.0, 30.0, 700.0], (n, 1))
+    return rng.normal(0.0, 1.0, (n, N_ACTIONS)) * scales
+
+
+def test_stacked_softmax_matches_row_by_row_bit_for_bit():
+    """Every step of _softmax works within a column of the (N_ACTIONS, rows) stack,
+    so stacking rows changes no bit."""
+    rows = _mixed_scale_rows()
+    stacked = _softmax(rows.T)
+    assert all(np.array_equal(s, _softmax(row)) for s, row in zip(stacked.T, rows))
+    cdf = stacked.cumsum(axis=0)
+    assert all(np.array_equal(c, s.cumsum()) for c, s in zip(cdf.T, stacked.T))
+
+
+def _row_major_softmax(z: np.ndarray) -> np.ndarray:
+    """The (rows, N_ACTIONS) softmax the actions-axis layout replaced."""
+    shifted = z - np.maximum.reduce(z, axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.add.reduce(e, axis=1, keepdims=True)
+
+
+def test_actions_axis_reductions_match_the_row_major_layout_bit_for_bit():
+    """Over the actions, numpy adds (((e0 + e1) + e2) + e3) + e4 along axis 0 of an
+    (N_ACTIONS, rows) stack, as along axis 1 of a (rows, N_ACTIONS) one: the softmax,
+    its normalised cumulative sums and the entropy sums keep every bit."""
+    rows = _mixed_scale_rows()
+    ours, theirs = _softmax(np.ascontiguousarray(rows.T)), _row_major_softmax(rows)
+    assert ours.tobytes() == np.ascontiguousarray(theirs.T).tobytes()
+    e = np.exp(rows - rows.max(axis=1, keepdims=True))
+    in_order = (((e[:, 0] + e[:, 1]) + e[:, 2]) + e[:, 3]) + e[:, 4]
+    assert np.add.reduce(np.ascontiguousarray(e.T), axis=0).tobytes() == in_order.tobytes()
+    cdf, row_cdf = ours.cumsum(axis=0), theirs.cumsum(axis=1)
+    cdf /= cdf[-1]
+    row_cdf /= row_cdf[:, -1:]
+    assert cdf.tobytes() == np.ascontiguousarray(row_cdf.T).tobytes()
+    neg_entropy, logp = _entropy_terms(ours)
+    row_logp = np.log(theirs + 1e-12)
+    assert logp.tobytes() == np.ascontiguousarray(row_logp.T).tobytes()
+    assert neg_entropy.tobytes() == np.add.reduce(theirs * row_logp, axis=1).tobytes()
 
 
 def _trained_pair(seed=3):

@@ -3,10 +3,11 @@
 Before the block table, every PolicyParams kept its own preferences, values
 and cached distributions as Python lists, and update_policies stacked each
 policy's distinct rows with np.array, ran the epochs, and wrote the stack back
-row by row from prefs.tolist(). That update and the _Items.build it called are
-kept here verbatim as the reference: every policy of a random block must end
-each iteration with the bytes the reference gives it, in preferences, values
-and distributions alike.
+row by row from prefs.tolist(). That update is kept here as the reference, on
+the (N_ACTIONS, rows) layout of the epochs' kernel, with a plain build of the
+kernel's items: every policy of a random block must end each iteration with
+the bytes the reference gives it, in preferences, values and distributions
+alike.
 """
 
 import dataclasses
@@ -53,19 +54,24 @@ class ListPolicy:
 
 
 def _ref_items(rows, actions, old_p, adv, clip_ratio) -> _Items:
-    n = len(rows)
+    """_Items.build's fields, each built plainly: every array over the actions is
+    (N_ACTIONS, items), the rows are the columns of an (N_ACTIONS, rows) table, and
+    item i's two weights for action a sit side by side at [a, i]."""
+    n, stride = len(rows), max(rows) + 1
     item_rows = np.array(rows)
-    flat_taken = np.arange(0, n * N_ACTIONS, N_ACTIONS) + actions
-    taken = np.zeros((n, N_ACTIONS))
-    taken.put(flat_taken, 1.0)
+    taken = np.zeros((N_ACTIONS, n))
+    flat_taken = np.zeros(n, dtype=int)
+    bins = np.zeros((N_ACTIONS, n, 2), dtype=int)
+    for i, (r, a) in enumerate(zip(rows, actions)):
+        taken[a, i] = 1.0
+        flat_taken[i] = a * n + i
+        for b in range(N_ACTIONS):
+            bins[b, i] = b * stride + r
     adv = np.array(adv)
-    bounds = np.array(
-        ((np.inf, -np.inf), (-np.inf, 1.0 + clip_ratio), (1.0 - clip_ratio, np.inf))
-    )
-    lo, hi = bounds.take((adv > 0) + 2 * (adv < 0), axis=0).T
-    cells = (item_rows * N_ACTIONS)[:, None] + np.arange(N_ACTIONS)
-    bins = np.repeat(cells, 2, axis=0).ravel()
-    return _Items(item_rows, taken, flat_taken, adv, np.array(old_p), lo, hi, bins)
+    lo = np.where(adv < 0, 1.0 - clip_ratio, np.where(adv > 0, -np.inf, np.inf))
+    hi = np.where(adv > 0, 1.0 + clip_ratio, np.where(adv < 0, np.inf, -np.inf))
+    return _Items(item_rows, taken, flat_taken, adv, np.array(old_p), lo, hi, bins.ravel(),
+                  np.zeros((N_ACTIONS, n, 2)))
 
 
 def _ref_update(policies: list[ListPolicy], episodes: list[ShapedEpisode]) -> None:
@@ -85,16 +91,16 @@ def _ref_update(policies: list[ListPolicy], episodes: list[ShapedEpisode]) -> No
         adv += [ret - values[r] for r, ret in zip(episode.rows, returns)]
         actions += episode.actions
         old_p += episode.behaviour_probs
-    prefs = np.array(stack)
+    prefs = np.array(stack).T
     items = _ref_items(slots, actions, old_p, adv, cfg.clip_ratio)
     for _ in range(cfg.epochs):
         prefs = prefs + cfg.step_size * _gradient(prefs, items, cfg.entropy_weight)
     probs = _softmax(prefs)
-    cdf = probs.cumsum(axis=1)
-    if not np.isfinite(cdf[:, -1]).all():
+    cdf = probs.cumsum(axis=0)
+    if not np.isfinite(cdf[-1]).all():
         raise ValueError("not finite")
-    cdf /= cdf[:, -1:]
-    written = zip(prefs.tolist(), probs.tolist(), cdf.tolist())
+    cdf /= cdf[-1]
+    written = zip(prefs.T.tolist(), probs.T.tolist(), cdf.T.tolist())
     for policy, rows, episode, returns in gathered:
         preferences, dists, values = policy.preferences, policy.dists, policy.values
         for r, (row, row_probs, row_cdf) in zip(rows, written):
