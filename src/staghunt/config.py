@@ -49,7 +49,7 @@ def _only_known(cls, raw: dict) -> dict:
 def build_spec(cls, section: str, config: dict, **overrides):
     """Build the spec cls from config[section], with the non-None overrides on top.
 
-    Fields whose default is a tuple become tuples. A spec with a matrix
+    Fields whose default is a tuple take a list and become tuples. A spec with a matrix
     takes it from the section's "matrix" dict, else from the "payoff"
     section, else from its default; a spec with agent_params builds them
     from the "agent" section, then the section's agent_overrides, then the
@@ -61,6 +61,8 @@ def build_spec(cls, section: str, config: dict, **overrides):
     raw.update({k: v for k, v in overrides.items() if v is not None})
     for name, default in defaults.items():
         if isinstance(default, tuple) and name in raw:
+            if not isinstance(raw[name], (list, tuple)):  # a string would become its characters
+                raise ValueError(f"{section}.{name} must be a list, got {raw[name]!r}")
             raw[name] = tuple(raw[name])
     if "agent_params" in defaults:
         agent = dict(config.get("agent", {}))

@@ -139,7 +139,8 @@ def _require(spec, ok, rule: str, *names: str) -> None:
 
 
 def _require_positive(spec, *names: str) -> None:
-    _require(spec, lambda v: v >= 1, "be >= 1", *names)
+    # a float or bool count would pass v >= 1 and fail, or be truncated, in the run
+    _require(spec, lambda v: type(v) is int and v >= 1, "be an integer >= 1", *names)
 
 
 def _require_nonempty(spec, *names: str) -> None:
@@ -228,8 +229,7 @@ class SweepSpec:
 
     def __post_init__(self):
         _require_nonempty(self, "probabilities", "variants")
-        if any(not 0.0 <= p <= 1.0 for p in self.probabilities):
-            raise ValueError("initial probabilities must lie in [0, 1]")
+        _require(self, lambda v: all(0.0 <= p <= 1.0 for p in v), "lie in [0, 1]", "probabilities")
         _require_positive(self, "iterations", "repetitions", "measure_window")
         _require_known(self, "variants", MATRIX_VARIANTS)
         _require_distinct(self, "variants", "probabilities")
@@ -300,7 +300,7 @@ def _trace_row(iteration, lanes, pair, c, phi, psychological, matrix) -> tuple:
             values += (None, None)
         else:
             records += (float(phi[k]), float(psychological[k]))
-            beliefs += (float(lanes.b[0, k]), float(lanes.b[1, k]), float(lanes.conf[k]))
+            beliefs += (*lanes.beliefs.b[:, k].tolist(), float(lanes.beliefs.conf[k]))
             values += (float(lanes.v_c[k]), float(lanes.v_u[k]))
     return (
         iteration, str(a0), str(a1), matrix.payoff(a0, a1), matrix.payoff(a1, a0),

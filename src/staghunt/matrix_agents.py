@@ -13,8 +13,8 @@ Three families live here:
       through one round in one pass of numpy calls, for any set of disjoint
       pairs; `state` turns a lane back into a frozen state.
 
-Beliefs, phi and guilt come from shaping.guilt_step, the rule the grid
-world uses too. Every rule is elementwise numpy with each lane's float
+Beliefs, phi and guilt come from shaping.Beliefs, the store and rule the
+grid world uses too. Every rule is elementwise numpy with each lane's float
 operations in a fixed order and each branch an np.where, so lockstep play
 gives the same bits as one match at a time.
 """
@@ -27,9 +27,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .beliefs import Belief, ToMState
+from .beliefs import ToMState, make_tom_state
 from .game import C, ONE, U, ZERO, PayoffMatrix, PolicyLabel
-from .shaping import GuiltParams, guilt_step
+from .shaping import Beliefs, GuiltParams
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,31 +97,23 @@ def values_for_cooperation_probability(
     return {C: gap / 2.0, U: -gap / 2.0}
 
 
-#: A Pavlov lane's value-learner columns: no belief learning, guilt, step,
-#: lookahead or decay, so they stay in range; its value rule is thrown away.
-_INERT_VALUE_LEARNER = dict(
-    v_c=0.0, v_u=0.0, b=(0.5, 0.5), conf=0.5, temp=1.0, keep_lr=1.0, lr=0.0, tom=True,
-    neg_theta=0.0, alpha=0.0, gamma=0.0, decay=1.0,
-)
+#: A Pavlov lane's value-learner columns and beliefs: no step, lookahead,
+#: decay, confidence learning or guilt, so they stay in range; its value rule
+#: is thrown away.
+_INERT_VALUE_LEARNER = dict(v_c=0.0, v_u=0.0, temp=1.0, alpha=0.0, gamma=0.0, decay=1.0)
+_INERT_TOM = make_tom_state(learning_rate=0.0)
 _INT_COLUMNS = ("i_count", "n")
-_BOOL_COLUMNS = ("tom", "pavlov")
-#: What play() moves; a lane that sits a round out keeps these.
-_LANE_STATE = ("v_c", "v_u", "b", "conf", "temp", "i_count")
+#: What play() moves besides the beliefs; a lane that sits a round out keeps these.
+_LANE_STATE = ("v_c", "v_u", "temp", "i_count")
 
 
 def _lane(player: MatrixPlayer) -> dict:
     """A player's lane: every column of MatrixLanes for it."""
     if isinstance(player, PavlovState):
         return {**_INERT_VALUE_LEARNER, "pavlov": True, "i_count": player.i_count, "n": player.n}
-    tom, explore = player.tom, player.explore
-    lr = tom.learning_rate
+    explore = player.explore
     return dict(
-        v_c=player.values[C], v_u=player.values[U],
-        b=(tom.zero_order.p_cooperative, tom.first_order.p_cooperative), conf=tom.confidence,
-        temp=explore.temperature,
-        keep_lr=1.0 - lr, lr=lr, tom=tom.tom_enabled,
-        # 0.0 with guilt off: 0.0 * max(0, d) is exactly guilt-off's 0.0
-        neg_theta=-player.guilt.theta if player.guilt else 0.0,
+        v_c=player.values[C], v_u=player.values[U], temp=explore.temperature,
         alpha=player.alpha, gamma=player.gamma, decay=explore.temperature_decay,
         # an inert Pavlov count, 0 of 1: its rule is thrown away
         pavlov=False, i_count=0, n=1,
@@ -131,20 +123,21 @@ def _lane(player: MatrixPlayer) -> dict:
 class MatrixLanes:
     """A block's players as lanes of flat arrays, all moved by one `play` per round.
 
-    State: v_c, v_u (action values), b (rows b[0] and b[1]: zero- and
-    first-order beliefs), conf (confidence), temp (softmax temperature) and,
-    for Pavlov lanes, i_count. Per-lane constants: keep_lr = 1 - learning rate, lr, tom,
-    neg_theta = -theta (0.0 with guilt off), alpha, gamma, decay, pavlov and n.
-    Every rule runs on every lane; a mask picks each lane's own.
+    State: v_c, v_u (action values), temp (softmax temperature), for Pavlov
+    lanes i_count, and beliefs, the lanes' shaping.Beliefs (slot k for lane k).
+    Per-lane constants: alpha, gamma, decay, pavlov and n. Every rule runs on
+    every lane; a mask picks each lane's own.
     """
 
     def __init__(self, players: Sequence[MatrixPlayer]):
         self.players = list(players)
         lanes = [_lane(player) for player in self.players]
         for name in lanes[0]:
-            dtype = int if name in _INT_COLUMNS else bool if name in _BOOL_COLUMNS else float
-            # .T: a column per lane, and b's rows are its two beliefs
-            setattr(self, name, np.array([lane[name] for lane in lanes], dtype=dtype).T.copy())
+            dtype = int if name in _INT_COLUMNS else bool if name == "pavlov" else float
+            setattr(self, name, np.array([lane[name] for lane in lanes], dtype=dtype))
+        learners = [(_INERT_TOM, None) if isinstance(player, PavlovState)
+                    else (player.tom, player.guilt) for player in self.players]
+        self.beliefs = Beliefs([tom for tom, _ in learners], [guilt for _, guilt in learners])
         self.any_pavlov = bool(self.pavlov.any())
 
     def p_cooperate(self) -> np.ndarray:
@@ -165,7 +158,7 @@ class MatrixLanes:
         belief about the opponent's action; beliefs must already reflect
         this iteration's observations when this runs.
         """
-        score_c, score_u = matrix.expected_payoffs(self.b[0])
+        score_c, score_u = matrix.expected_payoffs(self.beliefs.b[0])
         target = shaped + self.gamma * np.where(score_u > score_c, score_u, score_c)
         taken = np.where(own_c, self.v_c, self.v_u)
         stepped = taken + self.alpha * (target - taken)
@@ -191,7 +184,11 @@ class MatrixLanes:
         lanes and for lanes that sat out).
         """
         n = len(self.players)
-        sitting_out = 2 * len(first) < n
+        playing = None
+        if 2 * len(first) < n:
+            playing = np.zeros(n, dtype=bool)
+            playing[first] = True
+            playing[second] = True
         u = np.zeros(n)
         u[first] = u_first
         u[second] = u_second
@@ -200,14 +197,11 @@ class MatrixLanes:
         opponent[first] = second
         opponent[second] = first
         other_c = c[opponent]
-        before = {name: getattr(self, name) for name in _LANE_STATE} if sitting_out else {}
+        before = {name: getattr(self, name) for name in _LANE_STATE} if playing is not None else {}
 
         *_, table = matrix.arrays()
         reward = table.take(2 * c + other_c)  # PayoffMatrix.payoff, lane by lane
-        self.b, self.conf, phi, psychological = guilt_step(
-            self.b, self.conf, self.keep_lr, self.lr, self.tom, self.neg_theta,
-            c, other_c, reward[opponent], matrix,
-        )
+        phi, psychological = self.beliefs.step(c, other_c, reward[opponent], matrix, playing)
         self.td1(c, reward + psychological, matrix)
         self.temp = self.temp * self.decay
 
@@ -215,12 +209,8 @@ class MatrixLanes:
             # unit step up on matched behaviours, unit step down otherwise, clamped
             i = self.i_count
             self.i_count = np.where(c == other_c, np.minimum(i + 1, self.n), np.maximum(i - 1, 0))
-        if sitting_out:
-            playing = np.zeros(n, dtype=bool)
-            playing[first] = True
-            playing[second] = True
-            for name, old in before.items():
-                setattr(self, name, np.where(playing, getattr(self, name), old))
+        for name, old in before.items():
+            setattr(self, name, np.where(playing, getattr(self, name), old))
         return c, reward, phi, psychological
 
     def state(self, k: int) -> MatrixPlayer:
@@ -231,11 +221,6 @@ class MatrixLanes:
         return replace(
             player,
             values={C: float(self.v_c[k]), U: float(self.v_u[k])},
-            tom=replace(
-                player.tom,
-                zero_order=Belief(float(self.b[0, k])),
-                first_order=Belief(float(self.b[1, k])),
-                confidence=float(self.conf[k]),
-            ),
+            tom=self.beliefs.state(k),
             explore=replace(player.explore, temperature=float(self.temp[k])),
         )

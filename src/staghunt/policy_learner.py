@@ -7,7 +7,7 @@ observation encodings; no function approximation anywhere. One iteration =
 one episode, then (for guilt agents) a belief update from the revealed
 labels, a shaped terminal reward, and a few epochs of clipped updates over
 the episode's transitions. `run_lanes` steps several runs in lockstep, so
-one guilt step (shaping.guilt_step) and one update per iteration cover all
+one guilt step (shaping.Beliefs.step) and one update per iteration cover all
 of their learners.
 """
 
@@ -20,10 +20,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .beliefs import Belief, ToMState, make_tom_state
+from .beliefs import ToMState, make_tom_state
 from .game import C, KNOWN_LABELS, PayoffMatrix, PolicyLabel
 from .gridworld import EpisodeRecord, GridAction, GridConfig, State, run_episode
-from .shaping import GuiltParams, InequityParams, guilt_step, inequity_reward, shape_reward
+from .shaping import Beliefs, GuiltParams, InequityParams, inequity_reward, shape_reward
 
 ACTIONS = tuple(GridAction)
 N_ACTIONS = len(ACTIONS)
@@ -255,42 +255,6 @@ class ShapedEpisode:
 VARIANTS = ("individual", "inequity", "ga-no-tom", "tomaga")
 
 
-class Beliefs:
-    """Learners' beliefs as arrays, slot k for one learner: its zero- and
-    first-order beliefs b[0, k] and b[1, k], confidence conf[k], learning rate
-    lr[k] (keep_lr = 1 - lr), tom[k] (first-order updates on) and neg_theta[k]
-    (-theta; 0.0 with guilt off), the columns of shaping.guilt_step."""
-
-    __slots__ = ("b", "conf", "lr", "keep_lr", "tom", "neg_theta")
-
-    def __init__(self, states: Sequence[ToMState], guilts: Sequence[GuiltParams | None]):
-        # float even where a config gave an int, so that a step's write-back is not truncated
-        self.b = np.array([[state.zero_order.p_cooperative for state in states],
-                           [state.first_order.p_cooperative for state in states]], dtype=float)
-        self.conf = np.array([state.confidence for state in states], dtype=float)
-        self.lr = np.array([state.learning_rate for state in states], dtype=float)
-        self.keep_lr = 1.0 - self.lr
-        self.tom = np.array([state.tom_enabled for state in states], dtype=bool)
-        self.neg_theta = np.array([-guilt.theta if guilt else 0.0 for guilt in guilts], dtype=float)
-
-    def state(self, k: int) -> ToMState:
-        """Slot k as a ToMState."""
-        return ToMState(Belief(float(self.b[0, k])), Belief(float(self.b[1, k])),
-                        float(self.conf[k]), float(self.lr[k]), bool(self.tom[k]))
-
-    def step(self, slots: list[int], own_c: list[bool], other_c: list[bool],
-             other_reward: list[float], matrix: PayoffMatrix) -> tuple[list[float], list[float]]:
-        """guilt_step on the given slots, with each one's labels and other's reward;
-        returns their phi and psychological rewards. The other slots keep their beliefs."""
-        k = np.array(slots)
-        self.b[:, k], self.conf[k], phi, psychological = guilt_step(
-            self.b[:, k], self.conf[k], self.keep_lr[k], self.lr[k], self.tom[k],
-            self.neg_theta[k], np.array(own_c), np.array(other_c), np.array(other_reward),
-            matrix,
-        )
-        return phi.tolist(), psychological.tolist()
-
-
 @dataclass(slots=True)
 class GridLearner:
     """One grid-world agent: a policy plus its social-preference attachments; its
@@ -396,27 +360,28 @@ def play_iteration(
 def _shape_guilt(matrix: PayoffMatrix, members: list[tuple], played: list[tuple]) -> None:
     """One Beliefs.step for the guilt learners members[slot] = (lane, agent index,
     learner) of one Beliefs, against their other's terminal reward, with played
-    as play_iteration's output per lane. Guilt needs both labels: a learner whose
-    episode revealed an Unknown one keeps its beliefs and its material reward."""
-    slots, own_c, other_c, other_reward = [], [], [], []
-    for slot, (lane, i, _) in enumerate(members):
+    as play_iteration's output per lane. Guilt needs both labels: the step's mask
+    leaves out a learner whose episode revealed an Unknown one, which keeps its
+    beliefs and its material reward."""
+    known, own_c, other_c, other_reward = [], [], [], []
+    for lane, i, _ in members:
         record = played[lane][0]
         own, other = record.labels[i], record.labels[1 - i]
-        if own in KNOWN_LABELS and other in KNOWN_LABELS:
-            slots.append(slot)
-            own_c.append(own is C)
-            other_c.append(other is C)
-            other_reward.append(record.terminal_rewards[1 - i])
-    if not slots:
+        known.append(own in KNOWN_LABELS and other in KNOWN_LABELS)
+        own_c.append(own is C)
+        other_c.append(other is C)
+        other_reward.append(record.terminal_rewards[1 - i])
+    if not any(known):
         return
     beliefs = members[0][2].beliefs
-    phi, psychological = beliefs.step(slots, own_c, other_c, other_reward, matrix)
-    for slot, p, psy in zip(slots, phi, psychological):
-        lane, i, _ = members[slot]
-        record, details, episodes = played[lane]
-        shaped = shape_reward(record.terminal_rewards[i], psy)
-        details[i] = ShapingDetail(p, psy, shaped)
-        episodes[i].rewards[-1] = shaped
+    phi, psychological = beliefs.step(np.array(own_c), np.array(other_c), np.array(other_reward),
+                                      matrix, np.array(known))
+    for (lane, i, _), stepped, p, psy in zip(members, known, phi.tolist(), psychological.tolist()):
+        if stepped:
+            record, details, episodes = played[lane]
+            shaped = shape_reward(record.terminal_rewards[i], psy)
+            details[i] = ShapingDetail(p, psy, shaped)
+            episodes[i].rewards[-1] = shaped
 
 
 # One run: its two learners, its grid and its own generator.

@@ -8,7 +8,7 @@ The guilt pipeline per terminal outcome:
     guilt    -theta * max(0, phi - other's realised material reward)
     shaped   material + guilt
 
-`guilt_step` runs the first three on arrays, one element per learner, for
+`Beliefs.step` runs the first three on arrays, one slot per learner, for
 both game forms. Shaping applies to the terminal material reward only;
 intermediate steps of multi-step games carry zero material reward.
 """
@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .beliefs import ToMState, step_beliefs
+from .beliefs import Belief, ToMState, step_beliefs
 from .game import ONE, ZERO, PayoffMatrix
 
 
@@ -61,38 +61,61 @@ def phi_from_beliefs(zero_order, first_order, matrix: PayoffMatrix):
     weighting the other's label by the zero-order belief and this agent's
     own label by the first-order belief. Always lands in [g, h].
     """
-    zero_u = 1.0 - zero_order  # the other plays U
-    first_u = 1.0 - first_order  # this agent plays U, as the other sees it
+    h, c, m, g, _ = matrix.arrays()
+    zero_u = ONE - zero_order  # the other plays U
+    first_u = ONE - first_order  # this agent plays U, as the other sees it
     return (
-        zero_order * first_order * matrix.h
-        + zero_u * first_order * matrix.c
-        + zero_order * first_u * matrix.g
-        + zero_u * first_u * matrix.m
+        zero_order * first_order * h
+        + zero_u * first_order * c
+        + zero_order * first_u * g
+        + zero_u * first_u * m
     )
 
 
-def guilt_step(b, conf, keep_lr, lr, tom, neg_theta, own_c, other_c, other_reward,
-               matrix: PayoffMatrix):
-    """One iteration of the belief → phi → guilt rule, lane by lane: step_beliefs on
-    b, conf, keep_lr, lr, tom, own_c and other_c (see there), then phi and
-    neg_theta * max(0, phi - other_reward), neg_theta = -theta (0.0 with guilt
-    off); returns the new (2, n) beliefs and conf, phi and that psychological
-    reward. Each float operation is the scalar rule's, in its order, so no
-    lane's bits depend on its batch mates."""
-    b, conf = step_beliefs(b, conf, keep_lr, lr, tom, own_c, other_c, matrix)
-    b0, b1 = b[0], b[1]
-    complement = ONE - b
-    b0_u, b1_u = complement[0], complement[1]
-    h, c, m, g, _ = matrix.arrays()
-    # phi_from_beliefs, its operations in its order, on the lanes' numpy operands
-    phi = b0 * b1 * h + b0_u * b1 * c + b0 * b1_u * g + b0_u * b1_u * m
-    shortfall = phi - other_reward
-    return b, conf, phi, neg_theta * np.where(shortfall > ZERO, shortfall, ZERO)
+class Beliefs:
+    """Learners' beliefs as arrays, slot k for one learner: its zero- and
+    first-order beliefs b[0, k] and b[1, k], confidence conf[k], learning rate
+    lr[k] (keep_lr = 1 - lr), tom[k] (first-order updates on) and neg_theta[k]
+    (-theta; 0.0 with guilt off)."""
+
+    __slots__ = ("b", "conf", "lr", "keep_lr", "tom", "neg_theta")
+
+    def __init__(self, states: Sequence[ToMState], guilts: Sequence[GuiltParams | None]):
+        # float even where a config gave an int, so that a step's write-back is not truncated
+        self.b = np.array([[state.zero_order.p_cooperative for state in states],
+                           [state.first_order.p_cooperative for state in states]], dtype=float)
+        self.conf = np.array([state.confidence for state in states], dtype=float)
+        self.lr = np.array([state.learning_rate for state in states], dtype=float)
+        self.keep_lr = 1.0 - self.lr
+        self.tom = np.array([state.tom_enabled for state in states], dtype=bool)
+        self.neg_theta = np.array([-guilt.theta if guilt else 0.0 for guilt in guilts], dtype=float)
+
+    def state(self, k: int) -> ToMState:
+        """Slot k as a ToMState."""
+        return ToMState(Belief(float(self.b[0, k])), Belief(float(self.b[1, k])),
+                        float(self.conf[k]), float(self.lr[k]), bool(self.tom[k]))
+
+    def step(self, own_c, other_c, other_reward, matrix: PayoffMatrix, stepping=None):
+        """One iteration of the belief → phi → guilt rule, every slot: step_beliefs
+        with each slot's labels (own_c, other_c), then phi and
+        neg_theta * max(0, phi - other_reward); returns phi and that psychological
+        reward. A slot where stepping is False keeps its b and conf, and its phi
+        and guilt mean nothing. Each float operation is the scalar rule's, in its
+        order, so no slot's bits depend on its batch mates."""
+        b, conf = step_beliefs(self.b, self.conf, self.keep_lr, self.lr, self.tom, own_c,
+                               other_c, matrix)
+        phi = phi_from_beliefs(b[0], b[1], matrix)
+        shortfall = phi - other_reward
+        if stepping is not None:
+            b, conf = np.where(stepping, b, self.b), np.where(stepping, conf, self.conf)
+        self.b, self.conf = b, conf
+        return phi, self.neg_theta * np.where(shortfall > ZERO, shortfall, ZERO)
 
 
 def expected_other_value(state: ToMState, matrix: PayoffMatrix) -> float:
     """phi for a belief state; see phi_from_beliefs."""
-    return phi_from_beliefs(state.zero_order.p_cooperative, state.first_order.p_cooperative, matrix)
+    return float(phi_from_beliefs(state.zero_order.p_cooperative,
+                                  state.first_order.p_cooperative, matrix))
 
 
 def guilt_reward(params: GuiltParams, phi_j: float, actual_other_reward: float) -> float:

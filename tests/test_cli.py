@@ -103,24 +103,43 @@ def test_unknown_config_keys_are_rejected(tmp_path):
         main(["--config", str(config_path), "--out", str(tmp_path / "o"), "matrix-selfplay"])
 
 
+def _run_cli_with_config(tmp_path, config_text: str, argv) -> subprocess.CompletedProcess:
+    """The CLI in its own interpreter, on a config file holding config_text."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(config_text)
+    out = tmp_path / "o"
+    paths = (str(Path(staghunt.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run(
+        [sys.executable, "-m", "staghunt.cli", "--config", str(config_path), "--out", str(out),
+         *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 @pytest.mark.parametrize("argv", [
     ("matrix-selfplay", "--iterations", "5", "--repetitions", "1", "--grid-step", "0.5"),
     ("tournament", "--rounds", "5", "--repetitions", "1", "--sizes", "2"),
 ])
 def test_a_non_finite_payoff_in_a_config_exits_nonzero_without_a_csv(tmp_path, argv):
     """JSON's 1e400 parses to inf; the run must stop on it, not write NaN rows."""
-    config_path = tmp_path / "config.json"
-    config_path.write_text('{"payoff": {"h": 1e400, "c": 30, "m": 20, "g": 0}}')
-    out = tmp_path / "o"
-    paths = (str(Path(staghunt.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH"))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    run = subprocess.run(
-        [sys.executable, "-m", "staghunt.cli", "--config", str(config_path), "--out", str(out),
-         *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+    run = _run_cli_with_config(
+        tmp_path, '{"payoff": {"h": 1e400, "c": 30, "m": 20, "g": 0}}', argv
     )
     assert run.returncode != 0
     assert "payoff h must be finite, got h=inf" in run.stderr
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_a_fractional_count_in_a_config_exits_nonzero_without_a_csv(tmp_path):
+    """A Pavlov resolution of 2.5 would run with n truncated to 2 while the
+    manifest records 2.5; the spec must stop it instead."""
+    run = _run_cli_with_config(
+        tmp_path, '{"tournament": {"pavlov_n": 2.5}}',
+        ("--jobs", "2", "tournament", "--rounds", "5", "--repetitions", "1", "--sizes", "2"),
+    )
+    assert run.returncode != 0
+    assert "TournamentSpec.pavlov_n must be an integer >= 1, got 2.5" in run.stderr
     assert not list(tmp_path.rglob("*.csv"))
 
 

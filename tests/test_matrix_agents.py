@@ -26,7 +26,7 @@ from staghunt.matrix_agents import (
     PavlovState,
     values_for_cooperation_probability,
 )
-from staghunt.shaping import guilt_reward, phi_from_beliefs, shape_reward
+from staghunt.shaping import Beliefs, guilt_reward, phi_from_beliefs, shape_reward
 
 Q1 = PayoffMatrix(40, 30, 20, 0)
 
@@ -434,8 +434,8 @@ def _reference_state(ref) -> tuple[bytes, ...]:
 def _lane_state(lanes, k) -> tuple[bytes, ...]:
     if lanes.pavlov[k]:
         return (int(lanes.i_count[k]),)
-    return tuple(map(_bits, (lanes.v_c[k], lanes.v_u[k], lanes.b[0, k], lanes.b[1, k],
-                             lanes.conf[k])))
+    b, conf = lanes.beliefs.b, lanes.beliefs.conf
+    return tuple(map(_bits, (lanes.v_c[k], lanes.v_u[k], b[0, k], b[1, k], conf[k])))
 
 
 @settings(max_examples=150, deadline=None)
@@ -503,6 +503,42 @@ def test_lanes_match_the_scalar_reference_bit_for_bit(players, matrix, seed, rou
             assert _bits(state.values[C]) == _bits(ref.v_c)
             assert _bits(state.tom.confidence) == _bits(ref.conf)
             assert state.explore.temperature == ref.temp
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    players=st.lists(st.one_of(_value_learner, _pavlov), min_size=1, max_size=9),
+    matrix=_matrix,
+    seed=st.integers(0, 2**32 - 1),
+    rounds=st.integers(1, 8),
+)
+def test_lanes_step_their_beliefs_as_a_grid_store_steps(players, matrix, seed, rounds):
+    """A grid world Beliefs built from the players' ToMStates and GuiltParams, a
+    Pavlov lane's being an inert state (learning rate 0) with no guilt, and
+    stepped as _shape_guilt steps one, with the round's labels, the other's
+    rewards and who played as the mask, holds the lanes' beliefs' bytes."""
+    inert = (make_tom_state(learning_rate=0.0), None)
+    learners = [inert if isinstance(player, PavlovState) else (player.tom, player.guilt)
+                for player in players]
+    grid = Beliefs([tom for tom, _ in learners], [guilt for _, guilt in learners])
+    lanes = MatrixLanes(players)
+    n = len(players)
+    rng = np.random.default_rng(seed)
+    for _ in range(rounds):
+        order = rng.permutation(n)
+        n_pairs = int(rng.integers(0, n // 2 + 1))
+        first, second = order[0 : 2 * n_pairs : 2], order[1 : 2 * n_pairs : 2]
+        c, reward, phi, psychological = lanes.play(
+            first, second, rng.random(n_pairs), rng.random(n_pairs), matrix
+        )
+        opponent, playing = np.arange(n), np.zeros(n, dtype=bool)
+        opponent[first], opponent[second] = second, first
+        playing[first] = playing[second] = True
+        grid_phi, grid_psy = grid.step(c, c[opponent], reward[opponent], matrix, playing)
+        for name in Beliefs.__slots__:
+            assert getattr(lanes.beliefs, name).tobytes() == getattr(grid, name).tobytes(), name
+        assert phi[playing].tobytes() == grid_phi[playing].tobytes()
+        assert psychological[playing].tobytes() == grid_psy[playing].tobytes()
 
 
 def test_state_round_trips_every_lane():

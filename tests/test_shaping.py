@@ -1,6 +1,7 @@
 import math
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,8 +20,7 @@ from staghunt import (
     shape_reward,
     update_beliefs,
 )
-from staghunt.policy_learner import Beliefs
-from staghunt.shaping import phi_from_beliefs
+from staghunt.shaping import Beliefs, phi_from_beliefs
 
 Q1 = PayoffMatrix(40, 30, 20, 0)
 
@@ -248,22 +248,18 @@ _learner = st.tuples(
     matrix=PayoffMatrix(4, 3, 2, 0), at_payoff=True,
 )
 def test_guilt_step_matches_the_scalar_rule_bit_for_bit(learners, matrix, at_payoff):
-    """Beliefs.step (guilt_step on the stepped slots) and update_beliefs (one lane)
+    """Beliefs.step (masked to the stepped slots) and update_beliefs (one lane)
     give each learner the scalar rule's beliefs, phi and guilt; the slots not
     stepped keep theirs."""
     if at_payoff:  # the other's reward is the label payoff, as in the grid world
         learners = [(state, guilt, own, other, matrix.payoff(other, own), stepped)
                     for state, guilt, own, other, _, stepped in learners]
     beliefs = Beliefs([l[0] for l in learners], [l[1] for l in learners])
-    slots = [k for k, l in enumerate(learners) if l[5]]
-    own_c = [learners[k][2] is C for k in slots]
-    other_c = [learners[k][3] is C for k in slots]
-    other_reward = [learners[k][4] for k in slots]
-    if slots:
-        phi, psychological = beliefs.step(slots, own_c, other_c, other_reward, matrix)
-        stepped = dict(zip(slots, zip(phi, psychological)))
-    else:
-        stepped = {}
+    phi, psychological = beliefs.step(
+        np.array([l[2] is C for l in learners]), np.array([l[3] is C for l in learners]),
+        np.array([l[4] for l in learners]), matrix, np.array([l[5] for l in learners]),
+    )
+    stepped = {k: (phi[k], psychological[k]) for k, l in enumerate(learners) if l[5]}
     for k, (state, guilt, own, other, reward, _) in enumerate(learners):
         b0, b1, conf = belief_step(
             state.zero_order.p_cooperative, state.first_order.p_cooperative, state.confidence,
@@ -278,3 +274,53 @@ def test_guilt_step_matches_the_scalar_rule_bit_for_bit(learners, matrix, at_pay
         ref_phi = phi_from_beliefs(b0, b1, matrix)
         ref_psy = guilt_reward(guilt, ref_phi, reward) if guilt else 0.0
         assert tuple(map(_bits, stepped[k])) == (_bits(ref_phi), _bits(ref_psy))
+
+
+def _subset_step(beliefs, stepping, own_c, other_c, other_reward, matrix):
+    """The grid world's former step, the reference for the mask: gather the
+    stepped slots with one fancy index each, step them alone and scatter their
+    b and conf back."""
+    k = np.flatnonzero(stepping)
+    subset = Beliefs([], [])
+    for name in Beliefs.__slots__:
+        setattr(subset, name, getattr(beliefs, name)[..., k])
+    phi, psychological = subset.step(own_c[k], other_c[k], other_reward[k], matrix)
+    beliefs.b[:, k], beliefs.conf[k] = subset.b, subset.conf
+    return phi, psychological
+
+
+# a config may give any setting as an int (JSON 0 or 1), and a reward too
+_setting = st.one_of(_probability, st.sampled_from([0, 1]))
+_int_learner = st.tuples(
+    st.builds(make_tom_state, _setting, _setting, _setting, _setting, st.booleans()),
+    st.one_of(st.none(), st.builds(GuiltParams, st.integers(1, 1000))),
+    st.sampled_from([C, U]),
+    st.sampled_from([C, U]),
+    st.integers(-100, 100),
+    st.booleans(),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(learners=st.lists(st.one_of(_learner, _int_learner), min_size=1, max_size=12),
+       matrix=_matrix, steps=st.integers(1, 3))
+@example(  # unstepped slots at -0.0 beside stepped ones, int rewards
+    learners=[(make_tom_state(-0.0, -0.0, -0.0, 0.5, tom), GuiltParams(2), C, U, 0, stepped)
+              for tom, stepped in ((True, False), (False, False), (True, True))],
+    matrix=PayoffMatrix(4, 3, 2, 0), steps=2,
+)
+def test_the_masked_step_matches_the_subset_step_byte_for_byte(learners, matrix, steps):
+    """Stepping the whole store with a mask leaves every slot's b and conf, and
+    gives every stepped slot's phi and guilt, as stepping only the masked slots."""
+    stores = [Beliefs([l[0] for l in learners], [l[1] for l in learners]) for _ in range(2)]
+    own_c = np.array([l[2] is C for l in learners])
+    other_c = np.array([l[3] is C for l in learners])
+    other_reward = np.array([l[4] for l in learners])
+    stepping = np.array([l[5] for l in learners])
+    for _ in range(steps):
+        phi, psychological = stores[0].step(own_c, other_c, other_reward, matrix, stepping)
+        ref_phi, ref_psy = _subset_step(stores[1], stepping, own_c, other_c, other_reward, matrix)
+        assert stores[0].b.tobytes() == stores[1].b.tobytes()
+        assert stores[0].conf.tobytes() == stores[1].conf.tobytes()
+        assert phi[stepping].tobytes() == ref_phi.tobytes()
+        assert psychological[stepping].tobytes() == ref_psy.tobytes()

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from staghunt.config import build_spec
 from staghunt.experiments import (
     COMPOSITIONS,
     MATRIX_VARIANTS,
@@ -68,6 +69,14 @@ def test_counts_below_one_are_rejected(cls, name, value):
 @given(value=st.integers(1, 1000))
 def test_counts_of_one_or_more_are_accepted(cls, name, value):
     assert getattr(cls(**{name: value}), name) == value
+
+
+@pytest.mark.parametrize("cls, name", COUNTS)
+@pytest.mark.parametrize("value", [2.5, 1000.0, True])
+def test_counts_that_are_not_integers_are_rejected(cls, name, value):
+    """A float count fails later in the run, or is truncated; True would count as 1."""
+    with pytest.raises(ValueError, match=rf"{cls.__name__}\.{name} must be an integer >= 1"):
+        cls(**{name: value})
 
 
 @pytest.mark.parametrize("cls, name, allowed", NAMES)
@@ -180,3 +189,26 @@ def test_default_specs_repeat_no_value():
     for cls, name in REPEATS:
         values = getattr(cls(), name)
         assert len(set(values)) == len(values)
+
+
+# (spec, config section, that section): a tuple field given a scalar or a string
+NOT_LISTS = [
+    (SweepSpec, "sweep", {"variants": "tomaga"}),
+    (SweepSpec, "sweep", {"probabilities": 0.5}),
+    (TournamentSpec, "tournament", {"group_sizes": 4}),
+    (GridworldSpec, "gridworld", {"scenarios": "near-stag"}),
+]
+
+
+@pytest.mark.parametrize("cls, section, raw", NOT_LISTS)
+def test_config_lists_given_a_scalar_or_a_string_are_rejected(cls, section, raw):
+    (name, value), = raw.items()
+    with pytest.raises(ValueError, match=rf"^{section}\.{name} must be a list, got {value!r}$"):
+        build_spec(cls, section, {section: raw})
+
+
+def test_a_probability_of_the_wrong_type_is_a_value_error():
+    with pytest.raises(ValueError, match=r"SweepSpec\.probabilities must lie in \[0, 1\]"):
+        build_spec(SweepSpec, "sweep", {"sweep": {"probabilities": [0.5, "x"]}})
+    with pytest.raises(ValueError, match=r"SweepSpec\.probabilities must lie in \[0, 1\]"):
+        SweepSpec(probabilities=(0.5, 1.5))
