@@ -11,7 +11,7 @@ confidence in its own predictions. After each iteration it runs, in order:
        toward the agent's own revealed label.
 
 Each blend stays in [0, 1]. `step_beliefs` runs the pipeline on arrays,
-one element per learner, for `shaping.guilt_step` and for `update_beliefs`,
+one element per learner, for `shaping.Beliefs.step` and for `update_beliefs`,
 which runs it on a ToMState and returns a new state, never mutating the old
 one.
 """

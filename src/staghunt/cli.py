@@ -34,6 +34,7 @@ from . import __version__
 from .config import build_spec, config_hash, load_config
 from .equilibrium import equilibrium_grid_rows
 from .experiments import (
+    GRID_VARIANTS,
     TRACE_COLUMNS,
     GridworldSpec,
     RunResult,
@@ -49,7 +50,7 @@ from .experiments import (
     tournament_means,
 )
 from .game import PayoffMatrix
-from .gridworld import EPISODE_LOG_COLUMNS
+from .gridworld import EPISODE_LOG_COLUMNS, SCENARIOS
 
 ANALYZE_COLUMNS = ("phi", "theta", "n_pure_ne", "unique_cc", "threshold_theta")
 
@@ -300,9 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tournament)
 
     p = sub.add_parser("gridworld", help="grid-world agent comparison")
-    p.add_argument("--scenario", nargs="+", default=None, choices=["near-stag", "near-hares"])
-    p.add_argument("--agent", nargs="+", default=None,
-                   choices=["individual", "inequity", "ga-no-tom", "tomaga"])
+    p.add_argument("--scenario", nargs="+", default=None, choices=SCENARIOS)
+    p.add_argument("--agent", nargs="+", default=None, choices=GRID_VARIANTS)
     p.add_argument("--seeds", type=int, default=None)
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--theta", type=float, default=None)

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .game import C, U, PayoffMatrix
-from .gridworld import SCENARIOS, episode_transition_rows, make_scenario
+from .gridworld import SCENARIOS, STAG_MOTIONS, episode_transition_rows, make_scenario
 from .matrix_agents import (
     Exploration,
     MatrixAgentState,
@@ -33,18 +33,19 @@ from .matrix_agents import (
     PavlovState,
     values_for_cooperation_probability,
 )
-from .beliefs import make_tom_state
+from .beliefs import ToMState, make_tom_state
 from .policy_learner import (
-    VARIANTS as GRID_VARIANTS,
-    InequityParams,
+    GridLearner,
     LearnerConfig,
+    PolicyParams,
+    PolicyTable,
     iterations_to_threshold,
-    make_grid_learner,
     run_lanes,
 )
-from .shaping import GuiltParams
+from .shaping import Beliefs, GuiltParams, InequityParams
 
 MATRIX_VARIANTS = ("tomaga", "ga-no-tom", "individual", "tom-no-guilt")
+GRID_VARIANTS = ("individual", "inequity", "ga-no-tom", "tomaga")
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,30 +73,48 @@ class AgentParams:
         _require(self, lambda v: 0 < v < 0.5, "lie in (0, 0.5)", "prob_clamp")
 
 
+def _tom_state(params: AgentParams | GridworldSpec, tom_enabled: bool) -> ToMState:
+    return make_tom_state(
+        params.zero_order, params.first_order, params.confidence, params.learning_rate, tom_enabled
+    )
+
+
+def _guilt(variant: str, params: AgentParams | GridworldSpec) -> GuiltParams | None:
+    return GuiltParams(params.theta) if variant in ("tomaga", "ga-no-tom") else None
+
+
 def make_matrix_agent(
     variant: str, params: AgentParams, initial_p_cooperate: float = 0.5
 ) -> MatrixAgentState:
     """Build a matrix-form learner variant with its softmax P(C) preset."""
     if variant not in MATRIX_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {MATRIX_VARIANTS}")
-    tom = make_tom_state(
-        zero_order=params.zero_order,
-        first_order=params.first_order,
-        confidence=params.confidence,
-        learning_rate=params.learning_rate,
-        tom_enabled=(variant != "ga-no-tom"),
-    )
-    guilt = GuiltParams(params.theta) if variant in ("tomaga", "ga-no-tom") else None
     return MatrixAgentState(
         values=values_for_cooperation_probability(
             initial_p_cooperate, params.temperature, params.prob_clamp
         ),
-        tom=tom,
-        guilt=guilt,
+        tom=_tom_state(params, tom_enabled=(variant != "ga-no-tom")),
+        guilt=_guilt(variant, params),
         alpha=params.alpha,
         gamma=params.gamma,
         explore=Exploration(params.temperature, params.temperature_decay),
     )
+
+
+def make_grid_learner(variant: str, spec: GridworldSpec) -> GridLearner:
+    """Build a grid-world learner variant: its policy table's LearnerConfig, its
+    beliefs, guilt and inequity all come from the spec."""
+    if variant not in GRID_VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {GRID_VARIANTS}")
+    hyper = LearnerConfig(
+        **{f.name: getattr(spec, f.name) for f in dataclasses.fields(LearnerConfig)}
+    )
+    guilt = _guilt(variant, spec)
+    inequity = None
+    if variant == "inequity":
+        inequity = InequityParams(spec.inequity_advantageous, spec.inequity_disadvantageous)
+    beliefs = Beliefs([_tom_state(spec, tom_enabled=(variant == "tomaga"))], [guilt])
+    return GridLearner(PolicyParams(PolicyTable(hyper)), beliefs, guilt=guilt, inequity=inequity)
 
 
 @dataclass(slots=True)
@@ -229,7 +248,9 @@ class SweepSpec:
 
     def __post_init__(self):
         _require_nonempty(self, "probabilities", "variants")
-        _require(self, lambda v: all(0.0 <= p <= 1.0 for p in v), "lie in [0, 1]", "probabilities")
+        # a bool passes 0 <= v <= 1, and would be written to the CSVs as True
+        _require(self, lambda v: all(type(p) is not bool and 0.0 <= p <= 1.0 for p in v),
+                 "lie in [0, 1]", "probabilities")
         _require_positive(self, "iterations", "repetitions", "measure_window")
         _require_known(self, "variants", MATRIX_VARIANTS)
         _require_distinct(self, "variants", "probabilities")
@@ -410,8 +431,8 @@ class TournamentSpec:
 
     def __post_init__(self):
         _require_nonempty(self, "group_sizes", "compositions")
-        if any(n < 2 for n in self.group_sizes):
-            raise ValueError("group sizes must be >= 2")
+        _require(self, lambda v: all(type(n) is int and n >= 2 for n in v),
+                 "be integers >= 2", "group_sizes")
         _require_known(self, "compositions", COMPOSITIONS)
         _require_distinct(self, "group_sizes", "compositions")
         _require_positive(self, "rounds", "report_window", "repetitions", "pavlov_n")
@@ -515,7 +536,7 @@ def tournament_means(result: RunResult) -> dict[tuple[str, int], float]:
 @dataclass(frozen=True, slots=True)
 class GridworldSpec:
     scenarios: tuple[str, ...] = ("near-stag", "near-hares")
-    variants: tuple[str, ...] = ("individual", "inequity", "ga-no-tom", "tomaga")
+    variants: tuple[str, ...] = GRID_VARIANTS
     seeds: int = 10
     iterations: int = 1500
     theta: float = 4.0
@@ -535,9 +556,9 @@ class GridworldSpec:
     # one bucket spanning the whole episode: the comparison trains
     # stationary policies, which learn far faster on the tiny grid
     time_bucket_width: int = 32
-    # None keeps each scenario file's motion mode; "static" pins the stag,
-    # which keeps the joint capture learnable at desk-scale iteration counts
-    stag_motion: str | None = "static"
+    # "static" pins the stag, which keeps the joint capture learnable at
+    # desk-scale iteration counts; the shipped layouts' own mode is "random_walk"
+    stag_motion: str = "static"
 
     def __post_init__(self):
         _require_nonempty(self, "scenarios", "variants")
@@ -553,8 +574,7 @@ class GridworldSpec:
         _require(self, lambda v: 0 <= v < math.inf, "be finite and >= 0", "inequity_advantageous",
                  "inequity_disadvantageous", "entropy_weight")
         _require(self, lambda v: v >= 0, "be >= 0", "clip_ratio")
-        if self.stag_motion not in (None, "random_walk", "static"):
-            raise ValueError(f"GridworldSpec.stag_motion: unknown {self.stag_motion!r}")
+        _require(self, lambda v: v in STAG_MOTIONS, f"be one of {STAG_MOTIONS}", "stag_motion")
 
 
 GRIDWORLD_COLUMNS = (
@@ -572,29 +592,9 @@ def _gridworld_lane(
     index), so the aggregate row and its detail replay see the same run.
     """
     config = make_scenario(spec.scenarios[scen_idx])
-    if spec.stag_motion is not None:
-        config = dataclasses.replace(config, stag_motion=spec.stag_motion)
-    rng = _rng_for(base_seed, scen_idx, var_idx, seed_index)
-    learner_cfg = LearnerConfig(
-        **{f.name: getattr(spec, f.name) for f in dataclasses.fields(LearnerConfig)}
-    )
-    inequity = InequityParams(
-        spec.inequity_advantageous, spec.inequity_disadvantageous, n_agents=2
-    )
-    learners = tuple(
-        make_grid_learner(
-            spec.variants[var_idx],
-            learner_config=learner_cfg,
-            theta=spec.theta,
-            inequity_params=inequity,
-            zero_order=spec.zero_order,
-            first_order=spec.first_order,
-            confidence=spec.confidence,
-            learning_rate=spec.learning_rate,
-        )
-        for _ in range(2)
-    )
-    return learners, config, rng
+    config = dataclasses.replace(config, stag_motion=spec.stag_motion)
+    learners = tuple(make_grid_learner(spec.variants[var_idx], spec) for _ in range(2))
+    return learners, config, _rng_for(base_seed, scen_idx, var_idx, seed_index)
 
 
 def _gridworld_block(payloads) -> tuple[list[tuple], Counter]:

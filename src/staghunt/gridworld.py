@@ -64,6 +64,9 @@ class CompiledGrid:
     label_payoffs: PayoffMatrix  # the episode-label reward table as (h, c, m, g)
 
 
+STAG_MOTIONS = ("random_walk", "static")
+
+
 @dataclass(frozen=True, slots=True)
 class GridConfig:
     width: int = 4
@@ -77,12 +80,12 @@ class GridConfig:
     reward_hare_shared: float = 2.0
     reward_hare_alone: float = 3.0
     reward_left_out: float = 0.0
-    stag_motion: str = "random_walk"  # or "static"
+    stag_motion: str = "random_walk"  # one of STAG_MOTIONS
     # built when the config is, from the fields above; not compared or hashed
     grid: CompiledGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.stag_motion not in ("random_walk", "static"):
+        if self.stag_motion not in STAG_MOTIONS:
             raise ValueError(f"unknown stag motion: {self.stag_motion}")
         if self.t_max <= 0:
             raise ValueError("t_max must be positive")
@@ -240,31 +243,27 @@ def episode_transition_rows(record: EpisodeRecord) -> list[tuple]:
     return rows
 
 
-_CONFIG_KEYS = ("width", "height", "obstacles", "hare_cells", "stag_start", "agent_starts",
-                "t_max", "stag_motion", "rewards")
 _REWARD_KEYS = ("stag_joint", "hare_shared", "hare_alone", "left_out")
+# how a layout file's cell lists become GridConfig's tuples and sets
+_CELLS = {
+    "obstacles": lambda cells: frozenset(map(tuple, cells)),
+    "hare_cells": lambda cells: frozenset(map(tuple, cells)),
+    "stag_start": tuple,
+    "agent_starts": lambda cells: tuple(map(tuple, cells)),
+}
+_CONFIG_KEYS = ("width", "height", *_CELLS, "t_max", "stag_motion", "rewards")
 
 
 def config_from_dict(raw: dict) -> GridConfig:
+    """The GridConfig of a parsed layout; a key the layout leaves out takes
+    GridConfig's default, and the rewards' keys are its reward_ fields."""
     rewards = raw.get("rewards", {})
     for what, given, known in (("grid", raw, _CONFIG_KEYS), ("grid reward", rewards, _REWARD_KEYS)):
         unknown = sorted(set(given) - set(known))
         if unknown:
             raise ValueError(f"unknown {what} keys {unknown}; expected some of {list(known)}")
-    return GridConfig(
-        width=raw.get("width", 4),
-        height=raw.get("height", 4),
-        obstacles=frozenset(tuple(c) for c in raw.get("obstacles", [])),
-        hare_cells=frozenset(tuple(c) for c in raw.get("hare_cells", [])),
-        stag_start=tuple(raw["stag_start"]),
-        agent_starts=tuple(tuple(c) for c in raw["agent_starts"]),
-        t_max=raw.get("t_max", 20),
-        reward_stag_joint=rewards.get("stag_joint", 4.0),
-        reward_hare_shared=rewards.get("hare_shared", 2.0),
-        reward_hare_alone=rewards.get("hare_alone", 3.0),
-        reward_left_out=rewards.get("left_out", 0.0),
-        stag_motion=raw.get("stag_motion", "random_walk"),
-    )
+    fields = {key: _CELLS.get(key, lambda v: v)(v) for key, v in raw.items() if key != "rewards"}
+    return GridConfig(**fields, **{f"reward_{key}": v for key, v in rewards.items()})
 
 
 SCENARIOS = ("near-stag", "near-hares")
@@ -277,9 +276,8 @@ def make_scenario(which: str) -> GridConfig:
     "near-hares" is the reverse. Exact coordinates live in the packaged
     JSON files, not in code.
     """
-    name = which.replace("_", "-")
-    if name not in SCENARIOS:
+    if which not in SCENARIOS:
         raise ValueError(f"unknown scenario {which!r}; expected one of {SCENARIOS}")
-    fname = name.replace("-", "_") + ".json"
+    fname = which.replace("-", "_") + ".json"
     raw = json.loads(resources.files("staghunt.data").joinpath(fname).read_text())
     return config_from_dict(raw)

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .beliefs import ToMState, make_tom_state
+from .beliefs import ToMState
 from .game import C, KNOWN_LABELS, PayoffMatrix, PolicyLabel
 from .gridworld import EpisodeRecord, GridAction, GridConfig, State, run_episode
 from .shaping import Beliefs, GuiltParams, InequityParams, inequity_reward, shape_reward
@@ -252,9 +252,6 @@ class ShapedEpisode:
     rewards: list[float]
 
 
-VARIANTS = ("individual", "inequity", "ga-no-tom", "tomaga")
-
-
 @dataclass(slots=True)
 class GridLearner:
     """One grid-world agent: a policy plus its social-preference attachments; its
@@ -270,34 +267,6 @@ class GridLearner:
     def tom(self) -> ToMState:
         """The learner's current beliefs, built from its slot."""
         return self.beliefs.state(self.slot)
-
-
-def make_grid_learner(
-    variant: str,
-    learner_config: LearnerConfig | None = None,
-    theta: float = 2.0,
-    inequity_params: InequityParams | None = None,
-    zero_order: float = 0.5,
-    first_order: float = 0.5,
-    confidence: float = 0.5,
-    learning_rate: float = 0.1,
-) -> GridLearner:
-    """Build one of the four comparison variants with shared defaults."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    policy = PolicyParams(PolicyTable(learner_config or LearnerConfig()))
-    tom = make_tom_state(
-        zero_order=zero_order,
-        first_order=first_order,
-        confidence=confidence,
-        learning_rate=learning_rate,
-        tom_enabled=(variant == "tomaga"),
-    )
-    guilt = GuiltParams(theta) if variant in ("tomaga", "ga-no-tom") else None
-    inequity = None
-    if variant == "inequity":
-        inequity = inequity_params or InequityParams(1.0, 1.0, n_agents=2)
-    return GridLearner(policy, Beliefs([tom], [guilt]), guilt=guilt, inequity=inequity)
 
 
 @dataclass(frozen=True, slots=True)

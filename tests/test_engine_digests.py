@@ -45,7 +45,7 @@ TOURNAMENT_SHA256 = "db4ecce253c2fdb2f62ab13f06176e097bdd44577027df9dac1e0b98952
 TRACE_SHA256 = "6887b42205b2aa2e620c497fdffcc569afd317154f785d6154607e98bcf1d213"
 GRIDWORLD_SHA256 = {
     "static": "e8bdb1341663d8d3cf83429b56053836045310efa60cad691958750c32b5cbce",
-    None: "fafe9e4c29a5f390145f24b3e1fcfdc3c7750ed405d77fa15626e56075ffd851",
+    "random_walk": "fafe9e4c29a5f390145f24b3e1fcfdc3c7750ed405d77fa15626e56075ffd851",
 }
 GRIDWORLD_DETAIL_SHA256 = "16afbfc3158d513c4fd0c476aab43dfd4363f05b5171e6b95f9ac57fdf2e8f4a"
 GRIDWORLD_EPISODES_SHA256 = "e6259141705215c2949676aef255de1825aca60f6e144cf4cb7b14bae34b4127"
@@ -102,16 +102,16 @@ def test_match_traces_match_recorded_digest():
     assert combined == TRACE_SHA256
 
 
-@pytest.mark.parametrize("stag_motion", ["static", None], ids=["static", "random_walk"])
+@pytest.mark.parametrize("stag_motion", ["static", "random_walk"])
 def test_gridworld_csv_matches_recorded_digest(stag_motion):
-    # both scenarios, all four variants; None keeps the scenario files' random walk
+    # both scenarios, all four variants; "random_walk" is the scenario files' own mode
     spec = GridworldSpec(seeds=3, iterations=150, stag_motion=stag_motion)
     result = run_gridworld_comparison(spec, base_seed=2026)
     assert _csv_sha256(result.columns, result.rows) == GRIDWORLD_SHA256[stag_motion]
 
 
 def test_gridworld_detail_matches_recorded_digest():
-    spec = GridworldSpec(seeds=3, iterations=150, stag_motion=None)
+    spec = GridworldSpec(seeds=3, iterations=150, stag_motion="random_walk")
     episode_log: list = []
     detail = run_gridworld_detail(spec, "near-stag", "tomaga", 2, base_seed=2026,
                                   episode_log=episode_log)

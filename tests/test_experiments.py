@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from staghunt import PayoffMatrix, experiments
+from staghunt.beliefs import make_tom_state
 from staghunt.experiments import (
+    GRID_VARIANTS,
     AgentParams,
     GridworldSpec,
     RunResult,
@@ -14,6 +16,7 @@ from staghunt.experiments import (
     _gridworld_block,
     _gridworld_lane,
     gridworld_threshold_summary,
+    make_grid_learner,
     make_matrix_agent,
     run_gridworld_comparison,
     run_sweep,
@@ -25,6 +28,7 @@ from staghunt.gridworld import run_episode
 from staghunt.policy_learner import (
     ACTIONS,
     N_ACTIONS,
+    LearnerConfig,
     PolicyTable,
     _softmax,
     observation_key,
@@ -32,6 +36,7 @@ from staghunt.policy_learner import (
     run_lanes,
     update_policies,
 )
+from staghunt.shaping import GuiltParams, InequityParams
 
 
 # --- self-play sweep -----------------------------------------------------------
@@ -148,6 +153,28 @@ def test_tournament_spec_validation():
 # --- grid-world comparison ---------------------------------------------------------
 
 
+@pytest.mark.parametrize("variant", GRID_VARIANTS)
+def test_a_grid_learner_takes_every_setting_from_its_spec(variant):
+    # no value here is a GridworldSpec default
+    spec = GridworldSpec(
+        theta=3.5, inequity_advantageous=0.25, inequity_disadvantageous=0.75,
+        zero_order=0.2, first_order=0.7, confidence=0.9, learning_rate=0.3,
+        step_size=0.4, gamma=0.95, clip_ratio=0.1, epochs=3, entropy_weight=0.02,
+        time_bucket_width=5,
+    )
+    learner = make_grid_learner(variant, spec)
+    assert learner.policy.table.hyper == LearnerConfig(
+        step_size=0.4, gamma=0.95, clip_ratio=0.1, epochs=3, entropy_weight=0.02,
+        time_bucket_width=5,
+    )
+    assert learner.policy.rows == {}
+    assert learner.tom == make_tom_state(0.2, 0.7, 0.9, 0.3, tom_enabled=(variant == "tomaga"))
+    guilty = variant in ("tomaga", "ga-no-tom")
+    assert learner.guilt == (GuiltParams(3.5) if guilty else None)
+    assert learner.beliefs.neg_theta.tolist() == [-3.5 if guilty else 0.0]
+    assert learner.inequity == (InequityParams(0.25, 0.75) if variant == "inequity" else None)
+
+
 def test_gridworld_comparison_rows_and_summary():
     spec = GridworldSpec(
         scenarios=("near-stag",), variants=("individual", "tomaga"),
@@ -200,7 +227,7 @@ def _payloads(spec, base_seed):
     ]
 
 
-@pytest.mark.parametrize("stag_motion", ["static", None])
+@pytest.mark.parametrize("stag_motion", ["static", "random_walk"])
 def test_lockstep_lanes_match_each_run_played_alone(stag_motion):
     """Sharing an update with other runs changes no bit of a run's results."""
     spec = GridworldSpec(seeds=2, iterations=60, stag_motion=stag_motion)
@@ -214,7 +241,7 @@ def test_lockstep_lanes_match_each_run_played_alone(stag_motion):
     assert ends == sum((block_ends for _, block_ends in alone_blocks), Counter())
 
 
-@pytest.mark.parametrize("stag_motion", ["static", None])
+@pytest.mark.parametrize("stag_motion", ["static", "random_walk"])
 def test_cached_distributions_are_the_per_row_ones_after_every_update(stag_motion):
     spec = GridworldSpec(seeds=1, iterations=40, stag_motion=stag_motion)
     lanes = [_gridworld_lane(*p) for p in _payloads(spec, 9)]
@@ -250,7 +277,7 @@ def _choice_policy(learners, config, behaviour_probs):
     return joint_policy
 
 
-@pytest.mark.parametrize("stag_motion", ["static", None])
+@pytest.mark.parametrize("stag_motion", ["static", "random_walk"])
 def test_play_from_cached_distributions_matches_a_choice_reference(stag_motion):
     """Every episode, replayed from the same generator state under the reference
     policy, takes the same steps with the same behaviour probabilities."""
@@ -381,7 +408,7 @@ def test_matrix_lockstep_rows_do_not_depend_on_jobs(monkeypatch, jobs):
 
 def test_gridworld_telemetry_counts_every_episode_by_its_end():
     spec = GridworldSpec(scenarios=("near-stag", "near-hares"), variants=("individual", "tomaga"),
-                         seeds=2, iterations=30, window=10, stag_motion=None)
+                         seeds=2, iterations=30, window=10, stag_motion="random_walk")
     telemetry = run_gridworld_comparison(spec, base_seed=8, jobs=2).telemetry
     ends = telemetry["episode_ends"]
     assert sum(ends.values()) == 8 * spec.iterations  # runs x iterations

@@ -198,6 +198,15 @@ def test_config_from_dict_rejects_unknown_keys(raw, unknown):
         config_from_dict({**base, **raw})
 
 
+def test_a_layout_takes_grid_config_defaults_for_the_keys_it_leaves_out():
+    raw = {"stag_start": [3, 2], "agent_starts": [[0, 0], [2, 0]]}
+    assert config_from_dict(raw) == GridConfig(stag_start=(3, 2), agent_starts=((0, 0), (2, 0)))
+    rewards = {"rewards": {"hare_alone": 3.5}}
+    assert config_from_dict({**raw, **rewards}) == GridConfig(
+        stag_start=(3, 2), agent_starts=((0, 0), (2, 0)), reward_hare_alone=3.5
+    )
+
+
 def test_reward_levels_must_form_a_stag_hunt():
     with pytest.raises(ValueError):
         simple_config(reward_hare_alone=5.0)  # would exceed the joint stag reward
@@ -232,10 +241,10 @@ def test_near_hares_scenario_distances():
         assert d_hare < d_stag
 
 
-def test_scenarios_validate_and_accept_underscore_names():
-    assert make_scenario("near_stag") == make_scenario("near-stag")
-    with pytest.raises(ValueError):
-        make_scenario("island")
+def test_scenarios_validate_and_reject_underscore_names():
+    for name in ("island", "near_stag"):
+        with pytest.raises(ValueError, match="unknown scenario"):
+            make_scenario(name)
 
 
 def test_scenario_files_load_from_path(tmp_path):

@@ -15,6 +15,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from staghunt.experiments import GridworldSpec, make_grid_learner
 from staghunt.gridworld import make_scenario
 from staghunt.policy_learner import (
     FIRST_VISIT,
@@ -27,7 +28,6 @@ from staghunt.policy_learner import (
     _Items,
     _softmax,
     discounted_returns,
-    make_grid_learner,
     run_lanes,
     update_policies,
 )
@@ -231,7 +231,8 @@ def test_update_policies_rejects_policies_of_two_tables():
 
 def test_run_lanes_puts_a_block_on_one_table_and_checks_its_config_once():
     config = make_scenario("near-stag")
-    learners = [tuple(make_grid_learner("individual") for _ in range(2)) for _ in range(2)]
+    spec = GridworldSpec()
+    learners = [tuple(make_grid_learner("individual", spec) for _ in range(2)) for _ in range(2)]
     lanes = [(pair, config, np.random.default_rng(i)) for i, pair in enumerate(learners)]
     next(run_lanes(lanes, 1))
     tables = {id(learner.policy.table) for pair in learners for learner in pair}
@@ -239,8 +240,8 @@ def test_run_lanes_puts_a_block_on_one_table_and_checks_its_config_once():
     # policies with rows already, or with two configs, cannot start a block
     with pytest.raises(ValueError, match="no rows yet"):
         next(run_lanes(lanes, 1))
-    mixed = (make_grid_learner("individual"),
-             make_grid_learner("individual", learner_config=LearnerConfig(epochs=2)))
+    mixed = (make_grid_learner("individual", spec),
+             make_grid_learner("individual", GridworldSpec(epochs=2)))
     with pytest.raises(ValueError, match="one LearnerConfig"):
         next(run_lanes([(mixed, config, np.random.default_rng(0))], 1))
 

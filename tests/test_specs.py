@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 from staghunt.config import build_spec
 from staghunt.experiments import (
     COMPOSITIONS,
+    GRID_VARIANTS,
     MATRIX_VARIANTS,
     AgentParams,
     GridworldSpec,
     SweepSpec,
     TournamentSpec,
 )
-from staghunt.gridworld import SCENARIOS
-from staghunt.policy_learner import VARIANTS as GRID_VARIANTS
+from staghunt.gridworld import SCENARIOS, STAG_MOTIONS
 
 # every property below is parametrised over many fields; 30 examples each
 # keep the file to a few seconds
@@ -145,10 +145,11 @@ def test_gridworld_theta_must_be_positive(theta):
 
 
 def test_gridworld_stag_motion_must_be_known():
-    for motion in (None, "static", "random_walk"):
+    for motion in STAG_MOTIONS:
         assert GridworldSpec(stag_motion=motion).stag_motion == motion
-    with pytest.raises(ValueError, match="stag_motion"):
-        GridworldSpec(stag_motion="teleport")
+    for motion in ("teleport", None):
+        with pytest.raises(ValueError, match=r"GridworldSpec\.stag_motion must be one of"):
+            GridworldSpec(stag_motion=motion)
 
 
 EMPTIES = [
@@ -212,3 +213,16 @@ def test_a_probability_of_the_wrong_type_is_a_value_error():
         build_spec(SweepSpec, "sweep", {"sweep": {"probabilities": [0.5, "x"]}})
     with pytest.raises(ValueError, match=r"SweepSpec\.probabilities must lie in \[0, 1\]"):
         SweepSpec(probabilities=(0.5, 1.5))
+
+
+@pytest.mark.parametrize("probability", [True, False])
+def test_a_bool_probability_is_rejected(probability):
+    # 0 <= True <= 1, so only its type tells it from 1.0
+    with pytest.raises(ValueError, match=r"SweepSpec\.probabilities must lie in \[0, 1\]"):
+        build_spec(SweepSpec, "sweep", {"sweep": {"probabilities": [probability, 0.5]}})
+
+
+@pytest.mark.parametrize("size", [2.5, 4.0, True, "4", 1, 0])
+def test_a_group_size_must_be_an_integer_of_at_least_2(size):
+    with pytest.raises(ValueError, match=r"TournamentSpec\.group_sizes must be integers >= 2"):
+        TournamentSpec(group_sizes=(size,), rounds=5, repetitions=1, compositions=("pavlov",))
