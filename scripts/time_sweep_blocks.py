@@ -5,14 +5,15 @@ Each rung is SweepSpec() at one of --repetitions (11 x 11 cells, two
 variants, --iterations iterations; 2 x matches x iterations lane-rounds),
 base seed 2026. For each of --pairs pairs, the rung is timed at jobs 1 (one
 block, in this process) and at jobs 2 with MIN_BLOCK_LANE_ROUNDS set to 1
-(two blocks on two forked workers, pool start included), the side that
-goes first alternating. Just before each pair a probe spins the same loop
-alone and then in two processes at once: their slower time over the time
-alone is about 1 when two processes ran in parallel and about 2 when they
-shared one CPU. Prints each rung's medians, every pair's probe, and the
-crossover: the least lane-rounds from which the split won every larger
-rung, and where straight lines fitted to each side's seconds meet. Checks
-that both sides gave the same rows; --out writes every run as JSON.
+(two blocks, one in this process and one in a forked child, the fork
+included), the side that goes first alternating. Just before each pair a
+probe spins the same loop alone and then in two processes at once (this one
+and a forked child): their slower time over the time alone is about 1 when
+two processes ran in parallel and about 2 when they shared one CPU.
+Prints each rung's medians, every pair's probe, and the crossover: the
+least lane-rounds from which the split won every larger rung, and where
+straight lines fitted to each side's seconds meet. Checks that both sides
+gave the same rows; --out writes every run as JSON.
 
     PYTHONPATH=src python scripts/time_sweep_blocks.py [--repetitions 1 2 4 8 20] \\
         [--iterations 500] [--pairs 5] [--out BENCH_sweep_blocks.json]
@@ -25,7 +26,6 @@ import json
 import platform
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -46,10 +46,10 @@ def _spin(_=None) -> float:
     return time.perf_counter() - start
 
 
-def parallel_ratio(pool: ProcessPoolExecutor) -> float:
+def parallel_ratio() -> float:
     """The slower of two processes spinning at once, over one spinning alone."""
     alone = _spin()
-    return max(pool.map(_spin, range(2))) / alone
+    return max(experiments._pmap(_spin, [0, 1], 2)) / alone
 
 
 def timed_sweep(spec: SweepSpec, split: bool) -> tuple[float, list]:
@@ -109,19 +109,17 @@ def main() -> None:
     serial: list[list[float]] = [[] for _ in specs]
     split: list[list[float]] = [[] for _ in specs]
     probes = []
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        parallel_ratio(pool)  # start both workers
-        for pair in range(args.pairs):
-            probes.append(parallel_ratio(pool))
-            for k, spec in enumerate(specs):
-                order = (False, True) if pair % 2 == 0 else (True, False)
-                rows = []
-                for is_split in order:
-                    seconds, side_rows = timed_sweep(spec, is_split)
-                    (split if is_split else serial)[k].append(seconds)
-                    rows.append(side_rows)
-                if rows[0] != rows[1]:
-                    raise SystemExit(f"repetitions {spec.repetitions}: split rows differ")
+    for pair in range(args.pairs):
+        probes.append(parallel_ratio())
+        for k, spec in enumerate(specs):
+            order = (False, True) if pair % 2 == 0 else (True, False)
+            rows = []
+            for is_split in order:
+                seconds, side_rows = timed_sweep(spec, is_split)
+                (split if is_split else serial)[k].append(seconds)
+                rows.append(side_rows)
+            if rows[0] != rows[1]:
+                raise SystemExit(f"repetitions {spec.repetitions}: split rows differ")
 
     print(f"{'lane-rounds':>12} {'one block s':>12} {'two blocks s':>13} {'ratio':>6}")
     for n, a, b in zip(lane_rounds, serial, split):

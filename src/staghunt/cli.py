@@ -263,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--seed", type=int, default=0, help="base seed")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="at most this many worker "
-                        "processes: the units are dealt into up to this many blocks, each "
+    parser.add_argument("--jobs", type=int, default=1, help="at most this many processes, "
+                        "this one included: the units are dealt into up to this many blocks, each "
                         "played in lockstep")
     sub = parser.add_subparsers(dest="command", required=True)
 

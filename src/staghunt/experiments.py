@@ -14,9 +14,10 @@ import functools
 import itertools
 import math
 import os
+import pickle
+import signal
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -197,36 +198,90 @@ def _cpus() -> int:
 
 
 def _pmap(worker, payloads: Sequence, jobs: int) -> list:
-    """[worker(p) for p in payloads]: here at jobs 1 or for one payload, else on a pool of
-    min(jobs, payloads) workers, since under fork every worker starts at the first submit."""
-    if jobs <= 1 or len(payloads) <= 1:
+    """[worker(p) for p in payloads], one process per payload: payload 0 here and each other
+    one in a forked child, which pipes back its pickled result or exception. All run here at
+    jobs 1, for one payload, or where os.fork does not exist. Callers pass at most jobs
+    payloads. A child's exception is raised here, and no child outlives the call."""
+    if jobs <= 1 or len(payloads) <= 1 or not hasattr(os, "fork"):
         return [worker(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-        return list(pool.map(worker, payloads))
+    children: list = []  # (pid, result pipe) of each child not yet reaped, in payload order
+    try:
+        for payload in payloads[1:]:
+            children.append(_fork(worker, payload))
+        results = [worker(payloads[0])]
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()  # to EOF before the wait, so a large result cannot deadlock
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            if not data:
+                raise RuntimeError(f"block child {pid} ended without a result, "
+                                   f"exit status {os.waitstatus_to_exitcode(status)}")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
-def _timed_block(block, payloads) -> tuple[list, Counter, float]:
+def _fork(worker, payload):
+    """Start worker(payload) in a forked child; return its pid and the read end of the
+    pipe it writes pickle.dumps((ok, result or exception)) to before os._exit."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:  # the child: no atexit handler, test teardown or stdout flush runs here
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                out = (True, worker(payload))
+            except BaseException as exc:
+                out = (False, exc)
+            data = pickle.dumps(out)  # an unpicklable result exits 1 with no data
+            with open(write_fd, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _timed_block(block, payloads) -> tuple[list, Counter, float, int]:
     start = time.perf_counter()
     rows, counts = block(payloads)
-    return rows, counts, time.perf_counter() - start
+    return rows, counts, time.perf_counter() - start, os.getpid()
 
 
 def _deal(block, payloads: list, jobs: int) -> tuple[list, Counter, list[dict]]:
     """Run the payloads in min(jobs, len(payloads), CPUs) blocks, one _pmap payload each.
 
     Payloads are dealt round-robin, so that each block mixes cheap and
-    costly ones; one block runs in this process and starts no pool.
-    block(block_payloads) returns (one row per payload, in order; a
-    Counter). Returns every row in payload order, the Counters' sum, and
-    one {"payloads", "wall_s"} per block, in deal order, timed in its worker.
+    costly ones; block 0 runs in this process, and each other block in a
+    forked child. block(block_payloads) returns (one row per payload, in
+    order; a Counter). Returns every row in payload order, the Counters'
+    sum, and one {"payloads", "wall_s", "pid"} per block, in deal order,
+    timed in the process that ran it.
     """
     n = max(1, min(jobs, len(payloads), _cpus()))
     blocks = _pmap(functools.partial(_timed_block, block), [payloads[b::n] for b in range(n)], jobs)
     rows: list = [None] * len(payloads)
-    for b, (block_rows, _, _) in enumerate(blocks):
+    for b, (block_rows, *_) in enumerate(blocks):
         rows[b::n] = block_rows
-    deal = [{"payloads": len(block_rows), "wall_s": s} for block_rows, _, s in blocks]
-    return rows, sum((counts for _, counts, _ in blocks), Counter()), deal
+    deal = [{"payloads": len(block_rows), "wall_s": s, "pid": pid}
+            for block_rows, _, s, pid in blocks]
+    return rows, sum((counts for _, counts, _, _ in blocks), Counter()), deal
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +317,11 @@ class SweepSpec:
 DRAW_CHUNK = 100
 
 #: A sweep makes one block per this many lane-rounds (2 x matches x iterations),
-#: up to jobs. A second block saves about 0.1 us a lane-round and its pool costs
-#: about 0.03 s; they broke even at 0.22-0.29 M lane-rounds (BENCH_sweep_blocks.json),
-#: so a sweep splits in two only from twice that.
+#: up to jobs. On forked blocks two beat one in wall time from 0.24 M lane-rounds
+#: of SweepSpec() and, at 100 iterations, from 48,400; but on the perfbench sweep
+#: (72,000 in 500 rounds of 144 lanes, each round's fixed cost paid in both blocks)
+#: they took 1.3x the wall and 1.7x the CPU time (BENCH_sweep_blocks_fork.json,
+#: BENCH_gridworld_fork.json). So a sweep splits in two only from 0.5 M.
 MIN_BLOCK_LANE_ROUNDS = 250_000
 
 

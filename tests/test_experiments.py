@@ -1,4 +1,6 @@
 import os
+import signal
+import time
 from collections import Counter
 
 import numpy as np
@@ -303,49 +305,37 @@ def test_play_from_cached_distributions_matches_a_choice_reference(stag_motion):
         update_policies(policies, [episode for *_, episodes in played for episode in episodes])
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and payloads, maps in-process."""
-
-    sizes: list = []
-    payloads: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        items = list(items)
-        self.payloads.append(len(items))
-        return map(fn, items)
+def _processes(result) -> int:
+    """The blocks of a run, checking that block 0 ran here and every other in its own child."""
+    pids = [block["pid"] for block in result.telemetry["blocks"]]
+    assert pids[0] == os.getpid()
+    assert len(set(pids)) == len(pids)
+    return len(pids)
 
 
 def test_pool_has_no_more_workers_than_payloads(monkeypatch):
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(_RecordingPool, "payloads", [])
     monkeypatch.setattr(experiments, "_cpus", lambda: 64)
-    assert experiments._pmap(abs, [-1, -2, -3], 64) == [1, 2, 3]
+    results = experiments._pmap(lambda x: (abs(x), os.getpid()), [-1, -2, -3], 64)
+    assert [value for value, _ in results] == [1, 2, 3]
+    pids = [pid for _, pid in results]
+    assert pids[0] == os.getpid() and len(set(pids)) == 3
     spec = GridworldSpec(scenarios=("near-stag",), variants=("tomaga",), seeds=2,
                          iterations=5, window=5)
-    rows = run_gridworld_comparison(spec, base_seed=1, jobs=64).rows
-    assert rows == run_gridworld_comparison(spec, base_seed=1, jobs=1).rows
+    result = run_gridworld_comparison(spec, base_seed=1, jobs=64)
+    assert result.rows == run_gridworld_comparison(spec, base_seed=1, jobs=1).rows
     sweep = small_sweep(probabilities=(0.5,), iterations=5, repetitions=1, variants=("tomaga",))
-    run_sweep(sweep, base_seed=1, jobs=8)  # one payload: no pool at all
+    assert _processes(run_sweep(sweep, base_seed=1, jobs=8)) == 1  # one payload: no child
     # 72 matches of 5 iterations are 720 lane-rounds, far below MIN_BLOCK_LANE_ROUNDS: one
     # block, played here
     sweep = small_sweep(probabilities=(0.0, 0.5, 1.0), iterations=5, repetitions=4)
-    assert run_sweep(sweep, base_seed=1, jobs=2).rows == run_sweep(sweep, base_seed=1).rows
-    # one payload per worker: 6 groups at 3 jobs go as 3 blocks
+    split = run_sweep(sweep, base_seed=1, jobs=2)
+    assert split.rows == run_sweep(sweep, base_seed=1).rows
+    assert _processes(split) == 1
+    # one payload per process: 6 groups at 3 jobs go as 3 blocks
     tournament = TournamentSpec(group_sizes=(2, 3), rounds=5, report_window=5, repetitions=3,
                                 compositions=("pavlov",))
-    run_tournament(tournament, base_seed=1, jobs=3)
-    assert _RecordingPool.sizes == [3, 2, 3]
-    assert _RecordingPool.payloads == [3, 2, 3]
+    assert [len(pids), _processes(result),
+            _processes(run_tournament(tournament, base_seed=1, jobs=3))] == [3, 2, 3]
 
 
 def test_deal_has_no_more_blocks_than_cpus(monkeypatch):
@@ -353,9 +343,6 @@ def test_deal_has_no_more_blocks_than_cpus(monkeypatch):
         assert experiments._cpus() == len(os.sched_getaffinity(0))
         monkeypatch.delattr(os, "sched_getaffinity")
     assert experiments._cpus() == (os.cpu_count() or 1)
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(_RecordingPool, "payloads", [])
     tournament = TournamentSpec(group_sizes=(2, 3), rounds=5, report_window=5, repetitions=3,
                                 compositions=("pavlov",))
     serial = run_tournament(tournament, base_seed=1).rows
@@ -363,26 +350,93 @@ def test_deal_has_no_more_blocks_than_cpus(monkeypatch):
     result = run_tournament(tournament, base_seed=1, jobs=500)
     assert result.rows == serial
     assert [block["payloads"] for block in result.telemetry["blocks"]] == [3, 3]
-    assert _RecordingPool.sizes == [2]
+    assert _processes(result) == 2
     monkeypatch.setattr(experiments, "_cpus", lambda: 1)  # one block, played here
-    assert run_tournament(tournament, base_seed=1, jobs=500).rows == serial
-    assert _RecordingPool.sizes == [2]
+    result = run_tournament(tournament, base_seed=1, jobs=500)
+    assert result.rows == serial
+    assert _processes(result) == 1
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_sweep_makes_one_block_per_min_block_lane_rounds(monkeypatch, jobs):
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(_RecordingPool, "payloads", [])
     monkeypatch.setattr(experiments, "_cpus", lambda: 64)
     # 4 matches of 5 iterations: 40 lane-rounds
     sweep = small_sweep(iterations=5, repetitions=1, variants=("tomaga",))
     monkeypatch.setattr(experiments, "MIN_BLOCK_LANE_ROUNDS", 41)
-    assert [b["payloads"] for b in run_sweep(sweep, jobs=jobs).telemetry["blocks"]] == [4]
+    result = run_sweep(sweep, jobs=jobs)
+    assert [b["payloads"] for b in result.telemetry["blocks"]] == [4]
+    assert _processes(result) == 1
     monkeypatch.setattr(experiments, "MIN_BLOCK_LANE_ROUNDS", 20)
-    blocks = run_sweep(sweep, jobs=jobs).telemetry["blocks"]
-    assert [b["payloads"] for b in blocks] == ([4] if jobs == 1 else [2, 2])
-    assert _RecordingPool.sizes == ([] if jobs == 1 else [2])
+    result = run_sweep(sweep, jobs=jobs)
+    assert [b["payloads"] for b in result.telemetry["blocks"]] == ([4] if jobs == 1 else [2, 2])
+    assert _processes(result) == (1 if jobs == 1 else 2)
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.fixture
+def leaves_nothing_open():
+    """The test's forks leave no child behind and, where /proc lists them, no descriptor."""
+    fds = _open_fds()
+    yield
+    assert _open_fds() == fds
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(_open_fds() is None, reason="no /proc to list descriptors")
+def test_forked_blocks_leave_no_descriptor_open(leaves_nothing_open):
+    # each child's result is far larger than a pipe's buffer
+    results = experiments._pmap(lambda x: [x] * 100_000, [0, 1, 2], 3)
+    assert [len(r) for r in results] == [100_000] * 3
+    assert [r[-1] for r in results] == [0, 1, 2]
+
+
+def test_forked_block_exception_reaches_the_caller(leaves_nothing_open):
+    def worker(x):
+        if os.getpid() != caller:
+            raise KeyError(f"payload {x}")
+        return x
+
+    caller = os.getpid()
+    with pytest.raises(KeyError, match="payload 1"):
+        experiments._pmap(worker, [0, 1, 2], 3)
+
+
+def test_forked_caller_block_exception_does_not_wait_for_the_children(leaves_nothing_open):
+    def worker(x):
+        if x == 0:
+            raise ValueError("the caller's block")
+        time.sleep(60)
+        return x
+
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="the caller's block"):
+        experiments._pmap(worker, [0, 1, 2], 3)
+    assert time.perf_counter() - start < 30
+
+
+@pytest.mark.parametrize("worker, status", [
+    (lambda x: lambda: x, 1),  # a lambda cannot be pickled
+    (lambda x: os.kill(os.getpid(), signal.SIGKILL) if x else x, -signal.SIGKILL),
+])
+def test_forked_block_without_a_result_names_its_exit_status(leaves_nothing_open, worker,
+                                                               status):
+    with pytest.raises(RuntimeError, match=f"without a result, exit status {status}$"):
+        experiments._pmap(worker, [0, 1], 2)
+
+
+def test_blocks_without_fork_run_in_the_caller(monkeypatch, leaves_nothing_open):
+    monkeypatch.setattr(experiments, "_cpus", lambda: 3)
+    tournament = TournamentSpec(group_sizes=(2, 3), rounds=5, report_window=5, repetitions=3,
+                                compositions=("pavlov",))
+    serial = run_tournament(tournament, base_seed=1).rows
+    monkeypatch.delattr(os, "fork")
+    result = run_tournament(tournament, base_seed=1, jobs=3)
+    assert result.rows == serial
+    assert [block["pid"] for block in result.telemetry["blocks"]] == [os.getpid()] * 3
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
