@@ -26,14 +26,7 @@ import numpy as np
 
 from .game import C, U, PayoffMatrix
 from .gridworld import SCENARIOS, STAG_MOTIONS, episode_transition_rows, make_scenario
-from .matrix_agents import (
-    Exploration,
-    MatrixAgentState,
-    MatrixLanes,
-    MatrixPlayer,
-    PavlovState,
-    values_for_cooperation_probability,
-)
+from .matrix_agents import MatrixLanes, values_for_cooperation_probability
 from .beliefs import ToMState, make_tom_state
 from .policy_learner import (
     GridLearner,
@@ -84,22 +77,41 @@ def _guilt(variant: str, params: AgentParams | GridworldSpec) -> GuiltParams | N
     return GuiltParams(params.theta) if variant in ("tomaga", "ga-no-tom") else None
 
 
-def make_matrix_agent(
-    variant: str, params: AgentParams, initial_p_cooperate: float = 0.5
-) -> MatrixAgentState:
-    """Build a matrix-form learner variant with its softmax P(C) preset."""
-    if variant not in MATRIX_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {MATRIX_VARIANTS}")
-    return MatrixAgentState(
-        values=values_for_cooperation_probability(
-            initial_p_cooperate, params.temperature, params.prob_clamp
-        ),
-        tom=_tom_state(params, tom_enabled=(variant != "ga-no-tom")),
-        guilt=_guilt(variant, params),
-        alpha=params.alpha,
-        gamma=params.gamma,
-        explore=Exploration(params.temperature, params.temperature_decay),
-    )
+def matrix_lanes(
+    kinds: Sequence[str],
+    p_init: Sequence[float],
+    params: AgentParams,
+    pavlov: tuple[int, int] | None,
+) -> MatrixLanes:
+    """A block's players as lanes, lane k of kinds[k]: a MATRIX_VARIANTS learner with
+    params' settings whose softmax P(C) starts at p_init[k], or "pavlov", whose count
+    starts at pavlov's (i_count, n). Each distinct p's initial values and each kind's
+    ToMState and GuiltParams are built once and shared by its lanes."""
+    setups = {}  # kind -> (its constant columns, ToMState, GuiltParams or None)
+    for kind in dict.fromkeys(kinds):
+        if kind == "pavlov":
+            i_count, n = pavlov
+            # no step, lookahead, decay, confidence learning or guilt, so the value
+            # learner's columns and beliefs stay in range; its value rule is thrown away
+            constants = dict(temp=1.0, alpha=0.0, gamma=0.0, decay=1.0, pavlov=True,
+                             i_count=i_count, n=n)
+            setups[kind] = constants, make_tom_state(learning_rate=0.0), None
+        elif kind in MATRIX_VARIANTS:
+            # an inert Pavlov count, 0 of 1: its rule is thrown away
+            constants = dict(temp=params.temperature, alpha=params.alpha, gamma=params.gamma,
+                             decay=params.temperature_decay, pavlov=False, i_count=0, n=1)
+            setups[kind] = constants, _tom_state(params, kind != "ga-no-tom"), _guilt(kind, params)
+        else:
+            raise ValueError(f"unknown variant {kind!r}; expected one of {MATRIX_VARIANTS}")
+    values = {p: values_for_cooperation_probability(p, params.temperature, params.prob_clamp)
+              for p in set(p_init)}
+    per_lane = [setups[kind] for kind in kinds]
+    columns = {name: [constants[name] for constants, _, _ in per_lane] for name in per_lane[0][0]}
+    for label, name in ((C, "v_c"), (U, "v_u")):
+        columns[name] = [0.0 if kind == "pavlov" else values[p][label]
+                         for kind, p in zip(kinds, p_init)]
+    toms, guilts = [tom for _, tom, _ in per_lane], [guilt for _, _, guilt in per_lane]
+    return MatrixLanes(columns, Beliefs(toms, guilts))
 
 
 def make_grid_learner(variant: str, spec: GridworldSpec) -> GridLearner:
@@ -326,23 +338,22 @@ MIN_BLOCK_LANE_ROUNDS = 250_000
 
 
 def run_matches(
-    pairs: Sequence[tuple[MatrixPlayer, MatrixPlayer]],
+    lanes: MatrixLanes,
     matrix: PayoffMatrix,
     iterations: int,
     rngs: Sequence[np.random.Generator],
     traces: Sequence[list] | None = None,
-) -> tuple[MatrixLanes, np.ndarray]:
+) -> np.ndarray:
     """Play every pair's repeated one-shot match in lockstep, pair k from rngs[k].
 
-    Pair k's players are lanes k and len(pairs) + k of the returned
-    MatrixLanes, which holds their final state. Also returns the actions:
-    actions[t, lane] is True where that lane played C in iteration t. Each
-    iteration takes two draws from the pair's generator, first player's
-    first, exactly as the pair's match played alone. Pass one list per pair
-    as traces to also collect one TRACE_COLUMNS row per iteration.
+    Pair k's players are lanes k and len(rngs) + k, which end in their final
+    state. Returns the actions: actions[t, lane] is True where that lane
+    played C in iteration t. Each iteration takes two draws from the pair's
+    generator, first player's first, exactly as the pair's match played
+    alone. Pass one list per pair as traces to also collect one TRACE_COLUMNS
+    row per iteration.
     """
-    n = len(pairs)
-    lanes = MatrixLanes([pair[0] for pair in pairs] + [pair[1] for pair in pairs])
+    n = len(rngs)
     first = np.arange(n)
     second = first + n
     actions = np.empty((iterations, 2 * n), dtype=bool)
@@ -355,7 +366,7 @@ def run_matches(
             if traces is not None:
                 for k, trace in enumerate(traces):
                     trace.append(_trace_row(t, lanes, (k, n + k), c, phi, psychological, matrix))
-    return lanes, actions
+    return actions
 
 
 TRACE_COLUMNS = (
@@ -399,17 +410,19 @@ def _sweep_block(payloads, traces: Sequence[list] | None = None) -> tuple[list[t
     (base_seed, i, j, rep), never on the variant or the block.
     """
     spec = payloads[0][0]
-    pairs = [
-        tuple(make_matrix_agent(variant, spec.agent_params, spec.probabilities[k]) for k in (i, j))
-        for _, variant, i, j, _, _ in payloads
-    ]
+    probs = spec.probabilities
+    lanes = matrix_lanes(
+        [variant for _, variant, *_ in payloads] * 2,
+        [probs[i] for _, _, i, _, _, _ in payloads] + [probs[j] for _, _, _, j, _, _ in payloads],
+        spec.agent_params,
+        None,
+    )
     rngs = [_rng_for(base_seed, i, j, rep) for _, _, i, j, rep, base_seed in payloads]
-    lanes, actions = run_matches(pairs, spec.matrix, spec.iterations, rngs, traces)
-    n = len(pairs)
+    actions = run_matches(lanes, spec.matrix, spec.iterations, rngs, traces)
+    n = len(payloads)
     coop = lanes.p_cooperate()[:n].tolist()
     window = actions[-spec.measure_window :, :n]
     cooperated = window.sum(axis=0).tolist()
-    probs = spec.probabilities
     rows = [
         (variant, probs[i], probs[j], rep, coop[k], cooperated[k] / len(window))
         for k, (_, variant, i, j, rep, _) in enumerate(payloads)
@@ -496,16 +509,12 @@ class TournamentSpec:
         _require_unit_interval(self, "pavlov_p0")
 
 
-def _make_group(composition: str, size: int, spec: TournamentSpec) -> list[MatrixPlayer]:
-    pavlov = PavlovState(i_count=round(spec.pavlov_n * spec.pavlov_p0), n=spec.pavlov_n)
-    if composition == "pavlov":
-        return [pavlov for _ in range(size)]
-    if composition == "tomaga":
-        return [make_matrix_agent("tomaga", spec.agent_params) for _ in range(size)]
-    if composition == "tom-no-guilt":
-        return [make_matrix_agent("tom-no-guilt", spec.agent_params) for _ in range(size)]
-    # heterogeneous: one guilt-averse ToM agent among Pavlov players
-    return [make_matrix_agent("tomaga", spec.agent_params)] + [pavlov] * (size - 1)
+def _make_group(composition: str, size: int) -> list[str]:
+    """A group's kinds (see matrix_lanes)."""
+    if composition == "heterogeneous":
+        # one guilt-averse ToM agent among Pavlov players
+        return ["tomaga"] + ["pavlov"] * (size - 1)
+    return [composition] * size
 
 
 TOURNAMENT_COLUMNS = ("composition", "group_size", "repetition", "mean_common_reward")
@@ -521,12 +530,14 @@ def _tournament_block(payloads) -> tuple[list[tuple], Counter]:
     """
     spec = payloads[0][0]
     groups = []  # (size, generator, its first lane)
-    players: list[MatrixPlayer] = []
+    kinds: list[str] = []
     for _, comp_idx, size_idx, rep, base_seed in payloads:
         size = spec.group_sizes[size_idx]
-        groups.append((size, _rng_for(base_seed, comp_idx, size_idx, rep), len(players)))
-        players += _make_group(spec.compositions[comp_idx], size, spec)
-    lanes = MatrixLanes(players)
+        groups.append((size, _rng_for(base_seed, comp_idx, size_idx, rep), len(kinds)))
+        kinds += _make_group(spec.compositions[comp_idx], size)
+    pavlov = (round(spec.pavlov_n * spec.pavlov_p0), spec.pavlov_n)
+    # the learners start at even odds
+    lanes = matrix_lanes(kinds, [0.5] * len(kinds), spec.agent_params, pavlov)
     # a round's rewards in pair order, actor then partner: group g's are bounds[g]:bounds[g + 1]
     bounds = list(itertools.accumulate((size - size % 2 for size, _, _ in groups), initial=0))
     window_from = spec.rounds - min(spec.report_window, spec.rounds)

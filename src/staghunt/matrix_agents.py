@@ -11,7 +11,9 @@ Three families live here:
     * the engine, `MatrixLanes`: every player of a block of matches is one
       slot ("lane") of flat numpy arrays, and `play` moves every lane
       through one round in one pass of numpy calls, for any set of disjoint
-      pairs; `state` turns a lane back into a frozen state.
+      pairs. It is built from its columns, one entry per lane, and a
+      shaping.Beliefs; experiments.matrix_lanes builds both from a block's
+      kinds and the spec's AgentParams.
 
 Beliefs, phi and guilt come from shaping.Beliefs, the store and rule the
 grid world uses too. Every rule is elementwise numpy with each lane's float
@@ -22,70 +24,16 @@ gives the same bits as one match at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from .beliefs import ToMState, make_tom_state
 from .game import C, ONE, U, ZERO, PayoffMatrix, PolicyLabel
-from .shaping import Beliefs, GuiltParams
-
-
-@dataclass(frozen=True, slots=True)
-class Exploration:
-    """Softmax action selection: P(C) is a logistic over the value gap at the
-    current temperature, which decays geometrically each iteration."""
-
-    temperature: float = 1.0
-    temperature_decay: float = 0.995
-
-    def __post_init__(self):
-        if not self.temperature > 0:
-            raise ValueError("softmax temperature must be > 0")
-
-
-@dataclass(frozen=True, slots=True)
-class MatrixAgentState:
-    """A value learner for the one-shot game.
-
-    guilt=None disables reward shaping entirely (the individual learner and
-    the ToM-without-guilt variant); beliefs keep updating either way.
-    """
-
-    values: dict[PolicyLabel, float]
-    tom: ToMState
-    guilt: GuiltParams | None
-    alpha: float
-    gamma: float
-    explore: Exploration
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-
-
-@dataclass(frozen=True, slots=True)
-class PavlovState:
-    """Cooperates with probability i/n; i moves by one on match/mismatch."""
-
-    i_count: int
-    n: int
-
-    def __post_init__(self):
-        if self.n <= 0:
-            raise ValueError("Pavlov resolution n must be positive")
-        if not 0 <= self.i_count <= self.n:
-            raise ValueError(f"i_count must lie in [0, {self.n}], got {self.i_count}")
-
-
-MatrixPlayer = Union[MatrixAgentState, PavlovState]
+from .shaping import Beliefs
 
 
 def values_for_cooperation_probability(
-    p: float, temperature: float = 1.0, clamp: float = 1e-3
+    p: float, temperature: float, clamp: float
 ) -> dict[PolicyLabel, float]:
     """Initial action values whose softmax P(C) equals p at the given temperature.
 
@@ -97,27 +45,13 @@ def values_for_cooperation_probability(
     return {C: gap / 2.0, U: -gap / 2.0}
 
 
-#: A Pavlov lane's value-learner columns and beliefs: no step, lookahead,
-#: decay, confidence learning or guilt, so they stay in range; its value rule
-#: is thrown away.
-_INERT_VALUE_LEARNER = dict(v_c=0.0, v_u=0.0, temp=1.0, alpha=0.0, gamma=0.0, decay=1.0)
-_INERT_TOM = make_tom_state(learning_rate=0.0)
-_INT_COLUMNS = ("i_count", "n")
+#: MatrixLanes' columns besides the beliefs, each with the dtype it is kept in.
+_COLUMNS = dict(
+    v_c=float, v_u=float, temp=float, alpha=float, gamma=float, decay=float,
+    pavlov=bool, i_count=int, n=int,
+)
 #: What play() moves besides the beliefs; a lane that sits a round out keeps these.
 _LANE_STATE = ("v_c", "v_u", "temp", "i_count")
-
-
-def _lane(player: MatrixPlayer) -> dict:
-    """A player's lane: every column of MatrixLanes for it."""
-    if isinstance(player, PavlovState):
-        return {**_INERT_VALUE_LEARNER, "pavlov": True, "i_count": player.i_count, "n": player.n}
-    explore = player.explore
-    return dict(
-        v_c=player.values[C], v_u=player.values[U], temp=explore.temperature,
-        alpha=player.alpha, gamma=player.gamma, decay=explore.temperature_decay,
-        # an inert Pavlov count, 0 of 1: its rule is thrown away
-        pavlov=False, i_count=0, n=1,
-    )
 
 
 class MatrixLanes:
@@ -125,23 +59,19 @@ class MatrixLanes:
 
     State: v_c, v_u (action values), temp (softmax temperature), for Pavlov
     lanes i_count, and beliefs, the lanes' shaping.Beliefs (slot k for lane k).
-    Per-lane constants: alpha, gamma, decay, pavlov and n. Every rule runs on
-    every lane; a mask picks each lane's own.
+    Per-lane constants: alpha, gamma, decay (of the temperature, each round),
+    pavlov and n. Every rule runs on every lane; a mask picks each lane's own.
     """
 
-    def __init__(self, players: Sequence[MatrixPlayer]):
-        self.players = list(players)
-        lanes = [_lane(player) for player in self.players]
-        for name in lanes[0]:
-            dtype = int if name in _INT_COLUMNS else bool if name == "pavlov" else float
-            setattr(self, name, np.array([lane[name] for lane in lanes], dtype=dtype))
-        learners = [(_INERT_TOM, None) if isinstance(player, PavlovState)
-                    else (player.tom, player.guilt) for player in self.players]
-        self.beliefs = Beliefs([tom for tom, _ in learners], [guilt for _, guilt in learners])
+    def __init__(self, columns: dict[str, Sequence], beliefs: Beliefs):
+        for name, dtype in _COLUMNS.items():
+            setattr(self, name, np.array(columns[name], dtype=dtype))
+        self.beliefs = beliefs
         self.any_pavlov = bool(self.pavlov.any())
 
     def p_cooperate(self) -> np.ndarray:
-        """Every lane's softmax P(C) (see Exploration), or i/n for Pavlov."""
+        """Every lane's softmax P(C), a logistic over its value gap at its temperature,
+        or i/n for Pavlov."""
         x = (self.v_c - self.v_u) / self.temp
         # the logistic on math.exp, whose rounding is libm's, as the scalar rule's
         e = np.fromiter(map(math.exp, (-np.abs(x)).tolist()), float, len(x))
@@ -183,7 +113,7 @@ class MatrixLanes:
         reward, phi and the psychological reward (meaningless for Pavlov
         lanes and for lanes that sat out).
         """
-        n = len(self.players)
+        n = len(self.v_c)
         playing = None
         if 2 * len(first) < n:
             playing = np.zeros(n, dtype=bool)
@@ -212,15 +142,3 @@ class MatrixLanes:
         for name, old in before.items():
             setattr(self, name, np.where(playing, getattr(self, name), old))
         return c, reward, phi, psychological
-
-    def state(self, k: int) -> MatrixPlayer:
-        """Lane k as a frozen state: its player with the lane's current state."""
-        player = self.players[k]
-        if isinstance(player, PavlovState):
-            return PavlovState(int(self.i_count[k]), player.n)
-        return replace(
-            player,
-            values={C: float(self.v_c[k]), U: float(self.v_u[k])},
-            tom=self.beliefs.state(k),
-            explore=replace(player.explore, temperature=float(self.temp[k])),
-        )

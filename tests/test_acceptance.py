@@ -15,7 +15,12 @@ import numpy as np
 import pytest
 
 from engine_helpers import (
+    Exploration,
+    MatrixAgentState,
     cooperation_probability,
+    lane_state,
+    lanes_of,
+    make_matrix_agent,
     surrogate_gradient,
     surrogate_objective,
     td1_update,
@@ -39,7 +44,6 @@ from staghunt.experiments import (
     SweepSpec,
     TournamentSpec,
     gridworld_threshold_summary,
-    make_matrix_agent,
     run_gridworld_comparison,
     run_matches,
     run_sweep,
@@ -48,7 +52,6 @@ from staghunt.experiments import (
     tournament_means,
 )
 from staghunt.gridworld import GridAction, make_scenario, run_episode
-from staghunt.matrix_agents import Exploration, MatrixAgentState
 from staghunt.policy_learner import ACTIONS
 
 Q1 = PayoffMatrix(40.0, 30.0, 20.0, 0.0)
@@ -140,11 +143,12 @@ def _replay_sweep_units(spec: SweepSpec, units, base_seed: int):
         np.random.default_rng(np.random.SeedSequence([base_seed, i, j, rep]))
         for _variant, i, j, rep in units
     ]
-    lanes, actions = run_matches(pairs, spec.matrix, spec.iterations, rngs)
+    lanes = lanes_of([pair[0] for pair in pairs] + [pair[1] for pair in pairs])
+    actions = run_matches(lanes, spec.matrix, spec.iterations, rngs)
     n = len(units)
     return [
         (
-            (lanes.state(k), lanes.state(n + k)),
+            (lane_state(lanes, k), lane_state(lanes, n + k)),
             tuple(C if actions[-1, lane] else U for lane in (k, n + k)),
         )
         for k in range(n)

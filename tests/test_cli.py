@@ -189,8 +189,8 @@ def test_trace_cell_replays_the_sweep_row(tmp_path):
     import dataclasses
 
     from staghunt import C, U
-    from staghunt.experiments import AgentParams, SweepSpec, make_matrix_agent
-    from engine_helpers import cooperation_probability
+    from staghunt.experiments import AgentParams, SweepSpec
+    from engine_helpers import cooperation_probability, make_matrix_agent
 
     out = tmp_path / "tr"
     iterations = 60

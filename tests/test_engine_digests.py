@@ -17,7 +17,7 @@ import io
 import numpy as np
 import pytest
 
-from engine_helpers import run_match
+from engine_helpers import PavlovState, make_matrix_agent, run_match
 from staghunt import PayoffMatrix
 from staghunt.experiments import (
     COMPOSITIONS,
@@ -27,14 +27,12 @@ from staghunt.experiments import (
     GridworldSpec,
     SweepSpec,
     TournamentSpec,
-    make_matrix_agent,
     run_gridworld_comparison,
     run_gridworld_detail,
     run_sweep,
     run_tournament,
 )
 from staghunt.gridworld import EPISODE_LOG_COLUMNS
-from staghunt.matrix_agents import PavlovState
 
 Q1 = PayoffMatrix(40.0, 30.0, 20.0, 0.0)
 Q2 = PayoffMatrix(5.0, 4.0, 2.0, 1.0)

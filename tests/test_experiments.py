@@ -19,7 +19,7 @@ from staghunt.experiments import (
     _gridworld_lane,
     gridworld_threshold_summary,
     make_grid_learner,
-    make_matrix_agent,
+    matrix_lanes,
     run_gridworld_comparison,
     run_sweep,
     run_tournament,
@@ -88,8 +88,8 @@ def test_sweep_spec_validation():
         SweepSpec(probabilities=(0.5, 1.2))
     with pytest.raises(ValueError):
         SweepSpec(repetitions=0)
-    with pytest.raises(ValueError):
-        make_matrix_agent("pavlov-ish", AgentParams())
+    with pytest.raises(ValueError, match="unknown variant 'pavlov-ish'"):
+        matrix_lanes(["pavlov-ish"], [0.5], AgentParams(), None)
 
 
 def test_sweep_parallel_jobs_match_serial():

@@ -6,26 +6,31 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from engine_helpers import cooperation_probability, run_match, td1_update
+from engine_helpers import (
+    Exploration,
+    MatrixAgentState,
+    PavlovState,
+    cooperation_probability,
+    lane_state,
+    lanes_of,
+    make_matrix_agent,
+    run_match,
+    td1_update,
+)
 from scalar_beliefs import belief_step, expected_payoffs
 from staghunt import C, U, GuiltParams, PayoffMatrix, guilt_threshold_f, make_tom_state
 from staghunt.experiments import (
     COMPOSITIONS,
     DRAW_CHUNK,
+    MATRIX_VARIANTS,
     AgentParams,
     TournamentSpec,
     _make_group,
-    make_matrix_agent,
+    matrix_lanes,
     run_matches,
     run_tournament,
 )
-from staghunt.matrix_agents import (
-    Exploration,
-    MatrixAgentState,
-    MatrixLanes,
-    PavlovState,
-    values_for_cooperation_probability,
-)
+from staghunt.matrix_agents import _COLUMNS, values_for_cooperation_probability
 from staghunt.shaping import Beliefs, guilt_reward, phi_from_beliefs, shape_reward
 
 Q1 = PayoffMatrix(40, 30, 20, 0)
@@ -133,10 +138,10 @@ def play(lanes, rng, matrix=Q1):
 def pavlov_learn(state, own, other):
     """state after one round in which it played own against other."""
     partner = PavlovState(i_count=10 if other is C else 0, n=10)
-    lanes = MatrixLanes([state, partner])
+    lanes = lanes_of([state, partner])
     draws = [0.0 if label is C else 1.0 for label in (own, other)]  # C needs P(C) > 0
     lanes.play(np.array([0]), np.array([1]), draws[:1], draws[1:], Q1)
-    return lanes.state(0)
+    return lane_state(lanes, 0)
 
 
 def make_agent(values=None, guilt_theta=200.0, tom_enabled=True, alpha=0.1, gamma=0.9,
@@ -167,7 +172,7 @@ def test_softmax_probability_from_value_gap():
 
 def test_value_initialisation_matches_target_probability():
     for p in (0.1, 0.5, 0.9):
-        agent = make_agent(values=values_for_cooperation_probability(p, temperature=1.0))
+        agent = make_agent(values=values_for_cooperation_probability(p, temperature=1.0, clamp=1e-3))
         assert cooperation_probability(agent) == pytest.approx(p)
 
 
@@ -237,7 +242,7 @@ def test_agent_state_validation():
 
 def test_pavlov_extremes_are_deterministic():
     rng = np.random.default_rng(0)
-    always, never = MatrixLanes(
+    always, never = lanes_of(
         [PavlovState(i_count=10, n=10), PavlovState(i_count=0, n=10)]
     ).p_cooperate()
     assert all(rng.random() < always for _ in range(20))
@@ -246,7 +251,7 @@ def test_pavlov_extremes_are_deterministic():
 
 def test_pavlov_half_probability_sampling():
     rng = np.random.default_rng(1234)
-    p = MatrixLanes([PavlovState(i_count=1, n=2)]).p_cooperate()[0]
+    p = lanes_of([PavlovState(i_count=1, n=2)]).p_cooperate()[0]
     draws = 10_000
     heads = sum(rng.random() < p for _ in range(draws))
     sigma = math.sqrt(draws * 0.25)
@@ -273,7 +278,7 @@ def test_pavlov_state_validation():
                    max_size=100),
 )
 def test_pavlov_count_stays_in_range(starts, draws):
-    lanes = MatrixLanes([PavlovState(i_count=start, n=10) for start in starts])
+    lanes = lanes_of([PavlovState(i_count=start, n=10) for start in starts])
     for u0, u1 in draws:
         lanes.play(np.array([0]), np.array([1]), [u0], [u1], Q1)
         assert all(0 <= i <= 10 for i in lanes.i_count.tolist())
@@ -283,7 +288,7 @@ def test_pavlov_count_stays_in_range(starts, draws):
 
 
 def test_individual_pair_has_no_psychological_component():
-    lanes = MatrixLanes([make_agent(values={C: -10.0, U: 10.0}, guilt_theta=None)] * 2)
+    lanes = lanes_of([make_agent(values={C: -10.0, U: 10.0}, guilt_theta=None)] * 2)
     rng = np.random.default_rng(0)
     actions, rewards, records = play(lanes, rng)
     assert actions == (U, U)
@@ -307,7 +312,7 @@ def test_guilt_pair_with_certain_beliefs_defecting_together():
         explore=Exploration(),
     )
     rng = np.random.default_rng(0)
-    actions, rewards, records = play(MatrixLanes([agent, agent]), rng)
+    actions, rewards, records = play(lanes_of([agent, agent]), rng)
     assert actions == (U, U)
     assert records[0][0] == pytest.approx(40.0)  # phi
     assert records[0][2] == pytest.approx(-3980.0)  # shaped
@@ -329,7 +334,7 @@ def test_guilt_off_trajectory_identical_to_individual_learner():
 
     def run(variant):
         params = AgentParams()
-        lanes = MatrixLanes([
+        lanes = lanes_of([
             make_matrix_agent(variant, params, initial_p_cooperate=0.6),
             make_matrix_agent(variant, params, initial_p_cooperate=0.3),
         ])
@@ -338,7 +343,7 @@ def test_guilt_off_trajectory_identical_to_individual_learner():
         for _ in range(200):
             actions, rewards, _ = play(lanes, rng)
             trail.append((*actions, rewards))
-        return trail, [lanes.state(k) for k in (0, 1)]
+        return trail, [lane_state(lanes, k) for k in (0, 1)]
 
     trail_tng, agents_tng = run("tom-no-guilt")
     trail_ind, agents_ind = run("individual")
@@ -348,12 +353,12 @@ def test_guilt_off_trajectory_identical_to_individual_learner():
 
 
 def test_temperature_decays_each_iteration():
-    lanes = MatrixLanes([make_agent(), make_agent()])
+    lanes = lanes_of([make_agent(), make_agent()])
     rng = np.random.default_rng(3)
     play(lanes, rng)
-    assert lanes.state(0).explore.temperature == pytest.approx(0.995)
+    assert lane_state(lanes, 0).explore.temperature == pytest.approx(0.995)
     play(lanes, rng)
-    assert lanes.state(0).explore.temperature == pytest.approx(0.995**2)
+    assert lane_state(lanes, 0).explore.temperature == pytest.approx(0.995**2)
 
 
 def test_first_mutual_defection_clears_tom_guilt_but_not_frozen_belief_guilt():
@@ -370,10 +375,10 @@ def test_first_mutual_defection_clears_tom_guilt_but_not_frozen_belief_guilt():
     assert params.theta == 200.0
 
     def first_uu(variant):
-        lanes = MatrixLanes([make_matrix_agent(variant, params, 0.0)] * 2)
+        lanes = lanes_of([make_matrix_agent(variant, params, 0.0)] * 2)
         actions, _, records = play(lanes, np.random.default_rng(0))
         assert actions == (U, U)
-        return lanes.state(0).tom, records[0]
+        return lane_state(lanes, 0).tom, records[0]
 
     tom, (phi, psychological, _) = first_uu("tomaga")
     assert (tom.zero_order.p_cooperative, tom.first_order.p_cooperative) == pytest.approx(
@@ -465,7 +470,7 @@ def test_lanes_match_the_scalar_reference_bit_for_bit(players, matrix, seed, rou
     """Random disjoint pairs each round, with lanes sitting out: every action,
     reward (of the payoffs' own type: int payoffs give ints), phi,
     psychological reward and state as the scalar learners give."""
-    lanes = MatrixLanes(players)
+    lanes = lanes_of(players)
     refs = [learner_for(player) for player in players]
     rng = np.random.default_rng(seed)
     for _ in range(rounds):
@@ -496,7 +501,7 @@ def test_lanes_match_the_scalar_reference_bit_for_bit(players, matrix, seed, rou
             if isinstance(ref, MatrixLearner):
                 assert _bits(lanes.temp[k]) == _bits(ref.temp)
     for k, ref in enumerate(refs):
-        state = lanes.state(k)
+        state = lane_state(lanes, k)
         if isinstance(ref, PavlovLearner):
             assert state == PavlovState(ref.i_count, ref.n)
         else:
@@ -521,7 +526,7 @@ def test_lanes_step_their_beliefs_as_a_grid_store_steps(players, matrix, seed, r
     learners = [inert if isinstance(player, PavlovState) else (player.tom, player.guilt)
                 for player in players]
     grid = Beliefs([tom for tom, _ in learners], [guilt for _, guilt in learners])
-    lanes = MatrixLanes(players)
+    lanes = lanes_of(players)
     n = len(players)
     rng = np.random.default_rng(seed)
     for _ in range(rounds):
@@ -552,8 +557,49 @@ def test_state_round_trips_every_lane():
             explore=Exploration(temperature=2.5, temperature_decay=0.9),
         ),
     ]
-    lanes = MatrixLanes(players)
-    assert [lanes.state(k) for k in range(len(players))] == players
+    lanes = lanes_of(players)
+    assert [lane_state(lanes, k) for k in range(len(players))] == players
+
+
+# --- lanes built from the spec against lanes of the frozen players -------------------
+
+_KINDS = (*MATRIX_VARIANTS, "pavlov")
+# at and past the clamp, signed and int zeros, an int one (as a config gives them), repeats
+_P_INIT = (0.0, 1.0, 0.5, 0.5, 0.02, 0.0, -0.0, 0, 1, 0.3)
+
+
+@pytest.mark.parametrize("params", [
+    AgentParams(),
+    AgentParams(theta=3.5, alpha=0.25, gamma=0.7, learning_rate=0.2, confidence=0.3,
+                zero_order=0.6, first_order=0.1, temperature=2, temperature_decay=0.99,
+                prob_clamp=0.05),
+], ids=["default", "custom"])
+@pytest.mark.parametrize("spec", [TournamentSpec(), TournamentSpec(pavlov_n=7, pavlov_p0=0.5)],
+                         ids=["pavlov-9-of-10", "pavlov-4-of-7"])
+def test_matrix_lanes_match_the_lanes_of_the_players_they_replace(params, spec):
+    """Every column and every Beliefs slot of matrix_lanes' lanes, byte for byte and
+    dtype for dtype, as lanes_of gives for make_matrix_agent's learners and a
+    tournament's Pavlov players; and the same kinds rejected."""
+    pavlov = (round(spec.pavlov_n * spec.pavlov_p0), spec.pavlov_n)
+    for kinds in ([kind for _ in _P_INIT for kind in _KINDS], list(MATRIX_VARIANTS) * 3):
+        p_init = [p for p in _P_INIT for _ in _KINDS][: len(kinds)]
+        built = matrix_lanes(kinds, p_init, params, pavlov if "pavlov" in kinds else None)
+        reference = lanes_of([
+            PavlovState(*pavlov) if kind == "pavlov" else make_matrix_agent(kind, params, p)
+            for kind, p in zip(kinds, p_init)
+        ])
+        assert built.any_pavlov == reference.any_pavlov
+        columns = [(getattr(built, name), getattr(reference, name), name) for name in _COLUMNS]
+        columns += [(getattr(built.beliefs, name), getattr(reference.beliefs, name), name)
+                    for name in Beliefs.__slots__]
+        for ours, theirs, name in columns:
+            assert ours.dtype == theirs.dtype, name
+            assert ours.tobytes() == theirs.tobytes(), name
+    for kind in ("pavlov-ish", "inequity", "heterogeneous"):
+        with pytest.raises(ValueError, match="unknown variant"):
+            make_matrix_agent(kind, params)
+        with pytest.raises(ValueError, match=f"unknown variant {kind!r}"):
+            matrix_lanes(["tomaga", kind], [0.5, 0.5], params, pavlov)
 
 
 # --- whole matches and tournaments against the reference -------------------------
@@ -583,8 +629,9 @@ def test_run_matches_plays_each_pair_as_the_reference_plays_it_alone():
     ]
     matrix = PayoffMatrix(5.0, 4.0, 2.0, 1.0)
     iterations = 2 * DRAW_CHUNK + 17  # crosses two draw chunks
-    lanes, actions = run_matches(
-        pairs, matrix, iterations, [np.random.default_rng(50 + k) for k in range(len(pairs))]
+    lanes = lanes_of([pair[0] for pair in pairs] + [pair[1] for pair in pairs])
+    actions = run_matches(
+        lanes, matrix, iterations, [np.random.default_rng(50 + k) for k in range(len(pairs))]
     )
     n = len(pairs)
     for k, pair in enumerate(pairs):
@@ -600,7 +647,9 @@ def _reference_tournament_row(spec, comp_idx, size_idx, rep, base_seed):
     """A tournament.csv row from the group played alone on the reference learners."""
     composition, size = spec.compositions[comp_idx], spec.group_sizes[size_idx]
     rng = np.random.default_rng(np.random.SeedSequence([base_seed, comp_idx, size_idx, rep]))
-    group = [learner_for(player) for player in _make_group(composition, size, spec)]
+    pavlov = PavlovState(round(spec.pavlov_n * spec.pavlov_p0), spec.pavlov_n)
+    group = [learner_for(pavlov if kind == "pavlov" else make_matrix_agent(kind, spec.agent_params))
+             for kind in _make_group(composition, size)]
     matrix = spec.matrix
     common = []
     for _ in range(spec.rounds):
@@ -660,7 +709,7 @@ def test_a_negative_zero_payoff_keeps_its_sign_after_its_positive_twin():
     for g in (0.0, -0.0, 0.0, -0.0):
         matrix = PayoffMatrix(4.0, 3.0, 2.0, g)
         # u = 0.0 is below P(C) = 0.5 and u = 1.0 above it: lane 0 plays C, lane 1 U
-        c, reward, _, _ = MatrixLanes([player, player]).play(
+        c, reward, _, _ = lanes_of([player, player]).play(
             np.array([0]), np.array([1]), np.array([0.0]), np.array([1.0]), matrix
         )
         assert c.tolist() == [True, False]
