@@ -329,11 +329,12 @@ class SweepSpec:
 DRAW_CHUNK = 100
 
 #: A sweep makes one block per this many lane-rounds (2 x matches x iterations),
-#: up to jobs. On forked blocks two beat one in wall time from 0.24 M lane-rounds
-#: of SweepSpec() and, at 100 iterations, from 48,400; but on the perfbench sweep
-#: (72,000 in 500 rounds of 144 lanes, each round's fixed cost paid in both blocks)
-#: they took 1.3x the wall and 1.7x the CPU time (BENCH_sweep_blocks_fork.json,
-#: BENCH_gridworld_fork.json). So a sweep splits in two only from 0.5 M.
+#: up to jobs. Lines fitted to one and two forked blocks of SweepSpec() at
+#: 0.24-4.84 M lane-rounds meet at 0.15-0.40 M, and two blocks won from 0.48 M;
+#: on the perfbench sweep (72,000 in 500 rounds of 144 lanes, each round's fixed
+#: cost paid in both blocks) they took 1.3x the wall and 1.7x the CPU time
+#: (BENCH_sweep_exp.json, BENCH_gridworld_fork.json). So a sweep splits in two
+#: only from 0.5 M.
 MIN_BLOCK_LANE_ROUNDS = 250_000
 
 
@@ -342,26 +343,29 @@ def run_matches(
     matrix: PayoffMatrix,
     iterations: int,
     rngs: Sequence[np.random.Generator],
+    streams: Sequence[int],
     traces: Sequence[list] | None = None,
 ) -> np.ndarray:
-    """Play every pair's repeated one-shot match in lockstep, pair k from rngs[k].
+    """Play every pair's repeated one-shot match in lockstep, pair k from rngs[streams[k]].
 
-    Pair k's players are lanes k and len(rngs) + k, which end in their final
-    state. Returns the actions: actions[t, lane] is True where that lane
-    played C in iteration t. Each iteration takes two draws from the pair's
-    generator, first player's first, exactly as the pair's match played
-    alone. Pass one list per pair as traces to also collect one TRACE_COLUMNS
-    row per iteration.
+    Pair k's players are lanes k and len(streams) + k, which end in their
+    final state. Returns the actions: actions[t, lane] is True where that
+    lane played C in iteration t. Each iteration takes two draws from each
+    generator, first player's first, exactly as a match played alone; pairs
+    of one stream see the same draws. Pass one list per pair as traces to
+    also collect one TRACE_COLUMNS row per iteration.
     """
-    n = len(rngs)
-    first = np.arange(n)
-    second = first + n
+    n = len(streams)
+    streams = np.asarray(streams)
+    opponent = np.concatenate((np.arange(n, 2 * n), np.arange(n)))
     actions = np.empty((iterations, 2 * n), dtype=bool)
     for start in range(0, iterations, DRAW_CHUNK):
         stop = min(start + DRAW_CHUNK, iterations)
         draws = np.stack([rng.random((stop - start, 2)) for rng in rngs], axis=2)
-        for t, (u_first, u_second) in enumerate(draws, start):
-            c, _, phi, psychological = lanes.play(first, second, u_first, u_second, matrix)
+        # every lane's draw: the first players' then the second players'
+        u = draws.take(streams, axis=2).reshape(stop - start, 2 * n)
+        for t, u_t in enumerate(u, start):
+            c, _, phi, psychological = lanes.play(u_t, opponent, matrix)
             actions[t] = c
             if traces is not None:
                 for k, trace in enumerate(traces):
@@ -417,8 +421,12 @@ def _sweep_block(payloads, traces: Sequence[list] | None = None) -> tuple[list[t
         spec.agent_params,
         None,
     )
-    rngs = [_rng_for(base_seed, i, j, rep) for _, _, i, j, rep, base_seed in payloads]
-    actions = run_matches(lanes, spec.matrix, spec.iterations, rngs, traces)
+    # one generator per distinct stream: a cell's variants share theirs
+    slots: dict[tuple, int] = {}
+    streams = [slots.setdefault((base_seed, i, j, rep), len(slots))
+               for _, _, i, j, rep, base_seed in payloads]
+    rngs = [_rng_for(*stream) for stream in slots]
+    actions = run_matches(lanes, spec.matrix, spec.iterations, rngs, streams, traces)
     n = len(payloads)
     coop = lanes.p_cooperate()[:n].tolist()
     window = actions[-spec.measure_window :, :n]
@@ -538,30 +546,39 @@ def _tournament_block(payloads) -> tuple[list[tuple], Counter]:
     pavlov = (round(spec.pavlov_n * spec.pavlov_p0), spec.pavlov_n)
     # the learners start at even odds
     lanes = matrix_lanes(kinds, [0.5] * len(kinds), spec.agent_params, pavlov)
-    # a round's rewards in pair order, actor then partner: group g's are bounds[g]:bounds[g + 1]
+    # a round's matched lanes, actor then partner, group by group:
+    # group g's are bounds[g]:bounds[g + 1]
     bounds = list(itertools.accumulate((size - size % 2 for size, _, _ in groups), initial=0))
+    partner = np.arange(bounds[-1]) ^ 1  # each matched lane's partner's position
     window_from = spec.rounds - min(spec.report_window, spec.rounds)
     commons: list[list[float]] = [[] for _ in groups]
     for start in range(0, spec.rounds, DRAW_CHUNK):
         rounds = min(DRAW_CHUNK, spec.rounds - start)
-        columns = []  # per group: its first players, second players and their draws
+        orders, draws = [], []
         for size, rng, lane0 in groups:
-            matched = size - size % 2
             order = np.tile(np.arange(size), (rounds, 1))
-            draws = np.empty((rounds, matched))
+            drawn = np.empty((rounds, size - size % 2))
             for t in range(rounds):
                 rng.shuffle(order[t])  # what rng.permutation(size) draws
-                rng.random(out=draws[t])
-            order += lane0
-            columns.append(
-                (order[:, 0:matched:2], order[:, 1:matched:2], draws[:, 0::2], draws[:, 1::2])
-            )
-        first, second, u_first, u_second = (np.concatenate(part, axis=1) for part in zip(*columns))
+                rng.random(out=drawn[t])
+            orders.append(order[:, : size - size % 2] + lane0)
+            draws.append(drawn)
+        matched = np.concatenate(orders, axis=1)
+        at = np.arange(rounds)[:, None], matched
+        # a lane sitting out has no draw: NaN, which is never near P(C)
+        u = np.full((rounds, len(kinds)), np.nan)
+        u[at] = np.concatenate(draws, axis=1)
+        opponent = np.tile(np.arange(len(kinds)), (rounds, 1))
+        opponent[at] = matched[:, partner]
+        playing = [None] * rounds
+        if bounds[-1] < len(kinds):
+            playing = np.zeros((rounds, len(kinds)), dtype=bool)
+            playing[at] = True
         for t in range(rounds):
-            _, reward, _, _ = lanes.play(first[t], second[t], u_first[t], u_second[t], spec.matrix)
+            _, reward, _, _ = lanes.play(u[t], opponent[t], spec.matrix, playing[t])
             if start + t < window_from:
                 continue
-            rewards = np.column_stack((reward[first[t]], reward[second[t]])).ravel().tolist()
+            rewards = reward[matched[t]].tolist()
             for common, lo, hi in zip(commons, bounds, bounds[1:]):
                 common.append(sum(rewards[lo:hi]) / (hi - lo))
     rows = [

@@ -19,6 +19,12 @@ Beliefs, phi and guilt come from shaping.Beliefs, the store and rule the
 grid world uses too. Every rule is elementwise numpy with each lane's float
 operations in a fixed order and each branch an np.where, so lockstep play
 gives the same bits as one match at a time.
+
+One float is not numpy's: P(C)'s exponential. p_cooperate takes it from
+math.exp, whose rounding is libm's, as the scalar rule's; numpy's SIMD exp
+rounds differently on some inputs and hosts. A round needs only whether each
+draw lies below P(C), so play decides on numpy's exp and takes p_cooperate's
+P(C) only for a lane whose draw lies within NEAR of it.
 """
 
 from __future__ import annotations
@@ -53,6 +59,16 @@ _COLUMNS = dict(
 #: What play() moves besides the beliefs; a lane that sits a round out keeps these.
 _LANE_STATE = ("v_c", "v_u", "temp", "i_count")
 
+#: play() decides a lane whose draw lies within this of its numpy-exp P(C) on
+#: p_cooperate's. Both P(C)s lie a few ulp (under 1e-15) from the true logistic,
+#: so a draw farther off compares the same against either, p = 0 from an
+#: underflow and p = 1 at saturation included; Pavlov's i/n is the same in both.
+NEAR = 1e-9
+
+
+def _libm_exp(y: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.exp, y.tolist()), float, len(y))
+
 
 class MatrixLanes:
     """A block's players as lanes of flat arrays, all moved by one `play` per round.
@@ -71,10 +87,13 @@ class MatrixLanes:
 
     def p_cooperate(self) -> np.ndarray:
         """Every lane's softmax P(C), a logistic over its value gap at its temperature,
-        or i/n for Pavlov."""
+        or i/n for Pavlov: the exact one, its exponential libm's (math.exp), as the
+        scalar rule's. It gives the sweep's final_coop_softmax."""
+        return self._logistic(_libm_exp)
+
+    def _logistic(self, exp) -> np.ndarray:
         x = (self.v_c - self.v_u) / self.temp
-        # the logistic on math.exp, whose rounding is libm's, as the scalar rule's
-        e = np.fromiter(map(math.exp, (-np.abs(x)).tolist()), float, len(x))
+        e = exp(-np.abs(x))
         d = ONE + e
         p = np.where(x >= ZERO, ONE / d, e / d)
         if self.any_pavlov:
@@ -97,35 +116,28 @@ class MatrixLanes:
 
     def play(
         self,
-        first: np.ndarray,
-        second: np.ndarray,
-        u_first: np.ndarray,
-        u_second: np.ndarray,
+        u: np.ndarray,
+        opponent: np.ndarray,
         matrix: PayoffMatrix,
+        playing: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """One simultaneous round of the disjoint pairs (first[k], second[k]).
+        """One simultaneous round: lane k, with uniform draw u[k], plays lane opponent[k].
 
-        u_first[k] and u_second[k] are the two players' uniform draws; each
-        player sees only the revealed actions. A lane in no pair sits the
-        round out unchanged. Then per lane, in this order: beliefs, phi,
-        guilt, shaped reward, TD(1), temperature decay; Pavlov steps its
-        count. Returns, over every lane: whether it played C, its material
-        reward, phi and the psychological reward (meaningless for Pavlov
-        lanes and for lanes that sat out).
+        The pairs are disjoint (opponent[opponent[k]] == k) and each player
+        sees only the revealed actions. Pass playing, the mask of the lanes in
+        a pair, only when some lane sits the round out: such a lane ends the
+        round unchanged, and its u and opponent (any lane) only shape what is
+        returned for it. Then per lane, in this order: beliefs, phi, guilt,
+        shaped reward, TD(1), temperature decay; Pavlov steps its count.
+        Returns, over every lane: whether it played C, its material reward,
+        phi and the psychological reward (meaningless for Pavlov lanes and
+        for lanes that sat out).
         """
-        n = len(self.v_c)
-        playing = None
-        if 2 * len(first) < n:
-            playing = np.zeros(n, dtype=bool)
-            playing[first] = True
-            playing[second] = True
-        u = np.zeros(n)
-        u[first] = u_first
-        u[second] = u_second
-        c = u < self.p_cooperate()
-        opponent = np.arange(n)
-        opponent[first] = second
-        opponent[second] = first
+        p = self._logistic(np.exp)
+        near = np.abs(u - p) < NEAR
+        if near.any():
+            p = np.where(near, self.p_cooperate(), p)
+        c = u < p
         other_c = c[opponent]
         before = {name: getattr(self, name) for name in _LANE_STATE} if playing is not None else {}
 

@@ -3,8 +3,9 @@
 The matrix engine's frozen per-player states, the scalar reference's inputs,
 and the lanes built from them (lanes_of) and read back (lane_state); one
 match, one agent's P(C) and one agent's TD(1) step, each a batch of one on the
-production kernels; and the clipped surrogate and its gradient over a dict of
-preference rows, on the grid-world learner's update kernel."""
+production kernels; a round of pairs as MatrixLanes.play takes it (pairing);
+and the clipped surrogate and its gradient over a dict of preference rows, on
+the grid-world learner's update kernel."""
 
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -134,6 +135,21 @@ def lane_state(lanes: MatrixLanes, k: int) -> MatrixPlayer:
     )
 
 
+def pairing(n: int, first, second, u_first, u_second):
+    """A round of the disjoint pairs (first[k], second[k]) among n lanes, with draws
+    u_first[k] and u_second[k], as MatrixLanes.play takes it: (u, opponent, playing).
+    A lane in no pair draws NaN and faces itself; playing is None when every lane plays."""
+    u = np.full(n, np.nan)
+    u[first], u[second] = u_first, u_second
+    opponent = np.arange(n)
+    opponent[first], opponent[second] = second, first
+    playing = None
+    if 2 * len(first) < n:
+        playing = np.zeros(n, dtype=bool)
+        playing[first] = playing[second] = True
+    return u, opponent, playing
+
+
 def run_match(agents, matrix, iterations, rng, trace=None):
     """One match, as run_matches with one pair: final agents and the action history.
 
@@ -141,7 +157,7 @@ def run_match(agents, matrix, iterations, rng, trace=None):
     """
     traces = None if trace is None else [trace]
     lanes = lanes_of(agents)
-    actions = run_matches(lanes, matrix, iterations, [rng], traces)
+    actions = run_matches(lanes, matrix, iterations, [rng], [0], traces)
     history = [(C if a0 else U, C if a1 else U) for a0, a1 in actions.tolist()]
     return (lane_state(lanes, 0), lane_state(lanes, 1)), history
 

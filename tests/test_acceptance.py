@@ -144,7 +144,7 @@ def _replay_sweep_units(spec: SweepSpec, units, base_seed: int):
         for _variant, i, j, rep in units
     ]
     lanes = lanes_of([pair[0] for pair in pairs] + [pair[1] for pair in pairs])
-    actions = run_matches(lanes, spec.matrix, spec.iterations, rngs)
+    actions = run_matches(lanes, spec.matrix, spec.iterations, rngs, range(len(rngs)))
     n = len(units)
     return [
         (

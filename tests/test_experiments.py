@@ -9,6 +9,7 @@ import pytest
 from staghunt import PayoffMatrix, experiments
 from staghunt.beliefs import make_tom_state
 from staghunt.experiments import (
+    DRAW_CHUNK,
     GRID_VARIANTS,
     AgentParams,
     GridworldSpec,
@@ -81,6 +82,25 @@ def test_sweep_rows_schema():
     for row in result.rows:
         assert 0.0 <= row[4] <= 1.0
         assert 0.0 <= row[5] <= 1.0
+
+
+def test_sweep_block_rows_are_those_of_one_payload_blocks(monkeypatch):
+    """A block makes one generator per stream (base seed, cell, repetition), and each
+    match draws from its stream as if it played alone: with the cell's variants in one
+    block, in blocks apart, or in any order."""
+    sweep = small_sweep(probabilities=(0.0, 0.3, 1.0), iterations=DRAW_CHUNK + 20, repetitions=1,
+                        variants=("tomaga", "individual", "ga-no-tom"))
+    payloads = [(sweep, variant, i, j, 0, 5) for variant in sweep.variants
+                for i in range(3) for j in range(3)]
+    alone = {p: experiments._sweep_block([p])[0][0] for p in payloads}
+    made = []
+    rng_for = experiments._rng_for
+    monkeypatch.setattr(experiments, "_rng_for", lambda *key: made.append(key) or rng_for(*key))
+    # 9 cells a variant: dealt in two, a cell's neighbouring variants land in blocks apart
+    for block in (payloads, payloads[::-1], payloads[0::2], payloads[1::2]):
+        made.clear()
+        assert experiments._sweep_block(block)[0] == [alone[p] for p in block]
+        assert sorted(made) == sorted({(5, i, j, 0) for _, _, i, j, _, _ in block})
 
 
 def test_sweep_spec_validation():

@@ -14,6 +14,7 @@ from engine_helpers import (
     lane_state,
     lanes_of,
     make_matrix_agent,
+    pairing,
     run_match,
     td1_update,
 )
@@ -24,13 +25,16 @@ from staghunt.experiments import (
     DRAW_CHUNK,
     MATRIX_VARIANTS,
     AgentParams,
+    SweepSpec,
     TournamentSpec,
     _make_group,
     matrix_lanes,
     run_matches,
+    run_sweep,
     run_tournament,
 )
-from staghunt.matrix_agents import _COLUMNS, values_for_cooperation_probability
+from staghunt import matrix_agents
+from staghunt.matrix_agents import _COLUMNS, MatrixLanes, values_for_cooperation_probability
 from staghunt.shaping import Beliefs, guilt_reward, phi_from_beliefs, shape_reward
 
 Q1 = PayoffMatrix(40, 30, 20, 0)
@@ -127,7 +131,8 @@ def play(lanes, rng, matrix=Q1):
     shaped) records).
     """
     u0, u1 = rng.random(), rng.random()
-    c, reward, phi, psychological = lanes.play(np.array([0]), np.array([1]), [u0], [u1], matrix)
+    u, opponent, playing = pairing(2, [0], [1], [u0], [u1])
+    c, reward, phi, psychological = lanes.play(u, opponent, matrix, playing)
     actions = tuple(C if c[k] else U for k in (0, 1))
     records = tuple(
         (phi[k], psychological[k], reward[k] + psychological[k]) for k in (0, 1)
@@ -140,7 +145,8 @@ def pavlov_learn(state, own, other):
     partner = PavlovState(i_count=10 if other is C else 0, n=10)
     lanes = lanes_of([state, partner])
     draws = [0.0 if label is C else 1.0 for label in (own, other)]  # C needs P(C) > 0
-    lanes.play(np.array([0]), np.array([1]), draws[:1], draws[1:], Q1)
+    u, opponent, playing = pairing(2, [0], [1], draws[:1], draws[1:])
+    lanes.play(u, opponent, Q1, playing)
     return lane_state(lanes, 0)
 
 
@@ -280,7 +286,8 @@ def test_pavlov_state_validation():
 def test_pavlov_count_stays_in_range(starts, draws):
     lanes = lanes_of([PavlovState(i_count=start, n=10) for start in starts])
     for u0, u1 in draws:
-        lanes.play(np.array([0]), np.array([1]), [u0], [u1], Q1)
+        u, opponent, playing = pairing(2, [0], [1], [u0], [u1])
+        lanes.play(u, opponent, Q1, playing)
         assert all(0 <= i <= 10 for i in lanes.i_count.tolist())
 
 
@@ -480,7 +487,8 @@ def test_lanes_match_the_scalar_reference_bit_for_bit(players, matrix, seed, rou
         n_pairs = int(rng.integers(0, len(players) // 2 + 1))
         first, second = order[0 : 2 * n_pairs : 2], order[1 : 2 * n_pairs : 2]
         u_first, u_second = rng.random(n_pairs), rng.random(n_pairs)
-        c, reward, phi, psychological = lanes.play(first, second, u_first, u_second, matrix)
+        u, opponent, playing = pairing(len(players), first, second, u_first, u_second)
+        c, reward, phi, psychological = lanes.play(u, opponent, matrix, playing)
         rewards = reward.tolist()
         for k in range(n_pairs):
             a0, a1, *records = play_learners(
@@ -533,9 +541,8 @@ def test_lanes_step_their_beliefs_as_a_grid_store_steps(players, matrix, seed, r
         order = rng.permutation(n)
         n_pairs = int(rng.integers(0, n // 2 + 1))
         first, second = order[0 : 2 * n_pairs : 2], order[1 : 2 * n_pairs : 2]
-        c, reward, phi, psychological = lanes.play(
-            first, second, rng.random(n_pairs), rng.random(n_pairs), matrix
-        )
+        u, opponent, playing = pairing(n, first, second, rng.random(n_pairs), rng.random(n_pairs))
+        c, reward, phi, psychological = lanes.play(u, opponent, matrix, playing)
         opponent, playing = np.arange(n), np.zeros(n, dtype=bool)
         opponent[first], opponent[second] = second, first
         playing[first] = playing[second] = True
@@ -630,9 +637,8 @@ def test_run_matches_plays_each_pair_as_the_reference_plays_it_alone():
     matrix = PayoffMatrix(5.0, 4.0, 2.0, 1.0)
     iterations = 2 * DRAW_CHUNK + 17  # crosses two draw chunks
     lanes = lanes_of([pair[0] for pair in pairs] + [pair[1] for pair in pairs])
-    actions = run_matches(
-        lanes, matrix, iterations, [np.random.default_rng(50 + k) for k in range(len(pairs))]
-    )
+    rngs = [np.random.default_rng(50 + k) for k in range(len(pairs))]
+    actions = run_matches(lanes, matrix, iterations, rngs, range(len(pairs)))
     n = len(pairs)
     for k, pair in enumerate(pairs):
         rng = np.random.default_rng(50 + k)
@@ -709,8 +715,77 @@ def test_a_negative_zero_payoff_keeps_its_sign_after_its_positive_twin():
     for g in (0.0, -0.0, 0.0, -0.0):
         matrix = PayoffMatrix(4.0, 3.0, 2.0, g)
         # u = 0.0 is below P(C) = 0.5 and u = 1.0 above it: lane 0 plays C, lane 1 U
-        c, reward, _, _ = lanes_of([player, player]).play(
-            np.array([0]), np.array([1]), np.array([0.0]), np.array([1.0]), matrix
-        )
+        u, opponent, playing = pairing(2, [0], [1], [0.0], [1.0])
+        c, reward, _, _ = lanes_of([player, player]).play(u, opponent, matrix, playing)
         assert c.tolist() == [True, False]
         assert (_bits(reward[0]), _bits(reward[1])) == (_bits(g), _bits(matrix.c))
+
+
+# --- actions from numpy's exp, ties from libm's -------------------------------
+
+
+def _moved_exp(monkeypatch, ulps: int) -> None:
+    """Patch np.exp, which matrix_agents looks up on each call, to return its results
+    moved ulps ulp up (or down, not below 0)."""
+    exp = np.exp
+
+    def moved(x):
+        out = exp(x)
+        for _ in range(abs(ulps)):
+            out = np.nextafter(out, np.inf if ulps > 0 else 0.0)
+        return out
+
+    monkeypatch.setattr(matrix_agents.np, "exp", moved)
+
+
+def _tie_players() -> list:
+    """Value learners whose P(C) is 1.0 (saturated), 0.0 (underflow), denormal, tiny,
+    even and 200 gaps between, and a Pavlov lane at every i/n of n = 10 (5/10 twice,
+    for an even lane count)."""
+    gaps = [800.0, 40.0, -800.0, -720.0, -40.0, 0.0, *np.random.default_rng(7).normal(0, 8, 200)]
+    learners = [
+        MatrixAgentState(
+            values={C: gap / 2, U: -gap / 2}, tom=make_tom_state(), guilt=GuiltParams(2.0),
+            alpha=0.1, gamma=0.9, explore=Exploration(temperature=1.0),
+        )
+        for gap in gaps
+    ]
+    return learners + [PavlovState(i, 10) for i in range(11)] + [PavlovState(5, 10)]
+
+
+@pytest.mark.parametrize("ulps", [-2, 0, 2])
+@pytest.mark.parametrize("tie", ["at", "below", "above"])
+def test_actions_at_ties_are_those_of_the_exact_p_cooperate(monkeypatch, ulps, tie):
+    """A draw equal to, or one ulp either side of, each lane's exact P(C) (libm's exp)
+    gives the action u < P(C) of that P(C), lane by lane, whatever numpy's exp rounds to."""
+    _moved_exp(monkeypatch, ulps)
+    players = _tie_players()
+    p = lanes_of(players).p_cooperate()
+    assert p[0] == 1.0 and p[2] == 0.0 and 0.0 < p[3] < np.finfo(float).tiny
+    u = {"at": p, "below": np.nextafter(p, 0.0), "above": np.nextafter(p, 1.0)}[tie]
+    c, *_ = lanes_of(players).play(u, np.arange(len(players)) ^ 1, Q1)
+    assert c.tolist() == (u < p).tolist()
+
+
+def _small_runs(base_seed: int) -> tuple[list, list]:
+    sweep = SweepSpec(probabilities=(0.0, 0.3, 1.0), iterations=DRAW_CHUNK + 20,
+                      repetitions=2, variants=MATRIX_VARIANTS)
+    tournament = TournamentSpec(group_sizes=(2, 3), rounds=DRAW_CHUNK + 20, report_window=40,
+                                repetitions=2, compositions=COMPOSITIONS)
+    return run_sweep(sweep, base_seed).rows, run_tournament(tournament, base_seed).rows
+
+
+@pytest.mark.parametrize("ulps", [-2, 2])
+@pytest.mark.parametrize("near", [matrix_agents.NEAR, 1.0])
+def test_rows_do_not_depend_on_the_bits_of_numpy_exp(monkeypatch, ulps, near):
+    """A sweep's and a tournament's rows are the same bytes with numpy's exp moved 2 ulp,
+    whether each round decides on it (NEAR) or every lane on the exact P(C) (1.0)."""
+    expected = repr(_small_runs(3))
+    _moved_exp(monkeypatch, ulps)
+    monkeypatch.setattr(matrix_agents, "NEAR", near)
+    calls = []
+    exact = MatrixLanes.p_cooperate
+    monkeypatch.setattr(MatrixLanes, "p_cooperate", lambda lanes: calls.append(1) or exact(lanes))
+    assert repr(_small_runs(3)) == expected
+    if near == 1.0:  # every round of both runs, and the sweep's final_coop_softmax
+        assert len(calls) == 2 * (DRAW_CHUNK + 20) + 1
