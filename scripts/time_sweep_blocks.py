@@ -9,7 +9,8 @@ block, in this process) and at jobs 2 with MIN_BLOCK_LANE_ROUNDS set to 1
 included), the side that goes first alternating. Just before each pair a
 probe spins the same loop alone and then in two processes at once (this one
 and a forked child): their slower time over the time alone is about 1 when
-two processes ran in parallel and about 2 when they shared one CPU.
+two processes ran in parallel and about 2 when they shared one CPU. One
+untimed two-process spin runs before the first pair.
 Prints each rung's medians, every pair's probe, and the crossover: the
 least lane-rounds from which the split won every larger rung, and where
 straight lines fitted to each side's seconds meet. Checks that both sides
@@ -109,6 +110,7 @@ def main() -> None:
     serial: list[list[float]] = [[] for _ in specs]
     split: list[list[float]] = [[] for _ in specs]
     probes = []
+    experiments._pmap(_spin, [0, 1], 2)  # untimed: no probe pays for a first fork
     for pair in range(args.pairs):
         probes.append(parallel_ratio())
         for k, spec in enumerate(specs):

@@ -40,6 +40,7 @@ from .experiments import (
     RunResult,
     SweepSpec,
     TournamentSpec,
+    gridworld_run,
     gridworld_threshold_summary,
     run_gridworld_comparison,
     run_gridworld_detail,
@@ -135,13 +136,12 @@ def _grid(name: str, lo: float, hi: float, step: float) -> list[float]:
 
 def _detail_run(spec, scenario: str, variant: str, seed: str) -> tuple[str, str, int]:
     """The (scenario, variant, seed index) of one run of the comparison, or ValueError."""
-    if scenario in spec.scenarios and variant in spec.variants and seed.isdecimal():
-        if int(seed) < spec.seeds:
-            return scenario, variant, int(seed)
-    raise ValueError(
-        f"--detail {scenario} {variant} {seed} is not a run of this comparison: scenarios "
-        f"{list(spec.scenarios)}, variants {list(spec.variants)}, seeds 0 to {spec.seeds - 1}"
-    )
+    run = scenario, variant, int(seed) if seed.isdecimal() else seed
+    try:
+        gridworld_run(spec, *run)
+    except ValueError as error:
+        raise ValueError(f"--detail {error}") from None
+    return run
 
 
 def _grid_index(grid: tuple[float, ...], p: float) -> int:

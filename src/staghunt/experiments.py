@@ -30,6 +30,7 @@ from .matrix_agents import MatrixLanes, values_for_cooperation_probability
 from .beliefs import ToMState, make_tom_state
 from .policy_learner import (
     GridLearner,
+    Lane,
     LearnerConfig,
     PolicyParams,
     PolicyTable,
@@ -112,22 +113,6 @@ def matrix_lanes(
                          for kind, p in zip(kinds, p_init)]
     toms, guilts = [tom for _, tom, _ in per_lane], [guilt for _, _, guilt in per_lane]
     return MatrixLanes(columns, Beliefs(toms, guilts))
-
-
-def make_grid_learner(variant: str, spec: GridworldSpec) -> GridLearner:
-    """Build a grid-world learner variant: its policy table's LearnerConfig, its
-    beliefs, guilt and inequity all come from the spec."""
-    if variant not in GRID_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {GRID_VARIANTS}")
-    hyper = LearnerConfig(
-        **{f.name: getattr(spec, f.name) for f in dataclasses.fields(LearnerConfig)}
-    )
-    guilt = _guilt(variant, spec)
-    inequity = None
-    if variant == "inequity":
-        inequity = InequityParams(spec.inequity_advantageous, spec.inequity_disadvantageous)
-    beliefs = Beliefs([_tom_state(spec, tom_enabled=(variant == "tomaga"))], [guilt])
-    return GridLearner(PolicyParams(PolicyTable(hyper)), beliefs, guilt=guilt, inequity=inequity)
 
 
 @dataclass(slots=True)
@@ -668,28 +653,38 @@ GRIDWORLD_COLUMNS = (
 )
 
 
-def _gridworld_lane(
-    spec: GridworldSpec, scen_idx: int, var_idx: int, seed_index: int, base_seed: int
-):
-    """One comparison run's learners, grid and generator, for policy_learner.run_lanes.
-
-    The run's stream depends only on (base_seed, scenario, variant, seed
-    index), so the aggregate row and its detail replay see the same run.
-    """
-    config = make_scenario(spec.scenarios[scen_idx])
-    config = dataclasses.replace(config, stag_motion=spec.stag_motion)
-    learners = tuple(make_grid_learner(spec.variants[var_idx], spec) for _ in range(2))
-    return learners, config, _rng_for(base_seed, scen_idx, var_idx, seed_index)
+def gridworld_lanes(payloads) -> tuple[list[Lane], Beliefs]:
+    """A block's runs, payloads of one spec, as policy_learner.run_lanes' lanes and their
+    one Beliefs: every policy on one PolicyTable under the spec's LearnerConfig, each grid
+    loaded once, lane k's agent i in slot 2k + i, and each variant's settings built once.
+    A run's stream depends only on (base_seed, scenario, variant, seed index), so the
+    aggregate row and its detail replay see the same run."""
+    spec = payloads[0][0]
+    table = PolicyTable(LearnerConfig(
+        **{f.name: getattr(spec, f.name) for f in dataclasses.fields(LearnerConfig)}
+    ))
+    grids = [dataclasses.replace(make_scenario(scenario), stag_motion=spec.stag_motion)
+             for scenario in spec.scenarios]
+    weights = InequityParams(spec.inequity_advantageous, spec.inequity_disadvantageous)
+    setups = [(_tom_state(spec, variant == "tomaga"), _guilt(variant, spec),
+               weights if variant == "inequity" else None) for variant in spec.variants]
+    lanes, toms, guilts = [], [], []
+    for _, scen_idx, var_idx, seed_idx, base_seed in payloads:
+        tom, guilt, inequity = setups[var_idx]
+        learners = tuple(GridLearner(PolicyParams(table), inequity) for _ in range(2))
+        lanes.append((learners, grids[scen_idx], _rng_for(base_seed, scen_idx, var_idx, seed_idx)))
+        toms += tom, tom
+        guilts += guilt, guilt
+    return lanes, Beliefs(toms, guilts)
 
 
 def _gridworld_block(payloads) -> tuple[list[tuple], Counter]:
     """The gridworld.csv rows of a block of runs played in lockstep, in payload order,
     and the block's count of episodes by how they ended, and of their steps."""
     spec = payloads[0][0]
-    lanes = [_gridworld_lane(*payload) for payload in payloads]
     ends: Counter = Counter()
     labels_by_iteration = []
-    for played in run_lanes(lanes, spec.iterations):
+    for played in run_lanes(*gridworld_lanes(payloads), spec.iterations):
         labels_by_iteration.append([record.labels for record, _ in played])
         for record, _ in played:
             ends[record.event.kind] += 1
@@ -736,6 +731,17 @@ GRIDWORLD_DETAIL_COLUMNS = (
 )
 
 
+def gridworld_run(spec: GridworldSpec, scenario: str, variant: str, seed_index) -> tuple:
+    """The (scenario, variant, seed) indices of one run of spec's comparison, or ValueError."""
+    if scenario in spec.scenarios and variant in spec.variants and (
+            isinstance(seed_index, int) and seed_index in range(spec.seeds)):
+        return spec.scenarios.index(scenario), spec.variants.index(variant), seed_index
+    raise ValueError(
+        f"{scenario} {variant} {seed_index!r} is not a run of this comparison: scenarios "
+        f"{list(spec.scenarios)}, variants {list(spec.variants)}, seeds 0 to {spec.seeds - 1}"
+    )
+
+
 def run_gridworld_detail(
     spec: GridworldSpec,
     scenario: str,
@@ -747,35 +753,30 @@ def run_gridworld_detail(
     """Replay a single comparison run, logging every iteration.
 
     Uses the identical seeding path as run_gridworld_comparison, so the
-    logged run is the same one that produced the aggregate row. Pass a list
-    as episode_log to also capture each episode's transition rows.
+    logged run is the same one that produced the aggregate row; a run that
+    is not part of the comparison is a ValueError. Pass a list as episode_log
+    to also capture each episode's transition rows.
     """
-    scen_idx = spec.scenarios.index(scenario)
-    var_idx = spec.variants.index(variant)
+    run = gridworld_run(spec, scenario, variant, seed_index)
     history: list = []
     rows: list[tuple] = []
-    lane = _gridworld_lane(spec, scen_idx, var_idx, seed_index, base_seed)
-    for it, [(record, details)] in enumerate(run_lanes([lane], spec.iterations)):
+    lanes, beliefs = gridworld_lanes([(spec, *run, base_seed)])
+    for it, [(record, details)] in enumerate(run_lanes(lanes, beliefs, spec.iterations)):
         history.append(record.labels)
         chunk = history[-spec.window :]
         c_props = tuple(
             sum(1 for pair in chunk if pair[i] is C) / len(chunk) for i in range(2)
         )
-        toms = tuple(learner.tom for learner in lane[0])
-        rows.append(
-            (
-                it, len(record.transitions),
-                str(record.labels[0]), str(record.labels[1]),
-                record.terminal_rewards[0], record.terminal_rewards[1],
-                details[0].phi, details[0].psychological, details[0].shaped,
-                details[1].phi, details[1].psychological, details[1].shaped,
-                c_props[0], c_props[1],
-                toms[0].zero_order.p_cooperative, toms[0].first_order.p_cooperative,
-                toms[0].confidence,
-                toms[1].zero_order.p_cooperative, toms[1].first_order.p_cooperative,
-                toms[1].confidence,
-            )
-        )
+        # each agent's b0, b1 and conf, from its slot
+        agent_0, agent_1 = np.vstack((beliefs.b, beliefs.conf)).T.tolist()
+        rows.append((
+            it, len(record.transitions),
+            str(record.labels[0]), str(record.labels[1]),
+            record.terminal_rewards[0], record.terminal_rewards[1],
+            details[0].phi, details[0].psychological, details[0].shaped,
+            details[1].phi, details[1].psychological, details[1].shaped,
+            c_props[0], c_props[1], *agent_0, *agent_1,
+        ))
         if episode_log is not None:
             episode_log.extend((it, *row) for row in episode_transition_rows(record))
     return RunResult(GRIDWORLD_DETAIL_COLUMNS, rows)

@@ -6,9 +6,10 @@ The grid is tiny, so preferences and value estimates are exact tables over
 observation encodings; no function approximation anywhere. One iteration =
 one episode, then (for guilt agents) a belief update from the revealed
 labels, a shaped terminal reward, and a few epochs of clipped updates over
-the episode's transitions. `run_lanes` steps several runs in lockstep, so
-one guilt step (shaping.Beliefs.step) and one update per iteration cover all
-of their learners.
+the episode's transitions. `run_lanes` steps a block of runs in lockstep on
+the block's one PolicyTable and one shaping.Beliefs, which
+experiments.gridworld_lanes builds from the spec, so one guilt step
+(Beliefs.step) and one update per iteration cover all of their learners.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .beliefs import ToMState
 from .game import C, KNOWN_LABELS, PayoffMatrix, PolicyLabel
 from .gridworld import EpisodeRecord, GridAction, GridConfig, State, run_episode
-from .shaping import Beliefs, GuiltParams, InequityParams, inequity_reward, shape_reward
+from .shaping import Beliefs, InequityParams, inequity_reward, shape_reward
 
 ACTIONS = tuple(GridAction)
 N_ACTIONS = len(ACTIONS)
@@ -39,12 +39,12 @@ FIRST_VISIT = (_UNIFORM, tuple(accumulate(_UNIFORM)))
 
 @dataclass(frozen=True, slots=True)
 class LearnerConfig:
-    step_size: float = 0.05
-    gamma: float = 0.99
-    clip_ratio: float = 0.2
-    epochs: int = 4
-    entropy_weight: float = 0.01
-    time_bucket_width: int = 1
+    step_size: float
+    gamma: float
+    clip_ratio: float
+    epochs: int
+    entropy_weight: float
+    time_bucket_width: int
 
 
 @dataclass(slots=True)
@@ -54,7 +54,7 @@ class PolicyTable:
     values[r], and in dists[r] its action probabilities and normalised cumulative
     sums as lists, for play's bisect_right; update_policies refreshes what it writes."""
 
-    hyper: LearnerConfig = field(default_factory=LearnerConfig)
+    hyper: LearnerConfig
     prefs: np.ndarray = field(default_factory=lambda: np.zeros((8, N_ACTIONS)))
     values: list[float] = field(default_factory=list)
     dists: list[tuple[Sequence[float], Sequence[float]]] = field(default_factory=list)
@@ -65,7 +65,7 @@ class PolicyParams:
     """Tabular softmax policy and state-value table: each observation key's row of
     table, given on the key's first visit (`row`). No two policies share a row."""
 
-    table: PolicyTable = field(default_factory=PolicyTable)
+    table: PolicyTable
     rows: dict[ObsKey, int] = field(default_factory=dict)
 
     def row(self, key: ObsKey) -> int:
@@ -79,11 +79,6 @@ class PolicyParams:
             table.values.append(0.0)
             table.dists.append(FIRST_VISIT)
         return r
-
-    @property
-    def preferences(self) -> np.ndarray:
-        """The policy's own rows of the table's preferences, in the order of rows: a copy."""
-        return self.table.prefs[list(self.rows.values())]
 
 
 def observation_key(state: State, agent_index: int, bucket_width: int, cells: int) -> ObsKey:
@@ -254,19 +249,11 @@ class ShapedEpisode:
 
 @dataclass(slots=True)
 class GridLearner:
-    """One grid-world agent: a policy plus its social-preference attachments; its
-    beliefs are slot `slot` of `beliefs` (run_lanes moves them to its block's)."""
+    """One grid-world agent: a policy and, for the inequity variant, its inequity
+    shaping; its beliefs and guilt are its slot of its block's Beliefs (run_lanes)."""
 
     policy: PolicyParams
-    beliefs: Beliefs
-    slot: int = 0
-    guilt: GuiltParams | None = None
     inequity: InequityParams | None = None
-
-    @property
-    def tom(self) -> ToMState:
-        """The learner's current beliefs, built from its slot."""
-        return self.beliefs.state(self.slot)
 
 
 @dataclass(frozen=True, slots=True)
@@ -285,7 +272,7 @@ def _shaped_terminal_reward(
     the realised rewards and so always applies, or the material reward. A guilt
     learner keeps its material reward here; run_lanes shapes it (_shape_guilt)."""
     material = terminal_rewards[agent_index]
-    if learner.inequity is None or learner.guilt is not None:
+    if learner.inequity is None:
         return ShapingDetail(None, 0.0, material)
     psy = inequity_reward(learner.inequity, material, [terminal_rewards[1 - agent_index]])
     return ShapingDetail(None, psy, shape_reward(material, psy))
@@ -326,65 +313,56 @@ def play_iteration(
     return record, details, episodes
 
 
-def _shape_guilt(matrix: PayoffMatrix, members: list[tuple], played: list[tuple]) -> None:
-    """One Beliefs.step for the guilt learners members[slot] = (lane, agent index,
-    learner) of one Beliefs, against their other's terminal reward, with played
-    as play_iteration's output per lane. Guilt needs both labels: the step's mask
-    leaves out a learner whose episode revealed an Unknown one, which keeps its
-    beliefs and its material reward."""
+def _shape_guilt(matrix: PayoffMatrix, beliefs: Beliefs, guilty: np.ndarray,
+                 played: list[tuple]) -> None:
+    """One Beliefs.step for the guilty slots of beliefs (slot 2k + i for lane k's agent
+    i), each against its other's terminal reward, with played as play_iteration's
+    output per lane. Guilt needs both labels: the step's mask leaves out a slot whose
+    episode revealed an Unknown one, which keeps its beliefs and its material reward."""
     known, own_c, other_c, other_reward = [], [], [], []
-    for lane, i, _ in members:
-        record = played[lane][0]
-        own, other = record.labels[i], record.labels[1 - i]
-        known.append(own in KNOWN_LABELS and other in KNOWN_LABELS)
-        own_c.append(own is C)
-        other_c.append(other is C)
-        other_reward.append(record.terminal_rewards[1 - i])
-    if not any(known):
+    for record, _, _ in played:
+        first, second = record.labels
+        both = first in KNOWN_LABELS and second in KNOWN_LABELS
+        known += both, both
+        own_c += first is C, second is C
+        other_c += second is C, first is C
+        other_reward += reversed(record.terminal_rewards)
+    stepping = guilty & np.array(known)
+    if not stepping.any():
         return
-    beliefs = members[0][2].beliefs
     phi, psychological = beliefs.step(np.array(own_c), np.array(other_c), np.array(other_reward),
-                                      matrix, np.array(known))
-    for (lane, i, _), stepped, p, psy in zip(members, known, phi.tolist(), psychological.tolist()):
-        if stepped:
-            record, details, episodes = played[lane]
-            shaped = shape_reward(record.terminal_rewards[i], psy)
-            details[i] = ShapingDetail(p, psy, shaped)
-            episodes[i].rewards[-1] = shaped
+                                      matrix, stepping)
+    for slot, p, psy in zip(np.flatnonzero(stepping).tolist(), phi[stepping].tolist(),
+                            psychological[stepping].tolist()):
+        (record, details, episodes), i = played[slot // 2], slot % 2
+        shaped = shape_reward(record.terminal_rewards[i], psy)
+        details[i] = ShapingDetail(p, psy, shaped)
+        episodes[i].rewards[-1] = shaped
 
 
 # One run: its two learners, its grid and its own generator.
 Lane = tuple[tuple[GridLearner, GridLearner], GridConfig, np.random.Generator]
 
 
-def run_lanes(lanes: Sequence[Lane], iterations: int) -> Iterator[list[tuple]]:
+def run_lanes(lanes: Sequence[Lane], beliefs: Beliefs, iterations: int) -> Iterator[list[tuple]]:
     """Play runs in lockstep, yielding every lane's (record, details) per iteration.
 
-    Each iteration plays every lane's episode from its own generator, in lane
-    order, then steps the guilt learners, moved onto one Beliefs per label
-    payoff table, in one _shape_guilt call each, and trains all policies,
-    moved onto one PolicyTable, in one update_policies call. Both work lane
-    by lane, so no lane's results depend on its batch mates.
+    Lane k's agent i holds slot 2k + i of beliefs, and every policy is on one
+    PolicyTable. Each iteration plays every lane's episode from its own
+    generator, in lane order, then steps the guilt learners (the slots with a
+    theta) in one _shape_guilt call and trains all policies in one
+    update_policies call. Both work lane by lane, so no lane's results depend
+    on its batch mates. The lanes' grids must share one label payoff table.
     """
+    matrices = {config.grid.label_payoffs for _, config, _ in lanes}
+    if len(matrices) != 1:
+        raise ValueError(f"run_lanes needs grids of one label payoff table, got {matrices}")
+    (matrix,) = matrices
     policies = [learner.policy for learners, _, _ in lanes for learner in learners]
-    table = PolicyTable(policies[0].table.hyper)
-    for policy in policies:  # the one check of the block's shared LearnerConfig
-        if policy.rows or policy.table.hyper != table.hyper:
-            raise ValueError("run_lanes needs policies with no rows yet and one LearnerConfig")
-        policy.table = table
-    guilty: dict[PayoffMatrix, list[tuple[int, int, GridLearner]]] = {}
-    for lane, (learners, config, _) in enumerate(lanes):
-        for i, learner in enumerate(learners):
-            if learner.guilt is not None:
-                guilty.setdefault(config.grid.label_payoffs, []).append((lane, i, learner))
-    for members in guilty.values():
-        beliefs = Beliefs([l.tom for *_, l in members], [l.guilt for *_, l in members])
-        for slot, (*_, learner) in enumerate(members):
-            learner.beliefs, learner.slot = beliefs, slot
+    guilty = beliefs.neg_theta != 0.0
     for _ in range(iterations):
         played = [play_iteration(*lane) for lane in lanes]
-        for matrix, members in guilty.items():
-            _shape_guilt(matrix, members, played)
+        _shape_guilt(matrix, beliefs, guilty, played)
         update_policies(policies, [episode for *_, episodes in played for episode in episodes])
         yield [(record, details) for record, details, _ in played]
 

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .beliefs import Belief, ToMState, step_beliefs
+from .beliefs import ToMState, step_beliefs
 from .game import ONE, ZERO, PayoffMatrix
 
 
@@ -89,11 +89,6 @@ class Beliefs:
         self.keep_lr = 1.0 - self.lr
         self.tom = np.array([state.tom_enabled for state in states], dtype=bool)
         self.neg_theta = np.array([-guilt.theta if guilt else 0.0 for guilt in guilts], dtype=float)
-
-    def state(self, k: int) -> ToMState:
-        """Slot k as a ToMState."""
-        return ToMState(Belief(float(self.b[0, k])), Belief(float(self.b[1, k])),
-                        float(self.conf[k]), float(self.lr[k]), bool(self.tom[k]))
 
     def step(self, own_c, other_c, other_reward, matrix: PayoffMatrix, stepping=None):
         """One iteration of the belief → phi → guilt rule, every slot: step_beliefs

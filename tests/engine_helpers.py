@@ -1,23 +1,36 @@
 """Entries to the engines that only the tests use.
 
 The matrix engine's frozen per-player states, the scalar reference's inputs,
-and the lanes built from them (lanes_of) and read back (lane_state); one
-match, one agent's P(C) and one agent's TD(1) step, each a batch of one on the
-production kernels; a round of pairs as MatrixLanes.play takes it (pairing);
-and the clipped surrogate and its gradient over a dict of preference rows, on
-the grid-world learner's update kernel."""
+and the lanes built from them (lanes_of) and read back (lane_state); a belief
+slot as a ToMState (belief_state); one match, one agent's P(C) and one agent's
+TD(1) step, each a batch of one on the production kernels; a round of pairs as
+MatrixLanes.play takes it (pairing); a grid-world learner's settings built one
+learner at a time (grid_learner), the reference for
+experiments.gridworld_lanes; a learner config at fixed settings
+(learner_config), a policy's own preference rows (preferences); and the
+clipped surrogate and its gradient over a dict of preference rows, on the
+grid-world learner's update kernel."""
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence, Union
 
 import numpy as np
 
-from staghunt.beliefs import ToMState, make_tom_state
-from staghunt.experiments import MATRIX_VARIANTS, AgentParams, run_matches
+from staghunt.beliefs import Belief, ToMState, make_tom_state
+from staghunt.experiments import MATRIX_VARIANTS, AgentParams, GridworldSpec, run_matches
 from staghunt.game import C, U, PayoffMatrix, PolicyLabel
 from staghunt.matrix_agents import MatrixLanes, values_for_cooperation_probability
-from staghunt.policy_learner import ObsKey, _entropy_terms, _gradient, _Items
-from staghunt.shaping import Beliefs, GuiltParams
+from staghunt.policy_learner import (
+    LearnerConfig,
+    ObsKey,
+    PolicyParams,
+    PolicyTable,
+    _entropy_terms,
+    _gradient,
+    _Items,
+)
+from staghunt.shaping import Beliefs, GuiltParams, InequityParams
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,6 +133,12 @@ def lanes_of(players: Sequence[MatrixPlayer]) -> MatrixLanes:
     )
 
 
+def belief_state(beliefs: Beliefs, k: int) -> ToMState:
+    """Slot k of beliefs as a ToMState."""
+    return ToMState(Belief(float(beliefs.b[0, k])), Belief(float(beliefs.b[1, k])),
+                    float(beliefs.conf[k]), float(beliefs.lr[k]), bool(beliefs.tom[k]))
+
+
 def lane_state(lanes: MatrixLanes, k: int) -> MatrixPlayer:
     """Lane k as a frozen state, read from its columns and belief slot."""
     if lanes.pavlov[k]:
@@ -127,7 +146,7 @@ def lane_state(lanes: MatrixLanes, k: int) -> MatrixPlayer:
     neg_theta = float(lanes.beliefs.neg_theta[k])
     return MatrixAgentState(
         values={C: float(lanes.v_c[k]), U: float(lanes.v_u[k])},
-        tom=lanes.beliefs.state(k),
+        tom=belief_state(lanes.beliefs, k),
         guilt=GuiltParams(-neg_theta) if neg_theta else None,
         alpha=float(lanes.alpha[k]),
         gamma=float(lanes.gamma[k]),
@@ -177,6 +196,43 @@ def td1_update(
     lanes = lanes_of([agent])
     lanes.td1(np.array([taken is C]), np.array([shaped_reward], dtype=float), matrix)
     return lane_state(lanes, 0)
+
+
+def grid_learner(variant: str, spec: GridworldSpec) -> SimpleNamespace:
+    """A grid-world learner variant's settings from its spec, built for one learner
+    as the per-learner setup did, apart from experiments.gridworld_lanes, which the
+    tests hold against it: its policy table's config (hyper), its beliefs (tom),
+    guilt and inequity shaping."""
+    hyper = LearnerConfig(
+        step_size=spec.step_size, gamma=spec.gamma, clip_ratio=spec.clip_ratio,
+        epochs=spec.epochs, entropy_weight=spec.entropy_weight,
+        time_bucket_width=spec.time_bucket_width,
+    )
+    tom = make_tom_state(spec.zero_order, spec.first_order, spec.confidence,
+                         spec.learning_rate, tom_enabled=(variant == "tomaga"))
+    guilt = GuiltParams(spec.theta) if variant in ("tomaga", "ga-no-tom") else None
+    inequity = None
+    if variant == "inequity":
+        inequity = InequityParams(spec.inequity_advantageous, spec.inequity_disadvantageous)
+    return SimpleNamespace(hyper=hyper, tom=tom, guilt=guilt, inequity=inequity)
+
+
+def learner_config(**changes) -> LearnerConfig:
+    """A LearnerConfig at step size 0.05, gamma 0.99, clip ratio 0.2, 4 epochs, entropy
+    weight 0.01 and time bucket width 1, with changes made."""
+    settings = dict(step_size=0.05, gamma=0.99, clip_ratio=0.2, epochs=4, entropy_weight=0.01,
+                    time_bucket_width=1)
+    return LearnerConfig(**{**settings, **changes})
+
+
+def new_policy(**changes) -> PolicyParams:
+    """A policy with no rows, alone on a table under learner_config(**changes)."""
+    return PolicyParams(PolicyTable(learner_config(**changes)))
+
+
+def preferences(policy: PolicyParams) -> np.ndarray:
+    """The policy's own rows of its table's preferences, in the order of rows: a copy."""
+    return policy.table.prefs[list(policy.rows.values())]
 
 
 # One batch item: (observation key, action index, behaviour probability of

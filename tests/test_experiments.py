@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import re
 import signal
 import time
 from collections import Counter
@@ -6,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from engine_helpers import belief_state, grid_learner
 from staghunt import PayoffMatrix, experiments
 from staghunt.beliefs import make_tom_state
 from staghunt.experiments import (
@@ -17,9 +20,9 @@ from staghunt.experiments import (
     SweepSpec,
     TournamentSpec,
     _gridworld_block,
-    _gridworld_lane,
+    _rng_for,
+    gridworld_lanes,
     gridworld_threshold_summary,
-    make_grid_learner,
     matrix_lanes,
     run_gridworld_comparison,
     run_sweep,
@@ -27,19 +30,18 @@ from staghunt.experiments import (
     sweep_cell_means,
     tournament_means,
 )
-from staghunt.gridworld import run_episode
+from staghunt.gridworld import make_scenario, run_episode
 from staghunt.policy_learner import (
     ACTIONS,
     N_ACTIONS,
     LearnerConfig,
-    PolicyTable,
     _softmax,
     observation_key,
     play_iteration,
     run_lanes,
     update_policies,
 )
-from staghunt.shaping import GuiltParams, InequityParams
+from staghunt.shaping import Beliefs, InequityParams
 
 
 # --- self-play sweep -----------------------------------------------------------
@@ -175,26 +177,60 @@ def test_tournament_spec_validation():
 # --- grid-world comparison ---------------------------------------------------------
 
 
+# no value here is a GridworldSpec default
+UNUSUAL = dict(
+    theta=3.5, inequity_advantageous=0.25, inequity_disadvantageous=0.75,
+    zero_order=0.2, first_order=0.7, confidence=0.9, learning_rate=0.3,
+    step_size=0.4, gamma=0.95, clip_ratio=0.1, epochs=3, entropy_weight=0.02,
+    time_bucket_width=5, stag_motion="random_walk",
+)
+
+
 @pytest.mark.parametrize("variant", GRID_VARIANTS)
 def test_a_grid_learner_takes_every_setting_from_its_spec(variant):
-    # no value here is a GridworldSpec default
-    spec = GridworldSpec(
-        theta=3.5, inequity_advantageous=0.25, inequity_disadvantageous=0.75,
-        zero_order=0.2, first_order=0.7, confidence=0.9, learning_rate=0.3,
-        step_size=0.4, gamma=0.95, clip_ratio=0.1, epochs=3, entropy_weight=0.02,
-        time_bucket_width=5,
-    )
-    learner = make_grid_learner(variant, spec)
-    assert learner.policy.table.hyper == LearnerConfig(
-        step_size=0.4, gamma=0.95, clip_ratio=0.1, epochs=3, entropy_weight=0.02,
-        time_bucket_width=5,
-    )
-    assert learner.policy.rows == {}
-    assert learner.tom == make_tom_state(0.2, 0.7, 0.9, 0.3, tom_enabled=(variant == "tomaga"))
-    guilty = variant in ("tomaga", "ga-no-tom")
-    assert learner.guilt == (GuiltParams(3.5) if guilty else None)
-    assert learner.beliefs.neg_theta.tolist() == [-3.5 if guilty else 0.0]
-    assert learner.inequity == (InequityParams(0.25, 0.75) if variant == "inequity" else None)
+    spec = GridworldSpec(variants=(variant,), **UNUSUAL)
+    [(learners, _, _)], beliefs = gridworld_lanes([(spec, 0, 0, 0, 0)])
+    for slot, learner in enumerate(learners):
+        assert learner.policy.table.hyper == LearnerConfig(
+            step_size=0.4, gamma=0.95, clip_ratio=0.1, epochs=3, entropy_weight=0.02,
+            time_bucket_width=5,
+        )
+        assert learner.policy.rows == {}
+        assert belief_state(beliefs, slot) == make_tom_state(
+            0.2, 0.7, 0.9, 0.3, tom_enabled=(variant == "tomaga"))
+        guilty = variant in ("tomaga", "ga-no-tom")
+        assert beliefs.neg_theta[slot] == (-3.5 if guilty else 0.0)
+        assert learner.inequity == (InequityParams(0.25, 0.75) if variant == "inequity" else None)
+
+
+@pytest.mark.parametrize("settings", [
+    UNUSUAL,
+    # a config may give a belief, confidence or theta as an int (JSON 1)
+    dict(theta=2, zero_order=1, first_order=0, confidence=1, learning_rate=0),
+], ids=["floats", "ints"])
+def test_gridworld_lanes_match_the_per_learner_setup_they_replace(settings):
+    """A block of both layouts and all four variants: every column of its Beliefs,
+    byte for byte, is that of a Beliefs built from each learner's own ToMState and
+    GuiltParams; each learner's config and inequity, its lane's grid and its
+    generator are the ones the per-learner setup gave it."""
+    spec = GridworldSpec(seeds=2, **settings)
+    payloads = _payloads(spec, 31)
+    lanes, beliefs = gridworld_lanes(payloads)
+    refs = [grid_learner(spec.variants[var_idx], spec) for _, _, var_idx, _, _ in payloads
+            for _ in range(2)]
+    expected = Beliefs([ref.tom for ref in refs], [ref.guilt for ref in refs])
+    for name in Beliefs.__slots__:
+        ours, theirs = getattr(beliefs, name), getattr(expected, name)
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape, name
+        assert ours.tobytes() == theirs.tobytes(), name
+    learners = [learner for pair, _, _ in lanes for learner in pair]
+    assert [learner.policy.table.hyper for learner in learners] == [ref.hyper for ref in refs]
+    assert [learner.inequity for learner in learners] == [ref.inequity for ref in refs]
+    for (_, config, rng), (_, scen_idx, var_idx, seed_idx, base_seed) in zip(lanes, payloads):
+        layout = make_scenario(spec.scenarios[scen_idx])
+        assert config == dataclasses.replace(layout, stag_motion=spec.stag_motion)
+        assert (rng.bit_generator.state
+                == _rng_for(base_seed, scen_idx, var_idx, seed_idx).bit_generator.state)
 
 
 def test_gridworld_comparison_rows_and_summary():
@@ -225,16 +261,16 @@ def test_gridworld_parallel_jobs_match_serial(monkeypatch):
         assert [block["payloads"] for block in result.telemetry["blocks"]] == payloads
 
 
-def _lane_trace(lanes, iterations):
+def _lane_trace(lanes, beliefs, iterations):
     """Per lane: every iteration's outcome, then its final beliefs and tables."""
     traces = [[] for _ in lanes]
-    for played in run_lanes(lanes, iterations):
+    for played in run_lanes(lanes, beliefs, iterations):
         for trace, (record, details) in zip(traces, played):
             trace.append((record.labels, record.terminal_rewards, len(record.transitions), details))
-    for trace, (learners, _, _) in zip(traces, lanes):
-        for learner in learners:
+    for lane, (trace, (learners, _, _)) in enumerate(zip(traces, lanes)):
+        for i, learner in enumerate(learners):
             policy = learner.policy
-            trace.append(learner.tom)
+            trace.append(belief_state(beliefs, 2 * lane + i))
             trace.append(sorted((k, policy.table.prefs[r].tolist(), policy.table.values[r])
                                 for k, r in policy.rows.items()))
     return traces
@@ -254,8 +290,8 @@ def test_lockstep_lanes_match_each_run_played_alone(stag_motion):
     """Sharing an update with other runs changes no bit of a run's results."""
     spec = GridworldSpec(seeds=2, iterations=60, stag_motion=stag_motion)
     payloads = _payloads(spec, 5)
-    together = _lane_trace([_gridworld_lane(*p) for p in payloads], spec.iterations)
-    alone = [_lane_trace([_gridworld_lane(*p)], spec.iterations)[0] for p in payloads]
+    together = _lane_trace(*gridworld_lanes(payloads), spec.iterations)
+    alone = [_lane_trace(*gridworld_lanes([p]), spec.iterations)[0] for p in payloads]
     assert together == alone
     rows, ends = _gridworld_block(payloads)
     alone_blocks = [_gridworld_block([p]) for p in payloads]
@@ -266,9 +302,9 @@ def test_lockstep_lanes_match_each_run_played_alone(stag_motion):
 @pytest.mark.parametrize("stag_motion", ["static", "random_walk"])
 def test_cached_distributions_are_the_per_row_ones_after_every_update(stag_motion):
     spec = GridworldSpec(seeds=1, iterations=40, stag_motion=stag_motion)
-    lanes = [_gridworld_lane(*p) for p in _payloads(spec, 9)]
+    lanes, beliefs = gridworld_lanes(_payloads(spec, 9))
     policies = [learner.policy for learners, _, _ in lanes for learner in learners]
-    for _ in run_lanes(lanes, spec.iterations):
+    for _ in run_lanes(lanes, beliefs, spec.iterations):
         table = policies[0].table
         # every row an episode reached was updated, so every row has an entry
         assert len(table.dists) == sum(len(policy.rows) for policy in policies)
@@ -304,11 +340,8 @@ def test_play_from_cached_distributions_matches_a_choice_reference(stag_motion):
     """Every episode, replayed from the same generator state under the reference
     policy, takes the same steps with the same behaviour probabilities."""
     spec = GridworldSpec(seeds=1, iterations=60, stag_motion=stag_motion)
-    lanes = [_gridworld_lane(*p) for p in _payloads(spec, 13)]
+    lanes, _ = gridworld_lanes(_payloads(spec, 13))
     policies = [learner.policy for learners, _, _ in lanes for learner in learners]
-    table = PolicyTable(policies[0].table.hyper)  # one table for the block, as run_lanes makes
-    for policy in policies:
-        policy.table = table
     for _ in range(spec.iterations):
         states = [rng.bit_generator.state for _, _, rng in lanes]
         played = [play_iteration(*lane) for lane in lanes]
@@ -540,6 +573,17 @@ def test_write_csv_writes_str_rows_as_writelines_would(tmp_path, n_blocks, n_lin
         csv.writer(fh).writerow(("k", "x"))
         fh.writelines(line for block in lines for line in block)
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "lines.csv").read_bytes()
+
+
+@pytest.mark.parametrize("seed_index", [99, -1, 1.5])
+def test_gridworld_detail_rejects_a_run_outside_the_comparison(seed_index):
+    from staghunt.experiments import run_gridworld_detail
+
+    spec = GridworldSpec(seeds=2, iterations=5)
+    run = re.escape(f"near-stag tomaga {seed_index!r} is not a run of this comparison")
+    with pytest.raises(ValueError, match=f"{run}.*seeds 0 to 1"):
+        run_gridworld_detail(spec, "near-stag", "tomaga", seed_index)
+    assert len(run_gridworld_detail(spec, "near-stag", "tomaga", 1).rows) == 5
 
 
 def test_gridworld_detail_matches_comparison_run():

@@ -7,11 +7,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from engine_helpers import surrogate_gradient, surrogate_objective
+from engine_helpers import (
+    belief_state,
+    grid_learner,
+    learner_config,
+    new_policy,
+    surrogate_gradient,
+    surrogate_objective,
+)
 from scalar_beliefs import belief_step
 from staghunt import policy_learner
 from staghunt.beliefs import Belief
-from staghunt.experiments import GridworldSpec, _gridworld_lane, make_grid_learner
+from staghunt.experiments import GridworldSpec, gridworld_lanes
 from staghunt.game import C, KNOWN_LABELS, U, UNKNOWN, PayoffMatrix
 from staghunt.gridworld import GridAction, make_scenario
 from staghunt.policy_learner import (
@@ -112,7 +119,7 @@ KEY = 1234  # an observation key
 
 
 def test_zero_advantages_leave_preferences_unchanged():
-    policy = PolicyParams(PolicyTable(LearnerConfig(entropy_weight=0.0)))
+    policy = new_policy(entropy_weight=0.0)
     row = policy.row(KEY)
     policy.table.prefs[row] = [0.3, -0.1, 0.0, 0.2, -0.4]
     policy.table.values[row] = 1.0  # matches the return below, so advantage is zero
@@ -124,7 +131,7 @@ def test_zero_advantages_leave_preferences_unchanged():
 
 
 def test_positive_advantage_increases_taken_action_probability():
-    policy = PolicyParams(PolicyTable(LearnerConfig()))
+    policy = new_policy()
     p_before = action_probs(policy, KEY)[0]
     episode = ShapedEpisode(
         rows=[policy.row(KEY)], actions=[0], behaviour_probs=[p_before], rewards=[4.0]
@@ -134,7 +141,7 @@ def test_positive_advantage_increases_taken_action_probability():
 
 
 def test_zero_clip_ratio_freezes_the_policy():
-    policy = PolicyParams(PolicyTable(LearnerConfig(clip_ratio=0.0)))
+    policy = new_policy(clip_ratio=0.0)
     row = policy.row(KEY)
     episode = ShapedEpisode(rows=[row], actions=[2], behaviour_probs=[0.2], rewards=[10.0])
     update_policies([policy], [episode])
@@ -143,7 +150,7 @@ def test_zero_clip_ratio_freezes_the_policy():
 
 
 def test_policy_stays_a_distribution_after_updates():
-    policy = PolicyParams(PolicyTable(LearnerConfig(step_size=0.5)))
+    policy = new_policy(step_size=0.5)
     rng = np.random.default_rng(0)
     for _ in range(50):
         action = ACTIONS[rng.integers(5)]
@@ -161,7 +168,7 @@ def test_policy_stays_a_distribution_after_updates():
 
 def test_policy_update_rejects_empty_episode():
     with pytest.raises(ValueError, match="update_policies needs a non-empty episode"):
-        update_policies([PolicyParams()], [ShapedEpisode([], [], [], [])])
+        update_policies([new_policy()], [ShapedEpisode([], [], [], [])])
 
 
 # --- differential check against the per-item reference ------------------------------
@@ -299,10 +306,10 @@ def assert_same_tables(policy: PolicyParams, ref: RefPolicy):
 
 
 HYPERS = [
-    LearnerConfig(step_size=0.5, epochs=6, entropy_weight=0.03),
-    LearnerConfig(step_size=0.5, epochs=6, entropy_weight=0.0),
-    LearnerConfig(step_size=0.05, epochs=4, entropy_weight=0.01, clip_ratio=0.05),
-    LearnerConfig(clip_ratio=0.0),
+    learner_config(step_size=0.5, epochs=6, entropy_weight=0.03),
+    learner_config(step_size=0.5, epochs=6, entropy_weight=0.0),
+    learner_config(step_size=0.05, epochs=4, entropy_weight=0.01, clip_ratio=0.05),
+    learner_config(clip_ratio=0.0),
 ]
 
 
@@ -326,7 +333,7 @@ def test_policy_update_matches_per_item_reference(hyper):
 @pytest.mark.parametrize("entropy_weight", [0.0, 0.03])
 def test_surrogate_gradient_matches_per_item_reference(clip_ratio, entropy_weight):
     for seed in SEEDS:
-        policy, episode = random_case(seed, LearnerConfig(), table=4)
+        policy, episode = random_case(seed, learner_config(), table=4)
         rng = np.random.default_rng(1000 + seed)
         batch = [
             (key, action, p, float(adv))
@@ -358,8 +365,7 @@ def test_two_learners_updated_together_match_per_item_reference(hyper):
 
 
 def test_update_policies_needs_one_shared_config():
-    policies = [PolicyParams(PolicyTable(LearnerConfig())),
-                PolicyParams(PolicyTable(LearnerConfig(epochs=2)))]
+    policies = [new_policy(), new_policy(epochs=2)]
     episode = ShapedEpisode([0], [0], [0.2], [1.0])
     with pytest.raises(ValueError, match="LearnerConfig"):
         update_policies(policies, [episode, episode])
@@ -369,7 +375,7 @@ def test_random_cases_cover_repeats_and_both_clip_branches():
     """The differential cases above exercise what they claim to."""
     repeats = clipped = unclipped = 0
     for seed in SEEDS:
-        policy, episode = random_case(seed, LearnerConfig())
+        policy, episode = random_case(seed, learner_config())
         repeats += len(set(episode.keys)) < len(episode.keys)
         for key, action, p in zip(episode.keys, episode.actions, episode.behaviour_probs):
             ratio = _ref_softmax(policy.prefs(key))[action] / p
@@ -413,7 +419,7 @@ def still_case(seed, hyper, steps=STILL):
 def still_batch(seed, advantages=None):
     """still_case's policy and episode as a gradient batch with the given advantages
     (default: seeded normals)."""
-    policy, episode = still_case(seed, LearnerConfig())
+    policy, episode = still_case(seed, learner_config())
     if advantages is None:
         advantages = np.random.default_rng(1000 + seed).normal(0, 2.0, len(episode.keys))
     batch = [
@@ -435,7 +441,7 @@ def assert_same_gradient(preferences, batch, clip_ratio, entropy_weight):
 
 
 def test_still_cases_repeat_one_row_at_least_32_times():
-    _, episode = still_case(0, LearnerConfig())
+    _, episode = still_case(0, learner_config())
     assert episode.keys.count(KEY) >= 32
 
 
@@ -514,44 +520,53 @@ def test_two_learners_standing_still_updated_together_match_per_item_reference(h
 # --- iteration wiring -------------------------------------------------------------
 
 
+def one_lane(variant, **kwargs):
+    """A one-lane block of variant's learners under GridworldSpec(**kwargs): the
+    lane's two learners and its Beliefs, agent i in slot i."""
+    [(learners, _, _)], beliefs = gridworld_lanes(
+        [(GridworldSpec(variants=(variant,), **kwargs), 0, 0, 0, 0)])
+    return learners, beliefs
+
+
 def run_n(variant, n, seed=3, scenario="near-stag", **kwargs):
-    learners = tuple(make_grid_learner(variant, GridworldSpec(**kwargs)) for _ in range(2))
+    learners, beliefs = one_lane(variant, **kwargs)
     lane = (learners, make_scenario(scenario), np.random.default_rng(seed))
-    records = [record for [(record, _)] in run_lanes([lane], n)]
-    return learners, records
+    records = [record for [(record, _)] in run_lanes([lane], beliefs, n)]
+    return beliefs, records
 
 
 def test_individual_learners_keep_material_rewards():
     """With guilt off, r* equals the material terminal reward: values trained
     toward material returns only (checked through the value table's scale)."""
-    learners, records = run_n("individual", 30)
+    beliefs, records = run_n("individual", 30)
     for record in records:
         assert record.terminal_rewards in {
             (4.0, 4.0), (2.0, 2.0), (3.0, 0.0), (0.0, 3.0), (0.0, 0.0)
         }
     # individual learners never update beliefs
-    assert learners[0].tom.zero_order.p_cooperative == 0.5
+    assert belief_state(beliefs, 0).zero_order.p_cooperative == 0.5
 
 
-def shaped_end(learner, labels, rewards, label_matrix):
-    """Agent 0's shaped episode end, as run_lanes makes it in a one-lane block:
-    play_iteration's detail without guilt, then the block's guilt step."""
-    details = [_shaped_terminal_reward(learner, rewards, 0), None]
-    episode = ShapedEpisode([0], [0], [1.0], [details[0].shaped])
+def shaped_end(lane, labels, rewards, label_matrix):
+    """Agent 0's shaped episode end, as run_lanes makes it in a one-lane block,
+    lane = (learners, beliefs): play_iteration's details without guilt, then the
+    block's guilt step."""
+    learners, beliefs = lane
+    details = [_shaped_terminal_reward(learner, rewards, i) for i, learner in enumerate(learners)]
+    episodes = [ShapedEpisode([0], [0], [1.0], [detail.shaped]) for detail in details]
     record = SimpleNamespace(labels=labels, terminal_rewards=rewards)
-    if learner.guilt is not None:
-        _shape_guilt(label_matrix, [(0, 0, learner)], [(record, details, [episode, None])])
-    assert episode.rewards == [details[0].shaped]
+    _shape_guilt(label_matrix, beliefs, beliefs.neg_theta != 0.0, [(record, details, episodes)])
+    assert [episode.rewards for episode in episodes] == [[detail.shaped] for detail in details]
     return details[0]
 
 
 def test_mutual_stag_capture_with_aligned_beliefs_has_zero_guilt():
     """(C,C) labels with point-mass-C beliefs: phi = 4.0 = reward, guilt 0."""
-    learner = make_grid_learner("tomaga", GridworldSpec(
-        theta=1.0, zero_order=1.0, first_order=1.0, confidence=1.0, learning_rate=0.0
-    ))
+    lane = one_lane(
+        "tomaga", theta=1.0, zero_order=1.0, first_order=1.0, confidence=1.0, learning_rate=0.0
+    )
     label_matrix = PayoffMatrix(4.0, 3.0, 2.0, 0.0)
-    detail = shaped_end(learner, (C, C), (4.0, 4.0), label_matrix)
+    detail = shaped_end(lane, (C, C), (4.0, 4.0), label_matrix)
     assert detail.shaped == pytest.approx(4.0)
     assert detail.phi == pytest.approx(4.0)
     assert detail.psychological == 0.0
@@ -559,30 +574,30 @@ def test_mutual_stag_capture_with_aligned_beliefs_has_zero_guilt():
 
 def test_hare_catcher_guilt_with_confident_beliefs():
     """(U, C) with beliefs pinned at mutual cooperation: 3 - 1*(4-0) = -1."""
-    learner = make_grid_learner("tomaga", GridworldSpec(
-        theta=1.0, zero_order=1.0, first_order=1.0, confidence=0.0, learning_rate=0.0
-    ))
+    lane = one_lane(
+        "tomaga", theta=1.0, zero_order=1.0, first_order=1.0, confidence=0.0, learning_rate=0.0
+    )
     label_matrix = PayoffMatrix(4.0, 3.0, 2.0, 0.0)
-    detail = shaped_end(learner, (U, C), (3.0, 0.0), label_matrix)
+    detail = shaped_end(lane, (U, C), (3.0, 0.0), label_matrix)
     assert detail.shaped == pytest.approx(-1.0)
     assert detail.psychological == pytest.approx(-4.0)
 
 
 def test_unknown_labels_skip_beliefs_and_guilt():
-    learner = make_grid_learner("tomaga", GridworldSpec(theta=5.0))
-    tom_before = learner.tom
+    lane = one_lane("tomaga", theta=5.0)
+    tom_before = belief_state(lane[1], 0)
     label_matrix = PayoffMatrix(4.0, 3.0, 2.0, 0.0)
-    detail = shaped_end(learner, (U, UNKNOWN), (3.0, 0.0), label_matrix)
+    detail = shaped_end(lane, (U, UNKNOWN), (3.0, 0.0), label_matrix)
     assert detail.shaped == 3.0
     assert detail.psychological == 0.0
-    assert learner.tom == tom_before
+    assert belief_state(lane[1], 0) == tom_before
 
 
 def test_inequity_shaping_applies_to_unequal_outcomes():
-    learner = make_grid_learner("inequity", GridworldSpec())
+    lane = one_lane("inequity")
     label_matrix = PayoffMatrix(4.0, 3.0, 2.0, 0.0)
-    assert shaped_end(learner, (U, UNKNOWN), (3.0, 0.0), label_matrix).shaped == 0.0
-    assert shaped_end(learner, (UNKNOWN, UNKNOWN), (0.0, 0.0), label_matrix).shaped == 0.0
+    assert shaped_end(lane, (U, UNKNOWN), (3.0, 0.0), label_matrix).shaped == 0.0
+    assert shaped_end(lane, (UNKNOWN, UNKNOWN), (0.0, 0.0), label_matrix).shaped == 0.0
 
 
 def _reference_shaped_terminal_reward(ref, labels, terminal_rewards, agent_index, label_matrix):
@@ -640,12 +655,10 @@ def test_block_guilt_step_matches_the_per_learner_reference(stag_motion, monkeyp
         for var_idx in range(len(spec.variants))
         for scen_idx in range(len(spec.scenarios))
     ]
-    lanes = [_gridworld_lane(*payload) for payload in payloads]
+    lanes, beliefs = gridworld_lanes(payloads)
     assert len(lanes) == 16
-    refs = [
-        [SimpleNamespace(tom=l.tom, guilt=l.guilt, inequity=l.inequity) for l in learners]
-        for learners, _, _ in lanes
-    ]
+    refs = [[grid_learner(spec.variants[var_idx], spec) for _ in range(2)]
+            for _, _, var_idx, _, _ in payloads]
     trained: list = []
     update = policy_learner.update_policies
 
@@ -655,18 +668,19 @@ def test_block_guilt_step_matches_the_per_learner_reference(stag_motion, monkeyp
 
     monkeypatch.setattr(policy_learner, "update_policies", recording_update)
     seen = Counter()
-    for played in run_lanes(lanes, spec.iterations):
+    for played in run_lanes(lanes, beliefs, spec.iterations):
         terminal = iter(trained.pop())
-        for (learners, config, _), (record, details), lane_refs in zip(lanes, played, refs):
-            for i, (learner, ref) in enumerate(zip(learners, lane_refs)):
+        for k, ((_, config, _), (record, details)) in enumerate(zip(lanes, played)):
+            for i, ref in enumerate(refs[k]):
                 expected = _reference_shaped_terminal_reward(
                     ref, record.labels, record.terminal_rewards, i, config.grid.label_payoffs
                 )
                 assert _detail_bits(details[i]) == _detail_bits(expected)
                 assert _bits(next(terminal)) == _bits(expected.shaped)
-                assert _tom_bits(learner.tom) == _tom_bits(ref.tom)
-                assert learner.tom == ref.tom
-                if learner.guilt is not None:
+                tom = belief_state(beliefs, 2 * k + i)
+                assert _tom_bits(tom) == _tom_bits(ref.tom)
+                assert tom == ref.tom
+                if ref.guilt is not None:
                     seen["guilt step" if expected.phi is not None else "unknown label"] += 1
                     seen["guilt"] += expected.psychological < 0.0
     assert min(seen.values()) >= 20, seen
@@ -678,18 +692,17 @@ def test_integer_belief_settings_step_as_their_floats():
     label_matrix = PayoffMatrix(4.0, 3.0, 2.0, 0.0)
     ends = []
     for one in (1, 1.0):
-        learner = make_grid_learner("tomaga", GridworldSpec(
-            theta=2 * one, zero_order=one, first_order=one, confidence=one
-        ))
-        ends.append((shaped_end(learner, (C, U), (0.0, 3.0), label_matrix), learner.tom))
+        lane = one_lane("tomaga", theta=2 * one, zero_order=one, first_order=one, confidence=one)
+        ends.append((shaped_end(lane, (C, U), (0.0, 3.0), label_matrix),
+                     belief_state(lane[1], 0)))
     assert ends[0] == ends[1]
     # predicted C, saw U: confidence 0.9 * 1 + 0.1 * 0
     assert ends[0][1].confidence == pytest.approx(0.9)
 
 
 def test_ga_without_tom_keeps_first_order_frozen():
-    learners, _ = run_n("ga-no-tom", 40, theta=2.0, first_order=0.4)
-    assert learners[0].tom.first_order.p_cooperative == 0.4
+    beliefs, _ = run_n("ga-no-tom", 40, theta=2.0, first_order=0.4)
+    assert belief_state(beliefs, 0).first_order.p_cooperative == 0.4
 
 
 def test_iteration_history_reproducible_bit_for_bit():
@@ -697,11 +710,6 @@ def test_iteration_history_reproducible_bit_for_bit():
     _, second = run_n("tomaga", 25, seed=11)
     assert [r.labels for r in first] == [r.labels for r in second]
     assert [r.terminal_rewards for r in first] == [r.terminal_rewards for r in second]
-
-
-def test_make_grid_learner_rejects_unknown_variant():
-    with pytest.raises(ValueError):
-        make_grid_learner("edti", GridworldSpec())
 
 
 
@@ -768,7 +776,7 @@ def test_observation_key_injective_at_unit_bucket_width():
 
 
 def test_sample_action_tracks_policy_distribution():
-    policy = PolicyParams()
+    policy = new_policy()
     policy.table.prefs[policy.row(KEY)] = [2.0, 0.0, 0.0, 0.0, -2.0]
     rng = np.random.default_rng(8)
     draws = [ACTIONS[sample_index(action_probs(policy, KEY), rng)] for _ in range(4000)]
@@ -778,10 +786,10 @@ def test_sample_action_tracks_policy_distribution():
 
 
 def test_individual_learner_keeps_material_terminal_reward():
-    learner = make_grid_learner("individual", GridworldSpec())
+    lane = one_lane("individual")
     label_matrix = PayoffMatrix(4.0, 3.0, 2.0, 0.0)
     for labels, rewards in [((U, C), (3.0, 0.0)), ((C, U), (0.0, 3.0)), ((U, U), (2.0, 2.0))]:
-        detail = shaped_end(learner, labels, rewards, label_matrix)
+        detail = shaped_end(lane, labels, rewards, label_matrix)
         assert detail.psychological == 0.0
         assert detail.shaped == rewards[0]
 
@@ -810,7 +818,7 @@ def test_sample_index_matches_generator_choice_draw_for_draw(probs):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_sample_index_rejects_a_non_finite_preference_row(bad):
-    policy = PolicyParams()
+    policy = new_policy()
     policy.table.prefs[policy.row(KEY)] = [0.0, bad, 0.0, 0.0, 0.0]
     with np.errstate(invalid="ignore"):  # inf - inf in the softmax shift
         probs = action_probs(policy, KEY)
@@ -868,9 +876,9 @@ def test_actions_axis_reductions_match_the_row_major_layout_bit_for_bit():
 
 def _trained_pair(seed=3):
     """Two individual learners after one iteration, and the key of agent 0's first step."""
-    learners = tuple(make_grid_learner("individual", GridworldSpec()) for _ in range(2))
+    learners, beliefs = one_lane("individual")
     config = make_scenario("near-stag")
-    next(run_lanes([(learners, config, np.random.default_rng(seed))], 1))
+    next(run_lanes([(learners, config, np.random.default_rng(seed))], beliefs, 1))
     start = (*config.grid.starts, 0)
     key = observation_key(start, 0, learners[0].policy.table.hyper.time_bucket_width, 16)
     return learners, config, key
@@ -880,7 +888,7 @@ def test_a_first_visit_gets_the_zero_row_distribution():
     probs = _softmax(np.zeros(N_ACTIONS))
     total = probs.cumsum()
     assert FIRST_VISIT == (tuple(probs.tolist()), tuple((total / total[-1]).tolist()))
-    policy = PolicyParams()
+    policy = new_policy()
     assert [policy.table.dists[policy.row(key)] for key in (KEY, KEY + 1)] == [FIRST_VISIT] * 2
 
 

@@ -164,10 +164,10 @@ def test_non_finite_sensitivities_are_rejected(value):
 
 
 def test_a_grid_learner_with_an_infinite_theta_is_rejected():
-    from staghunt.experiments import GridworldSpec, make_grid_learner
+    from staghunt.experiments import GridworldSpec
 
     with pytest.raises(ValueError, match=r"GridworldSpec\.theta must be finite"):
-        make_grid_learner("tomaga", GridworldSpec(theta=math.inf))
+        GridworldSpec(theta=math.inf)
 
 
 @given(
