@@ -6,11 +6,15 @@ Builds the comparison of both layouts and all four variants at base seed
 each, 8 runs, 300 episodes), and at `--seeds 10 --iterations 1500`
 criterion 6's 80 runs. Deals the runs into --jobs blocks as
 run_gridworld_comparison does, and plays each block here, one after
-another, with timers around the layers of policy_learner: play
-(play_iteration, every lane's episode), beliefs (_shape_guilt, the block's
-belief and guilt step), update (update_policies), and inside update the
-epochs' _gradient calls and the per-iteration _Items.build; "own" is the
-update's own Python, update minus the other two.
+another, with timers around the layers of policy_learner.run_lanes:
+play (run_lanes' own time: each iteration's one loop over the lanes into
+its flat batch, and the returns), beliefs (_shape_guilt, the block's belief
+and guilt step), update (update_policies), and inside update the epochs'
+_gradient calls and the per-iteration _Items.build; "own" is the update's
+own Python, update minus the other two. "gc" is the garbage collector's
+seconds inside the block, from a gc.callbacks timer; it overlaps the layer
+it interrupts. A timed name that is gone from the program stops the script
+with a message that names it.
 Prints one line per block, then checks that the timed blocks gave the rows
 of an untimed run_gridworld_comparison.
 
@@ -20,16 +24,30 @@ of an untimed run_gridworld_comparison.
 from __future__ import annotations
 
 import argparse
+import gc
 import time
 from collections import Counter
 from contextlib import contextmanager
 
-from staghunt import policy_learner
+from staghunt import experiments, policy_learner
 from staghunt.experiments import GridworldSpec, _cpus, _gridworld_block, run_gridworld_comparison
 
 BASE_SEED = 2026
-LAYERS = ("play", "beliefs", "update", "_gradient", "_Items.build")
-COLUMNS = ("total", *LAYERS, "own")
+# (module that looks the name up, name, layer)
+TIMED = (
+    (experiments, "run_lanes", "run_lanes"),
+    (policy_learner, "_shape_guilt", "beliefs"),
+    (policy_learner, "update_policies", "update"),
+    (policy_learner, "_gradient", "_gradient"),
+)
+COLUMNS = ("total", "play", "beliefs", "update", "_gradient", "_Items.build", "own", "gc")
+
+
+def _lookup(owner, name: str):
+    try:
+        return getattr(owner, name)
+    except AttributeError:
+        raise SystemExit(f"{owner.__name__}.{name} is gone: re-point the timers") from None
 
 
 def _timed(fn, seconds: Counter, layer: str):
@@ -43,22 +61,51 @@ def _timed(fn, seconds: Counter, layer: str):
     return wrapper
 
 
+def _timed_generator(fn, seconds: Counter, layer: str):
+    """fn's generator, each step of it timed into seconds[layer]."""
+
+    def wrapper(*args):
+        steps = fn(*args)
+        while True:
+            t0 = time.perf_counter()
+            try:
+                item = next(steps)
+            except StopIteration:
+                return
+            finally:
+                seconds[layer] += time.perf_counter() - t0
+            yield item
+
+    return wrapper
+
+
 @contextmanager
 def layer_timers(seconds: Counter):
-    """Time the layers into seconds while inside; the module is as it was after."""
-    names = ("play_iteration", "_shape_guilt", "update_policies", "_gradient")
-    originals = {name: getattr(policy_learner, name) for name in names}
-    items = policy_learner._Items
+    """Time the layers and the collector into seconds while inside; the modules
+    and gc.callbacks are as they were after."""
+    originals = [(owner, name, _lookup(owner, name)) for owner, name, _ in TIMED]
+    items = _lookup(policy_learner, "_Items")
     build = items.__dict__["build"]
-    for (name, fn), layer in zip(originals.items(), LAYERS):
-        setattr(policy_learner, name, _timed(fn, seconds, layer))
+    for (owner, name, fn), (_, _, layer) in zip(originals, TIMED):
+        wrap = _timed_generator if layer == "run_lanes" else _timed
+        setattr(owner, name, wrap(fn, seconds, layer))
     timed_build = _timed(items.build, seconds, "_Items.build")
     items.build = classmethod(lambda cls, *args: timed_build(*args))
+    started = []
+
+    def collector(phase, _info):
+        if phase == "start":
+            started.append(time.perf_counter())
+        elif started:
+            seconds["gc"] += time.perf_counter() - started.pop()
+
+    gc.callbacks.append(collector)
     try:
         yield
     finally:
-        for name, fn in originals.items():
-            setattr(policy_learner, name, fn)
+        gc.callbacks.remove(collector)
+        for owner, name, fn in originals:
+            setattr(owner, name, fn)
         items.build = build
 
 
@@ -90,6 +137,7 @@ def main() -> None:
             t0 = time.perf_counter()
             rows[b::n], _ = _gridworld_block(payloads[b::n])
             seconds["total"] = time.perf_counter() - t0
+        seconds["play"] = seconds["run_lanes"] - seconds["beliefs"] - seconds["update"]
         seconds["own"] = seconds["update"] - seconds["_gradient"] - seconds["_Items.build"]
         print(f"{b:>5} {len(payloads[b::n]):>5} " + " ".join(
             f"{seconds[column]:>12.4f}" for column in COLUMNS

@@ -684,11 +684,11 @@ def _gridworld_block(payloads) -> tuple[list[tuple], Counter]:
     spec = payloads[0][0]
     ends: Counter = Counter()
     labels_by_iteration = []
-    for played in run_lanes(*gridworld_lanes(payloads), spec.iterations):
-        labels_by_iteration.append([record.labels for record, _ in played])
-        for record, _ in played:
-            ends[record.event.kind] += 1
-            ends["steps"] += len(record.transitions)
+    for batch in run_lanes(*gridworld_lanes(payloads), spec.iterations):
+        labels = batch.labels
+        labels_by_iteration.append(list(zip(labels[::2], labels[1::2])))
+        ends.update(batch.kinds)
+        ends["steps"] += sum(batch.lengths)
     rows = []
     for (_, scen_idx, var_idx, seed_idx, _), history in zip(payloads, zip(*labels_by_iteration)):
         reached = iterations_to_threshold(history, spec.window, spec.threshold)
@@ -761,8 +761,11 @@ def run_gridworld_detail(
     history: list = []
     rows: list[tuple] = []
     lanes, beliefs = gridworld_lanes([(spec, *run, base_seed)])
-    for it, [(record, details)] in enumerate(run_lanes(lanes, beliefs, spec.iterations)):
-        history.append(record.labels)
+    steps: list = []
+    logs = None if episode_log is None else [steps]
+    for it, batch in enumerate(run_lanes(lanes, beliefs, spec.iterations, logs)):
+        labels = tuple(batch.labels)
+        history.append(labels)
         chunk = history[-spec.window :]
         c_props = tuple(
             sum(1 for pair in chunk if pair[i] is C) / len(chunk) for i in range(2)
@@ -770,15 +773,15 @@ def run_gridworld_detail(
         # each agent's b0, b1 and conf, from its slot
         agent_0, agent_1 = np.vstack((beliefs.b, beliefs.conf)).T.tolist()
         rows.append((
-            it, len(record.transitions),
-            str(record.labels[0]), str(record.labels[1]),
-            record.terminal_rewards[0], record.terminal_rewards[1],
-            details[0].phi, details[0].psychological, details[0].shaped,
-            details[1].phi, details[1].psychological, details[1].shaped,
+            it, batch.lengths[0], str(labels[0]), str(labels[1]), *batch.rewards,
+            batch.phi[0], batch.psy[0], batch.shaped[0],
+            batch.phi[1], batch.psy[1], batch.shaped[1],
             c_props[0], c_props[1], *agent_0, *agent_1,
         ))
         if episode_log is not None:
-            episode_log.extend((it, *row) for row in episode_transition_rows(record))
+            episode_log.extend((it, *row) for row in episode_transition_rows(
+                lanes[0][1].width, steps, batch.rewards))
+            steps.clear()
     return RunResult(GRIDWORLD_DETAIL_COLUMNS, rows)
 
 

@@ -12,8 +12,10 @@ resolve to Stay), the stag moves, then termination is checked:
 joint stag capture first, then hare captures, then timeout.
 
 Each GridConfig is compiled once, when it is built, into integer tables
-over cell numbers (`CompiledGrid`), and `run_episode` steps on those ints;
-cells become (x, y) again only in `episode_transition_rows`.
+over cell numbers (`CompiledGrid`): where each move ends, the hares, the
+stag's choices, and every way an episode can end (`episode_end`, looked up
+by `CompiledGrid.end_index`). policy_learner.run_lanes steps episodes on
+those ints; cells become (x, y) again only in `episode_transition_rows`.
 """
 
 from __future__ import annotations
@@ -22,9 +24,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Callable
-
-import numpy as np
+from typing import NamedTuple, Sequence
 
 from .game import C, U, UNKNOWN, PayoffMatrix, PolicyLabel
 
@@ -50,6 +50,15 @@ class GridAction(enum.IntEnum):
 State = tuple[int, int, int, int]
 
 
+class End(NamedTuple):
+    """How an episode ended: "stag_joint", "hare" or "timeout", both agents'
+    terminal rewards and both agents' labels."""
+
+    kind: str
+    rewards: tuple[float, float]
+    labels: tuple[PolicyLabel, PolicyLabel]
+
+
 @dataclass(frozen=True, slots=True)
 class CompiledGrid:
     """A layout as integer tables over cell numbers, and its label payoffs,
@@ -62,6 +71,12 @@ class CompiledGrid:
     stag_options: tuple[tuple[int, ...], ...] | None
     starts: tuple[int, int, int]  # agent 0, agent 1, stag
     label_payoffs: PayoffMatrix  # the episode-label reward table as (h, c, m, g)
+    ends: tuple[End, ...]  # episode_end of every (on_stag, on_hare), at end_index
+
+    def end_index(self, a0: int, a1: int, stag: int) -> int:
+        """Where ends holds the end of an episode whose last step left the agents on
+        cells a0 and a1 and the stag on stag."""
+        return (a0 == stag) + 2 * (a1 == stag) + 4 * self.hare[a0] + 8 * self.hare[a1]
 
 
 STAG_MOTIONS = ("random_walk", "static")
@@ -85,10 +100,14 @@ class GridConfig:
     grid: CompiledGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # cell numbers and observation keys are ints made from these; a float or
+        # bool would pass a bound and fail, or step a fraction, in the run
+        for name in ("width", "height", "t_max"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"GridConfig.{name} must be an integer >= 1, got {value!r}")
         if self.stag_motion not in STAG_MOTIONS:
             raise ValueError(f"unknown stag motion: {self.stag_motion}")
-        if self.t_max <= 0:
-            raise ValueError("t_max must be positive")
         if len(self.agent_starts) != 2:
             raise ValueError(f"agent_starts must hold 2 cells, got {len(self.agent_starts)}")
         for cell in self.obstacles:
@@ -130,94 +149,33 @@ class GridConfig:
             m=self.reward_hare_shared,
             g=self.reward_left_out,
         )
+        ends = tuple(episode_end(self, (bool(i & 1), bool(i & 2)), (bool(i & 4), bool(i & 8)))
+                     for i in range(16))
         return CompiledGrid(move, hare, options, tuple(
             free[cell] for cell in (*self.agent_starts, self.stag_start)
-        ), label_payoffs)
+        ), label_payoffs, ends)
 
 
-@dataclass(frozen=True, slots=True)
-class StepEvent:
-    """Why and how an episode ended."""
-
-    kind: str  # "stag_joint" | "hare" | "timeout"
-    rewards: tuple[float, float]
-    hare_captors: tuple[bool, bool]
-    on_stag: tuple[bool, bool]
-
-
-@dataclass(slots=True)
-class EpisodeRecord:
-    """One full episode: each step's pre-move state and actions, plus how it ended."""
-
-    config: GridConfig
-    transitions: list[tuple[State, GridAction, GridAction]]
-    terminal_rewards: tuple[float, float]
-    labels: tuple[PolicyLabel, PolicyLabel]
-    event: StepEvent
-
-
-def label_episode(event: StepEvent) -> tuple[PolicyLabel, PolicyLabel]:
-    """Classify both agents' episode behaviour from the termination event.
+def episode_end(config: GridConfig, on_stag: tuple[bool, bool], on_hare: tuple[bool, bool]) -> End:
+    """How an episode ends once a step leaves each agent on the stag's cell or not
+    (on_stag) and on a hare or not (on_hare): a joint stag capture first, then
+    hare captures, else a timeout.
 
     Joint stag capture labels both C. A hare captor is U. An agent standing
     on the stag when the other took a hare still counts as hunting stag (C).
     Anyone who ended the episode with neither prey nor a spot on the stag is
     Unknown, which covers timeouts entirely.
     """
-    if event.kind == "timeout":
-        return (UNKNOWN, UNKNOWN)
-    # a joint capture has both agents on the stag and neither on a hare
-    first, second = (
-        U if captor else C if on_stag else UNKNOWN
-        for captor, on_stag in zip(event.hare_captors, event.on_stag)
-    )
-    return (first, second)
-
-
-PolicyFn = Callable[[State, int, np.random.Generator], GridAction]
-
-
-def run_episode(
-    config: GridConfig,
-    policy: PolicyFn,
-    rng: np.random.Generator,
-) -> EpisodeRecord:
-    """Roll one episode to termination under a joint policy callable.
-
-    `policy(state, agent_index, rng)` is queried for agent 0 then agent 1
-    each step, so identical seeds replay identical episodes.
-    """
-    grid = config.grid
-    move, hare, stag_options, t_max = grid.move, grid.hare, grid.stag_options, config.t_max
-    a0, a1, stag = grid.starts
-    t = 0
-    transitions = []
-    while True:
-        state = (a0, a1, stag, t)
-        act0 = policy(state, 0, rng)
-        act1 = policy(state, 1, rng)
-        transitions.append((state, act0, act1))
-        a0 = move[a0][act0]
-        a1 = move[a1][act1]
-        if stag_options is not None:
-            options = stag_options[stag]
-            stag = options[rng.integers(len(options))]
-        t += 1
-        if a0 == stag == a1 or hare[a0] or hare[a1] or t >= t_max:
-            break
-
-    on_stag = (a0 == stag, a1 == stag)
-    on_hare = (hare[a0], hare[a1])
     if all(on_stag):
-        event = StepEvent("stag_joint", (config.reward_stag_joint,) * 2, (False, False), on_stag)
-    elif any(on_hare):
+        return End("stag_joint", (config.reward_stag_joint,) * 2, (C, C))
+    if any(on_hare):
         alone, out = config.reward_hare_alone, config.reward_left_out
         rewards = (config.reward_hare_shared,) * 2 if all(on_hare) else (
             (alone, out) if on_hare[0] else (out, alone))
-        event = StepEvent("hare", rewards, on_hare, on_stag)
-    else:
-        event = StepEvent("timeout", (0.0, 0.0), (False, False), on_stag)
-    return EpisodeRecord(config, transitions, event.rewards, label_episode(event), event)
+        first, second = (U if captor else C if stag else UNKNOWN
+                         for captor, stag in zip(on_hare, on_stag))
+        return End("hare", rewards, (first, second))
+    return End("timeout", (0.0, 0.0), (UNKNOWN, UNKNOWN))
 
 
 EPISODE_LOG_COLUMNS = (
@@ -226,13 +184,16 @@ EPISODE_LOG_COLUMNS = (
 )
 
 
-def episode_transition_rows(record: EpisodeRecord) -> list[tuple]:
-    """Flatten an episode into CSV rows (one per transition, pre-move state)."""
-    width = record.config.width
-    last = len(record.transitions) - 1
+def episode_transition_rows(
+    width: int, transitions: Sequence[tuple[State, GridAction, GridAction]],
+    terminal_rewards: Sequence[float],
+) -> list[tuple]:
+    """Flatten an episode on a grid of the given width into CSV rows: one per
+    transition (pre-move state, both actions), rewards on the last."""
+    last = len(transitions) - 1
     rows = []
-    for step_index, ((a0, a1, stag, _), act0, act1) in enumerate(record.transitions):
-        rewards = record.terminal_rewards if step_index == last else (0.0, 0.0)
+    for step_index, ((a0, a1, stag, _), act0, act1) in enumerate(transitions):
+        rewards = terminal_rewards if step_index == last else (0.0, 0.0)
         rows.append(
             (
                 step_index, a0 % width, a0 // width, a1 % width, a1 // width,

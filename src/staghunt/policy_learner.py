@@ -4,12 +4,14 @@ that turns episode outcomes into shaped terminal rewards.
 
 The grid is tiny, so preferences and value estimates are exact tables over
 observation encodings; no function approximation anywhere. One iteration =
-one episode, then (for guilt agents) a belief update from the revealed
-labels, a shaped terminal reward, and a few epochs of clipped updates over
-the episode's transitions. `run_lanes` steps a block of runs in lockstep on
-the block's one PolicyTable and one shaping.Beliefs, which
-experiments.gridworld_lanes builds from the spec, so one guilt step
-(Beliefs.step) and one update per iteration cover all of their learners.
+one episode per run, then (for guilt agents) a belief update from the
+revealed labels, a shaped terminal reward, and a few epochs of clipped
+updates over the episodes' steps. `run_lanes` plays a block of runs in
+lockstep on the block's one PolicyTable and one shaping.Beliefs, which
+experiments.gridworld_lanes builds from the spec. Each iteration, one loop
+over the lanes steps every episode on its grid's compiled ints and writes
+one flat Batch; one guilt step (Beliefs.step) and one update_policies call
+read it for all of the block's learners.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .game import C, KNOWN_LABELS, PayoffMatrix, PolicyLabel
-from .gridworld import EpisodeRecord, GridAction, GridConfig, State, run_episode
+from .gridworld import CompiledGrid, GridAction, GridConfig
 from .shaping import Beliefs, InequityParams, inequity_reward, shape_reward
 
 ACTIONS = tuple(GridAction)
@@ -79,14 +81,6 @@ class PolicyParams:
             table.values.append(0.0)
             table.dists.append(FIRST_VISIT)
         return r
-
-
-def observation_key(state: State, agent_index: int, bucket_width: int, cells: int) -> ObsKey:
-    """What one agent sees, (time bucket, own cell, other's cell, stag's cell), as one
-    int; injective for cell numbers below cells."""
-    own = state[agent_index]
-    other = state[1 - agent_index]
-    return ((state[3] // bucket_width * cells + own) * cells + other) * cells + state[2]
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -186,37 +180,31 @@ def _gradient(prefs: np.ndarray, items: _Items, entropy_weight: float) -> np.nda
     return np.bincount(items.bins, weights.ravel(), prefs.size).reshape(prefs.shape)
 
 
-def update_policies(policies: Sequence[PolicyParams], episodes: Sequence["ShapedEpisode"]) -> None:
-    """Run the clipped-surrogate epochs for policies of one table, each on its own episode.
+def update_policies(table: PolicyTable, rows: Sequence[int], actions: Sequence[int],
+                    behaviour_probs: Sequence[float], returns: Sequence[float]) -> None:
+    """Run the clipped-surrogate epochs on a batch of table's steps: step j took
+    action actions[j] at row rows[j] with probability behaviour_probs[j], and
+    returned returns[j]. Each policy's steps come in the order it took them.
 
     No two policies share a row, so every epoch is one array pass over the
-    episodes' distinct rows, gathered from the table with one index as the
+    batch's distinct rows, gathered from the table with one index as the
     columns of an (N_ACTIONS, rows) array and written back with one. A zero
     clip ratio pins every ratio at 1, so the update is skipped. A row whose
     action distribution comes out non-finite is a ValueError, raised before
     the table is written.
     """
-    table = policies[0].table
-    if any(policy.table is not table for policy in policies):
-        raise ValueError("update_policies needs policies of one PolicyTable (one LearnerConfig)")
-    if not all(episode.rows for episode in episodes):
-        raise ValueError("update_policies needs a non-empty episode")
+    if not rows:
+        raise ValueError("update_policies needs a non-empty episode batch")
     cfg, values = table.hyper, table.values
     if cfg.clip_ratio == 0.0:
         return
 
-    rows, returns, actions, old_p = [], [], [], []
-    for episode in episodes:
-        rows += episode.rows
-        returns += discounted_returns(episode.rewards, cfg.gamma)
-        actions += episode.actions
-        old_p += episode.behaviour_probs
     # the distinct rows in order of first appearance, and each item's slot among them
     first: dict[int, int] = {}
     slots = [first.setdefault(r, len(first)) for r in rows]
     written = list(first)
     adv = [ret - values[r] for r, ret in zip(rows, returns)]
-    items = _Items.build(slots, actions, old_p, adv, cfg.clip_ratio)
+    items = _Items.build(slots, actions, behaviour_probs, adv, cfg.clip_ratio)
     prefs = table.prefs[written].T
     for _ in range(cfg.epochs):
         prefs = prefs + cfg.step_size * _gradient(prefs, items, cfg.entropy_weight)
@@ -238,16 +226,6 @@ def update_policies(policies: Sequence[PolicyParams], episodes: Sequence["Shaped
 
 
 @dataclass(slots=True)
-class ShapedEpisode:
-    """An episode flattened to per-step training rows for one agent's policy."""
-
-    rows: list[int]  # the policy's table row for each step's observation
-    actions: list[int]  # indices into ACTIONS
-    behaviour_probs: list[float]
-    rewards: list[float]
-
-
-@dataclass(slots=True)
 class GridLearner:
     """One grid-world agent: a policy and, for the inequity variant, its inequity
     shaping; its beliefs and guilt are its slot of its block's Beliefs (run_lanes)."""
@@ -256,77 +234,58 @@ class GridLearner:
     inequity: InequityParams | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class ShapingDetail:
-    """How one agent's terminal reward was shaped this iteration."""
+@dataclass(slots=True)
+class Batch:
+    """One iteration of a lockstep block, flat. Per agent-step, in (lane, agent,
+    step) order: its policy's table row, action index and behaviour probability.
+    Per lane k: its episode's length and end kind. Per slot 2k + i (lane k's agent
+    i): its label and material terminal reward, and how that reward was shaped:
+    phi (None where no guilt step ran), the psychological reward, and the shaped
+    terminal reward that the agent's policy trains on."""
 
-    phi: float | None
-    psychological: float
-    shaped: float
-
-
-def _shaped_terminal_reward(
-    learner: GridLearner, terminal_rewards: tuple[float, float], agent_index: int
-) -> ShapingDetail:
-    """One agent's episode end without guilt: inequity shaping, which needs only
-    the realised rewards and so always applies, or the material reward. A guilt
-    learner keeps its material reward here; run_lanes shapes it (_shape_guilt)."""
-    material = terminal_rewards[agent_index]
-    if learner.inequity is None:
-        return ShapingDetail(None, 0.0, material)
-    psy = inequity_reward(learner.inequity, material, [terminal_rewards[1 - agent_index]])
-    return ShapingDetail(None, psy, shape_reward(material, psy))
-
-
-def play_iteration(
-    learners: tuple[GridLearner, GridLearner],
-    config: GridConfig,
-    rng: np.random.Generator,
-) -> tuple[EpisodeRecord, list[ShapingDetail], list[ShapedEpisode]]:
-    """Play one episode, reveal labels and shape terminal rewards without guilt
-    (_shaped_terminal_reward); no guilt step and no policy update."""
-    policies = tuple(learner.policy for learner in learners)
-    dists = tuple(policy.table.dists for policy in policies)
-    widths = tuple(policy.table.hyper.time_bucket_width for policy in policies)
-    cells = config.width * config.height
-    episodes = [ShapedEpisode([], [], [], []) for _ in policies]
-
-    def joint_policy(state: State, agent_index: int, step_rng: np.random.Generator) -> GridAction:
-        key = observation_key(state, agent_index, widths[agent_index], cells)
-        r = policies[agent_index].row(key)
-        # Generator.choice(5, p=probs)'s draw: the first cdf entry above a uniform
-        probs, cdf = dists[agent_index][r]
-        idx = bisect_right(cdf, step_rng.random())
-        episode = episodes[agent_index]
-        episode.rows.append(r)
-        episode.actions.append(idx)
-        episode.behaviour_probs.append(probs[idx])
-        return ACTIONS[idx]
-
-    record = run_episode(config, joint_policy, rng)
-    details = [
-        _shaped_terminal_reward(learner, record.terminal_rewards, i)
-        for i, learner in enumerate(learners)
-    ]
-    for episode, detail in zip(episodes, details):
-        episode.rewards = [0.0] * (len(record.transitions) - 1) + [detail.shaped]
-    return record, details, episodes
+    rows: list[int] = field(default_factory=list)
+    actions: list[int] = field(default_factory=list)
+    probs: list[float] = field(default_factory=list)
+    lengths: list[int] = field(default_factory=list)
+    kinds: list[str] = field(default_factory=list)
+    labels: list[PolicyLabel] = field(default_factory=list)
+    rewards: list[float] = field(default_factory=list)
+    phi: list[float | None] = field(default_factory=list)
+    psy: list[float] = field(default_factory=list)
+    shaped: list[float] = field(default_factory=list)
 
 
-def _shape_guilt(matrix: PayoffMatrix, beliefs: Beliefs, guilty: np.ndarray,
-                 played: list[tuple]) -> None:
+def _lane_ends(learners: tuple[GridLearner, GridLearner], grid: CompiledGrid) -> list[tuple]:
+    """Each of grid.ends as a lane's learners meet it before any guilt step: its
+    kind, labels and material rewards, then both agents' psychological and shaped
+    rewards. Inequity shaping needs only the realised rewards, so it always
+    applies; a guilt learner keeps its material reward here (_shape_guilt)."""
+    out = []
+    for kind, rewards, labels in grid.ends:
+        psy, shaped = [0.0, 0.0], list(rewards)
+        for i, learner in enumerate(learners):
+            if learner.inequity is not None:
+                psy[i] = inequity_reward(learner.inequity, rewards[i], [rewards[1 - i]])
+                shaped[i] = shape_reward(rewards[i], psy[i])
+        out.append((kind, labels, rewards, tuple(psy), tuple(shaped)))
+    return out
+
+
+def _shape_guilt(matrix: PayoffMatrix, beliefs: Beliefs, guilty: np.ndarray, batch: Batch) -> None:
     """One Beliefs.step for the guilty slots of beliefs (slot 2k + i for lane k's agent
-    i), each against its other's terminal reward, with played as play_iteration's
-    output per lane. Guilt needs both labels: the step's mask leaves out a slot whose
-    episode revealed an Unknown one, which keeps its beliefs and its material reward."""
+    i), each against its other's terminal reward, writing each stepped slot's phi,
+    psychological and shaped reward into batch. Guilt needs both labels: the step's
+    mask leaves out a slot whose episode revealed an Unknown one, which keeps its
+    beliefs and its material reward."""
+    labels, rewards = batch.labels, batch.rewards
     known, own_c, other_c, other_reward = [], [], [], []
-    for record, _, _ in played:
-        first, second = record.labels
+    for k in range(0, len(labels), 2):
+        first, second = labels[k], labels[k + 1]
         both = first in KNOWN_LABELS and second in KNOWN_LABELS
         known += both, both
         own_c += first is C, second is C
         other_c += second is C, first is C
-        other_reward += reversed(record.terminal_rewards)
+        other_reward += rewards[k + 1], rewards[k]
     stepping = guilty & np.array(known)
     if not stepping.any():
         return
@@ -334,37 +293,114 @@ def _shape_guilt(matrix: PayoffMatrix, beliefs: Beliefs, guilty: np.ndarray,
                                       matrix, stepping)
     for slot, p, psy in zip(np.flatnonzero(stepping).tolist(), phi[stepping].tolist(),
                             psychological[stepping].tolist()):
-        (record, details, episodes), i = played[slot // 2], slot % 2
-        shaped = shape_reward(record.terminal_rewards[i], psy)
-        details[i] = ShapingDetail(p, psy, shaped)
-        episodes[i].rewards[-1] = shaped
+        batch.phi[slot] = p
+        batch.psy[slot] = psy
+        batch.shaped[slot] = shape_reward(rewards[slot], psy)
+
+
+def _returns(batch: Batch, gamma: float) -> list[float]:
+    """Every agent-step's discounted return, in the batch's order: an episode pays
+    nothing before its last step, which pays the shaped terminal reward."""
+    out: list[float] = []
+    for slot, reward in enumerate(batch.shaped):
+        out += discounted_returns([0.0] * (batch.lengths[slot // 2] - 1) + [reward], gamma)
+    return out
 
 
 # One run: its two learners, its grid and its own generator.
 Lane = tuple[tuple[GridLearner, GridLearner], GridConfig, np.random.Generator]
 
 
-def run_lanes(lanes: Sequence[Lane], beliefs: Beliefs, iterations: int) -> Iterator[list[tuple]]:
-    """Play runs in lockstep, yielding every lane's (record, details) per iteration.
+def run_lanes(lanes: Sequence[Lane], beliefs: Beliefs, iterations: int,
+              logs: Sequence[list] | None = None) -> Iterator[Batch]:
+    """Play runs in lockstep, yielding each iteration's Batch once the block has
+    trained on it.
 
-    Lane k's agent i holds slot 2k + i of beliefs, and every policy is on one
-    PolicyTable. Each iteration plays every lane's episode from its own
-    generator, in lane order, then steps the guilt learners (the slots with a
+    Lane k's agent i holds slot 2k + i of beliefs, and every policy must be on
+    one PolicyTable. Each iteration plays every lane's episode from its own
+    generator, in lane order, each step drawing for agent 0, then agent 1, then
+    (on a random walk) the stag; then steps the guilt learners (the slots with a
     theta) in one _shape_guilt call and trains all policies in one
     update_policies call. Both work lane by lane, so no lane's results depend
     on its batch mates. The lanes' grids must share one label payoff table.
+    Pass one list per lane as logs to also collect each of its steps as
+    (pre-move state, action 0, action 1), the input of
+    gridworld.episode_transition_rows.
     """
     matrices = {config.grid.label_payoffs for _, config, _ in lanes}
     if len(matrices) != 1:
         raise ValueError(f"run_lanes needs grids of one label payoff table, got {matrices}")
     (matrix,) = matrices
     policies = [learner.policy for learners, _, _ in lanes for learner in learners]
+    table = policies[0].table
+    if any(policy.table is not table for policy in policies):
+        raise ValueError("run_lanes needs policies of one PolicyTable (one LearnerConfig)")
+    dists, width, gamma = table.dists, table.hyper.time_bucket_width, table.hyper.gamma
     guilty = beliefs.neg_theta != 0.0
+    plays = []
+    for k, (learners, config, rng) in enumerate(lanes):
+        grid = config.grid
+        plays.append((
+            *(learner.policy for learner in learners), grid.move, grid.hare, grid.stag_options,
+            config.t_max, config.width * config.height, grid.starts, rng.random, rng.integers,
+            grid.end_index, _lane_ends(learners, grid), None if logs is None else logs[k],
+        ))
     for _ in range(iterations):
-        played = [play_iteration(*lane) for lane in lanes]
-        _shape_guilt(matrix, beliefs, guilty, played)
-        update_policies(policies, [episode for *_, episodes in played for episode in episodes])
-        yield [(record, details) for record, details, _ in played]
+        batch = Batch()
+        add_row, add_action, add_prob = batch.rows.append, batch.actions.append, batch.probs.append
+        for (policy0, policy1, move, hare, stag_options, t_max, cells, starts, random, integers,
+             end_index, ends, log) in plays:
+            get0, get1 = policy0.rows.get, policy1.rows.get
+            rows1, actions1, probs1 = [], [], []  # agent 1's steps, which follow agent 0's
+            a0, a1, stag = starts
+            t = 0
+            while True:
+                # each agent's observation key: (time bucket, own cell, other's cell,
+                # stag's cell) as one int, injective for cell numbers below cells
+                bucket = t // width * cells
+                key = ((bucket + a0) * cells + a1) * cells + stag
+                r = get0(key)
+                if r is None:
+                    r = policy0.row(key)
+                # Generator.choice(5, p=probs)'s draw: the first cdf entry above a uniform
+                probs, cdf = dists[r]
+                i0 = bisect_right(cdf, random())
+                add_row(r)
+                add_action(i0)
+                add_prob(probs[i0])
+                key = ((bucket + a1) * cells + a0) * cells + stag
+                r = get1(key)
+                if r is None:
+                    r = policy1.row(key)
+                probs, cdf = dists[r]
+                i1 = bisect_right(cdf, random())
+                rows1.append(r)
+                actions1.append(i1)
+                probs1.append(probs[i1])
+                if log is not None:
+                    log.append(((a0, a1, stag, t), ACTIONS[i0], ACTIONS[i1]))
+                a0 = move[a0][i0]
+                a1 = move[a1][i1]
+                if stag_options is not None:
+                    options = stag_options[stag]
+                    stag = options[integers(len(options))]
+                t += 1
+                if a0 == stag == a1 or hare[a0] or hare[a1] or t >= t_max:
+                    break
+            batch.rows += rows1
+            batch.actions += actions1
+            batch.probs += probs1
+            kind, labels, rewards, psy, shaped = ends[end_index(a0, a1, stag)]
+            batch.lengths.append(t)
+            batch.kinds.append(kind)
+            batch.labels += labels
+            batch.rewards += rewards
+            batch.psy += psy
+            batch.shaped += shaped
+        batch.phi = [None] * len(batch.labels)
+        _shape_guilt(matrix, beliefs, guilty, batch)
+        update_policies(table, batch.rows, batch.actions, batch.probs, _returns(batch, gamma))
+        yield batch
 
 
 def iterations_to_threshold(

@@ -9,19 +9,43 @@ learner at a time (grid_learner), the reference for
 experiments.gridworld_lanes; a learner config at fixed settings
 (learner_config), a policy's own preference rows (preferences); and the
 clipped surrogate and its gradient over a dict of preference rows, on the
-grid-world learner's update kernel."""
+grid-world learner's update kernel.
 
+The grid world's per-episode play, the reference for policy_learner.run_lanes'
+flat batch: run_episode under a policy callable, its EpisodeRecord and the
+StepEvent rule that labels it, and the per-episode iteration built on them
+(play_iteration, shape_guilt_by_episode, reference_lanes and reference_detail,
+which replays one run as experiments.run_gridworld_detail does); an update of
+ShapedEpisodes on the production update (update_episodes); an episode's rows of
+gridworld.episode_transition_rows (record_rows); and a Batch's lanes in the
+reference's shape (outcomes)."""
+
+from bisect import bisect_right
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
 from staghunt.beliefs import Belief, ToMState, make_tom_state
-from staghunt.experiments import MATRIX_VARIANTS, AgentParams, GridworldSpec, run_matches
-from staghunt.game import C, U, PayoffMatrix, PolicyLabel
+from staghunt.experiments import (
+    GRIDWORLD_DETAIL_COLUMNS,
+    MATRIX_VARIANTS,
+    AgentParams,
+    GridworldSpec,
+    RunResult,
+    gridworld_lanes,
+    gridworld_run,
+    run_matches,
+)
+from staghunt.game import C, KNOWN_LABELS, U, UNKNOWN, PayoffMatrix, PolicyLabel
+from staghunt.gridworld import GridAction, GridConfig, State, episode_transition_rows
 from staghunt.matrix_agents import MatrixLanes, values_for_cooperation_probability
 from staghunt.policy_learner import (
+    ACTIONS,
+    Batch,
+    GridLearner,
+    Lane,
     LearnerConfig,
     ObsKey,
     PolicyParams,
@@ -29,8 +53,16 @@ from staghunt.policy_learner import (
     _entropy_terms,
     _gradient,
     _Items,
+    discounted_returns,
+    update_policies,
 )
-from staghunt.shaping import Beliefs, GuiltParams, InequityParams
+from staghunt.shaping import (
+    Beliefs,
+    GuiltParams,
+    InequityParams,
+    inequity_reward,
+    shape_reward,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -275,3 +307,269 @@ def surrogate_gradient(
     policy_learner._gradient, the update's kernel, on the batch."""
     keys, prefs, items = _gather(preferences, batch, clip_ratio)
     return dict(zip(keys, _gradient(prefs, items, entropy_weight).T))
+
+
+# --- the grid world's per-episode play ---------------------------------------------
+#
+# run_episode and play_iteration as they were before the flat batch, with the
+# per-episode objects they returned; run_lanes must reproduce them bit for bit.
+
+
+@dataclass(frozen=True, slots=True)
+class StepEvent:
+    """Why and how an episode ended."""
+
+    kind: str  # "stag_joint" | "hare" | "timeout"
+    rewards: tuple[float, float]
+    hare_captors: tuple[bool, bool]
+    on_stag: tuple[bool, bool]
+
+
+@dataclass(slots=True)
+class EpisodeRecord:
+    """One full episode: each step's pre-move state and actions, plus how it ended."""
+
+    config: GridConfig
+    transitions: list[tuple[State, GridAction, GridAction]]
+    terminal_rewards: tuple[float, float]
+    labels: tuple[PolicyLabel, PolicyLabel]
+    event: StepEvent
+
+
+def label_episode(event: StepEvent) -> tuple[PolicyLabel, PolicyLabel]:
+    """Classify both agents' episode behaviour from the termination event.
+
+    Joint stag capture labels both C. A hare captor is U. An agent standing
+    on the stag when the other took a hare still counts as hunting stag (C).
+    Anyone who ended the episode with neither prey nor a spot on the stag is
+    Unknown, which covers timeouts entirely.
+    """
+    if event.kind == "timeout":
+        return (UNKNOWN, UNKNOWN)
+    # a joint capture has both agents on the stag and neither on a hare
+    first, second = (
+        U if captor else C if on_stag else UNKNOWN
+        for captor, on_stag in zip(event.hare_captors, event.on_stag)
+    )
+    return (first, second)
+
+
+PolicyFn = Callable[[State, int, np.random.Generator], GridAction]
+
+
+def run_episode(
+    config: GridConfig,
+    policy: PolicyFn,
+    rng: np.random.Generator,
+) -> EpisodeRecord:
+    """Roll one episode to termination under a joint policy callable.
+
+    `policy(state, agent_index, rng)` is queried for agent 0 then agent 1
+    each step, so identical seeds replay identical episodes.
+    """
+    grid = config.grid
+    move, hare, stag_options, t_max = grid.move, grid.hare, grid.stag_options, config.t_max
+    a0, a1, stag = grid.starts
+    t = 0
+    transitions = []
+    while True:
+        state = (a0, a1, stag, t)
+        act0 = policy(state, 0, rng)
+        act1 = policy(state, 1, rng)
+        transitions.append((state, act0, act1))
+        a0 = move[a0][act0]
+        a1 = move[a1][act1]
+        if stag_options is not None:
+            options = stag_options[stag]
+            stag = options[rng.integers(len(options))]
+        t += 1
+        if a0 == stag == a1 or hare[a0] or hare[a1] or t >= t_max:
+            break
+
+    on_stag = (a0 == stag, a1 == stag)
+    on_hare = (hare[a0], hare[a1])
+    if all(on_stag):
+        event = StepEvent("stag_joint", (config.reward_stag_joint,) * 2, (False, False), on_stag)
+    elif any(on_hare):
+        alone, out = config.reward_hare_alone, config.reward_left_out
+        rewards = (config.reward_hare_shared,) * 2 if all(on_hare) else (
+            (alone, out) if on_hare[0] else (out, alone))
+        event = StepEvent("hare", rewards, on_hare, on_stag)
+    else:
+        event = StepEvent("timeout", (0.0, 0.0), (False, False), on_stag)
+    return EpisodeRecord(config, transitions, event.rewards, label_episode(event), event)
+
+
+def record_rows(record: EpisodeRecord) -> list[tuple]:
+    """The record's episode as gridworld.episode_transition_rows flattens it."""
+    return episode_transition_rows(record.config.width, record.transitions,
+                                   record.terminal_rewards)
+
+
+def observation_key(state: State, agent_index: int, bucket_width: int, cells: int) -> ObsKey:
+    """What one agent sees, (time bucket, own cell, other's cell, stag's cell), as one
+    int; injective for cell numbers below cells."""
+    own = state[agent_index]
+    other = state[1 - agent_index]
+    return ((state[3] // bucket_width * cells + own) * cells + other) * cells + state[2]
+
+
+@dataclass(slots=True)
+class ShapedEpisode:
+    """An episode flattened to per-step training rows for one agent's policy."""
+
+    rows: list[int]  # the policy's table row for each step's observation
+    actions: list[int]  # indices into ACTIONS
+    behaviour_probs: list[float]
+    rewards: list[float]
+
+
+def update_episodes(policies: Sequence[PolicyParams], episodes: Sequence[ShapedEpisode]) -> None:
+    """update_policies on the first policy's table, with every episode's steps in
+    turn, each with its discounted return."""
+    table = policies[0].table
+    rows, actions, probs, returns = [], [], [], []
+    for episode in episodes:
+        rows += episode.rows
+        actions += episode.actions
+        probs += episode.behaviour_probs
+        returns += discounted_returns(episode.rewards, table.hyper.gamma)
+    update_policies(table, rows, actions, probs, returns)
+
+
+@dataclass(frozen=True, slots=True)
+class ShapingDetail:
+    """How one agent's terminal reward was shaped this iteration."""
+
+    phi: float | None
+    psychological: float
+    shaped: float
+
+
+def _shaped_terminal_reward(
+    learner: GridLearner, terminal_rewards: tuple[float, float], agent_index: int
+) -> ShapingDetail:
+    """One agent's episode end without guilt: inequity shaping, which needs only
+    the realised rewards and so always applies, or the material reward."""
+    material = terminal_rewards[agent_index]
+    if learner.inequity is None:
+        return ShapingDetail(None, 0.0, material)
+    psy = inequity_reward(learner.inequity, material, [terminal_rewards[1 - agent_index]])
+    return ShapingDetail(None, psy, shape_reward(material, psy))
+
+
+def play_iteration(
+    learners: tuple[GridLearner, GridLearner],
+    config: GridConfig,
+    rng: np.random.Generator,
+) -> tuple[EpisodeRecord, list[ShapingDetail], list[ShapedEpisode]]:
+    """Play one episode, reveal labels and shape terminal rewards without guilt
+    (_shaped_terminal_reward); no guilt step and no policy update."""
+    policies = tuple(learner.policy for learner in learners)
+    dists = tuple(policy.table.dists for policy in policies)
+    widths = tuple(policy.table.hyper.time_bucket_width for policy in policies)
+    cells = config.width * config.height
+    episodes = [ShapedEpisode([], [], [], []) for _ in policies]
+
+    def joint_policy(state: State, agent_index: int, step_rng: np.random.Generator) -> GridAction:
+        key = observation_key(state, agent_index, widths[agent_index], cells)
+        r = policies[agent_index].row(key)
+        # Generator.choice(5, p=probs)'s draw: the first cdf entry above a uniform
+        probs, cdf = dists[agent_index][r]
+        idx = bisect_right(cdf, step_rng.random())
+        episode = episodes[agent_index]
+        episode.rows.append(r)
+        episode.actions.append(idx)
+        episode.behaviour_probs.append(probs[idx])
+        return ACTIONS[idx]
+
+    record = run_episode(config, joint_policy, rng)
+    details = [
+        _shaped_terminal_reward(learner, record.terminal_rewards, i)
+        for i, learner in enumerate(learners)
+    ]
+    for episode, detail in zip(episodes, details):
+        episode.rewards = [0.0] * (len(record.transitions) - 1) + [detail.shaped]
+    return record, details, episodes
+
+
+def shape_guilt_by_episode(matrix: PayoffMatrix, beliefs: Beliefs, guilty: np.ndarray,
+                           played: list[tuple]) -> None:
+    """One Beliefs.step for the guilty slots of beliefs (slot 2k + i for lane k's agent
+    i), each against its other's terminal reward, with played as play_iteration's
+    output per lane; a slot whose episode revealed an Unknown label keeps its beliefs
+    and its material reward."""
+    known, own_c, other_c, other_reward = [], [], [], []
+    for record, _, _ in played:
+        first, second = record.labels
+        both = first in KNOWN_LABELS and second in KNOWN_LABELS
+        known += both, both
+        own_c += first is C, second is C
+        other_c += second is C, first is C
+        other_reward += reversed(record.terminal_rewards)
+    stepping = guilty & np.array(known)
+    if not stepping.any():
+        return
+    phi, psychological = beliefs.step(np.array(own_c), np.array(other_c), np.array(other_reward),
+                                      matrix, stepping)
+    for slot, p, psy in zip(np.flatnonzero(stepping).tolist(), phi[stepping].tolist(),
+                            psychological[stepping].tolist()):
+        (record, details, episodes), i = played[slot // 2], slot % 2
+        shaped = shape_reward(record.terminal_rewards[i], psy)
+        details[i] = ShapingDetail(p, psy, shaped)
+        episodes[i].rewards[-1] = shaped
+
+
+def reference_lanes(lanes: Sequence[Lane], beliefs: Beliefs,
+                    iterations: int) -> Iterator[list[tuple]]:
+    """run_lanes by episodes: every lane's (record, details) per iteration, from
+    play_iteration per lane, one shape_guilt_by_episode and one update_episodes."""
+    (matrix,) = {config.grid.label_payoffs for _, config, _ in lanes}
+    policies = [learner.policy for learners, _, _ in lanes for learner in learners]
+    guilty = beliefs.neg_theta != 0.0
+    for _ in range(iterations):
+        played = [play_iteration(*lane) for lane in lanes]
+        shape_guilt_by_episode(matrix, beliefs, guilty, played)
+        update_episodes(policies, [episode for *_, episodes in played for episode in episodes])
+        yield [(record, details) for record, details, _ in played]
+
+
+def reference_detail(spec: GridworldSpec, scenario: str, variant: str, seed_index: int,
+                     base_seed: int = 0, episode_log: list | None = None) -> RunResult:
+    """experiments.run_gridworld_detail on reference_lanes."""
+    run = gridworld_run(spec, scenario, variant, seed_index)
+    history: list = []
+    rows: list[tuple] = []
+    lanes, beliefs = gridworld_lanes([(spec, *run, base_seed)])
+    for it, [(record, details)] in enumerate(reference_lanes(lanes, beliefs, spec.iterations)):
+        history.append(record.labels)
+        chunk = history[-spec.window :]
+        c_props = tuple(
+            sum(1 for pair in chunk if pair[i] is C) / len(chunk) for i in range(2)
+        )
+        agent_0, agent_1 = np.vstack((beliefs.b, beliefs.conf)).T.tolist()
+        rows.append((
+            it, len(record.transitions),
+            str(record.labels[0]), str(record.labels[1]),
+            record.terminal_rewards[0], record.terminal_rewards[1],
+            details[0].phi, details[0].psychological, details[0].shaped,
+            details[1].phi, details[1].psychological, details[1].shaped,
+            c_props[0], c_props[1], *agent_0, *agent_1,
+        ))
+        if episode_log is not None:
+            episode_log.extend((it, *row) for row in record_rows(record))
+    return RunResult(GRIDWORLD_DETAIL_COLUMNS, rows)
+
+
+def outcomes(batch: Batch) -> list[tuple[SimpleNamespace, list[ShapingDetail]]]:
+    """Each lane of a Batch as (record, details): the record's labels,
+    terminal_rewards, kind and length, and each agent's ShapingDetail."""
+    out = []
+    for k, (kind, length) in enumerate(zip(batch.kinds, batch.lengths)):
+        slots = (2 * k, 2 * k + 1)
+        record = SimpleNamespace(
+            labels=tuple(batch.labels[s] for s in slots),
+            terminal_rewards=tuple(batch.rewards[s] for s in slots), kind=kind, length=length)
+        out.append((record, [ShapingDetail(batch.phi[s], batch.psy[s], batch.shaped[s])
+                             for s in slots]))
+    return out

@@ -21,6 +21,7 @@ from engine_helpers import (
     lane_state,
     lanes_of,
     make_matrix_agent,
+    run_episode,
     surrogate_gradient,
     surrogate_objective,
     td1_update,
@@ -51,7 +52,7 @@ from staghunt.experiments import (
     sweep_cell_means,
     tournament_means,
 )
-from staghunt.gridworld import GridAction, make_scenario, run_episode
+from staghunt.gridworld import GridAction, make_scenario
 from staghunt.policy_learner import ACTIONS
 
 Q1 = PayoffMatrix(40.0, 30.0, 20.0, 0.0)

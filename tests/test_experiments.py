@@ -8,8 +8,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from engine_helpers import belief_state, grid_learner
-from staghunt import PayoffMatrix, experiments
+from engine_helpers import (
+    belief_state,
+    grid_learner,
+    observation_key,
+    outcomes,
+    reference_detail,
+    reference_lanes,
+    run_episode,
+)
+from staghunt import PayoffMatrix, experiments, policy_learner
 from staghunt.beliefs import make_tom_state
 from staghunt.experiments import (
     DRAW_CHUNK,
@@ -25,22 +33,14 @@ from staghunt.experiments import (
     gridworld_threshold_summary,
     matrix_lanes,
     run_gridworld_comparison,
+    run_gridworld_detail,
     run_sweep,
     run_tournament,
     sweep_cell_means,
     tournament_means,
 )
-from staghunt.gridworld import make_scenario, run_episode
-from staghunt.policy_learner import (
-    ACTIONS,
-    N_ACTIONS,
-    LearnerConfig,
-    _softmax,
-    observation_key,
-    play_iteration,
-    run_lanes,
-    update_policies,
-)
+from staghunt.gridworld import make_scenario
+from staghunt.policy_learner import ACTIONS, N_ACTIONS, LearnerConfig, _softmax, run_lanes
 from staghunt.shaping import Beliefs, InequityParams
 
 
@@ -264,9 +264,9 @@ def test_gridworld_parallel_jobs_match_serial(monkeypatch):
 def _lane_trace(lanes, beliefs, iterations):
     """Per lane: every iteration's outcome, then its final beliefs and tables."""
     traces = [[] for _ in lanes]
-    for played in run_lanes(lanes, beliefs, iterations):
-        for trace, (record, details) in zip(traces, played):
-            trace.append((record.labels, record.terminal_rewards, len(record.transitions), details))
+    for batch in run_lanes(lanes, beliefs, iterations):
+        for trace, (record, details) in zip(traces, outcomes(batch)):
+            trace.append((record.labels, record.terminal_rewards, record.length, details))
     for lane, (trace, (learners, _, _)) in enumerate(zip(traces, lanes)):
         for i, learner in enumerate(learners):
             policy = learner.policy
@@ -336,26 +336,83 @@ def _choice_policy(learners, config, behaviour_probs):
 
 
 @pytest.mark.parametrize("stag_motion", ["static", "random_walk"])
-def test_play_from_cached_distributions_matches_a_choice_reference(stag_motion):
+def test_play_from_cached_distributions_matches_a_choice_reference(stag_motion, monkeypatch):
     """Every episode, replayed from the same generator state under the reference
-    policy, takes the same steps with the same behaviour probabilities."""
+    policy, takes the same steps with the same behaviour probabilities: checked
+    as the block's update receives them, before the update."""
     spec = GridworldSpec(seeds=1, iterations=60, stag_motion=stag_motion)
-    lanes, _ = gridworld_lanes(_payloads(spec, 13))
-    policies = [learner.policy for learners, _, _ in lanes for learner in learners]
-    for _ in range(spec.iterations):
-        states = [rng.bit_generator.state for _, _, rng in lanes]
-        played = [play_iteration(*lane) for lane in lanes]
-        for (learners, config, rng), state, (record, _, episodes) in zip(lanes, states, played):
+    lanes, beliefs = gridworld_lanes(_payloads(spec, 13))
+    logs = [[] for _ in lanes]
+    states = [rng.bit_generator.state for _, _, rng in lanes]
+    replays: list = []
+    update = policy_learner.update_policies
+
+    def replay_then_update(table, rows, actions, probs, returns):
+        behaviour = iter(probs)
+        for k, ((learners, config, rng), log) in enumerate(zip(lanes, logs)):
             replay_rng = np.random.default_rng()
-            replay_rng.bit_generator.state = state
+            replay_rng.bit_generator.state = states[k]
             behaviour_probs = ([], [])
             replay = run_episode(config, _choice_policy(learners, config, behaviour_probs),
                                  replay_rng)
-            assert replay.transitions == record.transitions
-            assert replay.labels == record.labels
-            assert [e.behaviour_probs for e in episodes] == list(behaviour_probs)
+            assert replay.transitions == log
+            assert [[next(behaviour) for _ in log] for _ in range(2)] == list(behaviour_probs)
             assert replay_rng.bit_generator.state == rng.bit_generator.state
-        update_policies(policies, [episode for *_, episodes in played for episode in episodes])
+            replays.append(replay)
+            states[k] = rng.bit_generator.state
+            log.clear()
+        update(table, rows, actions, probs, returns)
+
+    monkeypatch.setattr(policy_learner, "update_policies", replay_then_update)
+    for batch in run_lanes(lanes, beliefs, spec.iterations, logs):
+        assert [replay.labels for replay in replays] == [record.labels
+                                                         for record, _ in outcomes(batch)]
+        replays.clear()
+
+
+def _bits(values) -> bytes:
+    """The bytes of a sequence of floats, None as NaN: tells -0.0 from 0.0."""
+    return np.array([np.nan if v is None else v for v in values], dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("stag_motion", ["static", "random_walk"])
+def test_flat_batch_play_matches_the_reference_play_iteration(stag_motion):
+    """Blocks of 1, 4 and 16 lanes, both layouts and all four variants: every
+    iteration, each lane's labels, end kind, length, terminal and shaped rewards,
+    phi and psychological reward are the per-episode reference's bytes, and so are
+    the block's table and beliefs after the run; one run's detail rows and episode
+    log are those of the reference's replay."""
+    spec = GridworldSpec(seeds=2, iterations=60, stag_motion=stag_motion)
+    payloads = _payloads(spec, 29)
+    seen = Counter()
+    for block in ([payloads[5]], payloads[::4], payloads):
+        (ours, our_beliefs), (theirs, their_beliefs) = (gridworld_lanes(block) for _ in range(2))
+        for batch, played in zip(run_lanes(ours, our_beliefs, spec.iterations),
+                                 reference_lanes(theirs, their_beliefs, spec.iterations)):
+            for (record, details), (ref, ref_details) in zip(outcomes(batch), played):
+                assert record.labels == ref.labels
+                assert (record.kind, record.length) == (ref.event.kind, len(ref.transitions))
+                assert _bits(record.terminal_rewards) == _bits(ref.terminal_rewards)
+                for detail, ref_detail in zip(details, ref_details):
+                    assert (_bits((detail.phi, detail.psychological, detail.shaped))
+                            == _bits((ref_detail.phi, ref_detail.psychological,
+                                      ref_detail.shaped)))
+                seen[record.kind] += 1
+                seen["guilt"] += any(detail.phi is not None for detail in details)
+        table, ref_table = (lanes[0][0][0].policy.table for lanes in (ours, theirs))
+        assert table.prefs.tobytes() == ref_table.prefs.tobytes()
+        assert _bits(table.values) == _bits(ref_table.values)
+        assert table.dists == ref_table.dists
+        assert ([learner.policy.rows for learners, _, _ in ours for learner in learners]
+                == [learner.policy.rows for learners, _, _ in theirs for learner in learners])
+        assert our_beliefs.b.tobytes() == their_beliefs.b.tobytes()
+        assert our_beliefs.conf.tobytes() == their_beliefs.conf.tobytes()
+    assert min(seen.values()) >= 20, seen
+    episode_log, ref_log = [], []
+    run = ("near-stag", "tomaga", 1)
+    assert (run_gridworld_detail(spec, *run, base_seed=29, episode_log=episode_log).rows
+            == reference_detail(spec, *run, base_seed=29, episode_log=ref_log).rows)
+    assert episode_log == ref_log and len(ref_log) > spec.iterations
 
 
 def _processes(result) -> int:

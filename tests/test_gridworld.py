@@ -6,16 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from engine_helpers import StepEvent, label_episode, record_rows, run_episode
 from staghunt.game import C, U, UNKNOWN
 from staghunt.gridworld import (
     GridAction,
     GridConfig,
-    StepEvent,
     config_from_dict,
-    episode_transition_rows,
-    label_episode,
+    episode_end,
     make_scenario,
-    run_episode,
 )
 
 
@@ -92,7 +90,7 @@ def test_obstacle_move_resolves_to_stay():
 
 def test_timeout_after_t_max_steps():
     record = play(simple_config(t_max=3))
-    rows = episode_transition_rows(record)
+    rows = record_rows(record)
     assert [row[-1] for row in rows] == [False, False, True]
     assert record.event.kind == "timeout"
     assert record.event.rewards == (0.0, 0.0)
@@ -129,29 +127,53 @@ def test_random_walk_stag_stays_on_free_cells():
 # --- labelling ------------------------------------------------------------------
 
 
+def end_of(on_stag, on_hare):
+    return episode_end(GridConfig(), on_stag, on_hare)
+
+
 def test_joint_stag_capture_labels_both_cooperative():
-    event = StepEvent("stag_joint", (4.0, 4.0), (False, False), (True, True))
-    assert label_episode(event) == (C, C)
+    assert end_of((True, True), (False, False)).labels == (C, C)
 
 
 def test_lone_hare_against_wanderer_is_u_and_unknown():
-    event = StepEvent("hare", (3.0, 0.0), (True, False), (False, False))
-    assert label_episode(event) == (U, UNKNOWN)
+    assert end_of((False, False), (True, False)).labels == (U, UNKNOWN)
 
 
 def test_hare_against_agent_on_stag_is_u_and_c():
-    event = StepEvent("hare", (3.0, 0.0), (True, False), (False, True))
-    assert label_episode(event) == (U, C)
+    assert end_of((False, True), (True, False)).labels == (U, C)
 
 
 def test_both_hares_label_both_uncooperative():
-    event = StepEvent("hare", (2.0, 2.0), (True, True), (False, False))
-    assert label_episode(event) == (U, U)
+    assert end_of((False, False), (True, True)).labels == (U, U)
 
 
 def test_timeout_labels_both_unknown():
-    event = StepEvent("timeout", (0.0, 0.0), (False, False), (False, False))
-    assert label_episode(event) == (UNKNOWN, UNKNOWN)
+    assert end_of((False, False), (False, False)).labels == (UNKNOWN, UNKNOWN)
+
+
+@pytest.mark.parametrize("scenario", ["near-stag", "near-hares"])
+def test_every_end_is_the_step_event_rule(scenario):
+    """The compiled ends, at every agents' and stag's cells an episode can stop on,
+    are the kind, rewards and labels of the per-episode StepEvent rule."""
+    config = make_scenario(scenario)
+    grid = config.grid
+    cells = range(config.width * config.height)
+    for a0 in cells:
+        for a1 in cells:
+            for stag in cells:
+                on_stag, on_hare = (a0 == stag, a1 == stag), (grid.hare[a0], grid.hare[a1])
+                alone, out = config.reward_hare_alone, config.reward_left_out
+                if all(on_stag):
+                    event = StepEvent("stag_joint", (config.reward_stag_joint,) * 2, (False, False),
+                                      on_stag)
+                elif any(on_hare):
+                    rewards = (config.reward_hare_shared,) * 2 if all(on_hare) else (
+                        (alone, out) if on_hare[0] else (out, alone))
+                    event = StepEvent("hare", rewards, on_hare, on_stag)
+                else:
+                    event = StepEvent("timeout", (0.0, 0.0), (False, False), on_stag)
+                end = grid.ends[grid.end_index(a0, a1, stag)]
+                assert end == (event.kind, event.rewards, label_episode(event)), (a0, a1, stag)
 
 
 # --- configuration validation -----------------------------------------------
@@ -166,6 +188,13 @@ def test_config_rejects_out_of_bounds_and_overlaps():
         simple_config(agent_starts=((0, 3), (2, 0)))  # on a hare
     with pytest.raises(ValueError):
         simple_config(stag_motion="teleport")
+
+
+@pytest.mark.parametrize("name", ["width", "height", "t_max"])
+@pytest.mark.parametrize("value", [4.0, 2.5, True, 0, -1])
+def test_config_rejects_a_size_or_horizon_that_is_not_a_positive_int(name, value):
+    with pytest.raises(ValueError, match=f"GridConfig.{name} must be an integer >= 1"):
+        GridConfig(**{name: value})
 
 
 @pytest.mark.parametrize(
@@ -279,7 +308,7 @@ def test_episode_rewards_and_labels_are_consistent(seed):
     """Exactly one termination; rewards only at the end; labels match rewards."""
     config = make_scenario("near-hares")
     record = run_episode(config, random_policy, np.random.default_rng(seed))
-    *body, last = episode_transition_rows(record)
+    *body, last = record_rows(record)
     assert all(row[9:] == (0.0, 0.0, False) for row in body)
     assert last[11] is True
     assert record.terminal_rewards in {
@@ -326,7 +355,7 @@ def test_episode_transition_rows_flatten_the_record():
 
     config = make_scenario("near-hares")
     record = run_episode(config, random_policy, np.random.default_rng(5))
-    rows = episode_transition_rows(record)
+    rows = record_rows(record)
     assert len(rows) == len(record.transitions)
     assert len(rows[0]) == len(EPISODE_LOG_COLUMNS)
     assert rows[0][0] == 0
@@ -441,7 +470,7 @@ def test_integer_engine_replays_the_tuple_stepper(scenario, stag_motion):
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         record = run_episode(config, random_policy, ours)
         transitions, event, labels = tuple_run_episode(config, random_policy, theirs)
-        assert episode_transition_rows(record) == tuple_rows(transitions), seed
+        assert record_rows(record) == tuple_rows(transitions), seed
         # the state after the last step shows only through the event
         assert record.event == event
         assert record.labels == labels

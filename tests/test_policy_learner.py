@@ -2,18 +2,24 @@ import dataclasses
 import struct
 from bisect import bisect_right
 from collections import Counter
+from itertools import accumulate
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from engine_helpers import (
+    ShapedEpisode,
+    ShapingDetail,
     belief_state,
     grid_learner,
     learner_config,
     new_policy,
+    observation_key,
+    outcomes,
     surrogate_gradient,
     surrogate_objective,
+    update_episodes,
 )
 from scalar_beliefs import belief_step
 from staghunt import policy_learner
@@ -25,21 +31,18 @@ from staghunt.policy_learner import (
     ACTIONS,
     FIRST_VISIT,
     N_ACTIONS,
+    Batch,
     LearnerConfig,
     PolicyParams,
     PolicyTable,
-    ShapedEpisode,
-    ShapingDetail,
     _entropy_terms,
+    _lane_ends,
+    _returns,
     _shape_guilt,
-    _shaped_terminal_reward,
     _softmax,
     discounted_returns,
     iterations_to_threshold,
-    observation_key,
-    play_iteration,
     run_lanes,
-    update_policies,
 )
 from staghunt.shaping import guilt_reward, inequity_reward, phi_from_beliefs, shape_reward
 
@@ -126,7 +129,7 @@ def test_zero_advantages_leave_preferences_unchanged():
     episode = ShapedEpisode(rows=[row], actions=[GridAction.STAY], behaviour_probs=[0.2],
                             rewards=[1.0])
     before = policy.table.prefs[row].tolist()
-    update_policies([policy], [episode])
+    update_episodes([policy], [episode])
     assert np.allclose(policy.table.prefs[row], before)
 
 
@@ -136,7 +139,7 @@ def test_positive_advantage_increases_taken_action_probability():
     episode = ShapedEpisode(
         rows=[policy.row(KEY)], actions=[0], behaviour_probs=[p_before], rewards=[4.0]
     )
-    update_policies([policy], [episode])
+    update_episodes([policy], [episode])
     assert action_probs(policy, KEY)[0] > p_before
 
 
@@ -144,7 +147,7 @@ def test_zero_clip_ratio_freezes_the_policy():
     policy = new_policy(clip_ratio=0.0)
     row = policy.row(KEY)
     episode = ShapedEpisode(rows=[row], actions=[2], behaviour_probs=[0.2], rewards=[10.0])
-    update_policies([policy], [episode])
+    update_episodes([policy], [episode])
     assert policy.table.prefs[row].tolist() == [0.0] * N_ACTIONS
     assert policy.table.values[row] == 0.0
 
@@ -160,7 +163,7 @@ def test_policy_stays_a_distribution_after_updates():
             behaviour_probs=[float(probs[list(ACTIONS).index(action)])],
             rewards=[float(rng.normal())],
         )
-        update_policies([policy], [episode])
+        update_episodes([policy], [episode])
         probs = action_probs(policy, KEY)
         assert probs.sum() == pytest.approx(1.0)
         assert (probs > 0).all()
@@ -168,7 +171,7 @@ def test_policy_stays_a_distribution_after_updates():
 
 def test_policy_update_rejects_empty_episode():
     with pytest.raises(ValueError, match="update_policies needs a non-empty episode"):
-        update_policies([new_policy()], [ShapedEpisode([], [], [], [])])
+        update_episodes([new_policy()], [ShapedEpisode([], [], [], [])])
 
 
 # --- differential check against the per-item reference ------------------------------
@@ -324,7 +327,7 @@ def test_policy_update_matches_per_item_reference(hyper):
         shaped = as_rows(policy, episode)
         # several updates in a row, so the rows drift away from the seed's
         for _ in range(3):
-            update_policies([policy], [shaped])
+            update_episodes([policy], [shaped])
             _ref_policy_update(reference, episode)
         assert_same_tables(policy, reference)
 
@@ -357,18 +360,20 @@ def test_two_learners_updated_together_match_per_item_reference(hyper):
         table = PolicyTable(hyper)
         together = [as_policy(ref, table) for ref in apart]
         episodes = [random_case(seed + 1000, hyper)[1], random_case(seed + 2000, hyper)[1]]
-        update_policies(together, [as_rows(p, e) for p, e in zip(together, episodes)])
+        update_episodes(together, [as_rows(p, e) for p, e in zip(together, episodes)])
         for policy, episode in zip(apart, episodes):
             _ref_policy_update(policy, episode)
         for a, b in zip(together, apart):
             assert_same_tables(a, b)
 
 
-def test_update_policies_needs_one_shared_config():
-    policies = [new_policy(), new_policy(epochs=2)]
-    episode = ShapedEpisode([0], [0], [0.2], [1.0])
+def test_run_lanes_needs_one_shared_config():
+    """Two blocks' lanes under two LearnerConfigs are two tables: run_lanes refuses
+    to play them as one block, before anything is played."""
+    (first, beliefs), (second, _) = (gridworld_lanes([(GridworldSpec(epochs=epochs), 0, 0, 0, 0)])
+                                     for epochs in (6, 2))
     with pytest.raises(ValueError, match="LearnerConfig"):
-        update_policies(policies, [episode, episode])
+        next(run_lanes(first + second, beliefs, 1))
 
 
 def test_random_cases_cover_repeats_and_both_clip_branches():
@@ -452,7 +457,7 @@ def test_a_row_repeated_until_timeout_matches_per_item_reference(hyper):
         policy = as_policy(reference)
         shaped = as_rows(policy, episode)
         for _ in range(3):
-            update_policies([policy], [shaped])
+            update_episodes([policy], [shaped])
             _ref_policy_update(reference, episode)
         assert_same_tables(policy, reference)
 
@@ -510,7 +515,7 @@ def test_two_learners_standing_still_updated_together_match_per_item_reference(h
         table = PolicyTable(hyper)
         together = [as_policy(ref, table) for ref in apart]
         episodes = [still_case(seed + 1000, hyper)[1], still_case(seed + 2000, hyper)[1]]
-        update_policies(together, [as_rows(p, e) for p, e in zip(together, episodes)])
+        update_episodes(together, [as_rows(p, e) for p, e in zip(together, episodes)])
         for policy, episode in zip(apart, episodes):
             _ref_policy_update(policy, episode)
         for a, b in zip(together, apart):
@@ -531,7 +536,7 @@ def one_lane(variant, **kwargs):
 def run_n(variant, n, seed=3, scenario="near-stag", **kwargs):
     learners, beliefs = one_lane(variant, **kwargs)
     lane = (learners, make_scenario(scenario), np.random.default_rng(seed))
-    records = [record for [(record, _)] in run_lanes([lane], beliefs, n)]
+    records = [record for [(record, _)] in map(outcomes, run_lanes([lane], beliefs, n))]
     return beliefs, records
 
 
@@ -548,15 +553,16 @@ def test_individual_learners_keep_material_rewards():
 
 
 def shaped_end(lane, labels, rewards, label_matrix):
-    """Agent 0's shaped episode end, as run_lanes makes it in a one-lane block,
-    lane = (learners, beliefs): play_iteration's details without guilt, then the
-    block's guilt step."""
+    """Agent 0's shaped end of a one-step episode, as run_lanes makes it in a
+    one-lane block, lane = (learners, beliefs): the lane's end without guilt, then
+    the block's guilt step."""
     learners, beliefs = lane
-    details = [_shaped_terminal_reward(learner, rewards, i) for i, learner in enumerate(learners)]
-    episodes = [ShapedEpisode([0], [0], [1.0], [detail.shaped]) for detail in details]
-    record = SimpleNamespace(labels=labels, terminal_rewards=rewards)
-    _shape_guilt(label_matrix, beliefs, beliefs.neg_theta != 0.0, [(record, details, episodes)])
-    assert [episode.rewards for episode in episodes] == [[detail.shaped] for detail in details]
+    [(_, _, _, psy, shaped)] = _lane_ends(learners, SimpleNamespace(ends=[("", rewards, labels)]))
+    batch = Batch(rows=[0, 1], actions=[0, 0], probs=[1.0, 1.0], lengths=[1], labels=list(labels),
+                  rewards=list(rewards), phi=[None, None], psy=list(psy), shaped=list(shaped))
+    _shape_guilt(label_matrix, beliefs, beliefs.neg_theta != 0.0, batch)
+    details = [ShapingDetail(*fields) for fields in zip(batch.phi, batch.psy, batch.shaped)]
+    assert _returns(batch, 0.99) == [detail.shaped for detail in details]
     return details[0]
 
 
@@ -662,15 +668,17 @@ def test_block_guilt_step_matches_the_per_learner_reference(stag_motion, monkeyp
     trained: list = []
     update = policy_learner.update_policies
 
-    def recording_update(policies, episodes):
-        trained.append([episode.rewards[-1] for episode in episodes])
-        update(policies, episodes)
+    def recording_update(table, rows, actions, probs, returns):
+        trained.append(returns)
+        update(table, rows, actions, probs, returns)
 
     monkeypatch.setattr(policy_learner, "update_policies", recording_update)
     seen = Counter()
-    for played in run_lanes(lanes, beliefs, spec.iterations):
-        terminal = iter(trained.pop())
-        for k, ((_, config, _), (record, details)) in enumerate(zip(lanes, played)):
+    for batch in run_lanes(lanes, beliefs, spec.iterations):
+        # each episode's last step, which pays its terminal reward
+        returns, ends = trained.pop(), accumulate(n for n in batch.lengths for _ in range(2))
+        terminal = iter([returns[end - 1] for end in ends])
+        for k, ((_, config, _), (record, details)) in enumerate(zip(lanes, outcomes(batch))):
             for i, ref in enumerate(refs[k]):
                 expected = _reference_shaped_terminal_reward(
                     ref, record.labels, record.terminal_rewards, i, config.grid.label_payoffs
@@ -904,7 +912,7 @@ def test_update_policies_rejects_a_non_finite_row_and_writes_nothing(bad):
     other = next(iter(policies[1].rows.values()))  # a row of the other policy
     episodes = [ShapedEpisode([r], [0], [0.2], [1.0]), ShapedEpisode([other], [0], [0.2], [1.0])]
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
-        update_policies(policies, episodes)
+        update_episodes(policies, episodes)
     assert repr([p.rows for p in policies]) == before[0]
     assert np.array_equal(table.prefs, before[1], equal_nan=True)
     assert (repr(table.values), repr(table.dists)) == before[2:]

@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from engine_helpers import learner_config, new_policy, preferences
+from engine_helpers import ShapedEpisode, learner_config, new_policy, preferences, update_episodes
 from staghunt.experiments import GridworldSpec, gridworld_lanes
 from staghunt.gridworld import config_from_dict
 from staghunt.policy_learner import (
@@ -24,13 +24,11 @@ from staghunt.policy_learner import (
     LearnerConfig,
     PolicyParams,
     PolicyTable,
-    ShapedEpisode,
     _gradient,
     _Items,
     _softmax,
     discounted_returns,
     run_lanes,
-    update_policies,
 )
 
 
@@ -190,7 +188,7 @@ def test_block_table_matches_the_per_policy_list_update(hyper):
                     zero_advantages += adv == 0.0
                     nan_advantages += adv != adv
             with np.errstate(invalid="ignore"):
-                update_policies(policies, episodes)
+                update_episodes(policies, episodes)
                 _ref_update(refs, shadows)
             for policy, ref in zip(policies, refs):
                 assert_same_bytes(policy, ref)
@@ -223,11 +221,14 @@ def test_lean_items_match_the_reference_build(adv):
             assert a.tobytes() == b.tobytes(), field.name
 
 
-def test_update_policies_rejects_policies_of_two_tables():
-    policies = [new_policy(), new_policy()]  # equal configs, separate tables
-    episodes = [ShapedEpisode([policy.row(7)], [0], [0.2], [1.0]) for policy in policies]
+def test_run_lanes_rejects_policies_of_two_tables():
+    """Two blocks built apart have equal configs but a table each: run_lanes refuses
+    to play them as one block, before anything is played."""
+    spec = GridworldSpec(variants=("individual",))
+    (first, beliefs), (second, _) = (gridworld_lanes([(spec, 0, 0, seed, 0)]) for seed in (0, 1))
     with pytest.raises(ValueError, match="one PolicyTable"):
-        update_policies(policies, episodes)
+        next(run_lanes(first + second, beliefs, 1))
+    assert not any(learner.policy.rows for pair, _, _ in first + second for learner in pair)
 
 
 def test_run_lanes_puts_a_block_on_one_table_and_checks_its_config_once():
