@@ -5,15 +5,7 @@ for matrix-form self-play, group tournaments, and a grid-world variant."""
 __version__ = "0.1.0"
 
 from .game import C, U, UNKNOWN, PayoffMatrix, PolicyLabel
-from .beliefs import Belief, ToMState, make_tom_state, update_beliefs
-from .shaping import (
-    GuiltParams,
-    InequityParams,
-    expected_other_value,
-    guilt_reward,
-    inequity_reward,
-    shape_reward,
-)
+from .shaping import GuiltParams, InequityParams, guilt_reward, inequity_reward, shape_reward
 from .equilibrium import (
     EquilibriumReport,
     TransformedGame,
@@ -27,9 +19,8 @@ __all__ = [
     "__version__",
     "C", "U", "UNKNOWN",
     "PolicyLabel", "PayoffMatrix",
-    "Belief", "ToMState", "make_tom_state", "update_beliefs",
     "GuiltParams", "InequityParams",
-    "expected_other_value", "guilt_reward", "shape_reward", "inequity_reward",
+    "guilt_reward", "shape_reward", "inequity_reward",
     "TransformedGame", "EquilibriumReport",
     "transform_game", "pure_nash", "guilt_threshold_f", "verify_observation1",
 ]

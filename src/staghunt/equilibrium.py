@@ -217,16 +217,6 @@ def verify_observation1(
     return observation1_mismatches(matrix, phi_grid, theta_grid) == 0
 
 
-def unique_cc_fraction_by_theta(
-    matrix: PayoffMatrix, phi_grid: Sequence[float], theta_grid: Sequence[float]
-) -> np.ndarray:
-    """Fraction of phi cells with a unique (C,C) equilibrium, per theta value."""
-    phi = np.asarray(list(phi_grid), dtype=np.float64)
-    theta = np.asarray(list(theta_grid), dtype=np.float64)
-    flags = _ne_flags_grid(matrix, phi, theta)
-    return flags["unique_cc"].mean(axis=0)
-
-
 #: equilibrium_grid_rows computes flags for this many cells at a time (at least one phi row).
 FLAG_CHUNK_CELLS = 16_384
 

@@ -27,7 +27,6 @@ import numpy as np
 from .game import C, U, PayoffMatrix
 from .gridworld import SCENARIOS, STAG_MOTIONS, episode_transition_rows, make_scenario
 from .matrix_agents import MatrixLanes, values_for_cooperation_probability
-from .beliefs import ToMState, make_tom_state
 from .policy_learner import (
     GridLearner,
     Lane,
@@ -37,7 +36,7 @@ from .policy_learner import (
     iterations_to_threshold,
     run_lanes,
 )
-from .shaping import Beliefs, GuiltParams, InequityParams
+from .shaping import Beliefs, InequityParams
 
 MATRIX_VARIANTS = ("tomaga", "ga-no-tom", "individual", "tom-no-guilt")
 GRID_VARIANTS = ("individual", "inequity", "ga-no-tom", "tomaga")
@@ -68,14 +67,12 @@ class AgentParams:
         _require(self, lambda v: 0 < v < 0.5, "lie in (0, 0.5)", "prob_clamp")
 
 
-def _tom_state(params: AgentParams | GridworldSpec, tom_enabled: bool) -> ToMState:
-    return make_tom_state(
-        params.zero_order, params.first_order, params.confidence, params.learning_rate, tom_enabled
-    )
-
-
-def _guilt(variant: str, params: AgentParams | GridworldSpec) -> GuiltParams | None:
-    return GuiltParams(params.theta) if variant in ("tomaga", "ga-no-tom") else None
+def _belief_columns(params: AgentParams | GridworldSpec, variant: str, tom: bool) -> dict:
+    """A learner's shaping.Beliefs columns, from params' settings; theta is 0.0 (no
+    guilt) but for the guilt variants."""
+    theta = params.theta if variant in ("tomaga", "ga-no-tom") else 0.0
+    return dict(b0=params.zero_order, b1=params.first_order, conf=params.confidence,
+                lr=params.learning_rate, tom=tom, theta=theta)
 
 
 def matrix_lanes(
@@ -87,32 +84,31 @@ def matrix_lanes(
     """A block's players as lanes, lane k of kinds[k]: a MATRIX_VARIANTS learner with
     params' settings whose softmax P(C) starts at p_init[k], or "pavlov", whose count
     starts at pavlov's (i_count, n). Each distinct p's initial values and each kind's
-    ToMState and GuiltParams are built once and shared by its lanes."""
-    setups = {}  # kind -> (its constant columns, ToMState, GuiltParams or None)
+    constant columns are built once and shared by its lanes."""
+    setups = {}  # kind -> its constant columns, its Beliefs' among them
     for kind in dict.fromkeys(kinds):
         if kind == "pavlov":
             i_count, n = pavlov
             # no step, lookahead, decay, confidence learning or guilt, so the value
             # learner's columns and beliefs stay in range; its value rule is thrown away
-            constants = dict(temp=1.0, alpha=0.0, gamma=0.0, decay=1.0, pavlov=True,
-                             i_count=i_count, n=n)
-            setups[kind] = constants, make_tom_state(learning_rate=0.0), None
+            setups[kind] = dict(temp=1.0, alpha=0.0, gamma=0.0, decay=1.0, pavlov=True,
+                                i_count=i_count, n=n, b0=0.5, b1=0.5, conf=0.5, lr=0.0,
+                                tom=True, theta=0.0)
         elif kind in MATRIX_VARIANTS:
             # an inert Pavlov count, 0 of 1: its rule is thrown away
-            constants = dict(temp=params.temperature, alpha=params.alpha, gamma=params.gamma,
-                             decay=params.temperature_decay, pavlov=False, i_count=0, n=1)
-            setups[kind] = constants, _tom_state(params, kind != "ga-no-tom"), _guilt(kind, params)
+            setups[kind] = dict(temp=params.temperature, alpha=params.alpha, gamma=params.gamma,
+                                decay=params.temperature_decay, pavlov=False, i_count=0, n=1,
+                                **_belief_columns(params, kind, kind != "ga-no-tom"))
         else:
             raise ValueError(f"unknown variant {kind!r}; expected one of {MATRIX_VARIANTS}")
     values = {p: values_for_cooperation_probability(p, params.temperature, params.prob_clamp)
               for p in set(p_init)}
     per_lane = [setups[kind] for kind in kinds]
-    columns = {name: [constants[name] for constants, _, _ in per_lane] for name in per_lane[0][0]}
+    columns = {name: [constants[name] for constants in per_lane] for name in per_lane[0]}
     for label, name in ((C, "v_c"), (U, "v_u")):
         columns[name] = [0.0 if kind == "pavlov" else values[p][label]
                          for kind, p in zip(kinds, p_init)]
-    toms, guilts = [tom for _, tom, _ in per_lane], [guilt for _, _, guilt in per_lane]
-    return MatrixLanes(columns, Beliefs(toms, guilts))
+    return MatrixLanes(columns, Beliefs(columns))
 
 
 @dataclass(slots=True)
@@ -666,16 +662,15 @@ def gridworld_lanes(payloads) -> tuple[list[Lane], Beliefs]:
     grids = [dataclasses.replace(make_scenario(scenario), stag_motion=spec.stag_motion)
              for scenario in spec.scenarios]
     weights = InequityParams(spec.inequity_advantageous, spec.inequity_disadvantageous)
-    setups = [(_tom_state(spec, variant == "tomaga"), _guilt(variant, spec),
+    setups = [(_belief_columns(spec, variant, variant == "tomaga"),
                weights if variant == "inequity" else None) for variant in spec.variants]
-    lanes, toms, guilts = [], [], []
+    lanes, slots = [], []
     for _, scen_idx, var_idx, seed_idx, base_seed in payloads:
-        tom, guilt, inequity = setups[var_idx]
+        columns, inequity = setups[var_idx]
         learners = tuple(GridLearner(PolicyParams(table), inequity) for _ in range(2))
         lanes.append((learners, grids[scen_idx], _rng_for(base_seed, scen_idx, var_idx, seed_idx)))
-        toms += tom, tom
-        guilts += guilt, guilt
-    return lanes, Beliefs(toms, guilts)
+        slots += columns, columns
+    return lanes, Beliefs({name: [slot[name] for slot in slots] for name in slots[0]})
 
 
 def _gridworld_block(payloads) -> tuple[list[tuple], Counter]:

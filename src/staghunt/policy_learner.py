@@ -91,15 +91,6 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / np.add.reduce(e, axis=0)
 
 
-def discounted_returns(rewards: Sequence[float], gamma: float) -> list[float]:
-    out = [0.0] * len(rewards)
-    running = 0.0
-    for t in range(len(rewards) - 1, -1, -1):
-        running = rewards[t] + gamma * running
-        out[t] = running
-    return out
-
-
 _EYE = np.eye(N_ACTIONS)
 
 
@@ -300,10 +291,17 @@ def _shape_guilt(matrix: PayoffMatrix, beliefs: Beliefs, guilty: np.ndarray, bat
 
 def _returns(batch: Batch, gamma: float) -> list[float]:
     """Every agent-step's discounted return, in the batch's order: an episode pays
-    nothing before its last step, which pays the shaped terminal reward."""
+    nothing before its last step, which pays the shaped terminal reward. A slot's
+    returns are one backward pass in the operations of a pass over all its rewards:
+    reward + gamma * 0.0 (a -0.0 reward returns +0.0), then 0.0 + gamma * the next."""
     out: list[float] = []
     for slot, reward in enumerate(batch.shaped):
-        out += discounted_returns([0.0] * (batch.lengths[slot // 2] - 1) + [reward], gamma)
+        running = reward + gamma * 0.0
+        tail = [running]
+        for _ in range(batch.lengths[slot // 2] - 1):
+            running = 0.0 + gamma * running
+            tail.append(running)
+        out += reversed(tail)
     return out
 
 

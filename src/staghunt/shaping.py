@@ -2,7 +2,7 @@
 
 The guilt pipeline per terminal outcome:
 
-    beliefs  the belief update of beliefs.py, from the revealed labels
+    beliefs  the belief pipeline of beliefs.py, from the revealed labels
     phi      expected material value the other agent experiences, under the
              agent's (zero-order x first-order) beliefs
     guilt    -theta * max(0, phi - other's realised material reward)
@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .beliefs import ToMState, step_beliefs
+from .beliefs import step_beliefs
 from .game import ONE, ZERO, PayoffMatrix
 
 
@@ -76,19 +76,21 @@ class Beliefs:
     """Learners' beliefs as arrays, slot k for one learner: its zero- and
     first-order beliefs b[0, k] and b[1, k], confidence conf[k], learning rate
     lr[k] (keep_lr = 1 - lr), tom[k] (first-order updates on) and neg_theta[k]
-    (-theta; 0.0 with guilt off)."""
+    (-theta; 0.0 with guilt off), built from columns b0, b1, conf, lr, tom and
+    theta (0.0 with guilt off), one entry a slot; other columns are ignored."""
 
     __slots__ = ("b", "conf", "lr", "keep_lr", "tom", "neg_theta")
 
-    def __init__(self, states: Sequence[ToMState], guilts: Sequence[GuiltParams | None]):
+    def __init__(self, columns: dict[str, Sequence]):
         # float even where a config gave an int, so that a step's write-back is not truncated
-        self.b = np.array([[state.zero_order.p_cooperative for state in states],
-                           [state.first_order.p_cooperative for state in states]], dtype=float)
-        self.conf = np.array([state.confidence for state in states], dtype=float)
-        self.lr = np.array([state.learning_rate for state in states], dtype=float)
+        self.b = np.array((columns["b0"], columns["b1"]), dtype=float)
+        self.conf = np.array(columns["conf"], dtype=float)
+        self.lr = np.array(columns["lr"], dtype=float)
         self.keep_lr = 1.0 - self.lr
-        self.tom = np.array([state.tom_enabled for state in states], dtype=bool)
-        self.neg_theta = np.array([-guilt.theta if guilt else 0.0 for guilt in guilts], dtype=float)
+        self.tom = np.array(columns["tom"], dtype=bool)
+        # 0.0 - theta, not -theta: a guilt-off slot's is +0.0, so its psychological
+        # reward is +0.0 too, never -0.0
+        self.neg_theta = ZERO - np.array(columns["theta"], dtype=float)
 
     def step(self, own_c, other_c, other_reward, matrix: PayoffMatrix, stepping=None):
         """One iteration of the belief → phi → guilt rule, every slot: step_beliefs
@@ -105,12 +107,6 @@ class Beliefs:
             b, conf = np.where(stepping, b, self.b), np.where(stepping, conf, self.conf)
         self.b, self.conf = b, conf
         return phi, self.neg_theta * np.where(shortfall > ZERO, shortfall, ZERO)
-
-
-def expected_other_value(state: ToMState, matrix: PayoffMatrix) -> float:
-    """phi for a belief state; see phi_from_beliefs."""
-    return float(phi_from_beliefs(state.zero_order.p_cooperative,
-                                  state.first_order.p_cooperative, matrix))
 
 
 def guilt_reward(params: GuiltParams, phi_j: float, actual_other_reward: float) -> float:

@@ -4,12 +4,14 @@ The matrix engine's frozen per-player states, the scalar reference's inputs,
 and the lanes built from them (lanes_of) and read back (lane_state); a belief
 slot as a ToMState (belief_state); one match, one agent's P(C) and one agent's
 TD(1) step, each a batch of one on the production kernels; a round of pairs as
-MatrixLanes.play takes it (pairing); a grid-world learner's settings built one
-learner at a time (grid_learner), the reference for
-experiments.gridworld_lanes; a learner config at fixed settings
-(learner_config), a policy's own preference rows (preferences); and the
-clipped surrogate and its gradient over a dict of preference rows, on the
-grid-world learner's update kernel.
+MatrixLanes.play takes it (pairing); the fraction of phi cells with a unique
+(C, C) equilibrium, per theta (unique_cc_fraction_by_theta); a grid-world
+learner's settings built one learner at a time (grid_learner), the reference
+for experiments.gridworld_lanes; a learner config at fixed settings
+(learner_config), a policy's own preference rows (preferences); an episode's
+discounted returns (discounted_returns), the reference for
+policy_learner._returns; and the clipped surrogate and its gradient over a
+dict of preference rows, on the grid-world learner's update kernel.
 
 The grid world's per-episode play, the reference for policy_learner.run_lanes'
 flat batch: run_episode under a policy callable, its EpisodeRecord and the
@@ -27,7 +29,7 @@ from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
-from staghunt.beliefs import Belief, ToMState, make_tom_state
+from scalar_beliefs import Belief, ToMState, beliefs_of, make_tom_state
 from staghunt.experiments import (
     GRIDWORLD_DETAIL_COLUMNS,
     MATRIX_VARIANTS,
@@ -38,6 +40,7 @@ from staghunt.experiments import (
     gridworld_run,
     run_matches,
 )
+from staghunt.equilibrium import _ne_flags_grid
 from staghunt.game import C, KNOWN_LABELS, U, UNKNOWN, PayoffMatrix, PolicyLabel
 from staghunt.gridworld import GridAction, GridConfig, State, episode_transition_rows
 from staghunt.matrix_agents import MatrixLanes, values_for_cooperation_probability
@@ -53,7 +56,6 @@ from staghunt.policy_learner import (
     _entropy_terms,
     _gradient,
     _Items,
-    discounted_returns,
     update_policies,
 )
 from staghunt.shaping import (
@@ -161,7 +163,7 @@ def lanes_of(players: Sequence[MatrixPlayer]) -> MatrixLanes:
                 for player in players]
     return MatrixLanes(
         {name: [lane[name] for lane in lanes] for name in lanes[0]},
-        Beliefs([tom for tom, _ in learners], [guilt for _, guilt in learners]),
+        beliefs_of([tom for tom, _ in learners], [guilt for _, guilt in learners]),
     )
 
 
@@ -184,6 +186,16 @@ def lane_state(lanes: MatrixLanes, k: int) -> MatrixPlayer:
         gamma=float(lanes.gamma[k]),
         explore=Exploration(float(lanes.temp[k]), float(lanes.decay[k])),
     )
+
+
+def unique_cc_fraction_by_theta(
+    matrix: PayoffMatrix, phi_grid: Sequence[float], theta_grid: Sequence[float]
+) -> np.ndarray:
+    """Fraction of phi cells with a unique (C,C) equilibrium, per theta value."""
+    phi = np.asarray(list(phi_grid), dtype=np.float64)
+    theta = np.asarray(list(theta_grid), dtype=np.float64)
+    flags = _ne_flags_grid(matrix, phi, theta)
+    return flags["unique_cc"].mean(axis=0)
 
 
 def pairing(n: int, first, second, u_first, u_second):
@@ -422,6 +434,15 @@ class ShapedEpisode:
     actions: list[int]  # indices into ACTIONS
     behaviour_probs: list[float]
     rewards: list[float]
+
+
+def discounted_returns(rewards: Sequence[float], gamma: float) -> list[float]:
+    out = [0.0] * len(rewards)
+    running = 0.0
+    for t in range(len(rewards) - 1, -1, -1):
+        running = rewards[t] + gamma * running
+        out[t] = running
+    return out
 
 
 def update_episodes(policies: Sequence[PolicyParams], episodes: Sequence[ShapedEpisode]) -> None:

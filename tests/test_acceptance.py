@@ -25,21 +25,20 @@ from engine_helpers import (
     surrogate_gradient,
     surrogate_objective,
     td1_update,
+    unique_cc_fraction_by_theta,
 )
+from scalar_beliefs import expected_other_value, make_tom_state, update_beliefs
 from staghunt import (
     C,
     U,
     GuiltParams,
     PayoffMatrix,
-    expected_other_value,
     guilt_reward,
     guilt_threshold_f,
-    make_tom_state,
     pure_nash,
     transform_game,
-    update_beliefs,
 )
-from staghunt.equilibrium import observation1_mismatches, unique_cc_fraction_by_theta
+from staghunt.equilibrium import observation1_mismatches
 from staghunt.experiments import (
     GridworldSpec,
     SweepSpec,

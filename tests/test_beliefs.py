@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from staghunt import C, U, Belief, PayoffMatrix, make_tom_state, update_beliefs
+from scalar_beliefs import Belief, make_tom_state, update_beliefs
+from staghunt import C, U, PayoffMatrix
 
 
 Q1 = PayoffMatrix(40, 30, 20, 0)

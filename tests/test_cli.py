@@ -223,6 +223,18 @@ def test_trace_cell_off_the_grid_is_rejected(tmp_path):
         main(_sweep_args(tmp_path / "o", "--iterations", "10", "--trace-cell", "0.25", "0.5"))
 
 
+def test_a_guilt_off_trace_writes_its_psychological_rewards_as_plus_zero(tmp_path):
+    """With guilt off a learner's psychological reward is its +0.0 neg_theta times a
+    shortfall of at least +0.0: "0.0" in every row, never "-0.0"."""
+    out = tmp_path / "ind"
+    assert main(_sweep_args(out, "--iterations", "30", "--variants", "individual",
+                            "--trace-cell", "0.5", "1")) == 0
+    header, *rows = read_csv(out / "trace.csv")
+    columns = [header.index("psy_0"), header.index("psy_1")]
+    assert len(rows) == 30
+    assert {row[k] for row in rows for k in columns} == {"0.0"}
+
+
 COMMANDS = {
     "analyze": ["analyze", "--phi-step", "5", "--theta-min", "1", "--theta-max", "6",
                 "--theta-step", "1"],

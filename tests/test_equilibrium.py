@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from engine_helpers import unique_cc_fraction_by_theta
 from staghunt import C, U, PayoffMatrix, guilt_threshold_f, pure_nash, transform_game
 from staghunt import equilibrium
 from staghunt.equilibrium import (
     _ne_flags_grid,
     equilibrium_grid_rows,
     observation1_mismatches,
-    unique_cc_fraction_by_theta,
     verify_observation1,
 )
 

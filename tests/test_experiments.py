@@ -17,8 +17,8 @@ from engine_helpers import (
     reference_lanes,
     run_episode,
 )
+from scalar_beliefs import beliefs_of, make_tom_state
 from staghunt import PayoffMatrix, experiments, policy_learner
-from staghunt.beliefs import make_tom_state
 from staghunt.experiments import (
     DRAW_CHUNK,
     GRID_VARIANTS,
@@ -218,7 +218,7 @@ def test_gridworld_lanes_match_the_per_learner_setup_they_replace(settings):
     lanes, beliefs = gridworld_lanes(payloads)
     refs = [grid_learner(spec.variants[var_idx], spec) for _, _, var_idx, _, _ in payloads
             for _ in range(2)]
-    expected = Beliefs([ref.tom for ref in refs], [ref.guilt for ref in refs])
+    expected = beliefs_of([ref.tom for ref in refs], [ref.guilt for ref in refs])
     for name in Beliefs.__slots__:
         ours, theirs = getattr(beliefs, name), getattr(expected, name)
         assert ours.dtype == theirs.dtype and ours.shape == theirs.shape, name

@@ -18,8 +18,8 @@ from engine_helpers import (
     run_match,
     td1_update,
 )
-from scalar_beliefs import belief_step, expected_payoffs
-from staghunt import C, U, GuiltParams, PayoffMatrix, guilt_threshold_f, make_tom_state
+from scalar_beliefs import belief_step, beliefs_of, expected_payoffs, make_tom_state
+from staghunt import C, U, GuiltParams, PayoffMatrix, guilt_threshold_f
 from staghunt.experiments import (
     COMPOSITIONS,
     DRAW_CHUNK,
@@ -533,7 +533,7 @@ def test_lanes_step_their_beliefs_as_a_grid_store_steps(players, matrix, seed, r
     inert = (make_tom_state(learning_rate=0.0), None)
     learners = [inert if isinstance(player, PavlovState) else (player.tom, player.guilt)
                 for player in players]
-    grid = Beliefs([tom for tom, _ in learners], [guilt for _, guilt in learners])
+    grid = beliefs_of([tom for tom, _ in learners], [guilt for _, guilt in learners])
     lanes = lanes_of(players)
     n = len(players)
     rng = np.random.default_rng(seed)

@@ -7,11 +7,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from engine_helpers import (
     ShapedEpisode,
     ShapingDetail,
     belief_state,
+    discounted_returns,
     grid_learner,
     learner_config,
     new_policy,
@@ -21,9 +24,8 @@ from engine_helpers import (
     surrogate_objective,
     update_episodes,
 )
-from scalar_beliefs import belief_step
+from scalar_beliefs import Belief, belief_step
 from staghunt import policy_learner
-from staghunt.beliefs import Belief
 from staghunt.experiments import GridworldSpec, gridworld_lanes
 from staghunt.game import C, KNOWN_LABELS, U, UNKNOWN, PayoffMatrix
 from staghunt.gridworld import GridAction, make_scenario
@@ -40,7 +42,6 @@ from staghunt.policy_learner import (
     _returns,
     _shape_guilt,
     _softmax,
-    discounted_returns,
     iterations_to_threshold,
     run_lanes,
 )
@@ -77,6 +78,25 @@ def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
 )
 def test_discounted_returns_hand_checked(gamma, expected):
     assert discounted_returns([1.0, 2.0, 4.0], gamma) == pytest.approx(expected)
+
+
+# signed zeros, subnormals (a product that underflows) and wide magnitudes
+_reward = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gamma=st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0, 1)),
+       lanes=st.lists(st.tuples(st.integers(1, 40), _reward, _reward), min_size=1, max_size=6))
+@example(gamma=0.0, lanes=[(1, -0.0, -0.0), (3, -0.0, 0.0)])
+@example(gamma=-0.0, lanes=[(2, -0.0, 5e-324)])
+def test_returns_match_discounted_returns_bit_for_bit(gamma, lanes):
+    """_returns' one backward pass per slot gives every agent-step the bits that
+    discounted_returns gives over its slot's rewards: 0.0 but the shaped last one."""
+    batch = Batch(lengths=[n for n, _, _ in lanes], shaped=[r for _, *rs in lanes for r in rs])
+    expected = []
+    for slot, reward in enumerate(batch.shaped):
+        expected += discounted_returns([0.0] * (batch.lengths[slot // 2] - 1) + [reward], gamma)
+    assert list(map(_bits, _returns(batch, gamma))) == list(map(_bits, expected))
 
 
 # --- surrogate objective and gradient --------------------------------------------

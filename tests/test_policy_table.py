@@ -15,7 +15,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from engine_helpers import ShapedEpisode, learner_config, new_policy, preferences, update_episodes
+from engine_helpers import (
+    ShapedEpisode,
+    discounted_returns,
+    learner_config,
+    new_policy,
+    preferences,
+    update_episodes,
+)
 from staghunt.experiments import GridworldSpec, gridworld_lanes
 from staghunt.gridworld import config_from_dict
 from staghunt.policy_learner import (
@@ -27,7 +34,6 @@ from staghunt.policy_learner import (
     _gradient,
     _Items,
     _softmax,
-    discounted_returns,
     run_lanes,
 )
 

@@ -6,19 +6,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scalar_beliefs import belief_step
+from scalar_beliefs import (
+    belief_step,
+    beliefs_of,
+    expected_other_value,
+    make_tom_state,
+    update_beliefs,
+)
 from staghunt import (
     C,
     U,
     GuiltParams,
     InequityParams,
     PayoffMatrix,
-    expected_other_value,
     guilt_reward,
     inequity_reward,
-    make_tom_state,
     shape_reward,
-    update_beliefs,
 )
 from staghunt.shaping import Beliefs, phi_from_beliefs
 
@@ -254,7 +257,7 @@ def test_guilt_step_matches_the_scalar_rule_bit_for_bit(learners, matrix, at_pay
     if at_payoff:  # the other's reward is the label payoff, as in the grid world
         learners = [(state, guilt, own, other, matrix.payoff(other, own), stepped)
                     for state, guilt, own, other, _, stepped in learners]
-    beliefs = Beliefs([l[0] for l in learners], [l[1] for l in learners])
+    beliefs = beliefs_of([l[0] for l in learners], [l[1] for l in learners])
     phi, psychological = beliefs.step(
         np.array([l[2] is C for l in learners]), np.array([l[3] is C for l in learners]),
         np.array([l[4] for l in learners]), matrix, np.array([l[5] for l in learners]),
@@ -281,7 +284,7 @@ def _subset_step(beliefs, stepping, own_c, other_c, other_reward, matrix):
     stepped slots with one fancy index each, step them alone and scatter their
     b and conf back."""
     k = np.flatnonzero(stepping)
-    subset = Beliefs([], [])
+    subset = beliefs_of([], [])
     for name in Beliefs.__slots__:
         setattr(subset, name, getattr(beliefs, name)[..., k])
     phi, psychological = subset.step(own_c[k], other_c[k], other_reward[k], matrix)
@@ -312,7 +315,7 @@ _int_learner = st.tuples(
 def test_the_masked_step_matches_the_subset_step_byte_for_byte(learners, matrix, steps):
     """Stepping the whole store with a mask leaves every slot's b and conf, and
     gives every stepped slot's phi and guilt, as stepping only the masked slots."""
-    stores = [Beliefs([l[0] for l in learners], [l[1] for l in learners]) for _ in range(2)]
+    stores = [beliefs_of([l[0] for l in learners], [l[1] for l in learners]) for _ in range(2)]
     own_c = np.array([l[2] is C for l in learners])
     other_c = np.array([l[3] is C for l in learners])
     other_reward = np.array([l[4] for l in learners])
@@ -324,3 +327,15 @@ def test_the_masked_step_matches_the_subset_step_byte_for_byte(learners, matrix,
         assert stores[0].conf.tobytes() == stores[1].conf.tobytes()
         assert phi[stepping].tobytes() == ref_phi.tobytes()
         assert psychological[stepping].tobytes() == ref_psy.tobytes()
+
+
+def test_a_guilt_off_slot_is_shaped_by_plus_zero():
+    """theta 0.0 (guilt off) makes a slot's neg_theta +0.0, not -0.0, so its
+    psychological reward is +0.0 whatever its shortfall."""
+    beliefs = Beliefs(dict(b0=[0.5, 0.5], b1=[0.5, 0.5], conf=[0.5, 0.5], lr=[0.1, 0.1],
+                           tom=[True, True], theta=[0.0, 2.0]))
+    assert _bits(beliefs.neg_theta[0]) == _bits(0.0)
+    _, psychological = beliefs.step(np.array([True, True]), np.array([False, False]),
+                                    np.array([0.0, 0.0]), Q1)
+    assert _bits(psychological[0]) == _bits(0.0)
+    assert psychological[1] < 0.0  # the same shortfall, with guilt on
