@@ -4,9 +4,10 @@
 Builds the comparison of both layouts and all four variants at base seed
 2026: by default the `gridworld` workload of perfbench/run.py (one seed
 each, 8 runs, 300 episodes), and at `--seeds 10 --iterations 1500`
-criterion 6's 80 runs. Deals the runs into --jobs blocks as
-run_gridworld_comparison does, and plays each block here, one after
-another, with timers around the layers of policy_learner.run_lanes:
+criterion 6's 80 runs. Deals the runs round-robin into --jobs blocks, as
+run_gridworld_comparison deals them once its work repays a split (a run of
+the workload's size plays one block there), and plays each block here, one
+after another, with timers around the layers of policy_learner.run_lanes:
 play (run_lanes' own time: each iteration's one loop over the lanes into
 its flat batch, and the returns), beliefs (_shape_guilt, the block's belief
 and guilt step), update (update_policies), and inside update the epochs'

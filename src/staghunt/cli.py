@@ -13,8 +13,8 @@ results can be reproduced exactly. Its "telemetry" entry, which is not
 hashed, records how the run went: the --jobs asked for, Python and numpy
 versions, the experiment's wall seconds, its units and units per second, and
 what the experiment counted (the blocks its units were dealt into, each with
-its payload count and wall seconds; gridworld: episode ends by kind, mean
-episode length).
+its payload count and wall seconds, and the inputs that chose them;
+gridworld: episode ends by kind, mean episode length).
 """
 
 from __future__ import annotations

@@ -257,24 +257,38 @@ def _timed_block(block, payloads) -> tuple[list, Counter, float, int]:
     return rows, counts, time.perf_counter() - start, os.getpid()
 
 
-def _deal(block, payloads: list, jobs: int) -> tuple[list, Counter, list[dict]]:
-    """Run the payloads in min(jobs, len(payloads), CPUs) blocks, one _pmap payload each.
+def _deal(block, payloads: list, jobs: int, work: int,
+          break_even: int) -> tuple[list, Counter, dict]:
+    """Run the payloads in blocks, one _pmap payload each: one block per break_even of
+    work, at least one and at most min(jobs, len(payloads), CPUs).
 
-    Payloads are dealt round-robin, so that each block mixes cheap and
-    costly ones; block 0 runs in this process, and each other block in a
-    forked child. block(block_payloads) returns (one row per payload, in
-    order; a Counter). Returns every row in payload order, the Counters'
-    sum, and one {"payloads", "wall_s", "pid"} per block, in deal order,
+    work is the payloads' total in the experiment's own unit, and break_even
+    the least of it for which a block of its own repays its cost: below it,
+    every block pays a lockstep step's fixed cost for too few lanes, so one
+    block, played here, costs less CPU and no more wall time. Payloads are
+    dealt round-robin, so that each block mixes cheap and costly ones; block 0
+    runs in this process, and each other block in a forked child.
+    block(block_payloads) returns (one row per payload, in order; a Counter).
+    Returns every row in payload order, the Counters' sum, and the telemetry:
+    "deal", the inputs of the split (jobs, the CPUs, the work each of
+    min(jobs, payloads, CPUs) blocks would get, and break_even), and
+    "blocks", one {"payloads", "wall_s", "pid"} per block in deal order,
     timed in the process that ran it.
     """
-    n = max(1, min(jobs, len(payloads), _cpus()))
+    cpus = _cpus()
+    most = max(1, min(jobs, len(payloads), cpus))
+    n = max(1, min(most, work // break_even))
     blocks = _pmap(functools.partial(_timed_block, block), [payloads[b::n] for b in range(n)], jobs)
     rows: list = [None] * len(payloads)
     for b, (block_rows, *_) in enumerate(blocks):
         rows[b::n] = block_rows
-    deal = [{"payloads": len(block_rows), "wall_s": s, "pid": pid}
-            for block_rows, _, s, pid in blocks]
-    return rows, sum((counts for _, counts, _, _ in blocks), Counter()), deal
+    telemetry = {
+        "deal": {"jobs": jobs, "cpus": cpus, "work_per_block": work / most,
+                 "break_even": break_even},
+        "blocks": [{"payloads": len(block_rows), "wall_s": s, "pid": pid}
+                   for block_rows, _, s, pid in blocks],
+    }
+    return rows, sum((counts for _, counts, _, _ in blocks), Counter()), telemetry
 
 
 # ---------------------------------------------------------------------------
@@ -309,13 +323,14 @@ class SweepSpec:
 #: iteration-by-iteration calls of the match or group played alone.
 DRAW_CHUNK = 100
 
-#: A sweep makes one block per this many lane-rounds (2 x matches x iterations),
-#: up to jobs. Lines fitted to one and two forked blocks of SweepSpec() at
-#: 0.24-4.84 M lane-rounds meet at 0.15-0.40 M, and two blocks won from 0.48 M;
-#: on the perfbench sweep (72,000 in 500 rounds of 144 lanes, each round's fixed
-#: cost paid in both blocks) they took 1.3x the wall and 1.7x the CPU time
+#: A sweep's break-even in _deal, in lane-rounds a block (2 x matches x iterations).
+#: Lines fitted to one and two forked blocks of SweepSpec() at 0.24-4.84 M
+#: lane-rounds meet at 0.15-0.40 M, and two blocks won from 0.48 M; on the
+#: perfbench sweep (72,000 in 500 rounds of 144 lanes, each round's fixed cost
+#: paid in both blocks) they took 1.3x the wall and 1.7x the CPU time
 #: (BENCH_sweep_exp.json, BENCH_gridworld_fork.json). So a sweep splits in two
-#: only from 0.5 M.
+#: only from 0.5 M. Ten later pairs saw two blocks win every pair from 0.97 M a
+#: block (BENCH_gridworld_deal.json); the constant stays, so no sweep deal moved.
 MIN_BLOCK_LANE_ROUNDS = 250_000
 
 
@@ -440,9 +455,9 @@ def run_sweep_unit(
 def run_sweep(spec: SweepSpec, base_seed: int = 0, jobs: int = 1) -> RunResult:
     """Fill the initial-probability grid for every variant, in lockstep blocks.
 
-    One block per MIN_BLOCK_LANE_ROUNDS lane-rounds, at least one and at
-    most jobs. The random stream for a grid cell depends only on (base_seed,
-    cell, repetition), never on the variant, so variants face identical luck.
+    One block per MIN_BLOCK_LANE_ROUNDS lane-rounds (see _deal). The random
+    stream for a grid cell depends only on (base_seed, cell, repetition),
+    never on the variant, so variants face identical luck.
     """
     payloads = [
         (spec, variant, i, j, rep, base_seed)
@@ -452,9 +467,8 @@ def run_sweep(spec: SweepSpec, base_seed: int = 0, jobs: int = 1) -> RunResult:
         for rep in range(spec.repetitions)
     ]
     lane_rounds = 2 * len(payloads) * spec.iterations
-    jobs = min(jobs, max(1, lane_rounds // MIN_BLOCK_LANE_ROUNDS))
-    rows, _, deal = _deal(_sweep_block, payloads, jobs)
-    return RunResult(SWEEP_COLUMNS, rows, spec, {"blocks": deal})
+    rows, _, telemetry = _deal(_sweep_block, payloads, jobs, lane_rounds, MIN_BLOCK_LANE_ROUNDS)
+    return RunResult(SWEEP_COLUMNS, rows, spec, telemetry)
 
 
 def sweep_cell_means(result: RunResult) -> dict[tuple[str, float, float], float]:
@@ -505,6 +519,12 @@ def _make_group(composition: str, size: int) -> list[str]:
         return ["tomaga"] + ["pavlov"] * (size - 1)
     return [composition] * size
 
+
+#: A tournament's break-even in _deal, in lane-rounds a block (group sizes x
+#: rounds): the least rung of TournamentSpec() at 200 rounds from which two blocks
+#: won every one of ten pairs on wall time; below it a second block costs
+#: 1.5-1.9x the CPU time for little or no wall time (BENCH_gridworld_deal.json).
+MIN_TOURNAMENT_BLOCK_LANE_ROUNDS = 16_800
 
 TOURNAMENT_COLUMNS = ("composition", "group_size", "repetition", "mean_common_reward")
 
@@ -574,7 +594,8 @@ def run_tournament(spec: TournamentSpec, base_seed: int = 0, jobs: int = 1) -> R
 
     Common reward for a round is the mean material (unshaped) reward over
     the agents that actually played; with an odd group size one uniformly
-    chosen agent sits out. Groups run in min(jobs, groups, CPUs) lockstep blocks.
+    chosen agent sits out. Groups run in lockstep blocks, one per
+    MIN_TOURNAMENT_BLOCK_LANE_ROUNDS lane-rounds (see _deal).
     """
     payloads = [
         (spec, comp_idx, size_idx, rep, base_seed)
@@ -582,8 +603,10 @@ def run_tournament(spec: TournamentSpec, base_seed: int = 0, jobs: int = 1) -> R
         for size_idx in range(len(spec.group_sizes))
         for rep in range(spec.repetitions)
     ]
-    rows, _, deal = _deal(_tournament_block, payloads, jobs)
-    return RunResult(TOURNAMENT_COLUMNS, rows, spec, {"blocks": deal})
+    lane_rounds = len(spec.compositions) * sum(spec.group_sizes) * spec.repetitions * spec.rounds
+    rows, _, telemetry = _deal(_tournament_block, payloads, jobs, lane_rounds,
+                               MIN_TOURNAMENT_BLOCK_LANE_ROUNDS)
+    return RunResult(TOURNAMENT_COLUMNS, rows, spec, telemetry)
 
 
 def tournament_means(result: RunResult) -> dict[tuple[str, int], float]:
@@ -643,6 +666,15 @@ class GridworldSpec:
         _require(self, lambda v: v in STAG_MOTIONS, f"be one of {STAG_MOTIONS}", "stag_motion")
 
 
+#: A grid-world comparison's break-even in _deal, in lane-iterations a block (runs x
+#: iterations): the least rung of GridworldSpec() at 300 iterations from which two
+#: blocks won every one of ten pairs on wall time. Each block pays a lockstep
+#: iteration's fixed cost (about 0.27 ms: the fitted one-block line's 0.08 s over
+#: 300 iterations), so below it a second block costs 1.5-1.9x the CPU time for a
+#: wall time that wins or loses by the pair; the perfbench grid world (1,200 a
+#: block at two blocks) plays one (BENCH_gridworld_deal.json).
+MIN_GRID_BLOCK_LANE_ITERATIONS = 9_600
+
 GRIDWORLD_COLUMNS = (
     "scenario", "variant", "seed", "iterations_to_threshold",
     "final_c_prop", "final_u_prop", "final_unknown_prop",
@@ -698,11 +730,12 @@ def _gridworld_block(payloads) -> tuple[list[tuple], Counter]:
 
 
 def run_gridworld_comparison(spec: GridworldSpec, base_seed: int = 0, jobs: int = 1) -> RunResult:
-    """Every (scenario, variant, seed) run, in min(jobs, runs, CPUs) lockstep blocks.
+    """Every (scenario, variant, seed) run, in lockstep blocks, one per
+    MIN_GRID_BLOCK_LANE_ITERATIONS lane-iterations (see _deal).
 
     Runs are dealt round-robin, so that each block mixes cheap and costly ones.
     The telemetry gives how many episodes ended in each way, their mean
-    length, and the deal's blocks.
+    length, and the deal.
     """
     payloads = [
         (spec, scen_idx, var_idx, seed_idx, base_seed)
@@ -710,11 +743,13 @@ def run_gridworld_comparison(spec: GridworldSpec, base_seed: int = 0, jobs: int 
         for var_idx in range(len(spec.variants))
         for seed_idx in range(spec.seeds)
     ]
-    rows, ends, deal = _deal(_gridworld_block, payloads, jobs)
+    lane_iterations = len(payloads) * spec.iterations
+    rows, ends, telemetry = _deal(_gridworld_block, payloads, jobs, lane_iterations,
+                                  MIN_GRID_BLOCK_LANE_ITERATIONS)
     return RunResult(GRIDWORLD_COLUMNS, rows, spec, {
         "episode_ends": {kind: ends[kind] for kind in ("stag_joint", "hare", "timeout")},
-        "episode_length_mean": ends["steps"] / (len(payloads) * spec.iterations),
-        "blocks": deal,
+        "episode_length_mean": ends["steps"] / lane_iterations,
+        **telemetry,
     })
 
 

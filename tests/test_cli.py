@@ -278,6 +278,11 @@ def test_manifest_records_run_telemetry_outside_the_hash(tmp_path, capsys, comma
             blocks = telemetry["blocks"]
             assert sum(block["payloads"] for block in blocks) == UNITS[command]
             assert all(block["wall_s"] > 0 for block in blocks)
+            # the split's inputs: every tiny run here falls short of its break-even
+            deal = telemetry["deal"]
+            assert deal["jobs"] == jobs and deal["cpus"] >= 1
+            assert 0 < deal["work_per_block"] < deal["break_even"]
+            assert len(blocks) == 1
         if command == "gridworld":  # two runs of 3 episodes
             assert sum(telemetry["episode_ends"].values()) == 2 * 3
             assert telemetry["episode_length_mean"] >= 1
@@ -299,6 +304,18 @@ def test_benchmark_size_sweep_runs_as_one_block_at_two_jobs(tmp_path):
     telemetry = json.loads((out / "manifest.json").read_text())["telemetry"]
     assert telemetry["jobs"] == 2
     assert [block["payloads"] for block in telemetry["blocks"]] == [72]
+
+
+def test_benchmark_size_gridworld_runs_as_one_block_at_two_jobs(tmp_path):
+    # the perfbench grid world: 8 runs of 300 iterations, 1,200 lane-iterations a block at
+    # two blocks, below MIN_GRID_BLOCK_LANE_ITERATIONS
+    out = tmp_path / "gridworld"
+    assert main(["--out", str(out), "--jobs", "2", "gridworld", "--iterations", "300",
+                 "--seeds", "1", "--scenario", "near-stag", "near-hares",
+                 "--agent", "individual", "inequity", "ga-no-tom", "tomaga"]) == 0
+    telemetry = json.loads((out / "manifest.json").read_text())["telemetry"]
+    assert [block["payloads"] for block in telemetry["blocks"]] == [8]
+    assert telemetry["deal"]["work_per_block"] == 8 * 300 / min(2, telemetry["deal"]["cpus"])
 
 
 # --- the spec builder, pinned by the config_hash of each resolved spec ---------------

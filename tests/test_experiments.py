@@ -252,6 +252,7 @@ def test_gridworld_comparison_rows_and_summary():
 def test_gridworld_parallel_jobs_match_serial(monkeypatch):
     # 9 runs: at jobs 2 the round-robin blocks hold 5 and 4 of them, at jobs 3 three each
     monkeypatch.setattr(experiments, "_cpus", lambda: 3)
+    monkeypatch.setattr(experiments, "MIN_GRID_BLOCK_LANE_ITERATIONS", 1)
     spec = GridworldSpec(scenarios=("near-stag",), variants=("individual", "inequity", "tomaga"),
                          seeds=3, iterations=40, window=10)
     serial = run_gridworld_comparison(spec, base_seed=17, jobs=1)
@@ -425,6 +426,9 @@ def _processes(result) -> int:
 
 def test_pool_has_no_more_workers_than_payloads(monkeypatch):
     monkeypatch.setattr(experiments, "_cpus", lambda: 64)
+    # the grid world and the tournament split at every lane-iteration and lane-round
+    monkeypatch.setattr(experiments, "MIN_GRID_BLOCK_LANE_ITERATIONS", 1)
+    monkeypatch.setattr(experiments, "MIN_TOURNAMENT_BLOCK_LANE_ROUNDS", 1)
     results = experiments._pmap(lambda x: (abs(x), os.getpid()), [-1, -2, -3], 64)
     assert [value for value, _ in results] == [1, 2, 3]
     pids = [pid for _, pid in results]
@@ -453,6 +457,7 @@ def test_deal_has_no_more_blocks_than_cpus(monkeypatch):
         assert experiments._cpus() == len(os.sched_getaffinity(0))
         monkeypatch.delattr(os, "sched_getaffinity")
     assert experiments._cpus() == (os.cpu_count() or 1)
+    monkeypatch.setattr(experiments, "MIN_TOURNAMENT_BLOCK_LANE_ROUNDS", 1)
     tournament = TournamentSpec(group_sizes=(2, 3), rounds=5, report_window=5, repetitions=3,
                                 compositions=("pavlov",))
     serial = run_tournament(tournament, base_seed=1).rows
@@ -494,6 +499,35 @@ def leaves_nothing_open():
     assert _open_fds() == fds
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+# each spec at iterations (rounds) 5 and 4: work_per_block 20 and 16 lane-rounds (4 matches),
+# 25 and 20 (two groups of 2 and 3 lanes a repetition), 10 and 8 lane-iterations (4 runs)
+@pytest.mark.parametrize("run, constant, spec, break_even", [
+    (run_sweep, "MIN_BLOCK_LANE_ROUNDS",
+     small_sweep(iterations=5, repetitions=1, variants=("tomaga",)), 20),
+    (run_tournament, "MIN_TOURNAMENT_BLOCK_LANE_ROUNDS",
+     TournamentSpec(group_sizes=(2, 3), rounds=5, report_window=4, repetitions=2,
+                    compositions=("heterogeneous",)), 25),
+    (run_gridworld_comparison, "MIN_GRID_BLOCK_LANE_ITERATIONS",
+     GridworldSpec(scenarios=("near-stag",), variants=("individual", "tomaga"), seeds=2,
+                   iterations=5, window=4), 10),
+], ids=["sweep", "tournament", "gridworld"])
+def test_jobs_2_plays_forked_blocks_only_from_the_break_even(monkeypatch, leaves_nothing_open,
+                                                              run, constant, spec, break_even):
+    """Below its break-even a run plays one block, here; from it, min(jobs, CPUs) blocks,
+    each but the first forked; the rows are those of jobs 1 on both sides, and the
+    telemetry's deal gives the inputs of the split."""
+    monkeypatch.setattr(experiments, "_cpus", lambda: 2)
+    monkeypatch.setattr(experiments, constant, break_even)
+    rounds = "rounds" if isinstance(spec, TournamentSpec) else "iterations"
+    below = dataclasses.replace(spec, **{rounds: 4})
+    for case, work_per_block, blocks in ((below, 4 * break_even // 5, 1), (spec, break_even, 2)):
+        result = run(case, base_seed=3, jobs=2)
+        assert result.rows == run(case, base_seed=3, jobs=1).rows
+        assert result.telemetry["deal"] == {"jobs": 2, "cpus": 2, "work_per_block": work_per_block,
+                                            "break_even": break_even}
+        assert _processes(result) == blocks
 
 
 @pytest.mark.skipif(_open_fds() is None, reason="no /proc to list descriptors")
@@ -540,6 +574,7 @@ def test_forked_block_without_a_result_names_its_exit_status(leaves_nothing_open
 
 def test_blocks_without_fork_run_in_the_caller(monkeypatch, leaves_nothing_open):
     monkeypatch.setattr(experiments, "_cpus", lambda: 3)
+    monkeypatch.setattr(experiments, "MIN_TOURNAMENT_BLOCK_LANE_ROUNDS", 1)
     tournament = TournamentSpec(group_sizes=(2, 3), rounds=5, report_window=5, repetitions=3,
                                 compositions=("pavlov",))
     serial = run_tournament(tournament, base_seed=1).rows
@@ -566,11 +601,15 @@ def test_matrix_lockstep_rows_do_not_depend_on_jobs(monkeypatch, jobs):
     assert [block["payloads"] for block in result.telemetry["blocks"]] == [36 // jobs] * jobs
     tournament = TournamentSpec(group_sizes=(2, 3, 4), rounds=40, report_window=10,
                                 repetitions=2, compositions=("heterogeneous", "tom-no-guilt"))
-    assert (run_tournament(tournament, base_seed=4, jobs=jobs).rows
-            == run_tournament(tournament, base_seed=4).rows)
+    monkeypatch.setattr(experiments, "MIN_TOURNAMENT_BLOCK_LANE_ROUNDS", 1)
+    result = run_tournament(tournament, base_seed=4, jobs=jobs)
+    assert result.rows == run_tournament(tournament, base_seed=4).rows
+    assert _processes(result) == jobs
 
 
-def test_gridworld_telemetry_counts_every_episode_by_its_end():
+def test_gridworld_telemetry_counts_every_episode_by_its_end(monkeypatch):
+    # two blocks at jobs 2, so that the count is the sum of both blocks' counts
+    monkeypatch.setattr(experiments, "MIN_GRID_BLOCK_LANE_ITERATIONS", 1)
     spec = GridworldSpec(scenarios=("near-stag", "near-hares"), variants=("individual", "tomaga"),
                          seeds=2, iterations=30, window=10, stag_motion="random_walk")
     telemetry = run_gridworld_comparison(spec, base_seed=8, jobs=2).telemetry
