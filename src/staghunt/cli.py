@@ -261,7 +261,7 @@ def cmd_gridworld(args, config: dict) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="staghunt", description=__doc__)
     parser.add_argument("--config", default=None, help="JSON config file")
-    parser.add_argument("--seed", type=int, default=0, help="base seed")
+    parser.add_argument("--seed", type=int, default=0, help="base seed, >= 0")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--jobs", type=int, default=1, help="at most this many processes, "
                         "this one included: the units are dealt into up to this many blocks, each "
@@ -319,6 +319,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
+    if args.seed < 0:  # numpy seeds only from non-negative integers
+        parser.error(f"argument --seed: must be >= 0, got {args.seed}")
     config = load_config(args.config)
     return args.func(args, config)
 

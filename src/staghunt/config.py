@@ -27,12 +27,22 @@ def load_config(path: str | Path | None) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"a config file must hold a JSON object, got {config!r}")
+    return config
 
 
 def config_hash(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _section(value, name: str) -> dict:
+    """value, if it is a JSON object; else ValueError naming the config section."""
+    if not isinstance(value, dict):
+        raise ValueError(f"config section {name!r} must be an object, got {value!r}")
+    return value
 
 
 def _only_known(cls, raw: dict) -> dict:
@@ -57,7 +67,7 @@ def build_spec(cls, section: str, config: dict, **overrides):
     """
     defaults = {f.name: f.default for f in fields(cls)}
     agent_overrides = overrides.pop("agent_overrides", {})
-    raw = dict(config.get(section, {}))
+    raw = dict(_section(config.get(section, {}), section))
     raw.update({k: v for k, v in overrides.items() if v is not None})
     for name, default in defaults.items():
         if isinstance(default, tuple) and name in raw:
@@ -65,12 +75,14 @@ def build_spec(cls, section: str, config: dict, **overrides):
                 raise ValueError(f"{section}.{name} must be a list, got {raw[name]!r}")
             raw[name] = tuple(raw[name])
     if "agent_params" in defaults:
-        agent = dict(config.get("agent", {}))
-        for layer in (raw.pop("agent_overrides", {}), agent_overrides):
+        agent = dict(_section(config.get("agent", {}), "agent"))
+        section_overrides = _section(raw.pop("agent_overrides", {}), f"{section}.agent_overrides")
+        for layer in (section_overrides, agent_overrides):
             agent.update((k, v) for k, v in layer.items() if v is not None)
         raw["agent_params"] = AgentParams(**_only_known(AgentParams, agent))
     if "matrix" in defaults:
-        matrix = raw.pop("matrix", None) or config.get("payoff")
+        matrix = (_section(raw.pop("matrix", {}), f"{section}.matrix")
+                  or _section(config.get("payoff", {}), "payoff"))
         raw["matrix"] = (
             PayoffMatrix(**_only_known(PayoffMatrix, matrix)) if matrix else defaults["matrix"]
         )

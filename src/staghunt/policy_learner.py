@@ -256,7 +256,7 @@ def _lane_ends(learners: tuple[GridLearner, GridLearner], grid: CompiledGrid) ->
         psy, shaped = [0.0, 0.0], list(rewards)
         for i, learner in enumerate(learners):
             if learner.inequity is not None:
-                psy[i] = inequity_reward(learner.inequity, rewards[i], [rewards[1 - i]])
+                psy[i] = inequity_reward(learner.inequity, rewards[i], rewards[1 - i])
                 shaped[i] = shape_reward(rewards[i], psy[i])
         out.append((kind, labels, rewards, tuple(psy), tuple(shaped)))
     return out

@@ -39,19 +39,16 @@ class GuiltParams:
 
 @dataclass(frozen=True, slots=True)
 class InequityParams:
-    """Advantageous/disadvantageous inequity sensitivities (finite, >= 0) for N agents."""
+    """Advantageous/disadvantageous inequity sensitivities (finite, >= 0)."""
 
     theta_advantageous: float
     theta_disadvantageous: float
-    n_agents: int = 2
 
     def __post_init__(self):
         # an infinite one makes NaN shaping when a gap is 0 (-inf * 0.0)
         for theta in (self.theta_advantageous, self.theta_disadvantageous):
             if not 0 <= theta < math.inf:
                 raise ValueError(f"inequity sensitivities must be finite and >= 0, got {theta}")
-        if self.n_agents < 2:
-            raise ValueError("inequity shaping needs at least 2 agents")
 
 
 def phi_from_beliefs(zero_order, first_order, matrix: PayoffMatrix):
@@ -118,16 +115,9 @@ def shape_reward(material: float, psychological: float) -> float:
     return material + psychological
 
 
-def inequity_reward(
-    params: InequityParams, own_reward: float, other_rewards: Sequence[float]
-) -> float:
-    """Fehr-Schmidt shaping: penalise both advantageous and disadvantageous gaps."""
-    if len(other_rewards) == 0:
-        raise ValueError("inequity_reward needs at least one other agent's reward")
-    n1 = params.n_agents - 1
-    advantage = sum(max(own_reward - r, 0.0) for r in other_rewards)
-    disadvantage = sum(max(r - own_reward, 0.0) for r in other_rewards)
-    return (
-        -params.theta_advantageous / n1 * advantage
-        - params.theta_disadvantageous / n1 * disadvantage
-    )
+def inequity_reward(params: InequityParams, own_reward: float, other_reward: float) -> float:
+    """Fehr-Schmidt shaping against the other agent: penalise both advantageous and
+    disadvantageous gaps. Each gap is 0.0 + max(gap, 0.0), so a -0.0 gap counts as +0.0."""
+    advantage = 0.0 + max(own_reward - other_reward, 0.0)
+    disadvantage = 0.0 + max(other_reward - own_reward, 0.0)
+    return -params.theta_advantageous * advantage - params.theta_disadvantageous * disadvantage

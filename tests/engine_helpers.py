@@ -5,13 +5,12 @@ and the lanes built from them (lanes_of) and read back (lane_state); a belief
 slot as a ToMState (belief_state); one match, one agent's P(C) and one agent's
 TD(1) step, each a batch of one on the production kernels; a round of pairs as
 MatrixLanes.play takes it (pairing); the fraction of phi cells with a unique
-(C, C) equilibrium, per theta (unique_cc_fraction_by_theta); a grid-world
-learner's settings built one learner at a time (grid_learner), the reference
-for experiments.gridworld_lanes; a learner config at fixed settings
-(learner_config), a policy's own preference rows (preferences); an episode's
-discounted returns (discounted_returns), the reference for
-policy_learner._returns; and the clipped surrogate and its gradient over a
-dict of preference rows, on the grid-world learner's update kernel.
+(C, C) equilibrium, per theta (unique_cc_fraction_by_theta); a learner
+config at fixed settings (learner_config), a policy's own preference rows
+(preferences); an episode's discounted returns (discounted_returns), the
+reference for policy_learner._returns; and the clipped surrogate and its
+gradient over a dict of preference rows, on the grid-world learner's update
+kernel.
 
 The grid world's per-episode play, the reference for policy_learner.run_lanes'
 flat batch: run_episode under a policy callable, its EpisodeRecord and the
@@ -22,7 +21,6 @@ ShapedEpisodes on the production update (update_episodes); an episode's rows of
 gridworld.episode_transition_rows (record_rows); and a Batch's lanes in the
 reference's shape (outcomes)."""
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Iterator, Sequence, Union
@@ -46,6 +44,7 @@ from staghunt.gridworld import GridAction, GridConfig, State, episode_transition
 from staghunt.matrix_agents import MatrixLanes, values_for_cooperation_probability
 from staghunt.policy_learner import (
     ACTIONS,
+    N_ACTIONS,
     Batch,
     GridLearner,
     Lane,
@@ -56,12 +55,12 @@ from staghunt.policy_learner import (
     _entropy_terms,
     _gradient,
     _Items,
+    _softmax,
     update_policies,
 )
 from staghunt.shaping import (
     Beliefs,
     GuiltParams,
-    InequityParams,
     inequity_reward,
     shape_reward,
 )
@@ -240,25 +239,6 @@ def td1_update(
     lanes = lanes_of([agent])
     lanes.td1(np.array([taken is C]), np.array([shaped_reward], dtype=float), matrix)
     return lane_state(lanes, 0)
-
-
-def grid_learner(variant: str, spec: GridworldSpec) -> SimpleNamespace:
-    """A grid-world learner variant's settings from its spec, built for one learner
-    as the per-learner setup did, apart from experiments.gridworld_lanes, which the
-    tests hold against it: its policy table's config (hyper), its beliefs (tom),
-    guilt and inequity shaping."""
-    hyper = LearnerConfig(
-        step_size=spec.step_size, gamma=spec.gamma, clip_ratio=spec.clip_ratio,
-        epochs=spec.epochs, entropy_weight=spec.entropy_weight,
-        time_bucket_width=spec.time_bucket_width,
-    )
-    tom = make_tom_state(spec.zero_order, spec.first_order, spec.confidence,
-                         spec.learning_rate, tom_enabled=(variant == "tomaga"))
-    guilt = GuiltParams(spec.theta) if variant in ("tomaga", "ga-no-tom") else None
-    inequity = None
-    if variant == "inequity":
-        inequity = InequityParams(spec.inequity_advantageous, spec.inequity_disadvantageous)
-    return SimpleNamespace(hyper=hyper, tom=tom, guilt=guilt, inequity=inequity)
 
 
 def learner_config(**changes) -> LearnerConfig:
@@ -475,7 +455,7 @@ def _shaped_terminal_reward(
     material = terminal_rewards[agent_index]
     if learner.inequity is None:
         return ShapingDetail(None, 0.0, material)
-    psy = inequity_reward(learner.inequity, material, [terminal_rewards[1 - agent_index]])
+    psy = inequity_reward(learner.inequity, material, terminal_rewards[1 - agent_index])
     return ShapingDetail(None, psy, shape_reward(material, psy))
 
 
@@ -484,24 +464,25 @@ def play_iteration(
     config: GridConfig,
     rng: np.random.Generator,
 ) -> tuple[EpisodeRecord, list[ShapingDetail], list[ShapedEpisode]]:
-    """Play one episode, reveal labels and shape terminal rewards without guilt
+    """Play one episode, each draw Generator.choice on the softmax of the row's current
+    preferences, reveal labels and shape terminal rewards without guilt
     (_shaped_terminal_reward); no guilt step and no policy update."""
     policies = tuple(learner.policy for learner in learners)
-    dists = tuple(policy.table.dists for policy in policies)
-    widths = tuple(policy.table.hyper.time_bucket_width for policy in policies)
     cells = config.width * config.height
     episodes = [ShapedEpisode([], [], [], []) for _ in policies]
 
     def joint_policy(state: State, agent_index: int, step_rng: np.random.Generator) -> GridAction:
-        key = observation_key(state, agent_index, widths[agent_index], cells)
-        r = policies[agent_index].row(key)
-        # Generator.choice(5, p=probs)'s draw: the first cdf entry above a uniform
-        probs, cdf = dists[agent_index][r]
-        idx = bisect_right(cdf, step_rng.random())
+        policy = policies[agent_index]
+        key = observation_key(state, agent_index, policy.table.hyper.time_bucket_width, cells)
+        r = policy.row(key)
+        # the draw as the policy states it, not from run_lanes' cached distributions:
+        # Generator.choice on the softmax of the row's current preferences
+        probs = _softmax(policy.table.prefs[r])
+        idx = int(step_rng.choice(N_ACTIONS, p=probs))
         episode = episodes[agent_index]
         episode.rows.append(r)
         episode.actions.append(idx)
-        episode.behaviour_probs.append(probs[idx])
+        episode.behaviour_probs.append(float(probs[idx]))
         return ACTIONS[idx]
 
     record = run_episode(config, joint_policy, rng)

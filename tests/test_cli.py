@@ -428,6 +428,20 @@ UNKNOWN_KEYS = {
                      "unknown PayoffMatrix config keys: ['hh']"),
     "tournament_matrix_missing": ({"tournament": {"matrix": {"h": 7, "c": 6}}}, TOURNAMENT,
                                   "missing PayoffMatrix config keys: ['g', 'm']"),
+    # a config file, or a section of one, that is not a JSON object
+    "config_not_object": ([], SWEEP, "a config file must hold a JSON object, got []"),
+    "sweep_not_object": ({"sweep": "x"}, SWEEP, "config section 'sweep' must be an object"),
+    "gridworld_not_object": ({"gridworld": None}, GRIDWORLD,
+                             "config section 'gridworld' must be an object"),
+    "agent_not_object": ({"agent": [1]}, TOURNAMENT, "config section 'agent' must be an object"),
+    "agent_overrides_not_object": ({"sweep": {"agent_overrides": [1]}}, SWEEP,
+                                   "config section 'sweep.agent_overrides' must be an object"),
+    "payoff_not_object": ({"payoff": [1, 2]}, SWEEP, "config section 'payoff' must be an object"),
+    "matrix_not_object": ({"tournament": {"matrix": [1, 2]}}, TOURNAMENT,
+                          "config section 'tournament.matrix' must be an object"),
+    # an empty list is no object either, though it would read as no matrix
+    "matrix_empty_list": ({"sweep": {"matrix": []}}, SWEEP,
+                          "config section 'sweep.matrix' must be an object, got []"),
 }
 
 
@@ -474,13 +488,21 @@ def test_repeated_axis_values_are_rejected_before_any_work(tmp_path, argv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("jobs", ["0", "-2"])
-def test_non_positive_jobs_is_an_argument_error(tmp_path, capsys, jobs):
+@pytest.mark.parametrize("flag,value,command", [
+    pytest.param("--jobs", "0", "analyze", id="0"),
+    pytest.param("--jobs", "-2", "analyze", id="-2"),
+    # numpy refuses a negative seed only once the spec is built, and analyze would record it
+    *(pytest.param("--seed", "-1", command, id=f"seed-{command}")
+      for command in ("analyze", "matrix-selfplay", "tournament", "gridworld")),
+])
+def test_non_positive_jobs_is_an_argument_error(tmp_path, capsys, flag, value, command):
+    """--jobs below 1 and --seed below 0 are argument errors (exit 2), before any work."""
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as exit_info:
-        main(["--out", str(out), "--jobs", jobs, "analyze"])
+        main(["--out", str(out), flag, value, command])
     assert exit_info.value.code == 2
-    assert f"argument --jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
+    least = 1 if flag == "--jobs" else 0
+    assert f"argument {flag}: must be >= {least}, got {value}" in capsys.readouterr().err
     assert not out.exists()
 
 

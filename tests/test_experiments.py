@@ -8,17 +8,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from engine_helpers import (
-    belief_state,
-    grid_learner,
-    observation_key,
-    outcomes,
-    reference_detail,
-    reference_lanes,
-    run_episode,
-)
-from scalar_beliefs import beliefs_of, make_tom_state
-from staghunt import PayoffMatrix, experiments, policy_learner
+from engine_helpers import belief_state, outcomes, reference_detail, reference_lanes
+from scalar_beliefs import make_tom_state
+from staghunt import experiments
 from staghunt.experiments import (
     DRAW_CHUNK,
     GRID_VARIANTS,
@@ -40,7 +32,7 @@ from staghunt.experiments import (
     tournament_means,
 )
 from staghunt.gridworld import make_scenario
-from staghunt.policy_learner import ACTIONS, N_ACTIONS, LearnerConfig, _softmax, run_lanes
+from staghunt.policy_learner import LearnerConfig, _softmax, run_lanes
 from staghunt.shaping import Beliefs, InequityParams
 
 
@@ -186,51 +178,49 @@ UNUSUAL = dict(
 )
 
 
+# a config may give a belief, confidence or theta as an int (JSON 1)
+INTS = dict(theta=2, zero_order=1, first_order=0, confidence=1, learning_rate=0)
+
+
 @pytest.mark.parametrize("variant", GRID_VARIANTS)
 def test_a_grid_learner_takes_every_setting_from_its_spec(variant):
-    spec = GridworldSpec(variants=(variant,), **UNUSUAL)
-    [(learners, _, _)], beliefs = gridworld_lanes([(spec, 0, 0, 0, 0)])
-    for slot, learner in enumerate(learners):
-        assert learner.policy.table.hyper == LearnerConfig(
-            step_size=0.4, gamma=0.95, clip_ratio=0.1, epochs=3, entropy_weight=0.02,
-            time_bucket_width=5,
+    """A block of both layouts, two seeds and all four variants, variant first (so that
+    over the cases each variant takes each variant index), its settings as floats and
+    as ints: each learner's table config, beliefs, guilt and inequity, and each lane's
+    grid and generator, are the spec's; every Beliefs column holds floats (tom bools),
+    so that a step's write-back is not truncated."""
+    first = GRID_VARIANTS.index(variant)
+    for settings in (UNUSUAL, INTS):
+        spec = GridworldSpec(variants=GRID_VARIANTS[first:] + GRID_VARIANTS[:first], seeds=2,
+                             **settings)
+        assert all(getattr(spec, name) == value for name, value in settings.items())
+        payloads = _payloads(spec, 31)
+        lanes, beliefs = gridworld_lanes(payloads)
+        hyper = LearnerConfig(
+            step_size=spec.step_size, gamma=spec.gamma, clip_ratio=spec.clip_ratio,
+            epochs=spec.epochs, entropy_weight=spec.entropy_weight,
+            time_bucket_width=spec.time_bucket_width,
         )
-        assert learner.policy.rows == {}
-        assert belief_state(beliefs, slot) == make_tom_state(
-            0.2, 0.7, 0.9, 0.3, tom_enabled=(variant == "tomaga"))
-        guilty = variant in ("tomaga", "ga-no-tom")
-        assert beliefs.neg_theta[slot] == (-3.5 if guilty else 0.0)
-        assert learner.inequity == (InequityParams(0.25, 0.75) if variant == "inequity" else None)
-
-
-@pytest.mark.parametrize("settings", [
-    UNUSUAL,
-    # a config may give a belief, confidence or theta as an int (JSON 1)
-    dict(theta=2, zero_order=1, first_order=0, confidence=1, learning_rate=0),
-], ids=["floats", "ints"])
-def test_gridworld_lanes_match_the_per_learner_setup_they_replace(settings):
-    """A block of both layouts and all four variants: every column of its Beliefs,
-    byte for byte, is that of a Beliefs built from each learner's own ToMState and
-    GuiltParams; each learner's config and inequity, its lane's grid and its
-    generator are the ones the per-learner setup gave it."""
-    spec = GridworldSpec(seeds=2, **settings)
-    payloads = _payloads(spec, 31)
-    lanes, beliefs = gridworld_lanes(payloads)
-    refs = [grid_learner(spec.variants[var_idx], spec) for _, _, var_idx, _, _ in payloads
-            for _ in range(2)]
-    expected = beliefs_of([ref.tom for ref in refs], [ref.guilt for ref in refs])
-    for name in Beliefs.__slots__:
-        ours, theirs = getattr(beliefs, name), getattr(expected, name)
-        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape, name
-        assert ours.tobytes() == theirs.tobytes(), name
-    learners = [learner for pair, _, _ in lanes for learner in pair]
-    assert [learner.policy.table.hyper for learner in learners] == [ref.hyper for ref in refs]
-    assert [learner.inequity for learner in learners] == [ref.inequity for ref in refs]
-    for (_, config, rng), (_, scen_idx, var_idx, seed_idx, base_seed) in zip(lanes, payloads):
-        layout = make_scenario(spec.scenarios[scen_idx])
-        assert config == dataclasses.replace(layout, stag_motion=spec.stag_motion)
-        assert (rng.bit_generator.state
-                == _rng_for(base_seed, scen_idx, var_idx, seed_idx).bit_generator.state)
+        for k, ((learners, config, rng), (_, scen_idx, var_idx, seed_idx, base_seed)) in (
+                enumerate(zip(lanes, payloads))):
+            layout = make_scenario(spec.scenarios[scen_idx])
+            assert config == dataclasses.replace(layout, stag_motion=spec.stag_motion)
+            assert (rng.bit_generator.state
+                    == _rng_for(base_seed, scen_idx, var_idx, seed_idx).bit_generator.state)
+            lane_variant = spec.variants[var_idx]
+            neg_theta = -spec.theta if lane_variant in ("tomaga", "ga-no-tom") else 0.0
+            for slot, learner in enumerate(learners, start=2 * k):
+                assert learner.policy.table.hyper == hyper
+                assert learner.policy.rows == {}
+                assert belief_state(beliefs, slot) == make_tom_state(
+                    spec.zero_order, spec.first_order, spec.confidence, spec.learning_rate,
+                    tom_enabled=(lane_variant == "tomaga"))
+                assert beliefs.neg_theta[slot].tobytes() == np.float64(neg_theta).tobytes()
+                assert learner.inequity == (
+                    InequityParams(spec.inequity_advantageous, spec.inequity_disadvantageous)
+                    if lane_variant == "inequity" else None)
+        for name in Beliefs.__slots__:
+            assert getattr(beliefs, name).dtype == (bool if name == "tom" else float), name
 
 
 def test_gridworld_comparison_rows_and_summary():
@@ -319,58 +309,6 @@ def test_cached_distributions_are_the_per_row_ones_after_every_update(stag_motio
                 assert cdf == (total / total[-1]).tolist()
 
 
-def _choice_policy(learners, config, behaviour_probs):
-    """The per-row draw the cached one replaced: softmax of the current row (a zero
-    row for an unseen key), then Generator.choice; logs each behaviour probability."""
-    cells = config.width * config.height
-
-    def joint_policy(state, agent_index, step_rng):
-        policy = learners[agent_index].policy
-        key = observation_key(state, agent_index, policy.table.hyper.time_bucket_width, cells)
-        r = policy.rows.get(key)
-        probs = _softmax(np.zeros(N_ACTIONS) if r is None else policy.table.prefs[r])
-        idx = int(step_rng.choice(N_ACTIONS, p=probs))
-        behaviour_probs[agent_index].append(float(probs[idx]))
-        return ACTIONS[idx]
-
-    return joint_policy
-
-
-@pytest.mark.parametrize("stag_motion", ["static", "random_walk"])
-def test_play_from_cached_distributions_matches_a_choice_reference(stag_motion, monkeypatch):
-    """Every episode, replayed from the same generator state under the reference
-    policy, takes the same steps with the same behaviour probabilities: checked
-    as the block's update receives them, before the update."""
-    spec = GridworldSpec(seeds=1, iterations=60, stag_motion=stag_motion)
-    lanes, beliefs = gridworld_lanes(_payloads(spec, 13))
-    logs = [[] for _ in lanes]
-    states = [rng.bit_generator.state for _, _, rng in lanes]
-    replays: list = []
-    update = policy_learner.update_policies
-
-    def replay_then_update(table, rows, actions, probs, returns):
-        behaviour = iter(probs)
-        for k, ((learners, config, rng), log) in enumerate(zip(lanes, logs)):
-            replay_rng = np.random.default_rng()
-            replay_rng.bit_generator.state = states[k]
-            behaviour_probs = ([], [])
-            replay = run_episode(config, _choice_policy(learners, config, behaviour_probs),
-                                 replay_rng)
-            assert replay.transitions == log
-            assert [[next(behaviour) for _ in log] for _ in range(2)] == list(behaviour_probs)
-            assert replay_rng.bit_generator.state == rng.bit_generator.state
-            replays.append(replay)
-            states[k] = rng.bit_generator.state
-            log.clear()
-        update(table, rows, actions, probs, returns)
-
-    monkeypatch.setattr(policy_learner, "update_policies", replay_then_update)
-    for batch in run_lanes(lanes, beliefs, spec.iterations, logs):
-        assert [replay.labels for replay in replays] == [record.labels
-                                                         for record, _ in outcomes(batch)]
-        replays.clear()
-
-
 def _bits(values) -> bytes:
     """The bytes of a sequence of floats, None as NaN: tells -0.0 from 0.0."""
     return np.array([np.nan if v is None else v for v in values], dtype=float).tobytes()
@@ -378,11 +316,13 @@ def _bits(values) -> bytes:
 
 @pytest.mark.parametrize("stag_motion", ["static", "random_walk"])
 def test_flat_batch_play_matches_the_reference_play_iteration(stag_motion):
-    """Blocks of 1, 4 and 16 lanes, both layouts and all four variants: every
-    iteration, each lane's labels, end kind, length, terminal and shaped rewards,
-    phi and psychological reward are the per-episode reference's bytes, and so are
-    the block's table and beliefs after the run; one run's detail rows and episode
-    log are those of the reference's replay."""
+    """Blocks of 1, 4 and 16 lanes, both layouts and all four variants, against the
+    per-episode reference, which draws each action with Generator.choice on the
+    softmax of its row's current preferences (so this checks run_lanes' cached
+    distributions and its draw at once): every iteration, each lane's labels, end
+    kind, length, terminal and shaped rewards, phi and psychological reward are the
+    reference's bytes, and so are the block's table and beliefs after the run; one
+    run's detail rows and episode log are those of the reference's replay."""
     spec = GridworldSpec(seeds=2, iterations=60, stag_motion=stag_motion)
     payloads = _payloads(spec, 29)
     seen = Counter()

@@ -1,8 +1,7 @@
 import dataclasses
 import struct
 from bisect import bisect_right
-from collections import Counter
-from itertools import accumulate
+from itertools import zip_longest
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +14,6 @@ from engine_helpers import (
     ShapingDetail,
     belief_state,
     discounted_returns,
-    grid_learner,
     learner_config,
     new_policy,
     observation_key,
@@ -24,10 +22,8 @@ from engine_helpers import (
     surrogate_objective,
     update_episodes,
 )
-from scalar_beliefs import Belief, belief_step
-from staghunt import policy_learner
 from staghunt.experiments import GridworldSpec, gridworld_lanes
-from staghunt.game import C, KNOWN_LABELS, U, UNKNOWN, PayoffMatrix
+from staghunt.game import C, U, UNKNOWN, PayoffMatrix
 from staghunt.gridworld import GridAction, make_scenario
 from staghunt.policy_learner import (
     ACTIONS,
@@ -37,7 +33,6 @@ from staghunt.policy_learner import (
     LearnerConfig,
     PolicyParams,
     PolicyTable,
-    _entropy_terms,
     _lane_ends,
     _returns,
     _shape_guilt,
@@ -45,7 +40,6 @@ from staghunt.policy_learner import (
     iterations_to_threshold,
     run_lanes,
 )
-from staghunt.shaping import guilt_reward, inequity_reward, phi_from_beliefs, shape_reward
 
 
 # --- references: the per-row draw the cached distributions replaced --------------
@@ -63,6 +57,11 @@ def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
         raise ValueError(f"probabilities must be finite, got {probs}")
     cdf /= cdf[-1]
     return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _bits(x) -> bytes | None:
+    """A float's bytes (tells -0.0 from 0.0), or None for None."""
+    return None if x is None else struct.pack("<d", float(x))
 
 
 # --- returns -------------------------------------------------------------------
@@ -89,6 +88,7 @@ _reward = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), st.floats(-1e
        lanes=st.lists(st.tuples(st.integers(1, 40), _reward, _reward), min_size=1, max_size=6))
 @example(gamma=0.0, lanes=[(1, -0.0, -0.0), (3, -0.0, 0.0)])
 @example(gamma=-0.0, lanes=[(2, -0.0, 5e-324)])
+@example(gamma=0.25, lanes=[(2, -5e-324, 0.0)])  # 0.25 * -5e-324 is -0.0, and 0.0 + -0.0 is +0.0
 def test_returns_match_discounted_returns_bit_for_bit(gamma, lanes):
     """_returns' one backward pass per slot gives every agent-step the bits that
     discounted_returns gives over its slot's rewards: 0.0 but the shaped last one."""
@@ -284,7 +284,10 @@ class KeyEpisode:
 def random_case(seed, hyper, pool=4, table=3):
     """A reference policy with random rows for part of a small key pool, and an
     episode over that pool: keys repeat, some keys are new, and the behaviour
-    probabilities sit both inside and far outside the clip range."""
+    probabilities sit both inside and far outside the clip range. Some episodes
+    end on a NaN reward (a NaN advantage, then a NaN value), some pay nothing
+    (zero advantages on the keys without a value), and some one-step episodes are
+    paid their key's value (a zero advantage)."""
     rng = np.random.default_rng(seed)
     keys = [10 * k + 3 for k in range(pool)]
     policy = RefPolicy(hyper)
@@ -299,7 +302,37 @@ def random_case(seed, hyper, pool=4, table=3):
         p = _ref_softmax(policy.preferences.get(key, np.zeros(N_ACTIONS)))[action]
         behaviour.append(float(np.clip(p * rng.choice([1.0, 0.95, 0.4, 2.5]), 0.01, 0.99)))
     rewards = [float(r) for r in rng.normal(0, 3.0, length)]
+    kind = rng.random()
+    if kind < 0.1:
+        rewards[-1] = float("nan")
+    elif kind < 0.25:
+        rewards = [0.0] * length
+    elif kind < 0.5 and length == 1:
+        rewards[-1] = policy.value(episode_keys[0])
     return policy, KeyEpisode(episode_keys, actions, behaviour, rewards)
+
+
+def random_block(seed, hyper, n):
+    """n random_cases as policies on one table, with their episodes as rows: each
+    reference's rows, then each episode's new keys, are given rows step by step
+    across the policies, as lanes step them, so that the policies' rows interleave
+    in the table. Returns the references, their episodes, the policies and the
+    episodes as rows."""
+    cases = [random_case(seed + 100 * i, hyper) for i in range(n)]
+    table = PolicyTable(hyper)
+    policies = [PolicyParams(table) for _ in cases]
+    for keys in zip_longest(*(ref.preferences for ref, _ in cases)):
+        for policy, (ref, _), key in zip(policies, cases, keys):
+            if key is not None:
+                r = policy.row(key)  # before naming table.prefs: a new row may replace it
+                table.prefs[r] = ref.preferences[key]
+                table.values[r] = ref.value(key)
+    for keys in zip_longest(*(episode.keys for _, episode in cases)):
+        for policy, key in zip(policies, keys):
+            if key is not None:
+                policy.row(key)
+    shaped = [as_rows(policy, episode) for policy, (_, episode) in zip(policies, cases)]
+    return [ref for ref, _ in cases], [episode for _, episode in cases], policies, shaped
 
 
 def as_policy(ref: RefPolicy, table: PolicyTable | None = None) -> PolicyParams:
@@ -324,8 +357,18 @@ def assert_same_tables(policy: PolicyParams, ref: RefPolicy):
     assert list(ref.preferences) == list(policy.rows)[: len(ref.preferences)]
     for key, r in policy.rows.items():
         expected = ref.preferences.get(key, np.zeros(N_ACTIONS))
-        assert np.array_equal(policy.table.prefs[r], expected), key
-        assert policy.table.values[r] == ref.value(key), key
+        assert policy.table.prefs[r].tobytes() == expected.tobytes(), key
+        assert _bits(policy.table.values[r]) == _bits(ref.value(key)), key
+
+
+def assert_fresh_distributions(policy: PolicyParams, ref: RefPolicy, keys):
+    """Each row of keys caches the action distribution of the reference's row:
+    its softmax and normalised cumulative sums, as Generator.choice builds them."""
+    for key in keys:
+        probs = _ref_softmax(ref.preferences[key])
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        assert policy.table.dists[policy.rows[key]] == (probs.tolist(), cdf.tolist()), key
 
 
 HYPERS = [
@@ -341,15 +384,22 @@ SEEDS = range(40)
 
 @pytest.mark.parametrize("hyper", HYPERS)
 def test_policy_update_matches_per_item_reference(hyper):
+    """Blocks of 1 to 5 policies on one table, their rows interleaved, all updated by
+    one update_policies call: every policy's rows, values and cached distributions
+    are the per-item reference's bytes, and every row of the table is one policy's."""
     for seed in SEEDS:
-        reference, episode = random_case(seed, hyper)
-        policy = as_policy(reference)
-        shaped = as_rows(policy, episode)
+        references, episodes, policies, shaped = random_block(seed, hyper, 1 + seed % 5)
         # several updates in a row, so the rows drift away from the seed's
         for _ in range(3):
-            update_episodes([policy], [shaped])
-            _ref_policy_update(reference, episode)
-        assert_same_tables(policy, reference)
+            update_episodes(policies, shaped)
+            for reference, episode in zip(references, episodes):
+                _ref_policy_update(reference, episode)
+        for policy, reference, episode in zip(policies, references, episodes):
+            assert_same_tables(policy, reference)
+            if hyper.clip_ratio:
+                assert_fresh_distributions(policy, reference, episode.keys)
+        owned = sorted(r for policy in policies for r in policy.rows.values())
+        assert owned == list(range(len(policies[0].table.values)))
 
 
 @pytest.mark.parametrize("clip_ratio", [0.2, 0.0])
@@ -357,12 +407,13 @@ def test_policy_update_matches_per_item_reference(hyper):
 def test_surrogate_gradient_matches_per_item_reference(clip_ratio, entropy_weight):
     for seed in SEEDS:
         policy, episode = random_case(seed, learner_config(), table=4)
-        rng = np.random.default_rng(1000 + seed)
+        advantages = np.random.default_rng(1000 + seed).normal(0, 2.0, len(episode.keys))
+        # every third item's advantage a zero, a -0.0 or a NaN: never active
+        advantages[seed % 3 :: 3] = (0.0, -0.0, np.nan)[seed % 3]
         batch = [
             (key, action, p, float(adv))
             for key, action, p, adv in zip(
-                episode.keys, episode.actions, episode.behaviour_probs,
-                rng.normal(0, 2.0, len(episode.keys)),
+                episode.keys, episode.actions, episode.behaviour_probs, advantages,
             )
         ]
         grads = surrogate_gradient(policy.preferences, batch, clip_ratio, entropy_weight)
@@ -397,8 +448,9 @@ def test_run_lanes_needs_one_shared_config():
 
 
 def test_random_cases_cover_repeats_and_both_clip_branches():
-    """The differential cases above exercise what they claim to."""
-    repeats = clipped = unclipped = 0
+    """The differential cases above exercise what they claim to: repeated keys, both
+    clip branches, zero and NaN advantages, and policies whose rows interleave."""
+    repeats = clipped = unclipped = zero = nan = interleaved = 0
     for seed in SEEDS:
         policy, episode = random_case(seed, learner_config())
         repeats += len(set(episode.keys)) < len(episode.keys)
@@ -408,7 +460,16 @@ def test_random_cases_cover_repeats_and_both_clip_branches():
                 unclipped += 1
             else:
                 clipped += 1
+        references, episodes, policies, _ = random_block(seed, learner_config(), 1 + seed % 5)
+        for reference, episode in zip(references, episodes):
+            returns = discounted_returns(episode.rewards, 0.99)
+            advantages = [ret - reference.value(key) for key, ret in zip(episode.keys, returns)]
+            zero += advantages.count(0.0)
+            nan += sum(adv != adv for adv in advantages)
+        interleaved += sum(max(p.rows.values()) - min(p.rows.values()) >= len(p.rows)
+                           for p in policies)
     assert repeats >= 10 and clipped >= 20 and unclipped >= 20
+    assert zero >= 10 and nan >= 10 and interleaved >= 50
 
 
 # --- the one-scatter kernel on its edge cases -----------------------------------------
@@ -626,94 +687,6 @@ def test_inequity_shaping_applies_to_unequal_outcomes():
     assert shaped_end(lane, (UNKNOWN, UNKNOWN), (0.0, 0.0), label_matrix).shaped == 0.0
 
 
-def _reference_shaped_terminal_reward(ref, labels, terminal_rewards, agent_index, label_matrix):
-    """The per-learner shaping that the block's guilt step replaced: belief update
-    plus psychological shaping for one agent's episode end. ref holds the
-    learner's guilt, inequity and current ToMState tom, which a guilt step replaces."""
-    own_label = labels[agent_index]
-    other_label = labels[1 - agent_index]
-    material = terminal_rewards[agent_index]
-    other_material = terminal_rewards[1 - agent_index]
-
-    if ref.guilt is not None:
-        if own_label in KNOWN_LABELS and other_label in KNOWN_LABELS:
-            tom = ref.tom
-            b0, b1, conf = belief_step(
-                tom.zero_order.p_cooperative, tom.first_order.p_cooperative, tom.confidence,
-                tom.learning_rate, tom.tom_enabled, other_label, own_label, label_matrix,
-            )
-            ref.tom = dataclasses.replace(
-                tom, zero_order=Belief(b0), first_order=Belief(b1), confidence=conf
-            )
-            phi = phi_from_beliefs(b0, b1, label_matrix)
-            psy = guilt_reward(ref.guilt, phi, other_material)
-            return ShapingDetail(phi, psy, shape_reward(material, psy))
-        return ShapingDetail(None, 0.0, material)
-    if ref.inequity is not None:
-        psy = inequity_reward(ref.inequity, material, [other_material])
-        return ShapingDetail(None, psy, shape_reward(material, psy))
-    return ShapingDetail(None, 0.0, material)
-
-
-def _bits(x) -> bytes | None:
-    """A float's bytes (tells -0.0 from 0.0), or None for None."""
-    return None if x is None else struct.pack("<d", float(x))
-
-
-def _tom_bits(tom):
-    return tuple(map(_bits, (tom.zero_order.p_cooperative, tom.first_order.p_cooperative,
-                             tom.confidence)))
-
-
-def _detail_bits(detail):
-    return tuple(map(_bits, (detail.phi, detail.psychological, detail.shaped)))
-
-
-@pytest.mark.parametrize("stag_motion", ["static", "random_walk"])
-def test_block_guilt_step_matches_the_per_learner_reference(stag_motion, monkeypatch):
-    """A 16-lane block of both layouts and all four variants: every iteration,
-    each learner's beliefs, phi, psychological and shaped reward, and the
-    terminal reward its policy trains on, are the per-learner reference's bytes."""
-    spec = GridworldSpec(seeds=2, iterations=60, stag_motion=stag_motion)
-    payloads = [
-        (spec, scen_idx, var_idx, seed_idx, 23)
-        for seed_idx in range(spec.seeds)
-        for var_idx in range(len(spec.variants))
-        for scen_idx in range(len(spec.scenarios))
-    ]
-    lanes, beliefs = gridworld_lanes(payloads)
-    assert len(lanes) == 16
-    refs = [[grid_learner(spec.variants[var_idx], spec) for _ in range(2)]
-            for _, _, var_idx, _, _ in payloads]
-    trained: list = []
-    update = policy_learner.update_policies
-
-    def recording_update(table, rows, actions, probs, returns):
-        trained.append(returns)
-        update(table, rows, actions, probs, returns)
-
-    monkeypatch.setattr(policy_learner, "update_policies", recording_update)
-    seen = Counter()
-    for batch in run_lanes(lanes, beliefs, spec.iterations):
-        # each episode's last step, which pays its terminal reward
-        returns, ends = trained.pop(), accumulate(n for n in batch.lengths for _ in range(2))
-        terminal = iter([returns[end - 1] for end in ends])
-        for k, ((_, config, _), (record, details)) in enumerate(zip(lanes, outcomes(batch))):
-            for i, ref in enumerate(refs[k]):
-                expected = _reference_shaped_terminal_reward(
-                    ref, record.labels, record.terminal_rewards, i, config.grid.label_payoffs
-                )
-                assert _detail_bits(details[i]) == _detail_bits(expected)
-                assert _bits(next(terminal)) == _bits(expected.shaped)
-                tom = belief_state(beliefs, 2 * k + i)
-                assert _tom_bits(tom) == _tom_bits(ref.tom)
-                assert tom == ref.tom
-                if ref.guilt is not None:
-                    seen["guilt step" if expected.phi is not None else "unknown label"] += 1
-                    seen["guilt"] += expected.psychological < 0.0
-    assert min(seen.values()) >= 20, seen
-
-
 def test_integer_belief_settings_step_as_their_floats():
     """A config may give a belief, confidence or theta as an int (JSON 1): the
     learner's arrays hold floats, so a step's write-back is not truncated."""
@@ -873,33 +846,6 @@ def test_stacked_softmax_matches_row_by_row_bit_for_bit():
     assert all(np.array_equal(s, _softmax(row)) for s, row in zip(stacked.T, rows))
     cdf = stacked.cumsum(axis=0)
     assert all(np.array_equal(c, s.cumsum()) for c, s in zip(cdf.T, stacked.T))
-
-
-def _row_major_softmax(z: np.ndarray) -> np.ndarray:
-    """The (rows, N_ACTIONS) softmax the actions-axis layout replaced."""
-    shifted = z - np.maximum.reduce(z, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.add.reduce(e, axis=1, keepdims=True)
-
-
-def test_actions_axis_reductions_match_the_row_major_layout_bit_for_bit():
-    """Over the actions, numpy adds (((e0 + e1) + e2) + e3) + e4 along axis 0 of an
-    (N_ACTIONS, rows) stack, as along axis 1 of a (rows, N_ACTIONS) one: the softmax,
-    its normalised cumulative sums and the entropy sums keep every bit."""
-    rows = _mixed_scale_rows()
-    ours, theirs = _softmax(np.ascontiguousarray(rows.T)), _row_major_softmax(rows)
-    assert ours.tobytes() == np.ascontiguousarray(theirs.T).tobytes()
-    e = np.exp(rows - rows.max(axis=1, keepdims=True))
-    in_order = (((e[:, 0] + e[:, 1]) + e[:, 2]) + e[:, 3]) + e[:, 4]
-    assert np.add.reduce(np.ascontiguousarray(e.T), axis=0).tobytes() == in_order.tobytes()
-    cdf, row_cdf = ours.cumsum(axis=0), theirs.cumsum(axis=1)
-    cdf /= cdf[-1]
-    row_cdf /= row_cdf[:, -1:]
-    assert cdf.tobytes() == np.ascontiguousarray(row_cdf.T).tobytes()
-    neg_entropy, logp = _entropy_terms(ours)
-    row_logp = np.log(theirs + 1e-12)
-    assert logp.tobytes() == np.ascontiguousarray(row_logp.T).tobytes()
-    assert neg_entropy.tobytes() == np.add.reduce(theirs * row_logp, axis=1).tobytes()
 
 
 def _trained_pair(seed=3):

@@ -132,27 +132,20 @@ def test_shape_reward_is_plain_sum():
 
 
 def test_equal_rewards_carry_no_inequity():
-    assert inequity_reward(InequityParams(1.0, 2.0), 3.0, [3.0]) == 0.0
+    assert inequity_reward(InequityParams(1.0, 2.0), 3.0, 3.0) == 0.0
 
 
 def test_advantageous_inequity():
-    assert inequity_reward(InequityParams(1.0, 2.0), 3.0, [0.0]) == pytest.approx(-3.0)
+    assert inequity_reward(InequityParams(1.0, 2.0), 3.0, 0.0) == pytest.approx(-3.0)
 
 
 def test_disadvantageous_inequity():
-    assert inequity_reward(InequityParams(1.0, 2.0), 0.0, [3.0]) == pytest.approx(-6.0)
-
-
-def test_inequity_rejects_empty_others():
-    with pytest.raises(ValueError):
-        inequity_reward(InequityParams(1.0, 1.0), 3.0, [])
+    assert inequity_reward(InequityParams(1.0, 2.0), 0.0, 3.0) == pytest.approx(-6.0)
 
 
 def test_inequity_validation():
     with pytest.raises(ValueError):
         InequityParams(-0.1, 1.0)
-    with pytest.raises(ValueError):
-        InequityParams(1.0, 1.0, n_agents=1)
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -173,22 +166,15 @@ def test_a_grid_learner_with_an_infinite_theta_is_rejected():
         GridworldSpec(theta=math.inf)
 
 
-@given(
-    own=st.floats(-50, 50),
-    others=st.lists(st.floats(-50, 50), min_size=1, max_size=6),
-)
+@given(own=st.floats(-50, 50), other=st.floats(-50, 50))
 # a subnormal gap: 0.5 * 5e-324 underflows, so the reward reads -0.0 though the rewards differ
-@example(own=0.0, others=[-5e-324])
-def test_inequity_zero_iff_all_equal(own, others):
-    params = InequityParams(0.5, 1.5, n_agents=len(others) + 1)
-    value = inequity_reward(params, own, others)
+@example(own=0.0, other=-5e-324)
+def test_inequity_zero_iff_all_equal(own, other):
+    value = inequity_reward(InequityParams(0.5, 1.5), own, other)
     assert value <= 0.0
-    # a nonzero gap is never 0 (gradual underflow), but its weighted sum can round to 0
-    advantage = sum(max(own - r, 0.0) for r in others)
-    disadvantage = sum(max(r - own, 0.0) for r in others)
-    n1 = len(others)
-    underflows = 0.5 / n1 * advantage == 0.0 and 1.5 / n1 * disadvantage == 0.0
-    assert (value == 0.0) == (all(r == own for r in others) or underflows)
+    # a nonzero gap is never 0 (gradual underflow), but its weighted value can round to 0
+    underflows = 0.5 * max(own - other, 0.0) == 0.0 and 1.5 * max(other - own, 0.0) == 0.0
+    assert (value == 0.0) == (own == other or underflows)
 
 
 @given(z=st.floats(0, 1), f=st.floats(0, 1), t=st.floats(0, 1))
@@ -236,62 +222,6 @@ _learner = st.tuples(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(learners=st.lists(_learner, min_size=1, max_size=12), matrix=_matrix,
-       at_payoff=st.booleans())
-@example(  # frozen first-order belief, at the clamp, an exact zero shortfall
-    learners=[(make_tom_state(1.0, 1.0, 1.0, 1.0, False), GuiltParams(2.0), C, C, 4.0, True),
-              (make_tom_state(-0.0, 0.0, -0.0, -0.0), GuiltParams(1.0), U, C, -0.0, True),
-              (make_tom_state(0.3, 0.6, 0.2, 0.4), None, C, U, 3.0, False)],
-    matrix=PayoffMatrix(4.0, 3.0, 2.0, 0.0), at_payoff=False,
-)
-@example(  # int payoffs and int other rewards, -0.0 beliefs, every slot stepped
-    learners=[(make_tom_state(-0.0, -0.0, -0.0, 0.25, tom), GuiltParams(3.0), own, other, 0, True)
-              for tom, own, other in ((True, C, U), (False, U, C), (True, U, U))],
-    matrix=PayoffMatrix(4, 3, 2, 0), at_payoff=True,
-)
-def test_guilt_step_matches_the_scalar_rule_bit_for_bit(learners, matrix, at_payoff):
-    """Beliefs.step (masked to the stepped slots) and update_beliefs (one lane)
-    give each learner the scalar rule's beliefs, phi and guilt; the slots not
-    stepped keep theirs."""
-    if at_payoff:  # the other's reward is the label payoff, as in the grid world
-        learners = [(state, guilt, own, other, matrix.payoff(other, own), stepped)
-                    for state, guilt, own, other, _, stepped in learners]
-    beliefs = beliefs_of([l[0] for l in learners], [l[1] for l in learners])
-    phi, psychological = beliefs.step(
-        np.array([l[2] is C for l in learners]), np.array([l[3] is C for l in learners]),
-        np.array([l[4] for l in learners]), matrix, np.array([l[5] for l in learners]),
-    )
-    stepped = {k: (phi[k], psychological[k]) for k, l in enumerate(learners) if l[5]}
-    for k, (state, guilt, own, other, reward, _) in enumerate(learners):
-        b0, b1, conf = belief_step(
-            state.zero_order.p_cooperative, state.first_order.p_cooperative, state.confidence,
-            state.learning_rate, state.tom_enabled, other, own, matrix,
-        )
-        assert _state_bits(update_beliefs(state, other, own, matrix)) == _triple(b0, b1, conf)
-        lane = _triple(beliefs.b[0, k], beliefs.b[1, k], beliefs.conf[k])
-        if k not in stepped:
-            assert lane == _state_bits(state)
-            continue
-        assert lane == _triple(b0, b1, conf)
-        ref_phi = phi_from_beliefs(b0, b1, matrix)
-        ref_psy = guilt_reward(guilt, ref_phi, reward) if guilt else 0.0
-        assert tuple(map(_bits, stepped[k])) == (_bits(ref_phi), _bits(ref_psy))
-
-
-def _subset_step(beliefs, stepping, own_c, other_c, other_reward, matrix):
-    """The grid world's former step, the reference for the mask: gather the
-    stepped slots with one fancy index each, step them alone and scatter their
-    b and conf back."""
-    k = np.flatnonzero(stepping)
-    subset = beliefs_of([], [])
-    for name in Beliefs.__slots__:
-        setattr(subset, name, getattr(beliefs, name)[..., k])
-    phi, psychological = subset.step(own_c[k], other_c[k], other_reward[k], matrix)
-    beliefs.b[:, k], beliefs.conf[k] = subset.b, subset.conf
-    return phi, psychological
-
-
 # a config may give any setting as an int (JSON 0 or 1), and a reward too
 _setting = st.one_of(_probability, st.sampled_from([0, 1]))
 _int_learner = st.tuples(
@@ -304,29 +234,58 @@ _int_learner = st.tuples(
 )
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(learners=st.lists(st.one_of(_learner, _int_learner), min_size=1, max_size=12),
-       matrix=_matrix, steps=st.integers(1, 3))
-@example(  # unstepped slots at -0.0 beside stepped ones, int rewards
+       matrix=_matrix, at_payoff=st.booleans(), steps=st.integers(1, 3))
+@example(  # frozen first-order belief, at the clamp, an exact zero shortfall
+    learners=[(make_tom_state(1.0, 1.0, 1.0, 1.0, False), GuiltParams(2.0), C, C, 4.0, True),
+              (make_tom_state(-0.0, 0.0, -0.0, -0.0), GuiltParams(1.0), U, C, -0.0, True),
+              (make_tom_state(0.3, 0.6, 0.2, 0.4), None, C, U, 3.0, False)],
+    matrix=PayoffMatrix(4.0, 3.0, 2.0, 0.0), at_payoff=False, steps=1,
+)
+@example(  # int payoffs and int other rewards, -0.0 beliefs, every slot stepped
+    learners=[(make_tom_state(-0.0, -0.0, -0.0, 0.25, tom), GuiltParams(3.0), own, other, 0, True)
+              for tom, own, other in ((True, C, U), (False, U, C), (True, U, U))],
+    matrix=PayoffMatrix(4, 3, 2, 0), at_payoff=True, steps=1,
+)
+@example(  # unstepped slots at -0.0 beside a stepped one, int settings and rewards, two steps
     learners=[(make_tom_state(-0.0, -0.0, -0.0, 0.5, tom), GuiltParams(2), C, U, 0, stepped)
               for tom, stepped in ((True, False), (False, False), (True, True))],
-    matrix=PayoffMatrix(4, 3, 2, 0), steps=2,
+    matrix=PayoffMatrix(4, 3, 2, 0), at_payoff=False, steps=2,
 )
-def test_the_masked_step_matches_the_subset_step_byte_for_byte(learners, matrix, steps):
-    """Stepping the whole store with a mask leaves every slot's b and conf, and
-    gives every stepped slot's phi and guilt, as stepping only the masked slots."""
-    stores = [beliefs_of([l[0] for l in learners], [l[1] for l in learners]) for _ in range(2)]
-    own_c = np.array([l[2] is C for l in learners])
-    other_c = np.array([l[3] is C for l in learners])
-    other_reward = np.array([l[4] for l in learners])
-    stepping = np.array([l[5] for l in learners])
+@example(  # phi is -0.0 (h is -0.0, beliefs at 1) and the reward +0.0: a -0.0 shortfall
+    learners=[(make_tom_state(1.0, 1.0, 1.0, 0.0), GuiltParams(2.0), C, C, 0.0, True)],
+    matrix=PayoffMatrix(-0.0, -1.0, -2.0, -3.0), at_payoff=False, steps=1,
+)
+def test_guilt_step_matches_the_scalar_rule_bit_for_bit(learners, matrix, at_payoff, steps):
+    """Beliefs.step (masked to the stepped slots), repeated with the same labels, and
+    update_beliefs (one lane) give each learner the scalar rule's beliefs, phi and
+    guilt after every step; the slots not stepped keep theirs."""
+    if at_payoff:  # the other's reward is the label payoff, as in the grid world
+        learners = [(state, guilt, own, other, matrix.payoff(other, own), stepped)
+                    for state, guilt, own, other, _, stepped in learners]
+    beliefs = beliefs_of([l[0] for l in learners], [l[1] for l in learners])
+    states = [l[0] for l in learners]
     for _ in range(steps):
-        phi, psychological = stores[0].step(own_c, other_c, other_reward, matrix, stepping)
-        ref_phi, ref_psy = _subset_step(stores[1], stepping, own_c, other_c, other_reward, matrix)
-        assert stores[0].b.tobytes() == stores[1].b.tobytes()
-        assert stores[0].conf.tobytes() == stores[1].conf.tobytes()
-        assert phi[stepping].tobytes() == ref_phi.tobytes()
-        assert psychological[stepping].tobytes() == ref_psy.tobytes()
+        phi, psychological = beliefs.step(
+            np.array([l[2] is C for l in learners]), np.array([l[3] is C for l in learners]),
+            np.array([l[4] for l in learners]), matrix, np.array([l[5] for l in learners]),
+        )
+        for k, (state, (_, guilt, own, other, reward, stepped)) in enumerate(zip(states, learners)):
+            b0, b1, conf = belief_step(
+                state.zero_order.p_cooperative, state.first_order.p_cooperative,
+                state.confidence, state.learning_rate, state.tom_enabled, other, own, matrix,
+            )
+            assert _state_bits(update_beliefs(state, other, own, matrix)) == _triple(b0, b1, conf)
+            lane = _triple(beliefs.b[0, k], beliefs.b[1, k], beliefs.conf[k])
+            if not stepped:
+                assert lane == _state_bits(state)
+                continue
+            assert lane == _triple(b0, b1, conf)
+            ref_phi = phi_from_beliefs(b0, b1, matrix)
+            ref_psy = guilt_reward(guilt, ref_phi, reward) if guilt else 0.0
+            assert (_bits(phi[k]), _bits(psychological[k])) == (_bits(ref_phi), _bits(ref_psy))
+            states[k] = make_tom_state(b0, b1, conf, state.learning_rate, state.tom_enabled)
 
 
 def test_a_guilt_off_slot_is_shaped_by_plus_zero():
