@@ -63,20 +63,25 @@ def _timed(run, *args, **kwargs):
     return result, time.perf_counter() - start
 
 
-def _finish(args, command: str, resolved: dict, seconds: float, tables: dict, units=None) -> int:
+def _finish(
+    args, command: str, resolved: dict, seconds: float | None, tables: dict, units=None
+) -> int:
     """Write each {file name: RunResult} table under args.out in order, then manifest.json.
 
     resolved is what the run was built from, after config and flags; it is
     hashed. The telemetry describes how this run went and stays out of the
     hash; its units are the rows of the first table, the experiment's own,
     unless given, and write_s is the wall time of writing the tables. The
-    first table's own telemetry joins it.
+    experiment took seconds, or, when seconds is None, its rows are computed
+    while they are written and write_s is its time too. The first table's
+    own telemetry joins it.
     """
     out_dir = Path(args.out)
     start = time.perf_counter()
     for name, table in tables.items():
         table.write_csv(out_dir / name)
     write_s = time.perf_counter() - start
+    seconds = write_s if seconds is None else seconds
     first = next(iter(tables))
     units = len(tables[first].rows) if units is None else units
     manifest = {
@@ -167,13 +172,14 @@ def cmd_analyze(args, config: dict) -> int:
         raise ValueError(
             f"--theta-min {args.theta_min} puts theta {theta_grid[0]} on the grid: theta must be > 0"
         )
-    rows, seconds = _timed(equilibrium_grid_rows, matrix, phi_grid, theta_grid)
+    # one text block per phi, computed a chunk at a time as analyze.csv is written
+    rows = equilibrium_grid_rows(matrix, phi_grid, theta_grid)
     return _finish(args, "analyze", {
         "matrix": matrix.as_dict(),
         "phi_grid": [phi_lo, phi_hi, args.phi_step],
         "theta_grid": [args.theta_min, args.theta_max, args.theta_step],
-    }, seconds, {"analyze.csv": RunResult(ANALYZE_COLUMNS, rows)},
-        units=len(phi_grid) * len(theta_grid))  # rows holds one text block per phi
+    }, None, {"analyze.csv": RunResult(ANALYZE_COLUMNS, rows)},
+        units=len(phi_grid) * len(theta_grid))
 
 
 def cmd_matrix_selfplay(args, config: dict) -> int:

@@ -60,10 +60,11 @@ def build_spec(cls, section: str, config: dict, **overrides):
     """Build the spec cls from config[section], with the non-None overrides on top.
 
     Fields whose default is a tuple take a list and become tuples. A spec with a matrix
-    takes it from the section's "matrix" dict, else from the "payoff"
-    section, else from its default; a spec with agent_params builds them
-    from the "agent" section, then the section's agent_overrides, then the
-    caller's, dropping None values in the last two.
+    takes it from the section's "matrix" object, else from the "payoff"
+    section, else from its default; an object given is the matrix, so an empty
+    one misses every key. A spec with agent_params builds them from the
+    "agent" section, then the section's agent_overrides, then the caller's,
+    dropping None values in the last two.
     """
     defaults = {f.name: f.default for f in fields(cls)}
     agent_overrides = overrides.pop("agent_overrides", {})
@@ -80,10 +81,9 @@ def build_spec(cls, section: str, config: dict, **overrides):
         for layer in (section_overrides, agent_overrides):
             agent.update((k, v) for k, v in layer.items() if v is not None)
         raw["agent_params"] = AgentParams(**_only_known(AgentParams, agent))
-    if "matrix" in defaults:
-        matrix = (_section(raw.pop("matrix", {}), f"{section}.matrix")
-                  or _section(config.get("payoff", {}), "payoff"))
-        raw["matrix"] = (
-            PayoffMatrix(**_only_known(PayoffMatrix, matrix)) if matrix else defaults["matrix"]
-        )
+    if "matrix" in defaults:  # an object given is the matrix, an empty one too
+        source, key, name = ((raw, "matrix", f"{section}.matrix") if "matrix" in raw
+                             else (config, "payoff", "payoff"))
+        if key in source:
+            raw["matrix"] = PayoffMatrix(**_only_known(PayoffMatrix, _section(source[key], name)))
     return cls(**_only_known(cls, raw))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -223,7 +223,7 @@ FLAG_CHUNK_CELLS = 16_384
 
 def equilibrium_grid_rows(
     matrix: PayoffMatrix, phi_grid: Sequence[float], theta_grid: Sequence[float]
-) -> list[str]:
+) -> Iterator[str]:
     """CSV text, one block per phi row of len(theta_grid) lines, each ending in "\\r\\n".
 
     Cells run phi-major, theta-minor. Each line is byte-equal to what
@@ -232,16 +232,19 @@ def equilibrium_grid_rows(
     phi, theta and threshold is rendered once, and each run of equal flags in a
     phi row is joined in one str.join. The flags are elementwise in (phi, theta),
     so computing them FLAG_CHUNK_CELLS cells at a time changes no bit.
+
+    The blocks are yielded in order, and each chunk's flags are computed only
+    when its first block is asked for, so a consumer that writes each block
+    as it comes holds one chunk at a time, whatever the size of the grid.
     """
     phi = np.asarray(list(phi_grid), dtype=np.float64)
     theta = np.asarray(list(theta_grid), dtype=np.float64)
     if theta.size == 0:
-        return []
+        return
     c, m, g = matrix.c, matrix.m, matrix.g
     thetas = [f",{t!r}," for t in theta.tolist()]
     middles = {2 * n + u: f"{n},{u}," for n in range(5) for u in (False, True)}
     step = max(1, FLAG_CHUNK_CELLS // theta.size)
-    blocks: list[str] = []
     for lo in range(0, phi.size, step):
         flags = _ne_flags_grid(matrix, phi[lo:lo + step], theta)
         # the (n_pure_ne, unique_cc) pair as one int, and where a run of equal pairs starts
@@ -253,8 +256,7 @@ def equilibrium_grid_rows(
             cols = np.flatnonzero(starts_row)
             mids = [middles[k] for k in pair_row[cols].tolist()]
             bounds = [*cols.tolist(), len(thetas)]
-            blocks.append("".join(
+            yield "".join(
                 head + (mid + tail + head).join(thetas[a:b]) + mid + tail
                 for a, b, mid in zip(bounds, bounds[1:], mids)
-            ))
-    return blocks
+            )

@@ -20,7 +20,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -117,7 +117,7 @@ class RunResult:
     and what it counted on the way for the manifest's telemetry."""
 
     columns: tuple[str, ...]
-    rows: list[tuple] | list[str]
+    rows: Iterable[tuple] | Iterable[str]
     spec: SweepSpec | TournamentSpec | GridworldSpec | None = None
     telemetry: dict = field(default_factory=dict)
 
@@ -126,17 +126,22 @@ class RunResult:
 
         Rows that are str are finished CSV text, whole lines each ending in
         "\\r\\n" as csv.writer ends its own, and are written as they are;
-        tuple rows go through csv.writer.
+        tuple rows go through csv.writer. The rows may be any iterable, a
+        generator included: each row is written as it comes.
         """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.columns)
-            if self.rows and isinstance(self.rows[0], str):
-                fh.writelines(self.rows)
-            else:
-                writer.writerows(self.rows)
+            rows = iter(self.rows)
+            first = next(rows, None)
+            if isinstance(first, str):
+                fh.write(first)
+                fh.writelines(rows)
+            elif first is not None:
+                writer.writerow(first)
+                writer.writerows(rows)
 
 
 def _require(spec, ok, rule: str, *names: str) -> None:

@@ -274,7 +274,10 @@ def test_manifest_records_run_telemetry_outside_the_hash(tmp_path, capsys, comma
             telemetry["units"] / telemetry["experiment_wall_s"]
         )
         assert telemetry["write_s"] >= 0
-        if command != "analyze":  # every unit in one of the blocks of the deal
+        if command == "analyze":  # the grid is computed while analyze.csv is written
+            assert telemetry["experiment_wall_s"] >= telemetry["write_s"] > 0
+            assert telemetry["units_per_s"] == telemetry["units"] / telemetry["experiment_wall_s"]
+        else:  # every unit in one of the blocks of the deal
             blocks = telemetry["blocks"]
             assert sum(block["payloads"] for block in blocks) == UNITS[command]
             assert all(block["wall_s"] > 0 for block in blocks)
@@ -428,6 +431,11 @@ UNKNOWN_KEYS = {
                      "unknown PayoffMatrix config keys: ['hh']"),
     "tournament_matrix_missing": ({"tournament": {"matrix": {"h": 7, "c": 6}}}, TOURNAMENT,
                                   "missing PayoffMatrix config keys: ['g', 'm']"),
+    # an empty object is a matrix given without its keys, not the default matrix
+    "payoff_empty": ({"payoff": {}}, TOURNAMENT,
+                     "missing PayoffMatrix config keys: ['c', 'g', 'h', 'm']"),
+    "sweep_matrix_empty": ({"sweep": {"matrix": {}}}, SWEEP,
+                           "missing PayoffMatrix config keys: ['c', 'g', 'h', 'm']"),
     # a config file, or a section of one, that is not a JSON object
     "config_not_object": ([], SWEEP, "a config file must hold a JSON object, got []"),
     "sweep_not_object": ({"sweep": "x"}, SWEEP, "config section 'sweep' must be an object"),

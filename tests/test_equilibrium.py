@@ -172,14 +172,14 @@ def test_unique_cc_fraction_non_decreasing_in_theta():
 
 def test_grid_rows_schema_and_threshold_column():
     # (phi, theta, n_pure_ne, unique_cc, threshold_theta); threshold (m-g)/(phi-m) = 4
-    assert equilibrium_grid_rows(Q1, [25.0], [3.0, 5.0]) == [
+    assert list(equilibrium_grid_rows(Q1, [25.0], [3.0, 5.0])) == [
         "25.0,3.0,2,False,4.0\r\n25.0,5.0,1,True,4.0\r\n",
     ]
 
 
 @pytest.mark.parametrize("phi_grid, theta_grid", [([25.0], []), ([], [3.0])])
 def test_grid_rows_of_an_empty_grid_are_empty(phi_grid, theta_grid):
-    assert equilibrium_grid_rows(Q1, phi_grid, theta_grid) == []
+    assert list(equilibrium_grid_rows(Q1, phi_grid, theta_grid)) == []
 
 
 def _typed_grid_rows(matrix, phi_grid, theta_grid):
@@ -231,7 +231,7 @@ def _csv_text(rows) -> str:
          "change-at-every-theta"],
 )
 def test_grid_lines_match_csv_writer_on_the_typed_rows(matrix, phi_grid, theta_grid):
-    blocks = equilibrium_grid_rows(matrix, phi_grid, theta_grid)
+    blocks = list(equilibrium_grid_rows(matrix, phi_grid, theta_grid))
     assert len(blocks) == len(phi_grid)
     assert all(block.count("\r\n") == len(theta_grid) for block in blocks)
     assert "".join(blocks) == _csv_text(_typed_grid_rows(matrix, phi_grid, theta_grid))
@@ -246,20 +246,55 @@ CHUNK_THETA = [0.05, 2.0, 3.0, 4.0, 5.0, 50.0]
                                          3 * len(CHUNK_THETA) + 1, 7 * len(CHUNK_THETA)])
 def test_grid_lines_do_not_depend_on_the_flag_chunk(monkeypatch, chunk_cells):
     monkeypatch.setattr(equilibrium, "FLAG_CHUNK_CELLS", chunk_cells)
-    blocks = equilibrium_grid_rows(Q1, CHUNK_PHI, CHUNK_THETA)
+    blocks = list(equilibrium_grid_rows(Q1, CHUNK_PHI, CHUNK_THETA))
     assert len(blocks) == len(CHUNK_PHI)
     assert "".join(blocks) == _csv_text(_typed_grid_rows(Q1, CHUNK_PHI, CHUNK_THETA))
 
 
-def test_grid_rows_peak_memory_stays_near_the_text_they_return():
-    """On the default analyze grid (400 x 1,000 cells) the flags are built a
-    chunk at a time: the traced peak is at most 1.5x the text returned."""
-    phi_grid, theta_grid = frange(20, 40, 0.05), frange(0, 50, 0.05)
+def test_grid_rows_compute_a_chunk_only_when_its_first_block_is_asked_for(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _ne_flags_grid(*args)
+
+    monkeypatch.setattr(equilibrium, "_ne_flags_grid", counted)
+    monkeypatch.setattr(equilibrium, "FLAG_CHUNK_CELLS", 2 * len(CHUNK_THETA))  # 2 phi rows
+    blocks = equilibrium_grid_rows(Q1, CHUNK_PHI, CHUNK_THETA)
+    assert calls == []
+    next(blocks)
+    assert len(calls) == 1
+    next(blocks)
+    assert len(calls) == 1
+    next(blocks)
+    assert len(calls) == 2
+    assert len(list(blocks)) == len(CHUNK_PHI) - 3
+    assert len(calls) == 4
+
+
+def _streamed_peak(phi_grid, theta_grid):
+    """The traced peak while the blocks are consumed one at a time, the lines and the
+    characters they held."""
+    lines = size = 0
     tracemalloc.start()
     try:
-        blocks = equilibrium_grid_rows(Q1, phi_grid, theta_grid)
+        for block in equilibrium_grid_rows(Q1, phi_grid, theta_grid):
+            lines += block.count("\r\n")
+            size += len(block)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(block.count("\r\n") for block in blocks) == 400 * 1000
-    assert peak <= 1.5 * sum(map(len, blocks))  # ASCII: one byte a character
+    return peak, lines, size
+
+
+def test_grid_rows_peak_memory_stays_near_the_text_they_return():
+    """On the default analyze grid (400 x 1,000 cells) a consumer that drops each
+    block holds one chunk of flags and one block at a time: the traced peak is
+    under a quarter of the text yielded, and the same at 40 phi rows."""
+    theta_grid = frange(0, 50, 0.05)
+    peak, lines, size = _streamed_peak(frange(20, 40, 0.05), theta_grid)
+    assert lines == 400 * 1000
+    assert peak < size / 4  # ASCII: one byte a character
+    small_peak, small_lines, _ = _streamed_peak(frange(20, 22, 0.05), theta_grid)
+    assert small_lines == 40 * 1000
+    assert abs(peak - small_peak) <= 2**20

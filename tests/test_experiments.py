@@ -600,15 +600,24 @@ def test_write_csv_round_trip(tmp_path):
 @pytest.mark.parametrize("n_blocks, n_lines", [(1, 1), (500, 3), (1, 5000)],
                          ids=["one-block", "many-blocks", "block-of-many-lines"])
 def test_write_csv_writes_str_rows_as_writelines_would(tmp_path, n_blocks, n_lines):
-    """Str rows are blocks of whole lines; the file holds them line for line."""
+    """Str rows are blocks of whole lines; the file holds them line for line. A
+    generator of rows, str or tuple, writes the same bytes as its list."""
     import csv
 
     lines = [[f"{b},{k * 0.1!r}\r\n" for k in range(n_lines)] for b in range(n_blocks)]
-    RunResult(("k", "x"), ["".join(block) for block in lines]).write_csv(tmp_path / "blocks.csv")
+    blocks = ["".join(block) for block in lines]
+    RunResult(("k", "x"), blocks).write_csv(tmp_path / "blocks.csv")
     with open(tmp_path / "lines.csv", "w", newline="") as fh:
         csv.writer(fh).writerow(("k", "x"))
         fh.writelines(line for block in lines for line in block)
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "lines.csv").read_bytes()
+
+    RunResult(("k", "x"), (block for block in blocks)).write_csv(tmp_path / "streamed.csv")
+    assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "blocks.csv").read_bytes()
+    rows = [(b, k * 0.1) for b in range(n_blocks) for k in range(n_lines)]
+    RunResult(("k", "x"), rows).write_csv(tmp_path / "tuples.csv")
+    RunResult(("k", "x"), (row for row in rows)).write_csv(tmp_path / "tuple_stream.csv")
+    assert (tmp_path / "tuple_stream.csv").read_bytes() == (tmp_path / "tuples.csv").read_bytes()
 
 
 @pytest.mark.parametrize("seed_index", [99, -1, 1.5])
